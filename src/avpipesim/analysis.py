@@ -11,8 +11,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-
-from scipy import stats as sstats
+from typing import Optional
 
 from .engine import RunTrace
 from .safety import SafetyLevel
@@ -41,7 +40,7 @@ class SafetyReport:
     violations: int
     collisions: int
     no_reaction: int
-    min_gap_m: float
+    min_gap_m: Optional[float]      # None when no sample has a gap >= 0
 
     def to_json(self) -> dict:
         return {"violations": self.violations, "collisions": self.collisions,
@@ -75,20 +74,28 @@ def density_correlation(points: list[tuple[float, float]]) -> float:
         raise AnalysisError("density correlation needs at least 3 points")
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
+    from scipy import stats as sstats   # ~1 s to import, needed only here
     rho, _ = sstats.spearmanr(xs, ys)
     return float(rho)
 
 
 def safety_report(trace: RunTrace) -> SafetyReport:
-    violations = sum(1 for s in trace.safety_samples
-                     if s.level == SafetyLevel.VIOLATION.value)
-    collisions = sum(1 for s in trace.safety_samples
-                     if s.level == SafetyLevel.COLLISION.value)
+    """Counts by level and the smallest gap >= 0, in one pass."""
+    violation, collision = SafetyLevel.VIOLATION.value, SafetyLevel.COLLISION.value
+    violations = collisions = 0
+    min_gap = math.inf
+    for s in trace.safety_samples:
+        level, gap = s.level, s.lon_gap_m
+        if level == violation:
+            violations += 1
+        elif level == collision:
+            collisions += 1
+        if 0 <= gap < min_gap:
+            min_gap = gap
     no_reaction = sum(1 for r in trace.reactions if not r.reacted)
-    gaps = [s.lon_gap_m for s in trace.safety_samples if s.lon_gap_m >= 0]
     return SafetyReport(violations=violations, collisions=collisions,
                         no_reaction=no_reaction,
-                        min_gap_m=round(min(gaps), 6) if gaps else math.inf)
+                        min_gap_m=None if min_gap == math.inf else round(min_gap, 6))
 
 
 def compare_runs(baseline: RunTrace, treatment: RunTrace) -> dict:

@@ -113,18 +113,26 @@ def _write_run_outputs(trace: RunTrace, out_dir: str, suffix: str = "") -> dict:
     os.makedirs(out_dir, exist_ok=True)
     trace_path = os.path.join(out_dir, f"trace{suffix}.ndjson")
     with open(trace_path, "w", encoding="utf-8") as f:
-        f.write(trace.to_ndjson())
+        f.writelines(trace.ndjson_lines())
     report = {"safety": analysis.safety_report(trace).to_json()}
     samples = trace.e2e_samples()
     if samples:
         report["latency"] = analysis.compute_stats(samples).to_json()
         analysis.export_cdf(samples, os.path.join(out_dir, f"cdf{suffix}.csv"))
     report["reactions"] = [dataclasses.asdict(r) for r in trace.reactions]
-    with open(os.path.join(out_dir, f"report{suffix}.json"), "w",
-              encoding="utf-8") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(report, os.path.join(out_dir, f"report{suffix}.json"))
     return report
+
+
+def _write_json(obj, path: str):
+    """Strict JSON (NaN and Infinity refused), indented, keys sorted."""
+    text = _dumps(obj)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _summary_line(report: dict) -> str:
@@ -171,10 +179,7 @@ def cmd_run(args) -> int:
             base_trace = _execute(base_cfg, scenario, graph)
             _write_run_outputs(base_trace, cfg.out_dir, suffix="_baseline")
             comparison = analysis.compare_runs(base_trace, trace)
-            with open(os.path.join(cfg.out_dir, "compare.json"), "w",
-                      encoding="utf-8") as f:
-                json.dump(comparison, f, indent=2, sort_keys=True)
-                f.write("\n")
+            _write_json(comparison, os.path.join(cfg.out_dir, "compare.json"))
     except (ConfigError,) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -274,7 +279,7 @@ def cmd_compare(args) -> int:
     except analysis.AnalysisError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = _dumps(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(text)

@@ -9,9 +9,13 @@ reaction-time decomposition T1 - T0 = t_sensor + t_module + t_bubble.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
-from dataclasses import dataclass, field, asdict
-from typing import Optional
+from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
+from typing import Iterator, Optional
+
+import numpy as np
 
 from . import mitigation as mit
 from .mitigation import MitigationConfig, PathChoice, StealRequest
@@ -19,9 +23,9 @@ from .pipeline import (Channel, ChannelPolicy, ExecutionPattern, FrameMessage,
                        LatencyModel, NodeRole, NodeSpec, ObjectTrack,
                        PipelineGraph, downstream_estimate, fusion_update,
                        predict_latency, sample_latency, validate_graph)
-from .safety import RssParams, SafetyLevel, check_safety, object_deadline
-from .scenario import (AgentState, Scenario, TrajectorySpec, agent_state_at,
-                       visible_agents)
+from .safety import RssParams, check_safety_many, object_deadline
+from .scenario import (AgentArrays, AgentState, CompiledTrajectory, Scenario,
+                       TrajectorySpec, agent_arrays_at, visible_in)
 from .simkernel import EventQueue, StreamFactory
 
 
@@ -136,17 +140,19 @@ class RunTrace:
         busy = sum(self.busy_us_by_group.values())
         return busy / (total_workers * self.duration_us)
 
-    def to_ndjson(self) -> str:
-        lines = []
+    def ndjson_lines(self) -> Iterator[str]:
+        """The trace as NDJSON (format 1), one newline-terminated line at a
+        time; raises ValueError on a non-finite float."""
+        encode = _ENCODER.encode
         for s in self.spans:
-            lines.append(json.dumps({"type": "span", **asdict(s)}, sort_keys=True))
+            yield encode({"type": "span", **vars(s)}) + "\n"
         for f in self.frames:
-            lines.append(json.dumps({"type": "frame", **asdict(f)}, sort_keys=True))
+            yield encode({"type": "frame", **vars(f)}) + "\n"
         for r in self.reactions:
-            lines.append(json.dumps({"type": "reaction", **asdict(r)}, sort_keys=True))
+            yield encode({"type": "reaction", **vars(r)}) + "\n"
         for ss in self.safety_samples:
-            lines.append(json.dumps({"type": "safety", **asdict(ss)}, sort_keys=True))
-        lines.append(json.dumps({
+            yield _safety_line(ss)
+        yield encode({
             "type": "summary", "scenario_digest": self.scenario_digest,
             "seed": self.seed, "duration_us": self.duration_us,
             "busy_us_by_group": self.busy_us_by_group,
@@ -154,8 +160,10 @@ class RunTrace:
             "budget_violations": self.budget_violations,
             "steals_admitted": self.steals_admitted,
             "steals_rejected": self.steals_rejected,
-            "ego_segments": self.ego_segments}, sort_keys=True))
-        return "\n".join(lines) + "\n"
+            "ego_segments": self.ego_segments}) + "\n"
+
+    def to_ndjson(self) -> str:
+        return "".join(self.ndjson_lines())
 
     @classmethod
     def from_ndjson(cls, text: str) -> "RunTrace":
@@ -191,6 +199,24 @@ class RunTrace:
         trace.spans, trace.frames = spans, frames
         trace.reactions, trace.safety_samples = reactions, samples
         return trace
+
+
+# every trace field is a primitive, so records encode from vars() directly
+_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
+
+def _safety_line(ss: SafetySample) -> str:
+    """One safety record, formatted as _ENCODER would format it."""
+    t, aid, level, lon, lat = ss.t_us, ss.agent_id, ss.level, ss.lon_gap_m, ss.lat_gap_m
+    if not (type(t) is int and type(aid) is str and type(level) is str
+            and type(lon) is float and type(lat) is float):
+        return _ENCODER.encode({"type": "safety", **vars(ss)}) + "\n"
+    if not (math.isfinite(lon) and math.isfinite(lat)):
+        raise ValueError(f"Out of range float values are not JSON compliant: "
+                         f"{lon!r}, {lat!r}")
+    return (f'{{"agent_id": {encode_basestring_ascii(aid)}, "lat_gap_m": {lat!r}, '
+            f'"level": {encode_basestring_ascii(level)}, "lon_gap_m": {lon!r}, '
+            f'"t_us": {t!r}, "type": "safety"}}\n')
 
 
 class _Task:
@@ -252,6 +278,8 @@ class Simulation:
         self.groups = {g.name: _GroupState(g) for g in groups}
 
         self.ego_segments: list[tuple[int, float]] = []
+        self._ego = CompiledTrajectory(TrajectorySpec(initial=scenario.ego_initial))
+        self._world = AgentArrays(scenario.agents)
         self._frame_seq = 0
         self._fusion_history: dict[str, dict[str, list[bool]]] = {}
         self._fusion_tracks: dict[str, dict[str, ObjectTrack]] = {}
@@ -275,9 +303,7 @@ class Simulation:
     # -- ego kinematics ----------------------------------------------------
 
     def ego_state(self, t_us: int) -> AgentState:
-        traj = TrajectorySpec(initial=self.scenario.ego_initial,
-                              segments=tuple(self.ego_segments))
-        return agent_state_at(traj, t_us)
+        return self._ego.state_at(t_us)
 
     def apply_control(self, decision: str, level: float, decided_us: int):
         """Append an acceleration segment at decision time + actuation delay."""
@@ -288,6 +314,7 @@ class Simulation:
             t_eff = self.ego_segments[-1][0] + 1
         if decision == "brake":
             self.ego_segments.append((t_eff, level))
+            self._ego.append(t_eff, level)
         self.trace.ego_segments = list(self.ego_segments)
 
     # -- run loop ----------------------------------------------------------
@@ -328,13 +355,14 @@ class Simulation:
 
     def _on_safety_tick(self, t: int):
         ego = self.ego_state(t)
-        for aid, kind, traj in self.scenario.agents:
-            st = agent_state_at(traj, t)
-            status = check_safety(ego, st, self.config.rss, self.scenario.d_buffer_m)
-            self.trace.safety_samples.append(SafetySample(
-                t_us=t, agent_id=aid, level=status.level.value,
-                lon_gap_m=round(status.longitudinal_gap_m, 6),
-                lat_gap_m=round(status.lateral_gap_m, 6)))
+        world = self._world
+        s, v, a = agent_arrays_at(world, t)
+        levels, lon, lat = check_safety_many(ego, s, world.l_m, v, a, self.config.rss,
+                                             self.scenario.d_buffer_m)
+        self.trace.safety_samples.extend([
+            SafetySample(t, aid, level, lon_gap, lat_gap)
+            for aid, level, lon_gap, lat_gap in zip(world.ids, levels, _round6(lon),
+                                                    _round6(lat))])
         self._schedule_safety_tick(t + self.config.tick_us)
 
     # -- sensing -----------------------------------------------------------
@@ -342,7 +370,7 @@ class Simulation:
     def _capture(self, node: str, t: int):
         spec = self.graph.nodes[node]
         ego = self.ego_state(t)
-        seen = visible_agents(self.scenario, t, self.config.sensor_range_m, ego_state=ego)
+        seen = visible_in(self._world, t, self.config.sensor_range_m, ego)
         cap = self.config.mitigation.deadline_cap_us
         objects = []
         for aid, kind, st in seen:
@@ -634,6 +662,27 @@ def _rebuild_message(inputs, objects, now: int, deadline_cap_us: int) -> FrameMe
         created_ts=now, objects=tuple(objects),
         message_deadline=mit.message_deadline(objects, now, deadline_cap_us),
         provenance="probe")
+
+
+def _round6(x: np.ndarray) -> list[float]:
+    """[round(v, 6) for v in x.tolist()], mostly computed in numpy.
+
+    round() is correctly rounded: the integer nearest x * 10**6, ties to
+    even, divided by 10**6. rint(x * 1e6) / 1e6 gives the same float
+    whenever the product's rounding error (below 2**-14 for |x| < 2**20)
+    cannot carry it across a half-way point, and IEEE division of two
+    exact doubles is correctly rounded. The few values near a half-way
+    point, and huge or non-finite ones, go through round() itself.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = x * 1e6
+        exact = (np.abs(x) < 2.0 ** 20) & (np.abs(scaled - np.floor(scaled) - 0.5) > 2.0 ** -12)
+        out = (np.rint(scaled) / 1e6).tolist()
+    if not exact.all():
+        raw = x.tolist()
+        for i in np.flatnonzero(~exact).tolist():
+            out[i] = round(raw[i], 6)
+    return out
 
 
 def _model_is_zero(m: LatencyModel) -> bool:

@@ -436,5 +436,5 @@ def load_pipeline(path) -> PipelineGraph:
 
 def save_pipeline(g: PipelineGraph, path):
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(pipeline_to_json(g), f, indent=2, sort_keys=True)
+        json.dump(pipeline_to_json(g), f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")

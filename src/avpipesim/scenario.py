@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
+
+import numpy as np
 
 from .simkernel import US_PER_S, RandomStream
 
@@ -147,6 +150,115 @@ def visible_agents(scenario: Scenario, t_us: int, sensor_range_m: float,
 def ego_state_fallback(scenario: Scenario, t_us: int) -> AgentState:
     """Ego state assuming no control intervention (initial trajectory only)."""
     return agent_state_at(TrajectorySpec(initial=scenario.ego_initial), t_us)
+
+
+# ---------------------------------------------------------------------------
+# compiled trajectories: the engine's path; agent_state_at and
+# visible_agents above are the scalar references it must equal exactly
+
+class CompiledTrajectory:
+    """A trajectory integrated once: (s, v, a) at every segment start.
+
+    state_at(t) is one bisect plus one _advance and equals
+    agent_state_at bit for bit, because the breakpoints come from the
+    same _advance calls in the same order. append() adds a segment, as a
+    control decision does for the ego.
+    """
+
+    def __init__(self, traj: TrajectorySpec):
+        init = traj.initial
+        self.l_m, self.lane_index = init.l_m, init.lane_index
+        self.seg_starts: list[int] = []
+        self.starts = [0]
+        self.states = [(init.s_m, init.v_mps, init.a_mps2)]
+        for t, a in traj.segments:
+            self.append(t, a)
+
+    def append(self, start_us: int, a_mps2: float):
+        if self.seg_starts and start_us <= self.seg_starts[-1]:
+            raise ScenarioError(f"segment start {start_us} not after {self.seg_starts[-1]}")
+        s, v, a = self.states[-1]
+        s, v = _advance(s, v, a, (start_us - self.starts[-1]) / US_PER_S)
+        self.seg_starts.append(start_us)
+        self.starts.append(start_us)
+        self.states.append((s, v, a_mps2))
+
+    def state_at(self, t_us: int) -> AgentState:
+        if t_us < 0:
+            raise ValueError(f"t must be >= 0, got {t_us}")
+        k = bisect_left(self.seg_starts, t_us)
+        s, v, a = self.states[k]
+        s, v = _advance(s, v, a, (t_us - self.starts[k]) / US_PER_S)
+        eff_a = a if not (v == 0.0 and a < 0) else 0.0
+        return AgentState(s_m=s, l_m=self.l_m, v_mps=v, a_mps2=eff_a,
+                          lane_index=self.lane_index)
+
+
+class AgentArrays:
+    """Every agent of a scenario compiled for evaluation in one numpy pass.
+
+    The breakpoints of all agents sit in flat arrays; agent i's start at
+    index first[i]. Values are float64, so a field given as a Python int
+    comes back as a float.
+    """
+
+    def __init__(self, agents):
+        compiled = [CompiledTrajectory(traj) for _, _, traj in agents]
+        self.ids = [aid for aid, _, _ in agents]
+        self.kinds = [kind for _, kind, _ in agents]
+        self.l_list = [c.l_m for c in compiled]
+        self.lane_index = [c.lane_index for c in compiled]
+        self.l_m = np.array(self.l_list, dtype=float)
+        self.visible_from_us = np.array([traj.visible_from_us for _, _, traj in agents],
+                                        dtype=np.int64)
+        counts = np.array([len(c.starts) for c in compiled], dtype=np.int64)
+        self.first = np.cumsum(counts) - counts
+        self.start_us = np.array([t for c in compiled for t in c.starts], dtype=np.int64)
+        self.s, self.v, self.a = np.array(
+            [st for c in compiled for st in c.states], dtype=float).reshape(-1, 3).T
+        self.segmented = [(i, c.seg_starts) for i, c in enumerate(compiled) if c.seg_starts]
+
+
+def agent_arrays_at(world: AgentArrays, t_us: int):
+    """(s, v, a) of every agent at t, in scenario order.
+
+    Element i equals agent_state_at(agent i, t) field for field: the
+    same breakpoint, then _advance's branches and expression order
+    elementwise.
+    """
+    idx = world.first
+    if world.segmented:
+        idx = idx.copy()
+        for i, seg_starts in world.segmented:
+            idx[i] += bisect_left(seg_starts, t_us)
+    s, v, a = world.s[idx], world.v[idx], world.a[idx]
+    dt = (t_us - world.start_us[idx]) / US_PER_S
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t_stop = v / -a
+        s_stop = s + v * t_stop + 0.5 * a * t_stop * t_stop
+    braking = a < 0
+    stops = braking & (v > 0) & (dt >= t_stop)
+    halted = braking & (v == 0)
+    moving = dt > 0
+    s_out = np.where(moving & stops, s_stop,
+                     np.where(moving & ~halted, s + v * dt + 0.5 * a * dt * dt, s))
+    v_out = np.where(moving & (stops | halted), 0.0,
+                     np.where(moving, v + a * dt, v))
+    a_out = np.where((v_out == 0.0) & braking, 0.0, a)
+    return s_out, v_out, a_out
+
+
+def visible_in(world: AgentArrays, t_us: int, sensor_range_m: float,
+               ego: AgentState) -> list[tuple[str, AgentKind, AgentState]]:
+    """visible_agents for a compiled scenario: same agents, same order."""
+    s, v, a = agent_arrays_at(world, t_us)
+    seen = np.flatnonzero((world.visible_from_us <= t_us)
+                          & (np.abs(s - ego.s_m) <= sensor_range_m)).tolist()
+    s, v, a = s[seen].tolist(), v[seen].tolist(), a[seen].tolist()
+    return [(world.ids[i], world.kinds[i],
+             AgentState(s_m=s[j], l_m=world.l_list[i], v_mps=v[j], a_mps2=a[j],
+                        lane_index=world.lane_index[i]))
+            for j, i in enumerate(seen)]
 
 
 # ---------------------------------------------------------------------------
@@ -289,5 +401,5 @@ def load_scenario(path) -> Scenario:
 
 def save_scenario(sc: Scenario, path):
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(scenario_to_json(sc), f, indent=2, sort_keys=True)
+        json.dump(scenario_to_json(sc), f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")

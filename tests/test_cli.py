@@ -102,6 +102,25 @@ def test_run_writes_outputs_and_summary(workdir, capsys):
     assert set(report) == {"safety", "latency", "reactions"}
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def test_report_is_strict_json_with_nothing_ahead(workdir):
+    # the only agent trails the ego, so no sample has a gap >= 0
+    behind = TrajectorySpec(initial=AgentState(s_m=-30.0, l_m=0.0, v_mps=10.0,
+                                               a_mps2=0.0))
+    save_scenario(Scenario(ego_initial=AgentState(s_m=0.0, l_m=0.0, v_mps=10.0,
+                                                  a_mps2=0.0),
+                           agents=(("chaser", AgentKind.VEHICLE, behind),),
+                           duration_us=sec(2)),
+                  workdir / "scenario.json")
+    assert main(["run", "--config", str(workdir / "config.json")]) == EXIT_OK
+    text = (workdir / "out" / "report.json").read_text()
+    report = json.loads(text, parse_constant=_reject_constant)
+    assert report["safety"]["min_gap_m"] is None
+
+
 def test_run_byte_identical_across_invocations(workdir):
     out_a = workdir / "a"
     out_b = workdir / "b"
