@@ -10,10 +10,10 @@ stealing.
 from .analysis import (LatencyStats, SafetyReport, compare_runs, compute_stats,
                        density_correlation, export_cdf, safety_report)
 from .engine import (EngineConfig, ProcessorGroup, ReactionRecord, RunTrace,
-                     Simulation, measure_reaction, run_simulation)
+                     Simulation, run_simulation)
 from .mitigation import (MitigationConfig, PathChoice, StealRequest, choose_path,
-                         fastpath_planning_latency, message_deadline,
-                         partial_update, proactive_credit, steal_admission)
+                         message_deadline, partial_update, proactive_credit,
+                         steal_admission)
 from .pipeline import (Channel, ChannelPolicy, ExecutionPattern, FrameMessage,
                        FusionSpec, LatencyModel, NodeRole, NodeSpec, ObjectTrack,
                        PipelineGraph, fusion_update, load_pipeline,

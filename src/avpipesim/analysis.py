@@ -8,7 +8,6 @@ results.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional

@@ -17,11 +17,11 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import analysis
 from .config import ConfigError, RunConfig, load_config
-from .engine import EngineConfig, EngineError, RunTrace, run_simulation
+from .engine import EngineError, RunTrace, run_simulation
+from .jsonio import InputError
 from .mitigation import MitigationConfig
-from .pipeline import PipelineError, load_pipeline
-from .scenario import (AgentKind, RoadSpec, Scenario, ScenarioError,
-                       generate_traffic, load_scenario)
+from .pipeline import load_pipeline
+from .scenario import RoadSpec, Scenario, generate_traffic, load_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -151,7 +151,7 @@ def cmd_validate(args) -> int:
     except FileNotFoundError as e:
         print(f"error: missing file: {e.filename}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ScenarioError, PipelineError) as e:
+    except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     print("ok")
@@ -165,7 +165,7 @@ def cmd_run(args) -> int:
     except FileNotFoundError as e:
         print(f"error: missing file: {e.filename}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ConfigError, ScenarioError, PipelineError) as e:
+    except (InputError, EngineError) as e:    # EngineError: bad group or tick
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
@@ -233,7 +233,7 @@ def cmd_sweep(args) -> int:
     except FileNotFoundError as e:
         print(f"error: missing file: {e.filename}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ConfigError, ScenarioError, PipelineError, ValueError) as e:
+    except (InputError, EngineError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     try:

@@ -3,19 +3,19 @@ processor groups, RSS parameters, and mitigation toggles."""
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .engine import EngineConfig, ProcessorGroup
+from .jsonio import InputError, check_keys, fields, load_json
 from .mitigation import MitigationConfig
-from .safety import DEFAULT_DEADLINE_CAP_US, RssParams, rss_params_from_json
+from .safety import DEFAULT_DEADLINE_CAP_US, RssParams
 
 CONFIG_FORMAT = 1
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     pass
 
 
@@ -29,49 +29,56 @@ class RunConfig:
     out_dir: str = "out"
 
 
-def _check_keys(obj: dict, allowed: set[str], ctx: str):
-    extra = set(obj) - allowed
-    if extra:
-        raise ConfigError(f"{ctx}: unknown fields {sorted(extra)}")
+def rss_params_from_json(obj: dict) -> RssParams:
+    check_keys(obj, {"response_time_us", "a_max_accel_mps2", "a_min_brake_mps2",
+                     "a_max_brake_mps2", "lateral_mu_m"}, "rss", ConfigError)
+    with fields("rss", ConfigError):
+        return RssParams(
+            response_time_us=int(obj.get("response_time_us", 100_000)),
+            a_max_accel=float(obj.get("a_max_accel_mps2", 2.0)),
+            a_min_brake=float(obj.get("a_min_brake_mps2", 4.0)),
+            a_max_brake=float(obj.get("a_max_brake_mps2", 8.0)),
+            lateral_mu_m=float(obj.get("lateral_mu_m", 0.5)),
+        )
 
 
 def _mitigation_from_json(obj: dict) -> MitigationConfig:
-    _check_keys(obj, {"fastpath", "proactive", "stealing", "radius_m",
-                      "fast_lookahead_m", "deadline_cap_us", "safety_factor",
-                      "cancel_proactive_every_frame"}, "mitigation")
-    return MitigationConfig(
-        fastpath=bool(obj.get("fastpath", False)),
-        proactive=bool(obj.get("proactive", False)),
-        stealing=bool(obj.get("stealing", False)),
-        criticality_radius_m=float(obj.get("radius_m", 20.0)),
-        fast_lookahead_m=float(obj.get("fast_lookahead_m", 20.0)),
-        deadline_cap_us=int(obj.get("deadline_cap_us", DEFAULT_DEADLINE_CAP_US)),
-        steal_safety_factor=float(obj.get("safety_factor", 1.25)),
-        cancel_proactive_every_frame=bool(obj.get("cancel_proactive_every_frame",
-                                                  False)),
-    )
+    check_keys(obj, {"fastpath", "proactive", "stealing", "radius_m",
+                     "fast_lookahead_m", "deadline_cap_us", "safety_factor",
+                     "cancel_proactive_every_frame"}, "mitigation", ConfigError)
+    with fields("mitigation", ConfigError):
+        return MitigationConfig(
+            fastpath=bool(obj.get("fastpath", False)),
+            proactive=bool(obj.get("proactive", False)),
+            stealing=bool(obj.get("stealing", False)),
+            criticality_radius_m=float(obj.get("radius_m", 20.0)),
+            fast_lookahead_m=float(obj.get("fast_lookahead_m", 20.0)),
+            deadline_cap_us=int(obj.get("deadline_cap_us", DEFAULT_DEADLINE_CAP_US)),
+            steal_safety_factor=float(obj.get("safety_factor", 1.25)),
+            cancel_proactive_every_frame=bool(obj.get("cancel_proactive_every_frame",
+                                                      False)),
+        )
 
 
 def config_from_json(obj: dict, base_dir: str = ".") -> RunConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError("config root must be an object")
-    _check_keys(obj, {"format", "scenario", "pipeline", "groups", "rss", "mitigation",
-                      "seed", "tick_us", "sensor_range_m", "actuation_delay_us",
-                      "response_margin_us", "brake_level_mps2", "out"}, "config")
+    check_keys(obj, {"format", "scenario", "pipeline", "groups", "rss", "mitigation",
+                     "seed", "tick_us", "sensor_range_m", "actuation_delay_us",
+                     "response_margin_us", "brake_level_mps2", "out"}, "config", ConfigError)
     if obj.get("format") != CONFIG_FORMAT:
         raise ConfigError(f"format: expected {CONFIG_FORMAT}, got {obj.get('format')!r}")
     for key in ("scenario", "pipeline", "groups"):
         if key not in obj:
             raise ConfigError(f"config: missing field {key!r}")
     groups = []
-    for i, g in enumerate(obj["groups"]):
-        _check_keys(g, {"name", "workers", "budget_us", "pinned_nodes"},
-                    f"groups[{i}]")
-        groups.append(ProcessorGroup(
-            name=str(g["name"]), worker_count=int(g.get("workers", 1)),
-            pinned_nodes=tuple(g.get("pinned_nodes", [])),
-            budget_us=int(g.get("budget_us", 1_000_000_000))))
-    rss = rss_params_from_json(obj.get("rss", {}))
+    with fields("groups", ConfigError):
+        for i, g in enumerate(obj["groups"]):
+            check_keys(g, {"name", "workers", "budget_us", "pinned_nodes"},
+                       f"groups[{i}]", ConfigError)
+            with fields(f"groups[{i}]", ConfigError):
+                groups.append(ProcessorGroup(
+                    name=str(g["name"]), worker_count=int(g.get("workers", 1)),
+                    pinned_nodes=tuple(g.get("pinned_nodes", [])),
+                    budget_us=int(g.get("budget_us", 1_000_000_000))))
     engine = EngineConfig(
         tick_us=int(obj.get("tick_us", 100_000)),
         sensor_range_m=float(obj.get("sensor_range_m", 60.0)),
@@ -79,7 +86,7 @@ def config_from_json(obj: dict, base_dir: str = ".") -> RunConfig:
         response_margin_us=int(obj.get("response_margin_us", 600_000)),
         brake_level_mps2=float(obj.get("brake_level_mps2", -6.0)),
         mitigation=_mitigation_from_json(obj.get("mitigation", {})),
-        rss=rss,
+        rss=rss_params_from_json(obj.get("rss", {})),
     )
 
     def resolve(p: str) -> str:
@@ -96,9 +103,6 @@ def config_from_json(obj: dict, base_dir: str = ".") -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            obj = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: malformed JSON: {e}") from None
-    return config_from_json(obj, base_dir=os.path.dirname(os.path.abspath(path)))
+    base_dir = os.path.dirname(os.path.abspath(path))
+    return load_json(path, lambda obj: config_from_json(obj, base_dir), ConfigError,
+                     "config")

@@ -19,10 +19,10 @@ import numpy as np
 
 from . import mitigation as mit
 from .mitigation import MitigationConfig, PathChoice, StealRequest
-from .pipeline import (Channel, ChannelPolicy, ExecutionPattern, FrameMessage,
+from .pipeline import (Channel, CompiledGraph, ExecutionPattern, FrameMessage,
                        LatencyModel, NodeRole, NodeSpec, ObjectTrack,
                        PipelineGraph, downstream_estimate, fusion_update,
-                       predict_latency, sample_latency, validate_graph)
+                       kind_counts, predict_latency, sample_latency, validate_graph)
 from .safety import RssParams, check_safety_many, object_deadline
 from .scenario import (AgentArrays, AgentState, CompiledTrajectory, Scenario,
                        TrajectorySpec, agent_arrays_at, visible_in)
@@ -123,7 +123,6 @@ class RunTrace:
     reactions: list[ReactionRecord] = field(default_factory=list)
     safety_samples: list[SafetySample] = field(default_factory=list)
     ego_segments: list[tuple[int, float]] = field(default_factory=list)
-    captures: list[tuple[int, int, tuple[str, ...]]] = field(default_factory=list)
     busy_us_by_group: dict[str, int] = field(default_factory=dict)
     worker_count_by_group: dict[str, int] = field(default_factory=dict)
     budget_violations: int = 0
@@ -220,16 +219,13 @@ def _safety_line(ss: SafetySample) -> str:
 
 
 class _Task:
-    __slots__ = ("node", "ready_us", "inputs", "residual_objects", "seq")
-    _next = 0
+    __slots__ = ("node", "ready_us", "inputs", "residual_objects")
 
     def __init__(self, node: str, ready_us: int, inputs=None, residual_objects=None):
         self.node = node
         self.ready_us = ready_us
         self.inputs = inputs            # pre-bound messages, or None to pull
         self.residual_objects = residual_objects
-        self.seq = _Task._next
-        _Task._next += 1
 
 
 class _GroupState:
@@ -251,13 +247,20 @@ class _GroupState:
 
 
 class Simulation:
-    """One deterministic run; single-threaded."""
+    """One deterministic run; single-threaded.
+
+    The graph is a spec and is never written: the run keeps its own
+    channel queues, so one graph serves any number of runs.
+    """
 
     def __init__(self, scenario: Scenario, graph: PipelineGraph,
                  groups: list[ProcessorGroup], config: EngineConfig, seed: int):
         validate_graph(graph)
         self.scenario = scenario
         self.graph = graph
+        self._net = CompiledGraph(graph)
+        self._channels = {cid: Channel(cid, ch.policy, ch.capacity)
+                          for cid, ch in graph.channels.items()}
         self.config = config
         self.seed = seed
         self.queue = EventQueue()
@@ -285,7 +288,8 @@ class Simulation:
         self._fusion_tracks: dict[str, dict[str, ObjectTrack]] = {}
         self._proactive_arrival: dict[str, Optional[int]] = {}
         self._capture_index: dict[int, tuple[int, tuple[str, ...]]] = {}
-        self._terminal_outputs: list[tuple[int, dict, tuple[str, ...], str]] = []
+        # per trace.frames entry: the output's lineage and object ids
+        self._frame_lineage: list[tuple[dict, tuple[str, ...]]] = []
 
         from .scenario import scenario_to_json
         digest_src = json.dumps(scenario_to_json(scenario), sort_keys=True)
@@ -296,9 +300,8 @@ class Simulation:
             worker_count_by_group={g.name: g.worker_count for g in groups})
 
         terminals = [n for n, s in graph.nodes.items() if s.role == NodeRole.CONTROL]
-        if not terminals:
-            terminals = [n for n in graph.nodes if not graph.successors(n)]
-        self._terminal_nodes = set(terminals)
+        self._terminal_nodes = set(
+            terminals or [n for n in graph.nodes if not self._net.successors(n)])
 
     # -- ego kinematics ----------------------------------------------------
 
@@ -383,11 +386,10 @@ class Simulation:
         self._frame_seq += 1
         ids = tuple(o.agent_id for o in objects)
         self._capture_index[seq] = (t, ids)
-        self.trace.captures.append((seq, t, ids))
         msg = FrameMessage(
             seq=seq, sensor_ts=t, created_ts=t, objects=objects,
             message_deadline=mit.message_deadline(objects, t, cap),
-            provenance=node, lineage={seq: (t, 0, t)})
+            lineage={seq: (t, 0, t)})
         if _model_is_zero(spec.latency):
             self._emit(node, msg)
         else:
@@ -404,25 +406,23 @@ class Simulation:
             widx = grp.free_worker(now)
             if widx is None:
                 return
-            task = grp.ready.popleft()
-            if not self._start_task(task, grp, widx):
-                continue
+            self._start_task(grp.ready.popleft(), grp, widx)
 
     def _pull_inputs(self, node: str) -> list[FrameMessage]:
         msgs = []
         for ch_id in self.graph.nodes[node].inputs:
-            m = self.graph.channels[ch_id].take()
+            m = self._channels[ch_id].take()
             if m is not None:
                 msgs.append(m)
         return msgs
 
-    def _start_task(self, task: _Task, grp: _GroupState, widx: int) -> bool:
+    def _start_task(self, task: _Task, grp: _GroupState, widx: int):
         now = self.queue.clock
         spec = self.graph.nodes[task.node]
         if task.inputs is None:
             task.inputs = self._pull_inputs(task.node)
-            if not task.inputs:
-                return False    # data was superseded (latest-only) or drained
+            if not task.inputs and spec.inputs:
+                return    # data was superseded (latest-only) or drained
 
         objects = _merge_objects(task.inputs)
         cfg = self.config.mitigation
@@ -434,7 +434,7 @@ class Simulation:
 
         if (not is_residual and cfg.fastpath and spec.supports_fastpath):
             probe = _rebuild_message(task.inputs, objects, now, cfg.deadline_cap_us)
-            est = downstream_estimate(self.graph, task.node, probe.counts())
+            est = downstream_estimate(self._net, task.node, probe.counts())
             path = mit.choose_path(spec, probe, now, est)
             if path == PathChoice.FASTPATH:
                 ego = self.ego_state(now)
@@ -442,9 +442,7 @@ class Simulation:
                                                         cfg.criticality_radius_m)
                 objects = critical
 
-        counts: dict = {}
-        for o in objects:
-            counts[o.kind] = counts.get(o.kind, 0) + 1
+        counts = kind_counts(objects)
         stream = self.streams.stream(f"latency/{task.node}")
         if path == PathChoice.FASTPATH:
             model = spec.fast_latency
@@ -477,7 +475,6 @@ class Simulation:
 
         self.queue.schedule(end, lambda: self._finish_task(
             task, grp, widx, span, objects, residual, duration))
-        return True
 
     def _finish_task(self, task: _Task, grp: _GroupState, widx: int, span: Span,
                      objects, residual, duration: int):
@@ -490,7 +487,6 @@ class Simulation:
             created_ts=now, objects=out_objects,
             message_deadline=mit.message_deadline(
                 out_objects, now, self.config.mitigation.deadline_cap_us),
-            provenance=task.node,
             partial=(span.path == PathChoice.FASTPATH.value or span.residual),
             lineage=_advance_lineage(task.inputs, duration, now))
 
@@ -532,9 +528,8 @@ class Simulation:
 
     def _emit(self, node: str, msg: FrameMessage):
         for ch_id in self.graph.nodes[node].outputs:
-            ch = self.graph.channels[ch_id]
-            ch.offer(msg)
-            for consumer in sorted(self.graph.consumers_of(ch_id)):
+            self._channels[ch_id].offer(msg)
+            for consumer in self._net.consumers[ch_id]:
                 cspec = self.graph.nodes[consumer]
                 if (self.config.mitigation.proactive
                         and cspec.proactive_cost_us > 0
@@ -555,17 +550,17 @@ class Simulation:
             return
         grp.ready.append(task)
 
+    def _predict_next(self, node: str) -> int:
+        """Predicted cost of node's next run, from the newest message on
+        each of its inputs."""
+        spec = self.graph.nodes[node]
+        preview = [self._channels[c].peek_latest() for c in spec.inputs]
+        counts = kind_counts(_merge_objects([m for m in preview if m is not None]))
+        return predict_latency(spec.latency, counts, spec.lookahead_m)
+
     def _try_steal(self, node: str, task: _Task) -> bool:
         now = self.queue.clock
-        inputs_preview = [self.graph.channels[c].peek_latest()
-                          for c in self.graph.nodes[node].inputs]
-        inputs_preview = [m for m in inputs_preview if m is not None]
-        counts: dict = {}
-        for o in _merge_objects(inputs_preview):
-            counts[o.kind] = counts.get(o.kind, 0) + 1
-        spec = self.graph.nodes[node]
-        req = StealRequest(node=node, predicted_guest_cost_us=predict_latency(
-            spec.latency, counts, spec.lookahead_m))
+        req = StealRequest(node=node, predicted_guest_cost_us=self._predict_next(node))
         home = self.node_group[node]
         for gname in sorted(self.groups):
             if gname == home:
@@ -574,15 +569,7 @@ class Simulation:
             widx = host.free_worker(now)
             if widx is None:
                 continue
-            pending = []
-            for t in host.ready:
-                pspec = self.graph.nodes[t.node]
-                pc: dict = {}
-                preview = [self.graph.channels[c].peek_latest()
-                           for c in pspec.inputs]
-                for o in _merge_objects([m for m in preview if m is not None]):
-                    pc[o.kind] = pc.get(o.kind, 0) + 1
-                pending.append(predict_latency(pspec.latency, pc, pspec.lookahead_m))
+            pending = [self._predict_next(t.node) for t in host.ready]
             if mit.steal_admission(req, host.worker_loads(now), pending,
                                    host.spec.budget_us,
                                    self.config.mitigation.steal_safety_factor):
@@ -613,44 +600,34 @@ class Simulation:
             seq=origin, sensor_ts=cap_ts, done_ts=msg.created_ts, e2e_us=e2e,
             module_us=module, bubble_us=e2e - module, terminal=span.node,
             path=span.path, has_critical=has_critical, partial=msg.partial))
-        self._terminal_outputs.append(
-            (msg.created_ts, dict(msg.lineage),
-             tuple(o.agent_id for o in msg.objects), span.path))
+        self._frame_lineage.append(
+            (dict(msg.lineage), tuple(o.agent_id for o in msg.objects)))
 
     def _measure_reaction(self, t0: int, agent_id: str, label: str) -> ReactionRecord:
-        first_capture = None
-        for seq in sorted(self._capture_index):
-            cap_ts, ids = self._capture_index[seq]
-            if cap_ts >= t0 and agent_id in ids:
-                first_capture = (seq, cap_ts)
-                break
-        if first_capture is None:
+        # captures are indexed in seq order, which is time order
+        first_cap_ts = next((cap_ts for cap_ts, ids in self._capture_index.values()
+                             if cap_ts >= t0 and agent_id in ids), None)
+        if first_cap_ts is None:
             return ReactionRecord(hazard_ts=t0, agent_id=agent_id, label=label,
                                   reacted=False)
-        _, first_cap_ts = first_capture
         t_sensor = first_cap_ts - t0
-        for done_ts, lineage, ids, path in self._terminal_outputs:
+        for frame, (lineage, ids) in zip(self.trace.frames, self._frame_lineage):
             if agent_id not in ids:
                 continue
             # attribution origin: the earliest post-hazard capture of the
             # agent that actually fed this output (the first capture may
             # have been superseded on a latest-only channel)
-            origin = None
-            for seq in sorted(lineage):
-                cap_ts, ids_at_capture = self._capture_index.get(seq, (None, ()))
-                if (cap_ts is not None and cap_ts >= t0
-                        and agent_id in ids_at_capture
-                        and lineage[seq][0] == cap_ts):
-                    origin = seq
-                    break
+            origin = next((seq for seq in sorted(lineage)
+                           if lineage[seq][0] >= t0
+                           and agent_id in self._capture_index[seq][1]), None)
             if origin is None:
                 continue
             t_module = lineage[origin][1]
-            t_bubble = (done_ts - t0) - t_sensor - t_module
+            t_bubble = (frame.done_ts - t0) - t_sensor - t_module
             return ReactionRecord(hazard_ts=t0, agent_id=agent_id, label=label,
-                                  reacted=True, decision_ts=done_ts,
+                                  reacted=True, decision_ts=frame.done_ts,
                                   t_sensor_us=t_sensor, t_module_us=t_module,
-                                  t_bubble_us=t_bubble, path=path)
+                                  t_bubble_us=t_bubble, path=frame.path)
         return ReactionRecord(hazard_ts=t0, agent_id=agent_id, label=label,
                               reacted=False)
 
@@ -660,8 +637,7 @@ def _rebuild_message(inputs, objects, now: int, deadline_cap_us: int) -> FrameMe
     return FrameMessage(
         seq=_newest_origin(inputs), sensor_ts=_newest_capture_ts(inputs),
         created_ts=now, objects=tuple(objects),
-        message_deadline=mit.message_deadline(objects, now, deadline_cap_us),
-        provenance="probe")
+        message_deadline=mit.message_deadline(objects, now, deadline_cap_us))
 
 
 def _round6(x: np.ndarray) -> list[float]:
@@ -730,14 +706,5 @@ def _advance_lineage(msgs, duration: int, now: int) -> dict:
 def run_simulation(scenario: Scenario, graph: PipelineGraph,
                    groups: list[ProcessorGroup], config: EngineConfig,
                    seed: int) -> RunTrace:
-    """Convenience wrapper: one deterministic run on a fresh graph copy."""
-    import copy
-    return Simulation(scenario, copy.deepcopy(graph), groups, config, seed).run()
-
-
-def measure_reaction(trace: RunTrace, hazard_ts: int, agent_id: str):
-    """Reaction record for one hazard from a finished trace."""
-    for r in trace.reactions:
-        if r.hazard_ts == hazard_ts and r.agent_id == agent_id:
-            return r
-    raise KeyError(f"no reaction record for hazard ({hazard_ts}, {agent_id})")
+    """Convenience wrapper: one deterministic run; graph is not modified."""
+    return Simulation(scenario, graph, groups, config, seed).run()

@@ -1,0 +1,53 @@
+"""Strict reading of the JSON input files: run config, scenario, pipeline.
+
+One reader serves all three loaders. It refuses NaN and Infinity, which
+json.load accepts by default, and it re-raises every error met while
+converting the parsed fields as the loader's own error class, naming
+the field.
+"""
+
+from __future__ import annotations
+
+import json
+from contextlib import contextmanager
+
+
+class InputError(ValueError):
+    """An input file failed validation; the message names the field."""
+
+
+def check_keys(obj, allowed: set[str], ctx: str, error=InputError):
+    if not isinstance(obj, dict):
+        raise error(f"{ctx}: expected an object, got {type(obj).__name__}")
+    extra = set(obj) - allowed
+    if extra:
+        raise error(f"{ctx}: unknown fields {sorted(extra)}")
+
+
+@contextmanager
+def fields(ctx: str, error=InputError):
+    """Re-raise a KeyError, TypeError or ValueError from the block as
+    error, prefixed with ctx; an InputError passes unchanged."""
+    try:
+        yield
+    except InputError:
+        raise
+    except KeyError as e:
+        raise error(f"{ctx}: missing field {e.args[0]!r}") from None
+    except (TypeError, ValueError) as e:
+        raise error(f"{ctx}: {e}") from None
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
+def load_json(path, convert, error, ctx: str):
+    """convert(the parsed file), every input failure raised as error."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            obj = json.load(f, parse_constant=_refuse_constant)
+        except ValueError as e:     # json.JSONDecodeError is a ValueError
+            raise error(f"{path}: malformed JSON: {e}") from None
+    with fields(ctx, error):
+        return convert(obj)

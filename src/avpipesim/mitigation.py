@@ -8,12 +8,10 @@ pure decision functions; the engine owns the schedule state they act on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
-from .pipeline import (FrameMessage, LatencyModel, NodeSpec, ObjectTrack,
-                       predict_latency)
+from .pipeline import FrameMessage, NodeSpec, ObjectTrack, predict_latency
 from .safety import DEFAULT_DEADLINE_CAP_US
 from .scenario import AgentState
 
@@ -75,11 +73,6 @@ def partial_update(objects: tuple[ObjectTrack, ...], ego: AgentState,
     residual = [o for o in objects if abs(o.state.s_m - ego.s_m) > radius_m]
     critical.sort(key=lambda o: (o.deadline_us, o.agent_id))
     return tuple(critical), tuple(residual)
-
-
-def fastpath_planning_latency(m: LatencyModel, counts, fast_lookahead_m: float) -> int:
-    """Normal-model prediction at the reduced planning horizon."""
-    return predict_latency(m, counts, fast_lookahead_m)
 
 
 def residual_needs_downstream(residual: tuple[ObjectTrack, ...]) -> bool:

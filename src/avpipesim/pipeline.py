@@ -13,13 +13,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
+from .jsonio import InputError, check_keys, fields, load_json
 from .scenario import AgentKind, AgentState
 from .simkernel import RandomStream
 
 PIPELINE_FORMAT = 1
 
 
-class PipelineError(ValueError):
+class PipelineError(InputError):
     """Pipeline description failed validation."""
 
 
@@ -213,7 +214,6 @@ class FrameMessage:
     created_ts: int
     objects: tuple[ObjectTrack, ...]
     message_deadline: int
-    provenance: str
     partial: bool = False
     # origin sensor frame seq -> (capture_ts, accumulated module time,
     # created_ts of the hop that carried it); drives reaction attribution
@@ -224,22 +224,21 @@ class FrameMessage:
             raise PipelineError("sensor_ts must be <= created_ts")
 
     def counts(self) -> dict[AgentKind, int]:
-        out: dict[AgentKind, int] = {}
-        for o in self.objects:
-            out[o.kind] = out.get(o.kind, 0) + 1
-        return out
+        return kind_counts(self.objects)
+
+
+def kind_counts(objects) -> dict[AgentKind, int]:
+    """Number of objects per kind, the input of the latency models."""
+    out: dict[AgentKind, int] = {}
+    for o in objects:
+        out[o.kind] = out.get(o.kind, 0) + 1
+    return out
 
 
 @dataclass(frozen=True)
 class PipelineGraph:
     nodes: dict[str, NodeSpec]
     channels: dict[str, Channel]
-
-    def producer_of(self, channel_id: str) -> Optional[str]:
-        for name, node in self.nodes.items():
-            if channel_id in node.outputs:
-                return name
-        return None
 
     def consumers_of(self, channel_id: str) -> list[str]:
         return [n for n, spec in self.nodes.items() if channel_id in spec.inputs]
@@ -288,52 +287,74 @@ def validate_graph(g: PipelineGraph) -> None:
             visit(n)
 
 
-def downstream_estimate(g: PipelineGraph, node: str,
+class CompiledGraph:
+    """A graph's adjacency, computed once: the sorted consumers of each
+    channel and the successors of each node. Like PipelineGraph it has
+    nodes and successors(), so downstream_estimate takes either."""
+
+    def __init__(self, g: PipelineGraph):
+        self.nodes = g.nodes
+        self.consumers = {c: tuple(sorted(g.consumers_of(c))) for c in g.channels}
+        self._successors = {n: tuple(m for ch in spec.outputs for m in self.consumers[ch])
+                            for n, spec in g.nodes.items()}
+
+    def successors(self, node: str) -> tuple[str, ...]:
+        return self._successors[node]
+
+
+def downstream_estimate(g: PipelineGraph | CompiledGraph, node: str,
                         counts: dict[AgentKind, int]) -> int:
-    """Predicted remaining latency along the longest path after node."""
-    best = 0
-    for succ in g.successors(node):
-        spec = g.nodes[succ]
-        cost = predict_latency(spec.latency, counts, spec.lookahead_m)
-        best = max(best, cost + downstream_estimate(g, succ, counts))
-    return best
+    """Predicted remaining latency along the longest path after node.
+
+    Each downstream node is priced and expanded once, so the cost is
+    linear in nodes plus edges, not in the number of paths.
+    """
+    through: dict[str, int] = {}    # node -> its cost plus its longest tail
+
+    def tail(n: str) -> int:
+        best = 0
+        for succ in g.successors(n):
+            if succ not in through:
+                spec = g.nodes[succ]
+                through[succ] = (predict_latency(spec.latency, counts, spec.lookahead_m)
+                                 + tail(succ))
+            best = max(best, through[succ])
+        return best
+
+    return tail(node)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
-def _check_keys(obj: dict, allowed: set[str], ctx: str):
-    extra = set(obj) - allowed
-    if extra:
-        raise PipelineError(f"{ctx}: unknown fields {sorted(extra)}")
-
-
 def _latency_from_json(obj: dict, ctx: str) -> LatencyModel:
-    _check_keys(obj, {"per_kind_cost_us", "offset_us", "noise", "contention",
-                      "lookahead_cost_us_per_m", "offset_floor_us"}, ctx)
-    noise = NoiseSpec()
-    if "noise" in obj:
-        nb = obj["noise"]
-        _check_keys(nb, {"kind", "sigma", "jitter_us"}, f"{ctx}.noise")
-        noise = NoiseSpec(kind=NoiseKind(nb.get("kind", "none")),
-                          sigma=float(nb.get("sigma", 0.0)),
-                          jitter_us=int(nb.get("jitter_us", 0)))
-    contention = None
-    if "contention" in obj and obj["contention"] is not None:
-        cb = obj["contention"]
-        _check_keys(cb, {"slope_us_per_miss", "misses_per_unit", "base_misses"},
-                    f"{ctx}.contention")
-        contention = ContentionSpec(
-            slope_us_per_miss=float(cb["slope_us_per_miss"]),
-            misses_per_unit=float(cb["misses_per_unit"]),
-            base_misses=float(cb.get("base_misses", 0.0)))
-    per_kind = {AgentKind(k): int(v)
-                for k, v in obj.get("per_kind_cost_us", {}).items()}
-    return LatencyModel(per_kind_cost_us=per_kind,
-                        offset_us=int(obj.get("offset_us", 0)),
-                        noise=noise, contention=contention,
-                        lookahead_cost_us_per_m=float(obj.get("lookahead_cost_us_per_m", 0.0)),
-                        offset_floor_us=int(obj.get("offset_floor_us", 1)))
+    check_keys(obj, {"per_kind_cost_us", "offset_us", "noise", "contention",
+                     "lookahead_cost_us_per_m", "offset_floor_us"}, ctx, PipelineError)
+    with fields(ctx, PipelineError):
+        noise = NoiseSpec()
+        if "noise" in obj:
+            nb = obj["noise"]
+            check_keys(nb, {"kind", "sigma", "jitter_us"}, f"{ctx}.noise", PipelineError)
+            noise = NoiseSpec(kind=NoiseKind(nb.get("kind", "none")),
+                              sigma=float(nb.get("sigma", 0.0)),
+                              jitter_us=int(nb.get("jitter_us", 0)))
+        contention = None
+        if "contention" in obj and obj["contention"] is not None:
+            cb = obj["contention"]
+            check_keys(cb, {"slope_us_per_miss", "misses_per_unit", "base_misses"},
+                       f"{ctx}.contention", PipelineError)
+            contention = ContentionSpec(
+                slope_us_per_miss=float(cb["slope_us_per_miss"]),
+                misses_per_unit=float(cb["misses_per_unit"]),
+                base_misses=float(cb.get("base_misses", 0.0)))
+        per_kind = {AgentKind(k): int(v)
+                    for k, v in obj.get("per_kind_cost_us", {}).items()}
+        return LatencyModel(per_kind_cost_us=per_kind,
+                            offset_us=int(obj.get("offset_us", 0)),
+                            noise=noise, contention=contention,
+                            lookahead_cost_us_per_m=float(obj.get("lookahead_cost_us_per_m",
+                                                                  0.0)),
+                            offset_floor_us=int(obj.get("offset_floor_us", 1)))
 
 
 def _latency_to_json(m: LatencyModel) -> dict:
@@ -353,50 +374,51 @@ def _latency_to_json(m: LatencyModel) -> dict:
 
 
 def pipeline_from_json(obj: dict) -> PipelineGraph:
-    if not isinstance(obj, dict):
-        raise PipelineError("pipeline root must be an object")
-    _check_keys(obj, {"format", "nodes", "channels"}, "pipeline")
+    check_keys(obj, {"format", "nodes", "channels"}, "pipeline", PipelineError)
     if obj.get("format") != PIPELINE_FORMAT:
         raise PipelineError(f"format: expected {PIPELINE_FORMAT}, got {obj.get('format')!r}")
     channels: dict[str, Channel] = {}
     for i, c in enumerate(obj.get("channels", [])):
-        _check_keys(c, {"id", "policy", "capacity"}, f"channels[{i}]")
-        cid = str(c["id"])
-        if cid in channels:
-            raise PipelineError(f"duplicate channel id {cid!r}")
-        channels[cid] = Channel(id=cid, policy=ChannelPolicy(c.get("policy", "fifo")),
-                                capacity=int(c.get("capacity", 8)))
+        ctx = f"channels[{i}]"
+        check_keys(c, {"id", "policy", "capacity"}, ctx, PipelineError)
+        with fields(ctx, PipelineError):
+            cid = str(c["id"])
+            if cid in channels:
+                raise PipelineError(f"duplicate channel id {cid!r}")
+            channels[cid] = Channel(id=cid, policy=ChannelPolicy(c.get("policy", "fifo")),
+                                    capacity=int(c.get("capacity", 8)))
     nodes: dict[str, NodeSpec] = {}
     for i, nb in enumerate(obj.get("nodes", [])):
         ctx = f"nodes[{i}]"
-        _check_keys(nb, {"name", "pattern", "period_us", "inputs", "outputs", "role",
-                         "latency", "fast_latency", "lookahead_m", "fusion",
-                         "proactive_cost_us"}, ctx)
-        name = str(nb["name"])
-        if name in nodes:
-            raise PipelineError(f"duplicate node name {name!r}")
-        fusion = None
-        if "fusion" in nb and nb["fusion"] is not None:
-            fb = nb["fusion"]
-            _check_keys(fb, {"a", "n"}, f"{ctx}.fusion")
-            fusion = FusionSpec(a=int(fb["a"]), n=int(fb["n"]))
-        fast = None
-        if "fast_latency" in nb and nb["fast_latency"] is not None:
-            fast = _latency_from_json(nb["fast_latency"], f"{ctx}.fast_latency")
-        nodes[name] = NodeSpec(
-            name=name,
-            pattern=ExecutionPattern(nb["pattern"]),
-            period_us=int(nb.get("period_us", 0)),
-            inputs=tuple(nb.get("inputs", [])),
-            outputs=tuple(nb.get("outputs", [])),
-            role=NodeRole(nb.get("role", "other")),
-            latency=_latency_from_json(nb.get("latency", {}), f"{ctx}.latency"),
-            fast_latency=fast,
-            lookahead_m=(float(nb["lookahead_m"]) if nb.get("lookahead_m") is not None
-                         else None),
-            fusion=fusion,
-            proactive_cost_us=int(nb.get("proactive_cost_us", 0)),
-        )
+        check_keys(nb, {"name", "pattern", "period_us", "inputs", "outputs", "role",
+                        "latency", "fast_latency", "lookahead_m", "fusion",
+                        "proactive_cost_us"}, ctx, PipelineError)
+        with fields(ctx, PipelineError):
+            name = str(nb["name"])
+            if name in nodes:
+                raise PipelineError(f"duplicate node name {name!r}")
+            fusion = None
+            if "fusion" in nb and nb["fusion"] is not None:
+                fb = nb["fusion"]
+                check_keys(fb, {"a", "n"}, f"{ctx}.fusion", PipelineError)
+                fusion = FusionSpec(a=int(fb["a"]), n=int(fb["n"]))
+            fast = None
+            if "fast_latency" in nb and nb["fast_latency"] is not None:
+                fast = _latency_from_json(nb["fast_latency"], f"{ctx}.fast_latency")
+            nodes[name] = NodeSpec(
+                name=name,
+                pattern=ExecutionPattern(nb["pattern"]),
+                period_us=int(nb.get("period_us", 0)),
+                inputs=tuple(nb.get("inputs", [])),
+                outputs=tuple(nb.get("outputs", [])),
+                role=NodeRole(nb.get("role", "other")),
+                latency=_latency_from_json(nb.get("latency", {}), f"{ctx}.latency"),
+                fast_latency=fast,
+                lookahead_m=(float(nb["lookahead_m"]) if nb.get("lookahead_m") is not None
+                             else None),
+                fusion=fusion,
+                proactive_cost_us=int(nb.get("proactive_cost_us", 0)),
+            )
     g = PipelineGraph(nodes=nodes, channels=channels)
     validate_graph(g)
     return g
@@ -426,12 +448,7 @@ def pipeline_to_json(g: PipelineGraph) -> dict:
 
 
 def load_pipeline(path) -> PipelineGraph:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            obj = json.load(f)
-        except json.JSONDecodeError as e:
-            raise PipelineError(f"{path}: malformed JSON: {e}") from None
-    return pipeline_from_json(obj)
+    return load_json(path, pipeline_from_json, PipelineError, "pipeline")
 
 
 def save_pipeline(g: PipelineGraph, path):

@@ -72,7 +72,6 @@ class ReactionBudget:
     ego: AgentState
     obstacle: AgentState
     d_buffer_m: float
-    assumed_ego_decel: float
 
     @property
     def unbounded(self) -> bool:
@@ -103,14 +102,12 @@ def _displacement(v0: float, a: float, t_s: float) -> float:
     return v0 * t_s + 0.5 * a * t_s * t_s
 
 
-def closure_distance(ego: AgentState, obstacle: AgentState, t_us: int,
-                     assumed_ego_decel: float = 0.0) -> float:
+def closure_distance(ego: AgentState, obstacle: AgentState, t_us: int) -> float:
     """Gap reduction after t with no ego reaction.
 
     The obstacle follows its current acceleration (clamped at standstill);
     the ego holds its current speed, worst case for the pre-decision
-    interval. assumed_ego_decel is carried for the derivation record
-    only; it describes the post-reaction braking assumption.
+    interval.
     """
     if t_us < 0:
         raise ValueError(f"t must be >= 0, got {t_us}")
@@ -121,8 +118,7 @@ def closure_distance(ego: AgentState, obstacle: AgentState, t_us: int,
 
 
 def reaction_budget(ego: AgentState, obstacle: AgentState, d_buffer_m: float,
-                    p: RssParams, horizon_us: int = DEFAULT_HORIZON_US,
-                    assumed_ego_decel: float = 4.0) -> ReactionBudget:
+                    p: RssParams, horizon_us: int = DEFAULT_HORIZON_US) -> ReactionBudget:
     """Largest t <= horizon with closure_distance(t) < d_buffer.
 
     Closure is monotone non-decreasing in t whenever the obstacle is not
@@ -133,7 +129,7 @@ def reaction_budget(ego: AgentState, obstacle: AgentState, d_buffer_m: float,
         raise ValueError(f"d_buffer must be > 0, got {d_buffer_m}")
 
     def ok(t_us: int) -> bool:
-        return closure_distance(ego, obstacle, t_us, assumed_ego_decel) < d_buffer_m
+        return closure_distance(ego, obstacle, t_us) < d_buffer_m
 
     budget: Optional[int]
     if ok(horizon_us):
@@ -150,7 +146,7 @@ def reaction_budget(ego: AgentState, obstacle: AgentState, d_buffer_m: float,
                 hi = mid
         budget = round(lo / BUDGET_RESOLUTION_US) * BUDGET_RESOLUTION_US
     return ReactionBudget(budget_us=budget, ego=ego, obstacle=obstacle,
-                          d_buffer_m=d_buffer_m, assumed_ego_decel=assumed_ego_decel)
+                          d_buffer_m=d_buffer_m)
 
 
 def object_deadline(now_us: int, ego: AgentState, obstacle: AgentState,
@@ -213,26 +209,3 @@ def check_safety_many(ego: AgentState, s_m, l_m, v_mps, a_mps2, p: RssParams,
         obstacle = AgentState(s_m=s[j], l_m=l[j], v_mps=v[j], a_mps2=a[j])
         levels[i] = check_safety(ego, obstacle, p, d_buffer_m).level.value
     return levels, lon, lat
-
-
-def rss_params_from_json(obj: dict) -> RssParams:
-    allowed = {"response_time_us", "a_max_accel_mps2", "a_min_brake_mps2",
-               "a_max_brake_mps2", "lateral_mu_m"}
-    extra = set(obj) - allowed
-    if extra:
-        raise ValueError(f"rss: unknown fields {sorted(extra)}")
-    return RssParams(
-        response_time_us=int(obj.get("response_time_us", 100_000)),
-        a_max_accel=float(obj.get("a_max_accel_mps2", 2.0)),
-        a_min_brake=float(obj.get("a_min_brake_mps2", 4.0)),
-        a_max_brake=float(obj.get("a_max_brake_mps2", 8.0)),
-        lateral_mu_m=float(obj.get("lateral_mu_m", 0.5)),
-    )
-
-
-def rss_params_to_json(p: RssParams) -> dict:
-    return {"response_time_us": p.response_time_us,
-            "a_max_accel_mps2": p.a_max_accel,
-            "a_min_brake_mps2": p.a_min_brake,
-            "a_max_brake_mps2": p.a_max_brake,
-            "lateral_mu_m": p.lateral_mu_m}

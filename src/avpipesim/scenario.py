@@ -8,20 +8,20 @@ Velocity clamps at zero: a braking agent stops and stays stopped.
 from __future__ import annotations
 
 import json
-import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
+from .jsonio import InputError, check_keys, fields, load_json
 from .simkernel import US_PER_S, RandomStream
 
 SCENARIO_FORMAT = 1
 
 
-class ScenarioError(ValueError):
+class ScenarioError(InputError):
     """Scenario file failed validation; message names the offending field."""
 
 
@@ -89,12 +89,6 @@ class Scenario:
             if aid not in seen:
                 raise ScenarioError(f"hazard references unknown agent id: {aid!r}")
 
-    def agent(self, agent_id: str) -> tuple[str, AgentKind, TrajectorySpec]:
-        for a in self.agents:
-            if a[0] == agent_id:
-                return a
-        raise KeyError(agent_id)
-
 
 def _advance(s: float, v: float, a: float, dt_s: float) -> tuple[float, float]:
     """Advance (s, v) by dt under constant a, clamping v at zero."""
@@ -132,11 +126,13 @@ def visible_agents(scenario: Scenario, t_us: int, sensor_range_m: float,
                    ego_state: Optional[AgentState] = None):
     """Agents detectable at time t: visible_from reached and within range.
 
-    Range is longitudinal distance from the ego in the lane frame.
+    Range is longitudinal distance from the ego in the lane frame. Without
+    ego_state, the ego follows its initial state with no control applied.
     """
     if t_us > scenario.duration_us:
         raise ValueError(f"t {t_us} beyond scenario duration {scenario.duration_us}")
-    ego = ego_state if ego_state is not None else ego_state_fallback(scenario, t_us)
+    ego = (ego_state if ego_state is not None
+           else agent_state_at(TrajectorySpec(initial=scenario.ego_initial), t_us))
     out = []
     for aid, kind, traj in scenario.agents:
         if traj.visible_from_us > t_us:
@@ -145,11 +141,6 @@ def visible_agents(scenario: Scenario, t_us: int, sensor_range_m: float,
         if abs(st.s_m - ego.s_m) <= sensor_range_m:
             out.append((aid, kind, st))
     return out
-
-
-def ego_state_fallback(scenario: Scenario, t_us: int) -> AgentState:
-    """Ego state assuming no control intervention (initial trajectory only)."""
-    return agent_state_at(TrajectorySpec(initial=scenario.ego_initial), t_us)
 
 
 # ---------------------------------------------------------------------------
@@ -309,25 +300,17 @@ def generate_traffic(density: float, seed: int, road: RoadSpec,
 # ---------------------------------------------------------------------------
 # serialization (JSON, units in key names, versioned, unknown keys rejected)
 
-def _check_keys(obj: dict, allowed: set[str], ctx: str):
-    extra = set(obj) - allowed
-    if extra:
-        raise ScenarioError(f"{ctx}: unknown fields {sorted(extra)}")
-
-
 def _state_to_json(st: AgentState) -> dict:
     return {"s_m": st.s_m, "l_m": st.l_m, "v_mps": st.v_mps,
             "a_mps2": st.a_mps2, "lane_index": st.lane_index}
 
 
 def _state_from_json(obj: dict, ctx: str) -> AgentState:
-    _check_keys(obj, {"s_m", "l_m", "v_mps", "a_mps2", "lane_index"}, ctx)
-    try:
+    check_keys(obj, {"s_m", "l_m", "v_mps", "a_mps2", "lane_index"}, ctx, ScenarioError)
+    with fields(ctx, ScenarioError):
         return AgentState(s_m=float(obj["s_m"]), l_m=float(obj["l_m"]),
                           v_mps=float(obj["v_mps"]), a_mps2=float(obj["a_mps2"]),
                           lane_index=int(obj.get("lane_index", 0)))
-    except KeyError as e:
-        raise ScenarioError(f"{ctx}: missing field {e.args[0]!r}") from None
 
 
 def scenario_to_json(sc: Scenario) -> dict:
@@ -352,10 +335,8 @@ def scenario_to_json(sc: Scenario) -> dict:
 
 
 def scenario_from_json(obj: dict) -> Scenario:
-    if not isinstance(obj, dict):
-        raise ScenarioError("scenario root must be an object")
-    _check_keys(obj, {"format", "ego", "agents", "duration_us", "hazards", "d_buffer_m"},
-                "scenario")
+    check_keys(obj, {"format", "ego", "agents", "duration_us", "hazards", "d_buffer_m"},
+               "scenario", ScenarioError)
     if obj.get("format") != SCENARIO_FORMAT:
         raise ScenarioError(f"format: expected {SCENARIO_FORMAT}, got {obj.get('format')!r}")
     for key in ("ego", "duration_us"):
@@ -364,23 +345,23 @@ def scenario_from_json(obj: dict) -> Scenario:
     agents = []
     for i, a in enumerate(obj.get("agents", [])):
         ctx = f"agents[{i}]"
-        _check_keys(a, {"id", "kind", "initial", "segments", "visible_from_us"}, ctx)
-        try:
+        check_keys(a, {"id", "kind", "initial", "segments", "visible_from_us"}, ctx,
+                   ScenarioError)
+        with fields(ctx, ScenarioError):
             kind = AgentKind(a["kind"])
-        except (KeyError, ValueError):
-            raise ScenarioError(f"{ctx}: bad kind {a.get('kind')!r}") from None
-        segs = []
-        for j, s in enumerate(a.get("segments", [])):
-            _check_keys(s, {"start_us", "a_mps2"}, f"{ctx}.segments[{j}]")
-            segs.append((int(s["start_us"]), float(s["a_mps2"])))
-        traj = TrajectorySpec(initial=_state_from_json(a["initial"], f"{ctx}.initial"),
-                              segments=tuple(segs),
-                              visible_from_us=int(a.get("visible_from_us", 0)))
-        agents.append((str(a["id"]), kind, traj))
+            segs = []
+            for j, s in enumerate(a.get("segments", [])):
+                check_keys(s, {"start_us", "a_mps2"}, f"{ctx}.segments[{j}]", ScenarioError)
+                segs.append((int(s["start_us"]), float(s["a_mps2"])))
+            traj = TrajectorySpec(initial=_state_from_json(a["initial"], f"{ctx}.initial"),
+                                  segments=tuple(segs),
+                                  visible_from_us=int(a.get("visible_from_us", 0)))
+            agents.append((str(a["id"]), kind, traj))
     hazards = []
     for i, h in enumerate(obj.get("hazards", [])):
-        _check_keys(h, {"time_us", "agent_id", "label"}, f"hazards[{i}]")
-        hazards.append((int(h["time_us"]), str(h["agent_id"]), str(h.get("label", ""))))
+        check_keys(h, {"time_us", "agent_id", "label"}, f"hazards[{i}]", ScenarioError)
+        with fields(f"hazards[{i}]", ScenarioError):
+            hazards.append((int(h["time_us"]), str(h["agent_id"]), str(h.get("label", ""))))
     return Scenario(
         ego_initial=_state_from_json(obj["ego"], "ego"),
         agents=tuple(agents),
@@ -391,12 +372,7 @@ def scenario_from_json(obj: dict) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            obj = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ScenarioError(f"{path}: malformed JSON: {e}") from None
-    return scenario_from_json(obj)
+    return load_json(path, scenario_from_json, ScenarioError, "scenario")
 
 
 def save_scenario(sc: Scenario, path):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import heapq
 import zlib
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -117,10 +117,6 @@ class RandomStream:
 
     def choice(self, options, p=None):
         return self._rng.choice(options, p=p)
-
-    @property
-    def rng(self) -> np.random.Generator:
-        return self._rng
 
 
 class StreamFactory:

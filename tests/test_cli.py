@@ -88,6 +88,43 @@ def test_validate_rejects_unknown_field(workdir, capsys):
     assert "extra_knob" in capsys.readouterr().err
 
 
+def _set(path, value):
+    """Mutation of a loaded JSON object: assign value at path (keys and
+    indexes); value None deletes the key."""
+    def apply(obj):
+        *head, last = path
+        for k in head:
+            obj = obj[k]
+        if value is None:
+            del obj[last]
+        else:
+            obj[last] = value
+    return apply
+
+
+@pytest.mark.parametrize("name, mutate, expect", [
+    ("pipeline.json", _set(("nodes", 0, "pattern"), "bogus"), "nodes[0]: 'bogus'"),
+    ("pipeline.json", _set(("nodes", 0, "role"), "x"), "nodes[0]: 'x'"),
+    ("pipeline.json", _set(("nodes", 0, "name"), None), "nodes[0]: missing field 'name'"),
+    ("config.json", _set(("groups", 0, "name"), None), "groups[0]: missing field 'name'"),
+    ("config.json", _set(("groups",), 5), "groups:"),
+    ("config.json", _set(("seed",), "abc"), "'abc'"),
+    ("config.json", _set(("rss",), {"reaction_s": 0.5}), "rss: unknown fields"),
+    ("scenario.json", _set(("duration_us",), float("nan")), "scenario.json: malformed"),
+    ("config.json", _set(("sensor_range_m",), float("nan")), "config.json: malformed"),
+], ids=["pattern", "role", "node-name", "group-name", "groups-int", "seed-str",
+        "rss-key", "duration-nan", "range-nan"])
+def test_run_bad_input_exits_1_with_message(workdir, capsys, name, mutate, expect):
+    path = workdir / name
+    obj = json.loads(path.read_text())
+    mutate(obj)
+    path.write_text(json.dumps(obj))    # writes NaN as the bare constant
+    rc = main(["run", "--config", str(workdir / "config.json")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION
+    assert err.startswith("error:") and expect in err and "Traceback" not in err
+
+
 def test_run_writes_outputs_and_summary(workdir, capsys):
     rc = main(["run", "--config", str(workdir / "config.json")])
     assert rc == EXIT_OK

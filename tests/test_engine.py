@@ -2,11 +2,12 @@ import pytest
 
 from avpipesim.engine import (EngineConfig, EngineError, ProcessorGroup,
                               RunTrace, Simulation, run_simulation)
-from avpipesim.pipeline import ChannelPolicy, NodeRole
+from avpipesim.pipeline import (Channel, ChannelPolicy, ExecutionPattern,
+                                LatencyModel, NodeRole, NodeSpec, PipelineGraph)
 from avpipesim.scenario import AgentKind, AgentState, Scenario, TrajectorySpec
 from avpipesim.simkernel import ms, sec
 
-from conftest import chain_pipeline, one_group
+from conftest import ZERO_SENSOR, chain_pipeline, one_group
 
 
 def simple_scenario(duration_us=sec(2), hazards=(), lead_s=30.0, lead_segments=()):
@@ -23,8 +24,9 @@ class TestBasicExecution:
         g = chain_pipeline({"proc": (ms(10), NodeRole.CONTROL)})
         trace = run_simulation(simple_scenario(sec(1)), g, one_group(g),
                                EngineConfig(), seed=1)
-        captures = [t for _, t, _ in trace.captures]
-        assert captures == [ms(100) * k for k in range(11)]
+        # the zero-cost sensor hands capture k to proc at its capture time
+        assert ([(s.frame_seq, s.ready_us) for s in trace.spans]
+                == [(k, ms(100) * k) for k in range(11)])
 
     def test_single_interrupt_node_output_time(self):
         g = chain_pipeline({"proc": (ms(30), NodeRole.CONTROL)})
@@ -43,6 +45,29 @@ class TestBasicExecution:
         first3 = sorted(trace.frames, key=lambda f: f.seq)[:3]
         assert [f.done_ts for f in first3] == [ms(150), ms(300), ms(450)]
         assert [f.bubble_us for f in first3] == [0, ms(50), ms(100)]
+
+    def test_input_less_timing_node_runs_every_period(self):
+        # the criterion-6 host's own tick: 20 ms every 100 ms, no inputs
+        nodes = {
+            "feed": NodeSpec("feed", ExecutionPattern.TIMING, (), ("a",),
+                             ZERO_SENSOR, role=NodeRole.SENSOR, period_us=ms(100)),
+            "heavy": NodeSpec("heavy", ExecutionPattern.INTERRUPT, ("a",), ("b",),
+                              LatencyModel(offset_us=ms(150))),
+            "tick": NodeSpec("tick", ExecutionPattern.TIMING, (), ("c",),
+                             LatencyModel(offset_us=ms(20)), period_us=ms(100)),
+        }
+        graph = PipelineGraph(nodes=nodes, channels={
+            c: Channel(c, ChannelPolicy.LATEST_ONLY) for c in ("a", "b", "c")})
+        groups = [ProcessorGroup("guest", 1, ("feed", "heavy")),
+                  ProcessorGroup("host", 1, ("tick",), budget_us=ms(200))]
+        sc = Scenario(ego_initial=AgentState(s_m=0, l_m=0, v_mps=10.0, a_mps2=0),
+                      agents=(), duration_us=sec(10))
+        trace = run_simulation(sc, graph, groups, EngineConfig(), seed=0)
+        ticks = [(s.start_us, s.end_us, s.worker) for s in trace.spans
+                 if s.node == "tick"]
+        assert ticks == [(ms(100) * k, ms(100) * k + ms(20), "host/0")
+                         for k in range(101)]
+        assert trace.busy_us_by_group["host"] == 101 * ms(20)
 
     def test_noiseless_chain_e2e_is_sum_of_offsets(self):
         g = chain_pipeline({"a": (ms(20), NodeRole.PERCEPTION),
@@ -145,6 +170,15 @@ class TestDeterminism:
         t2 = run_simulation(following_scenario, g, one_group(g),
                             EngineConfig(), seed=9)
         assert t1.to_ndjson() == t2.to_ndjson()
+
+    def test_graph_reused_across_runs(self):
+        # a saturated FIFO stage leaves a backlog queued when the run ends
+        g = chain_pipeline({"proc": (ms(150), NodeRole.CONTROL)})
+        traces = [Simulation(simple_scenario(sec(2)), g, one_group(g, workers=1),
+                             EngineConfig(), seed=1).run().to_ndjson()
+                  for _ in range(2)]
+        assert traces[0] == traces[1]
+        assert all(not ch.queued for ch in g.channels.values())
 
     def test_trace_ndjson_roundtrip(self, following_scenario):
         g = chain_pipeline({"a": (ms(20), NodeRole.PERCEPTION),

@@ -1,12 +1,11 @@
 import pytest
 
 from avpipesim.mitigation import (MitigationConfig, PathChoice, StealRequest,
-                                  choose_path, fastpath_planning_latency,
-                                  message_deadline, partial_update,
+                                  choose_path, message_deadline, partial_update,
                                   proactive_credit, residual_needs_downstream,
                                   steal_admission)
 from avpipesim.pipeline import (ExecutionPattern, FrameMessage, LatencyModel,
-                                NodeRole, NodeSpec, ObjectTrack)
+                                NodeRole, NodeSpec, ObjectTrack, predict_latency)
 from avpipesim.scenario import AgentKind, AgentState
 from avpipesim.simkernel import ms
 
@@ -23,8 +22,7 @@ def make_msg(objects, sensor_ts=0, deadline=None):
     return FrameMessage(seq=0, sensor_ts=sensor_ts, created_ts=sensor_ts,
                         objects=tuple(objects),
                         message_deadline=(deadline if deadline is not None
-                                          else message_deadline(objects, sensor_ts)),
-                        provenance="test")
+                                          else message_deadline(objects, sensor_ts)))
 
 
 class TestMessageDeadline:
@@ -106,18 +104,18 @@ class TestPartialUpdate:
 class TestFastpathPlanningLatency:
     def test_lookahead_saving(self):
         m = LatencyModel(offset_us=ms(10), lookahead_cost_us_per_m=100.0)
-        full = fastpath_planning_latency(m, {}, 100.0)
-        short = fastpath_planning_latency(m, {}, 40.0)
+        full = predict_latency(m, {}, 100.0)
+        short = predict_latency(m, {}, 40.0)
         assert full - short == 6000    # 60 m at 0.1 ms/m
 
     def test_zero_cost_no_saving(self):
         m = LatencyModel(offset_us=ms(10), lookahead_cost_us_per_m=0.0)
-        assert (fastpath_planning_latency(m, {}, 100.0)
-                == fastpath_planning_latency(m, {}, 40.0))
+        assert (predict_latency(m, {}, 100.0)
+                == predict_latency(m, {}, 40.0))
 
     def test_monotone_over_lookahead_grid(self):
         m = LatencyModel(offset_us=ms(10), lookahead_cost_us_per_m=50.0)
-        vals = [fastpath_planning_latency(m, {}, d) for d in (20, 40, 60, 80, 100)]
+        vals = [predict_latency(m, {}, d) for d in (20, 40, 60, 80, 100)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
 

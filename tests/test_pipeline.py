@@ -2,11 +2,12 @@ import math
 
 import pytest
 
-from avpipesim.pipeline import (Channel, ChannelPolicy, ContentionSpec,
+from avpipesim import pipeline
+from avpipesim.pipeline import (Channel, ChannelPolicy, CompiledGraph, ContentionSpec,
                                 ExecutionPattern, FusionSpec, LatencyModel,
                                 NodeRole, NodeSpec, NoiseKind, NoiseSpec,
-                                PipelineError, PipelineGraph, fusion_update,
-                                pipeline_from_json, pipeline_to_json,
+                                PipelineError, PipelineGraph, downstream_estimate,
+                                fusion_update, pipeline_from_json, pipeline_to_json,
                                 predict_latency, sample_latency, validate_graph)
 from avpipesim.scenario import AgentKind
 from avpipesim.simkernel import RandomStream, ms
@@ -53,6 +54,34 @@ class TestValidateGraph:
         g = graph([node("A", ("missing",), ("out",))], ["out"])
         with pytest.raises(PipelineError, match="missing"):
             validate_graph(g)
+
+
+class TestDownstreamEstimate:
+    def ladder(self, layers=12, width=2):
+        """Every node of a layer feeds every node of the next one."""
+        nodes = []
+        for k in range(layers):
+            ins = [f"c{k - 1}_{j}" for j in range(width)] if k else []
+            nodes += [node(f"n{k}_{j}", ins, (f"c{k}_{j}",),
+                           latency=LatencyModel(offset_us=1000 + j))
+                      for j in range(width)]
+        return graph(nodes, [f"c{k}_{j}" for k in range(layers) for j in range(width)])
+
+    def test_each_node_priced_once(self, monkeypatch):
+        g = self.ladder()
+        calls = []
+
+        def counted(m, counts, lookahead_m=None):
+            calls.append(m)
+            return predict_latency(m, counts, lookahead_m)
+
+        monkeypatch.setattr(pipeline, "predict_latency", counted)
+        for graph_view in (g, CompiledGraph(g)):
+            calls.clear()
+            # 11 layers below n0_0, each costing at most 1001
+            assert downstream_estimate(graph_view, "n0_0", {}) == 11 * 1001
+            assert len(calls) <= len(g.nodes)
+        assert downstream_estimate(CompiledGraph(g), "n11_0", {}) == 0
 
 
 class TestPredictLatency:
