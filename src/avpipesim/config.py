@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .engine import EngineConfig, ProcessorGroup
-from .jsonio import InputError, check_keys, fields, load_json
+from .jsonio import InputError, check_keys, fields, load_json, read_bool, read_int
 from .mitigation import MitigationConfig
 from .safety import DEFAULT_DEADLINE_CAP_US, RssParams
 
@@ -34,7 +34,7 @@ def rss_params_from_json(obj: dict) -> RssParams:
                      "a_max_brake_mps2", "lateral_mu_m"}, "rss", ConfigError)
     with fields("rss", ConfigError):
         return RssParams(
-            response_time_us=int(obj.get("response_time_us", 100_000)),
+            response_time_us=read_int(obj, "response_time_us", 100_000),
             a_max_accel=float(obj.get("a_max_accel_mps2", 2.0)),
             a_min_brake=float(obj.get("a_min_brake_mps2", 4.0)),
             a_max_brake=float(obj.get("a_max_brake_mps2", 8.0)),
@@ -48,15 +48,15 @@ def _mitigation_from_json(obj: dict) -> MitigationConfig:
                      "cancel_proactive_every_frame"}, "mitigation", ConfigError)
     with fields("mitigation", ConfigError):
         return MitigationConfig(
-            fastpath=bool(obj.get("fastpath", False)),
-            proactive=bool(obj.get("proactive", False)),
-            stealing=bool(obj.get("stealing", False)),
+            fastpath=read_bool(obj, "fastpath", False),
+            proactive=read_bool(obj, "proactive", False),
+            stealing=read_bool(obj, "stealing", False),
             criticality_radius_m=float(obj.get("radius_m", 20.0)),
             fast_lookahead_m=float(obj.get("fast_lookahead_m", 20.0)),
-            deadline_cap_us=int(obj.get("deadline_cap_us", DEFAULT_DEADLINE_CAP_US)),
+            deadline_cap_us=read_int(obj, "deadline_cap_us", DEFAULT_DEADLINE_CAP_US),
             steal_safety_factor=float(obj.get("safety_factor", 1.25)),
-            cancel_proactive_every_frame=bool(obj.get("cancel_proactive_every_frame",
-                                                      False)),
+            cancel_proactive_every_frame=read_bool(obj, "cancel_proactive_every_frame",
+                                                   False),
         )
 
 
@@ -76,18 +76,20 @@ def config_from_json(obj: dict, base_dir: str = ".") -> RunConfig:
                        f"groups[{i}]", ConfigError)
             with fields(f"groups[{i}]", ConfigError):
                 groups.append(ProcessorGroup(
-                    name=str(g["name"]), worker_count=int(g.get("workers", 1)),
+                    name=str(g["name"]), worker_count=read_int(g, "workers", 1),
                     pinned_nodes=tuple(g.get("pinned_nodes", [])),
-                    budget_us=int(g.get("budget_us", 1_000_000_000))))
-    engine = EngineConfig(
-        tick_us=int(obj.get("tick_us", 100_000)),
-        sensor_range_m=float(obj.get("sensor_range_m", 60.0)),
-        actuation_delay_us=int(obj.get("actuation_delay_us", 20_000)),
-        response_margin_us=int(obj.get("response_margin_us", 600_000)),
-        brake_level_mps2=float(obj.get("brake_level_mps2", -6.0)),
-        mitigation=_mitigation_from_json(obj.get("mitigation", {})),
-        rss=rss_params_from_json(obj.get("rss", {})),
-    )
+                    budget_us=read_int(g, "budget_us", 1_000_000_000)))
+    with fields("config", ConfigError):
+        engine = EngineConfig(
+            tick_us=read_int(obj, "tick_us", 100_000),
+            sensor_range_m=float(obj.get("sensor_range_m", 60.0)),
+            actuation_delay_us=read_int(obj, "actuation_delay_us", 20_000),
+            response_margin_us=read_int(obj, "response_margin_us", 600_000),
+            brake_level_mps2=float(obj.get("brake_level_mps2", -6.0)),
+            mitigation=_mitigation_from_json(obj.get("mitigation", {})),
+            rss=rss_params_from_json(obj.get("rss", {})),
+        )
+        seed = read_int(obj, "seed") if obj.get("seed") is not None else None
 
     def resolve(p: str) -> str:
         return p if os.path.isabs(p) else os.path.join(base_dir, p)
@@ -97,7 +99,7 @@ def config_from_json(obj: dict, base_dir: str = ".") -> RunConfig:
         pipeline_path=resolve(str(obj["pipeline"])),
         groups=tuple(groups),
         engine=engine,
-        seed=(int(obj["seed"]) if obj.get("seed") is not None else None),
+        seed=seed,
         out_dir=resolve(str(obj.get("out", "out"))),
     )
 

@@ -144,7 +144,7 @@ class RunTrace:
         time; raises ValueError on a non-finite float."""
         encode = _ENCODER.encode
         for s in self.spans:
-            yield encode({"type": "span", **vars(s)}) + "\n"
+            yield _span_line(s)
         for f in self.frames:
             yield encode({"type": "frame", **vars(f)}) + "\n"
         for r in self.reactions:
@@ -204,6 +204,22 @@ class RunTrace:
 _ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
 
+def _span_line(s: Span) -> str:
+    """One span record, formatted as _ENCODER would format it."""
+    node, seq, start, end, worker = s.node, s.frame_seq, s.start_us, s.end_us, s.worker
+    ready, path, guest, residual = s.ready_us, s.path, s.guest, s.residual
+    if not (type(node) is str and type(worker) is str and type(path) is str
+            and type(seq) is int and type(start) is int and type(end) is int
+            and type(ready) is int and type(guest) is bool and type(residual) is bool):
+        return _ENCODER.encode({"type": "span", **vars(s)}) + "\n"
+    return (f'{{"end_us": {end!r}, "frame_seq": {seq!r}, '
+            f'"guest": {"true" if guest else "false"}, '
+            f'"node": {encode_basestring_ascii(node)}, '
+            f'"path": {encode_basestring_ascii(path)}, "ready_us": {ready!r}, '
+            f'"residual": {"true" if residual else "false"}, "start_us": {start!r}, '
+            f'"type": "span", "worker": {encode_basestring_ascii(worker)}}}\n')
+
+
 def _safety_line(ss: SafetySample) -> str:
     """One safety record, formatted as _ENCODER would format it."""
     t, aid, level, lon, lat = ss.t_us, ss.agent_id, ss.level, ss.lon_gap_m, ss.lat_gap_m
@@ -231,16 +247,16 @@ class _Task:
 class _GroupState:
     def __init__(self, spec: ProcessorGroup):
         self.spec = spec
-        self.busy_until = [0] * spec.worker_count   # 0 means free (clock >= value)
+        self.worker_names = tuple(f"{spec.name}/{i}" for i in range(spec.worker_count))
+        self.busy_until = [0] * spec.worker_count   # end of each worker's last task
+        # a worker's task is finished, and its entry None, from busy_until on
         self.running: list[Optional[_Task]] = [None] * spec.worker_count
         self.ready: deque[_Task] = deque()
         self.busy_us = 0
 
-    def free_worker(self, now: int) -> Optional[int]:
-        for i, until in enumerate(self.busy_until):
-            if self.running[i] is None and until <= now:
-                return i
-        return None
+    def free_worker(self) -> Optional[int]:
+        running = self.running
+        return running.index(None) if None in running else None
 
     def worker_loads(self, now: int) -> list[int]:
         return [max(0, u - now) for u in self.busy_until]
@@ -277,8 +293,19 @@ class Simulation:
         for n in graph.nodes:
             if n not in pinned:
                 raise EngineError(f"node {n} is not pinned to any group")
-        self.node_group = pinned
         self.groups = {g.name: _GroupState(g) for g in groups}
+        self._home = {n: self.groups[g] for n, g in pinned.items()}
+        # per node, the groups its work may be stolen into, in trial order
+        self._steal_hosts = {n: tuple(grp for name, grp in sorted(self.groups.items())
+                                      if name != g)
+                             for n, g in pinned.items()}
+        # each stream is seeded by (seed, crc32(its name)), so making them
+        # all up front leaves every draw as it was
+        self._latency_streams = {n: self.streams.stream(f"latency/{n}")
+                                 for n in graph.nodes}
+        # node -> _predict_next's result; an entry is dropped whenever one
+        # of the node's input channels is offered to or taken from
+        self._predicted: dict[str, int] = {}
 
         self.ego_segments: list[tuple[int, float]] = []
         self._ego = CompiledTrajectory(TrajectorySpec(initial=scenario.ego_initial))
@@ -345,9 +372,8 @@ class Simulation:
         if spec.role == NodeRole.SENSOR:
             self._capture(node, t)
         else:
-            task = _Task(node, ready_us=t)
-            grp = self.groups[self.node_group[node]]
-            grp.ready.append(task)
+            grp = self._home[node]
+            grp.ready.append(_Task(node, ready_us=t))
             self._dispatch(grp)
         self._schedule_tick(node, t + spec.period_us)
 
@@ -393,48 +419,51 @@ class Simulation:
         if _model_is_zero(spec.latency):
             self._emit(node, msg)
         else:
-            task = _Task(node, ready_us=t, inputs=[msg])
-            grp = self.groups[self.node_group[node]]
-            grp.ready.append(task)
+            grp = self._home[node]
+            grp.ready.append(_Task(node, ready_us=t, inputs=[msg]))
             self._dispatch(grp)
 
     # -- scheduling --------------------------------------------------------
 
     def _dispatch(self, grp: _GroupState):
-        now = self.queue.clock
-        while grp.ready:
-            widx = grp.free_worker(now)
+        ready = grp.ready
+        while ready:
+            widx = grp.free_worker()
             if widx is None:
                 return
-            self._start_task(grp.ready.popleft(), grp, widx)
+            self._start_task(ready.popleft(), grp, widx)
 
-    def _pull_inputs(self, node: str) -> list[FrameMessage]:
+    def _pull_inputs(self, spec: NodeSpec) -> list[FrameMessage]:
         msgs = []
-        for ch_id in self.graph.nodes[node].inputs:
+        for ch_id in spec.inputs:
             m = self._channels[ch_id].take()
             if m is not None:
                 msgs.append(m)
+                for consumer in self._net.consumers[ch_id]:
+                    self._predicted.pop(consumer, None)
         return msgs
 
     def _start_task(self, task: _Task, grp: _GroupState, widx: int):
         now = self.queue.clock
-        spec = self.graph.nodes[task.node]
-        if task.inputs is None:
-            task.inputs = self._pull_inputs(task.node)
-            if not task.inputs and spec.inputs:
+        node, inputs = task.node, task.inputs
+        spec = self.graph.nodes[node]
+        if inputs is None:
+            inputs = task.inputs = self._pull_inputs(spec)
+            if not inputs and spec.inputs:
                 return    # data was superseded (latest-only) or drained
 
-        objects = _merge_objects(task.inputs)
         cfg = self.config.mitigation
         path = PathChoice.NORMAL
         critical = residual = ()
         is_residual = task.residual_objects is not None
         if is_residual:
             objects = task.residual_objects
+        else:
+            objects = _merge_objects(inputs)
 
         if (not is_residual and cfg.fastpath and spec.supports_fastpath):
-            probe = _rebuild_message(task.inputs, objects, now, cfg.deadline_cap_us)
-            est = downstream_estimate(self._net, task.node, probe.counts())
+            probe = _rebuild_message(inputs, objects, now, cfg.deadline_cap_us)
+            est = downstream_estimate(self._net, node, probe.counts())
             path = mit.choose_path(spec, probe, now, est)
             if path == PathChoice.FASTPATH:
                 ego = self.ego_state(now)
@@ -442,35 +471,34 @@ class Simulation:
                                                         cfg.criticality_radius_m)
                 objects = critical
 
-        counts = kind_counts(objects)
-        stream = self.streams.stream(f"latency/{task.node}")
+        counts = _kind_counts(inputs, objects)
         if path == PathChoice.FASTPATH:
             model = spec.fast_latency
             lookahead = cfg.fast_lookahead_m if spec.lookahead_m is not None else None
         else:
             model = spec.latency
             lookahead = spec.lookahead_m
-        duration = sample_latency(model, counts, lookahead, len(objects), stream)
+        duration = sample_latency(model, counts, lookahead, len(objects),
+                                  self._latency_streams[node])
 
         if cfg.proactive and spec.proactive_cost_us > 0 and not is_residual:
-            arrival = self._proactive_arrival.get(task.node)
+            arrival = self._proactive_arrival.get(node)
             if arrival is not None:
                 credit = mit.proactive_credit(spec.proactive_cost_us, arrival, now,
                                               cancelled=cfg.cancel_proactive_every_frame)
                 duration = max(1, duration - credit)
-            self._proactive_arrival[task.node] = None
+            self._proactive_arrival[node] = None
 
         end = now + duration
         grp.busy_until[widx] = end
         grp.running[widx] = task
         grp.busy_us += duration
-        span = Span(node=task.node, frame_seq=_newest_origin(task.inputs),
-                    start_us=now, end_us=end, worker=f"{grp.spec.name}/{widx}",
-                    ready_us=task.ready_us, path=path.value,
-                    guest=(self.node_group[task.node] != grp.spec.name),
-                    residual=is_residual)
+        guest = self._home[node] is not grp
+        span = Span(node=node, frame_seq=_newest_origin(inputs), start_us=now, end_us=end,
+                    worker=grp.worker_names[widx], ready_us=task.ready_us,
+                    path=path.value, guest=guest, residual=is_residual)
         self.trace.spans.append(span)
-        if not span.guest and end - task.ready_us > grp.spec.budget_us:
+        if not guest and end - task.ready_us > grp.spec.budget_us:
             self.trace.budget_violations += 1
 
         self.queue.schedule(end, lambda: self._finish_task(
@@ -480,34 +508,34 @@ class Simulation:
                      objects, residual, duration: int):
         now = self.queue.clock
         grp.running[widx] = None
-        spec = self.graph.nodes[task.node]
-        out_objects = self._transform_objects(spec, task.inputs, objects)
+        node, inputs = task.node, task.inputs
+        spec = self.graph.nodes[node]
+        out_objects = self._transform_objects(spec, inputs, objects)
         msg = FrameMessage(
-            seq=_newest_origin(task.inputs), sensor_ts=_newest_capture_ts(task.inputs),
+            seq=span.frame_seq, sensor_ts=_newest_capture_ts(inputs),
             created_ts=now, objects=out_objects,
             message_deadline=mit.message_deadline(
                 out_objects, now, self.config.mitigation.deadline_cap_us),
-            partial=(span.path == PathChoice.FASTPATH.value or span.residual),
-            lineage=_advance_lineage(task.inputs, duration, now))
+            partial=(span.path == PathChoice.FASTPATH or span.residual),
+            lineage=_advance_lineage(inputs, duration, now))
 
         deliver = True
         if span.residual and not mit.residual_needs_downstream(objects):
             deliver = False
         if spec.role == NodeRole.CONTROL:
             self._decide(msg, now)
-        if task.node in self._terminal_nodes:
+        if node in self._terminal_nodes:
             self._record_terminal(msg, span)
         if deliver:
-            self._emit(task.node, msg)
+            self._emit(node, msg)
 
         if residual:
-            rtask = _Task(task.node, ready_us=now, inputs=task.inputs,
-                          residual_objects=tuple(residual))
-            home = self.groups[self.node_group[task.node]]
-            home.ready.append(rtask)
+            self._home[node].ready.append(_Task(
+                node, ready_us=now, inputs=inputs, residual_objects=tuple(residual)))
 
         for g in self.groups.values():
-            self._dispatch(g)
+            if g.ready:
+                self._dispatch(g)
 
     def _transform_objects(self, spec: NodeSpec, inputs, objects):
         if spec.role != NodeRole.FUSION or spec.fusion is None:
@@ -527,22 +555,23 @@ class Simulation:
                             key=lambda o: o.agent_id))
 
     def _emit(self, node: str, msg: FrameMessage):
-        for ch_id in self.graph.nodes[node].outputs:
+        nodes, predicted = self.graph.nodes, self._predicted
+        proactive = self.config.mitigation.proactive
+        for ch_id in nodes[node].outputs:
             self._channels[ch_id].offer(msg)
             for consumer in self._net.consumers[ch_id]:
-                cspec = self.graph.nodes[consumer]
-                if (self.config.mitigation.proactive
-                        and cspec.proactive_cost_us > 0
+                predicted.pop(consumer, None)
+                cspec = nodes[consumer]
+                if (proactive and cspec.proactive_cost_us > 0
                         and self._proactive_arrival.get(consumer) is None):
                     self._proactive_arrival[consumer] = self.queue.clock
                 if cspec.pattern == ExecutionPattern.INTERRUPT:
                     self._trigger_interrupt(consumer)
 
     def _trigger_interrupt(self, node: str):
-        now = self.queue.clock
-        grp = self.groups[self.node_group[node]]
-        task = _Task(node, ready_us=now)
-        if grp.free_worker(now) is not None:
+        grp = self._home[node]
+        task = _Task(node, ready_us=self.queue.clock)
+        if grp.free_worker() is not None:
             grp.ready.append(task)
             self._dispatch(grp)
             return
@@ -552,23 +581,27 @@ class Simulation:
 
     def _predict_next(self, node: str) -> int:
         """Predicted cost of node's next run, from the newest message on
-        each of its inputs."""
-        spec = self.graph.nodes[node]
-        preview = [self._channels[c].peek_latest() for c in spec.inputs]
-        counts = kind_counts(_merge_objects([m for m in preview if m is not None]))
-        return predict_latency(spec.latency, counts, spec.lookahead_m)
+        each of its inputs; memoized until one of those inputs changes."""
+        cost = self._predicted.get(node)
+        if cost is None:
+            spec = self.graph.nodes[node]
+            preview = [m for m in (self._channels[c].peek_latest() for c in spec.inputs)
+                       if m is not None]
+            counts = _kind_counts(preview, _merge_objects(preview))
+            cost = self._predicted[node] = predict_latency(spec.latency, counts,
+                                                           spec.lookahead_m)
+        return cost
 
     def _try_steal(self, node: str, task: _Task) -> bool:
         now = self.queue.clock
-        req = StealRequest(node=node, predicted_guest_cost_us=self._predict_next(node))
-        home = self.node_group[node]
-        for gname in sorted(self.groups):
-            if gname == home:
-                continue
-            host = self.groups[gname]
-            widx = host.free_worker(now)
+        req = None
+        for host in self._steal_hosts[node]:
+            widx = host.free_worker()
             if widx is None:
                 continue
+            if req is None:
+                req = StealRequest(node=node,
+                                   predicted_guest_cost_us=self._predict_next(node))
             pending = [self._predict_next(t.node) for t in host.ready]
             if mit.steal_admission(req, host.worker_loads(now), pending,
                                    host.spec.budget_us,
@@ -668,15 +701,28 @@ def _model_is_zero(m: LatencyModel) -> bool:
 
 
 def _merge_objects(msgs) -> tuple[ObjectTrack, ...]:
-    """Union of input objects, newest message wins per agent id."""
-    best: dict[str, tuple[int, ObjectTrack]] = {}
-    for m in msgs:
+    """Union of input objects, newest message wins per agent id, sorted
+    by agent id."""
+    if len(msgs) == 1:
+        objects = msgs[0].objects
+        if all(a.agent_id < b.agent_id for a, b in zip(objects, objects[1:])):
+            return tuple(objects)     # already the sorted union
+    best: dict[str, ObjectTrack] = {}
+    # a stable sort by age, so on equal created_ts the later input wins
+    for m in sorted(msgs, key=lambda m: m.created_ts):
         for o in m.objects:
-            cur = best.get(o.agent_id)
-            if cur is None or m.created_ts >= cur[0]:
-                best[o.agent_id] = (m.created_ts, o)
-    return tuple(o for _, o in sorted(
-        ((ts, o) for ts, o in best.values()), key=lambda p: p[1].agent_id))
+            best[o.agent_id] = o
+    return tuple(best[aid] for aid in sorted(best))
+
+
+def _kind_counts(msgs, objects) -> dict:
+    """kind_counts(objects), where objects is drawn from the union
+    _merge_objects(msgs), which holds one object per agent id. When that
+    is as long as a single message's objects it holds all of them, so the
+    message's own memoized counts apply."""
+    if len(msgs) == 1 and len(objects) == len(msgs[0].objects):
+        return msgs[0].counts()
+    return kind_counts(objects)
 
 
 def _newest_origin(msgs) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .jsonio import InputError, check_keys, fields, load_json
+from .jsonio import InputError, check_keys, fields, load_json, read_int
 from .scenario import AgentKind, AgentState
 from .simkernel import RandomStream
 
@@ -224,7 +224,12 @@ class FrameMessage:
             raise PipelineError("sensor_ts must be <= created_ts")
 
     def counts(self) -> dict[AgentKind, int]:
-        return kind_counts(self.objects)
+        """kind_counts(self.objects), counted once: a message is never
+        changed after it is created. The caller must not change the dict."""
+        counts = self.__dict__.get("_counts")
+        if counts is None:
+            counts = self._counts = kind_counts(self.objects)
+        return counts
 
 
 def kind_counts(objects) -> dict[AgentKind, int]:
@@ -335,9 +340,10 @@ def _latency_from_json(obj: dict, ctx: str) -> LatencyModel:
         if "noise" in obj:
             nb = obj["noise"]
             check_keys(nb, {"kind", "sigma", "jitter_us"}, f"{ctx}.noise", PipelineError)
-            noise = NoiseSpec(kind=NoiseKind(nb.get("kind", "none")),
-                              sigma=float(nb.get("sigma", 0.0)),
-                              jitter_us=int(nb.get("jitter_us", 0)))
+            with fields(f"{ctx}.noise", PipelineError):
+                noise = NoiseSpec(kind=NoiseKind(nb.get("kind", "none")),
+                                  sigma=float(nb.get("sigma", 0.0)),
+                                  jitter_us=read_int(nb, "jitter_us", 0))
         contention = None
         if "contention" in obj and obj["contention"] is not None:
             cb = obj["contention"]
@@ -347,14 +353,15 @@ def _latency_from_json(obj: dict, ctx: str) -> LatencyModel:
                 slope_us_per_miss=float(cb["slope_us_per_miss"]),
                 misses_per_unit=float(cb["misses_per_unit"]),
                 base_misses=float(cb.get("base_misses", 0.0)))
-        per_kind = {AgentKind(k): int(v)
-                    for k, v in obj.get("per_kind_cost_us", {}).items()}
+        costs = obj.get("per_kind_cost_us", {})
+        with fields(f"{ctx}.per_kind_cost_us", PipelineError):
+            per_kind = {AgentKind(k): read_int(costs, k) for k in costs}
         return LatencyModel(per_kind_cost_us=per_kind,
-                            offset_us=int(obj.get("offset_us", 0)),
+                            offset_us=read_int(obj, "offset_us", 0),
                             noise=noise, contention=contention,
                             lookahead_cost_us_per_m=float(obj.get("lookahead_cost_us_per_m",
                                                                   0.0)),
-                            offset_floor_us=int(obj.get("offset_floor_us", 1)))
+                            offset_floor_us=read_int(obj, "offset_floor_us", 1))
 
 
 def _latency_to_json(m: LatencyModel) -> dict:
@@ -386,7 +393,7 @@ def pipeline_from_json(obj: dict) -> PipelineGraph:
             if cid in channels:
                 raise PipelineError(f"duplicate channel id {cid!r}")
             channels[cid] = Channel(id=cid, policy=ChannelPolicy(c.get("policy", "fifo")),
-                                    capacity=int(c.get("capacity", 8)))
+                                    capacity=read_int(c, "capacity", 8))
     nodes: dict[str, NodeSpec] = {}
     for i, nb in enumerate(obj.get("nodes", [])):
         ctx = f"nodes[{i}]"
@@ -401,14 +408,15 @@ def pipeline_from_json(obj: dict) -> PipelineGraph:
             if "fusion" in nb and nb["fusion"] is not None:
                 fb = nb["fusion"]
                 check_keys(fb, {"a", "n"}, f"{ctx}.fusion", PipelineError)
-                fusion = FusionSpec(a=int(fb["a"]), n=int(fb["n"]))
+                with fields(f"{ctx}.fusion", PipelineError):
+                    fusion = FusionSpec(a=read_int(fb, "a"), n=read_int(fb, "n"))
             fast = None
             if "fast_latency" in nb and nb["fast_latency"] is not None:
                 fast = _latency_from_json(nb["fast_latency"], f"{ctx}.fast_latency")
             nodes[name] = NodeSpec(
                 name=name,
                 pattern=ExecutionPattern(nb["pattern"]),
-                period_us=int(nb.get("period_us", 0)),
+                period_us=read_int(nb, "period_us", 0),
                 inputs=tuple(nb.get("inputs", [])),
                 outputs=tuple(nb.get("outputs", [])),
                 role=NodeRole(nb.get("role", "other")),
@@ -417,7 +425,7 @@ def pipeline_from_json(obj: dict) -> PipelineGraph:
                 lookahead_m=(float(nb["lookahead_m"]) if nb.get("lookahead_m") is not None
                              else None),
                 fusion=fusion,
-                proactive_cost_us=int(nb.get("proactive_cost_us", 0)),
+                proactive_cost_us=read_int(nb, "proactive_cost_us", 0),
             )
     g = PipelineGraph(nodes=nodes, channels=channels)
     validate_graph(g)

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .jsonio import InputError, check_keys, fields, load_json
+from .jsonio import InputError, check_keys, fields, load_json, read_int
 from .simkernel import US_PER_S, RandomStream
 
 SCENARIO_FORMAT = 1
@@ -310,7 +310,7 @@ def _state_from_json(obj: dict, ctx: str) -> AgentState:
     with fields(ctx, ScenarioError):
         return AgentState(s_m=float(obj["s_m"]), l_m=float(obj["l_m"]),
                           v_mps=float(obj["v_mps"]), a_mps2=float(obj["a_mps2"]),
-                          lane_index=int(obj.get("lane_index", 0)))
+                          lane_index=read_int(obj, "lane_index", 0))
 
 
 def scenario_to_json(sc: Scenario) -> dict:
@@ -352,20 +352,22 @@ def scenario_from_json(obj: dict) -> Scenario:
             segs = []
             for j, s in enumerate(a.get("segments", [])):
                 check_keys(s, {"start_us", "a_mps2"}, f"{ctx}.segments[{j}]", ScenarioError)
-                segs.append((int(s["start_us"]), float(s["a_mps2"])))
+                with fields(f"{ctx}.segments[{j}]", ScenarioError):
+                    segs.append((read_int(s, "start_us"), float(s["a_mps2"])))
             traj = TrajectorySpec(initial=_state_from_json(a["initial"], f"{ctx}.initial"),
                                   segments=tuple(segs),
-                                  visible_from_us=int(a.get("visible_from_us", 0)))
+                                  visible_from_us=read_int(a, "visible_from_us", 0))
             agents.append((str(a["id"]), kind, traj))
     hazards = []
     for i, h in enumerate(obj.get("hazards", [])):
         check_keys(h, {"time_us", "agent_id", "label"}, f"hazards[{i}]", ScenarioError)
         with fields(f"hazards[{i}]", ScenarioError):
-            hazards.append((int(h["time_us"]), str(h["agent_id"]), str(h.get("label", ""))))
+            hazards.append((read_int(h, "time_us"), str(h["agent_id"]),
+                            str(h.get("label", ""))))
     return Scenario(
         ego_initial=_state_from_json(obj["ego"], "ego"),
         agents=tuple(agents),
-        duration_us=int(obj["duration_us"]),
+        duration_us=read_int(obj, "duration_us"),
         hazard_events=tuple(hazards),
         d_buffer_m=float(obj.get("d_buffer_m", 3.0)),
     )

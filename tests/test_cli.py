@@ -112,8 +112,28 @@ def _set(path, value):
     ("config.json", _set(("rss",), {"reaction_s": 0.5}), "rss: unknown fields"),
     ("scenario.json", _set(("duration_us",), float("nan")), "scenario.json: malformed"),
     ("config.json", _set(("sensor_range_m",), float("nan")), "config.json: malformed"),
+    ("config.json", _set(("mitigation",), {"fastpath": "off"}),
+     "mitigation.fastpath: expected true or false, got 'off'"),
+    ("config.json", _set(("mitigation",), {"cancel_proactive_every_frame": 1}),
+     "mitigation.cancel_proactive_every_frame: expected true or false"),
+    ("config.json", _set(("groups", 0, "workers"), 2.9),
+     "groups[0].workers: expected an integer, got 2.9"),
+    ("config.json", _set(("groups", 0, "workers"), True),
+     "groups[0].workers: expected an integer, got True"),
+    ("config.json", _set(("tick_us",), "abc"), "config.tick_us: expected an integer"),
+    ("config.json", _set(("rss",), {"response_time_us": 1e5 + 0.5}),
+     "rss.response_time_us: expected an integer"),
+    ("scenario.json", _set(("duration_us",), 5e6 + 0.5), "scenario.duration_us:"),
+    ("scenario.json", _set(("hazards", 0, "time_us"), "2000000"),
+     "hazards[0].time_us: expected an integer"),
+    ("pipeline.json", _set(("nodes", 0, "latency", "offset_us"), 5000.5),
+     "nodes[0].latency.offset_us: expected an integer"),
+    ("pipeline.json", _set(("channels", 0, "capacity"), 8.5),
+     "channels[0].capacity: expected an integer"),
 ], ids=["pattern", "role", "node-name", "group-name", "groups-int", "seed-str",
-        "rss-key", "duration-nan", "range-nan"])
+        "rss-key", "duration-nan", "range-nan", "fastpath-str", "cancel-int",
+        "workers-frac", "workers-bool", "tick-str", "response-frac", "duration-frac",
+        "hazard-str", "offset-frac", "capacity-frac"])
 def test_run_bad_input_exits_1_with_message(workdir, capsys, name, mutate, expect):
     path = workdir / name
     obj = json.loads(path.read_text())
@@ -123,6 +143,21 @@ def test_run_bad_input_exits_1_with_message(workdir, capsys, name, mutate, expec
     err = capsys.readouterr().err
     assert rc == EXIT_VALIDATION
     assert err.startswith("error:") and expect in err and "Traceback" not in err
+
+
+def test_run_accepts_integral_floats(workdir):
+    cfg_path = workdir / "config.json"
+    cfg = json.loads(cfg_path.read_text())
+    cfg["groups"][0]["workers"] = 2.0
+    cfg["tick_us"] = 100000.0
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path), "--out", str(workdir / "a")]) == EXIT_OK
+    cfg["groups"][0]["workers"] = 2
+    cfg["tick_us"] = 100000
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path), "--out", str(workdir / "b")]) == EXIT_OK
+    for name in ("trace.ndjson", "report.json"):
+        assert (workdir / "a" / name).read_bytes() == (workdir / "b" / name).read_bytes()
 
 
 def test_run_writes_outputs_and_summary(workdir, capsys):

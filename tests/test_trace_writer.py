@@ -8,13 +8,17 @@ from dataclasses import asdict
 
 import pytest
 
-from avpipesim.engine import (EngineConfig, ProcessorGroup, RunTrace, SafetySample,
+import numpy as np
+
+from avpipesim.engine import (EngineConfig, ProcessorGroup, RunTrace, SafetySample, Span,
                               run_simulation)
-from avpipesim.mitigation import MitigationConfig
+from avpipesim.mitigation import MitigationConfig, PathChoice
+from avpipesim.pipeline import LatencyModel, NodeRole
 from avpipesim.scenario import (AgentKind, AgentState, RoadSpec, Scenario,
                                 TrajectorySpec, generate_traffic)
 from avpipesim.simkernel import ms, sec
 
+from conftest import chain_pipeline
 from fixtures import av_pipeline
 
 LEAD = 'lead "Ω" ü'
@@ -86,6 +90,49 @@ def test_streamed_lines_equal_reference_encoding(mitigated_trace):
     assert mitigated_trace.to_ndjson() == expected
     assert '"lon_gap_m": -0.0' in expected and '"lat_gap_m": 1e-07' in expected
     assert '"lon_gap_m": 1e+16' in expected and '"lon_gap_m": 30,' in expected
+
+
+@pytest.fixture(scope="module")
+def odd_names_trace():
+    """Node and group names, and so span workers, with quotes,
+    backslashes and non-ASCII characters; guest and fastpath spans."""
+    plan = 'plan «ü»'
+    graph = chain_pipeline({'pér"ception\\': (ms(20), NodeRole.PERCEPTION),
+                            plan: (ms(30), NodeRole.PLANNING),
+                            'act\\"Ω': (ms(5), NodeRole.CONTROL)},
+                           sensor_period_us=ms(25), per_vehicle_us=ms(2), lookahead_m=50.0,
+                           fast={plan: LatencyModel(offset_us=ms(10))})
+    names = list(graph.nodes)
+    groups = [ProcessorGroup('sense "α"\\', 1, tuple(names[:2]), budget_us=ms(25)),
+              ProcessorGroup("plan\\ß\t", 2, tuple(names[2:]), budget_us=ms(80))]
+    agents = tuple((f"v{i}", AgentKind.VEHICLE, TrajectorySpec(
+        initial=AgentState(s_m=10.0 + 7 * i, l_m=0.0, v_mps=9.0, a_mps2=0.0)))
+        for i in range(4))
+    sc = Scenario(ego_initial=AgentState(s_m=0.0, l_m=0.0, v_mps=10.0, a_mps2=0.0),
+                  agents=agents, duration_us=sec(3))
+    cfg = EngineConfig(mitigation=MitigationConfig(
+        fastpath=True, stealing=True, deadline_cap_us=ms(60)))
+    return run_simulation(sc, graph, groups, cfg, seed=2)
+
+
+def test_odd_names_equal_reference_encoding(odd_names_trace):
+    spans = odd_names_trace.spans
+    assert any(s.guest for s in spans) and any(s.path == "fastpath" for s in spans)
+    assert any("\\" in s.worker and not s.worker.isascii() for s in spans)
+    assert "".join(odd_names_trace.ndjson_lines()) == reference_ndjson(odd_names_trace)
+
+
+def test_span_of_non_standard_types_takes_encoder_fallback():
+    trace = RunTrace(scenario_digest="x", seed=0, duration_us=1)
+    trace.spans = [Span("n", 1, 0, 5, "g/0", 0),
+                   Span("n", True, 0, 5, "g/0", 0, path=PathChoice.FASTPATH),
+                   Span("n", 2, 0, 5, "g/0", 0, guest=1, residual=0)]
+    assert "".join(trace.ndjson_lines()) == reference_ndjson(trace)
+    trace.spans = [Span("n", np.int64(3), 0, 5, "g/0", 0)]
+    with pytest.raises(TypeError):
+        reference_ndjson(trace)
+    with pytest.raises(TypeError):
+        trace.to_ndjson()
 
 
 def test_roundtrip_through_reader(mitigated_trace):
