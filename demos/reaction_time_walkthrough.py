@@ -65,8 +65,9 @@ def main():
     if braked is not None:
         print()
         print("ego started braking at t = %.3f s" % (braked / 1e6))
-    worst = min(s.lon_gap_m for s in trace.safety_samples if s.agent_id == "lead")
-    print("closest approach to the lead: %.2f m" % worst)
+    lead_closest = next(c for c in trace.closest if c.agent_id == "lead")
+    print("closest approach to the lead: %.2f m at t = %.1f s"
+          % (lead_closest.lon_gap_m, lead_closest.t_us / 1e6))
 
 
 if __name__ == "__main__":

@@ -79,22 +79,17 @@ def density_correlation(points: list[tuple[float, float]]) -> float:
 
 
 def safety_report(trace: RunTrace) -> SafetyReport:
-    """Counts by level and the smallest gap >= 0, in one pass."""
-    violation, collision = SafetyLevel.VIOLATION.value, SafetyLevel.COLLISION.value
-    violations = collisions = 0
-    min_gap = math.inf
-    for s in trace.safety_samples:
-        level, gap = s.level, s.lon_gap_m
-        if level == violation:
-            violations += 1
-        elif level == collision:
-            collisions += 1
-        if 0 <= gap < min_gap:
-            min_gap = gap
+    """Violations and collisions from the recorded (non-safe) samples; the
+    smallest gap >= 0 from the per-agent closest approaches, the earliest
+    on a tie (so a -0.0 met before a 0.0 is kept, as one pass over every
+    sample in time order would)."""
+    levels = [s.level for s in trace.safety_samples]
+    closest = min(trace.closest, key=lambda c: (c.lon_gap_m, c.t_us), default=None)
     no_reaction = sum(1 for r in trace.reactions if not r.reacted)
-    return SafetyReport(violations=violations, collisions=collisions,
+    return SafetyReport(violations=levels.count(SafetyLevel.VIOLATION.value),
+                        collisions=levels.count(SafetyLevel.COLLISION.value),
                         no_reaction=no_reaction,
-                        min_gap_m=None if min_gap == math.inf else round(min_gap, 6))
+                        min_gap_m=None if closest is None else round(closest.lon_gap_m, 6))
 
 
 def compare_runs(baseline: RunTrace, treatment: RunTrace) -> dict:

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import analysis
 from .config import ConfigError, RunConfig, load_config
-from .engine import EngineError, RunTrace, run_simulation
+from .engine import EngineError, RunTrace, TraceError, run_simulation
 from .jsonio import InputError
 from .mitigation import MitigationConfig
 from .pipeline import load_pipeline
@@ -265,14 +265,28 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _read_trace(path: str) -> RunTrace:
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return RunTrace.from_ndjson(f)
+        except TraceError as e:
+            raise InputError(f"{path}:{e.lineno}: {e}") from None
+        except UnicodeDecodeError as e:
+            raise InputError(f"{path}: not UTF-8 text: {e}") from None
+
+
 def cmd_compare(args) -> int:
     try:
-        with open(args.baseline, "r", encoding="utf-8") as f:
-            base = RunTrace.from_ndjson(f.read())
-        with open(args.treatment, "r", encoding="utf-8") as f:
-            treat = RunTrace.from_ndjson(f.read())
+        base = _read_trace(args.baseline)
+        treat = _read_trace(args.treatment)
     except FileNotFoundError as e:
         print(f"error: missing file: {e.filename}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as e:
+        print(f"error: cannot read {e.filename}: {e.strerror}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except InputError as e:
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
         report = analysis.compare_runs(base, treat)

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .engine import EngineConfig, ProcessorGroup
-from .jsonio import InputError, check_keys, fields, load_json, read_bool, read_int
+from .jsonio import (InputError, check_keys, fields, load_json, read_bool, read_float,
+                     read_int, read_str, read_str_list)
 from .mitigation import MitigationConfig
 from .safety import DEFAULT_DEADLINE_CAP_US, RssParams
 
@@ -35,10 +36,10 @@ def rss_params_from_json(obj: dict) -> RssParams:
     with fields("rss", ConfigError):
         return RssParams(
             response_time_us=read_int(obj, "response_time_us", 100_000),
-            a_max_accel=float(obj.get("a_max_accel_mps2", 2.0)),
-            a_min_brake=float(obj.get("a_min_brake_mps2", 4.0)),
-            a_max_brake=float(obj.get("a_max_brake_mps2", 8.0)),
-            lateral_mu_m=float(obj.get("lateral_mu_m", 0.5)),
+            a_max_accel=read_float(obj, "a_max_accel_mps2", 2.0),
+            a_min_brake=read_float(obj, "a_min_brake_mps2", 4.0),
+            a_max_brake=read_float(obj, "a_max_brake_mps2", 8.0),
+            lateral_mu_m=read_float(obj, "lateral_mu_m", 0.5),
         )
 
 
@@ -51,10 +52,10 @@ def _mitigation_from_json(obj: dict) -> MitigationConfig:
             fastpath=read_bool(obj, "fastpath", False),
             proactive=read_bool(obj, "proactive", False),
             stealing=read_bool(obj, "stealing", False),
-            criticality_radius_m=float(obj.get("radius_m", 20.0)),
-            fast_lookahead_m=float(obj.get("fast_lookahead_m", 20.0)),
+            criticality_radius_m=read_float(obj, "radius_m", 20.0),
+            fast_lookahead_m=read_float(obj, "fast_lookahead_m", 20.0),
             deadline_cap_us=read_int(obj, "deadline_cap_us", DEFAULT_DEADLINE_CAP_US),
-            steal_safety_factor=float(obj.get("safety_factor", 1.25)),
+            steal_safety_factor=read_float(obj, "safety_factor", 1.25),
             cancel_proactive_every_frame=read_bool(obj, "cancel_proactive_every_frame",
                                                    False),
         )
@@ -76,31 +77,33 @@ def config_from_json(obj: dict, base_dir: str = ".") -> RunConfig:
                        f"groups[{i}]", ConfigError)
             with fields(f"groups[{i}]", ConfigError):
                 groups.append(ProcessorGroup(
-                    name=str(g["name"]), worker_count=read_int(g, "workers", 1),
-                    pinned_nodes=tuple(g.get("pinned_nodes", [])),
+                    name=read_str(g, "name"), worker_count=read_int(g, "workers", 1),
+                    pinned_nodes=read_str_list(g, "pinned_nodes"),
                     budget_us=read_int(g, "budget_us", 1_000_000_000)))
     with fields("config", ConfigError):
         engine = EngineConfig(
             tick_us=read_int(obj, "tick_us", 100_000),
-            sensor_range_m=float(obj.get("sensor_range_m", 60.0)),
+            sensor_range_m=read_float(obj, "sensor_range_m", 60.0),
             actuation_delay_us=read_int(obj, "actuation_delay_us", 20_000),
             response_margin_us=read_int(obj, "response_margin_us", 600_000),
-            brake_level_mps2=float(obj.get("brake_level_mps2", -6.0)),
+            brake_level_mps2=read_float(obj, "brake_level_mps2", -6.0),
             mitigation=_mitigation_from_json(obj.get("mitigation", {})),
             rss=rss_params_from_json(obj.get("rss", {})),
         )
         seed = read_int(obj, "seed") if obj.get("seed") is not None else None
+        scenario, pipeline = read_str(obj, "scenario"), read_str(obj, "pipeline")
+        out = read_str(obj, "out", "out")
 
     def resolve(p: str) -> str:
         return p if os.path.isabs(p) else os.path.join(base_dir, p)
 
     return RunConfig(
-        scenario_path=resolve(str(obj["scenario"])),
-        pipeline_path=resolve(str(obj["pipeline"])),
+        scenario_path=resolve(scenario),
+        pipeline_path=resolve(pipeline),
         groups=tuple(groups),
         engine=engine,
         seed=seed,
-        out_dir=resolve(str(obj.get("out", "out"))),
+        out_dir=resolve(out),
     )
 
 

@@ -11,19 +11,20 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 from typing import Iterator, Optional
 
 import numpy as np
 
 from . import mitigation as mit
+from .jsonio import refuse_constant
 from .mitigation import MitigationConfig, PathChoice, StealRequest
 from .pipeline import (Channel, CompiledGraph, ExecutionPattern, FrameMessage,
                        LatencyModel, NodeRole, NodeSpec, ObjectTrack,
                        PipelineGraph, downstream_estimate, fusion_update,
                        kind_counts, predict_latency, sample_latency, validate_graph)
-from .safety import RssParams, check_safety_many, object_deadline
+from .safety import RssParams, SafetyLevel, check_safety_many, object_deadline
 from .scenario import (AgentArrays, AgentState, CompiledTrajectory, Scenario,
                        TrajectorySpec, agent_arrays_at, visible_in)
 from .simkernel import EventQueue, StreamFactory
@@ -114,7 +115,29 @@ class SafetySample:
 
 
 @dataclass
+class ClosestApproach:
+    """An agent's smallest longitudinal gap >= 0 and when it first occurred."""
+    agent_id: str
+    t_us: int
+    lon_gap_m: float
+
+
+class TraceError(ValueError):
+    """A trace file failed to parse; lineno is the offending line."""
+
+    def __init__(self, lineno: int, message: str):
+        super().__init__(message)
+        self.lineno = lineno
+
+
+TRACE_FORMAT = 2
+
+
+@dataclass
 class RunTrace:
+    """One run's records. safety_samples holds the non-safe samples only;
+    closest holds, in scenario agent order, each agent's closest approach
+    over every sample, safe or not."""
     scenario_digest: str
     seed: int
     duration_us: int
@@ -122,6 +145,7 @@ class RunTrace:
     frames: list[FrameRecord] = field(default_factory=list)
     reactions: list[ReactionRecord] = field(default_factory=list)
     safety_samples: list[SafetySample] = field(default_factory=list)
+    closest: list[ClosestApproach] = field(default_factory=list)
     ego_segments: list[tuple[int, float]] = field(default_factory=list)
     busy_us_by_group: dict[str, int] = field(default_factory=dict)
     worker_count_by_group: dict[str, int] = field(default_factory=dict)
@@ -140,7 +164,7 @@ class RunTrace:
         return busy / (total_workers * self.duration_us)
 
     def ndjson_lines(self) -> Iterator[str]:
-        """The trace as NDJSON (format 1), one newline-terminated line at a
+        """The trace as NDJSON (format 2), one newline-terminated line at a
         time; raises ValueError on a non-finite float."""
         encode = _ENCODER.encode
         for s in self.spans:
@@ -150,9 +174,12 @@ class RunTrace:
         for r in self.reactions:
             yield encode({"type": "reaction", **vars(r)}) + "\n"
         for ss in self.safety_samples:
-            yield _safety_line(ss)
+            yield encode({"type": "safety", **vars(ss)}) + "\n"
+        for c in self.closest:
+            yield encode({"type": "closest", **vars(c)}) + "\n"
         yield encode({
-            "type": "summary", "scenario_digest": self.scenario_digest,
+            "type": "summary", "format": TRACE_FORMAT,
+            "scenario_digest": self.scenario_digest,
             "seed": self.seed, "duration_us": self.duration_us,
             "busy_us_by_group": self.busy_us_by_group,
             "worker_count_by_group": self.worker_count_by_group,
@@ -165,43 +192,105 @@ class RunTrace:
         return "".join(self.ndjson_lines())
 
     @classmethod
-    def from_ndjson(cls, text: str) -> "RunTrace":
-        trace = None
-        spans, frames, reactions, samples = [], [], [], []
-        for line in text.splitlines():
+    def from_ndjson(cls, lines) -> "RunTrace":
+        """Read a trace of format 2, or of format 1 (no "format" in the
+        summary, every sample recorded): its safe samples are dropped and
+        the closest approaches derived from them. lines is the text or an
+        iterable of lines, such as an open file. Raises TraceError."""
+        if isinstance(lines, str):
+            lines = lines.splitlines()
+        records = {kind: [] for kind in _RECORD_TYPES}
+        summary = None
+        lineno = 0
+        for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            kind = obj.pop("type")
-            if kind == "span":
-                spans.append(Span(**obj))
-            elif kind == "frame":
-                frames.append(FrameRecord(**obj))
-            elif kind == "reaction":
-                reactions.append(ReactionRecord(**obj))
-            elif kind == "safety":
-                samples.append(SafetySample(**obj))
-            elif kind == "summary":
-                trace = cls(
-                    scenario_digest=obj["scenario_digest"], seed=obj["seed"],
-                    duration_us=obj["duration_us"],
-                    busy_us_by_group=obj["busy_us_by_group"],
-                    worker_count_by_group=obj["worker_count_by_group"],
-                    budget_violations=obj["budget_violations"],
-                    steals_admitted=obj["steals_admitted"],
-                    steals_rejected=obj["steals_rejected"],
-                    ego_segments=[tuple(s) for s in obj["ego_segments"]])
-            else:
-                raise EngineError(f"unknown trace record type {kind!r}")
-        if trace is None:
-            raise EngineError("trace file has no summary record")
-        trace.spans, trace.frames = spans, frames
-        trace.reactions, trace.safety_samples = reactions, samples
+            try:
+                obj = _DECODER.decode(line)
+            except ValueError as e:     # json.JSONDecodeError is a ValueError
+                raise TraceError(lineno, f"malformed JSON: {e}") from None
+            kind = obj.pop("type", None) if isinstance(obj, dict) else None
+            if kind == "summary":
+                if summary is not None:
+                    raise TraceError(lineno, "second summary record")
+                summary = _read_summary(lineno, obj)
+                continue
+            if kind not in _RECORD_TYPES:
+                raise TraceError(lineno, f"unknown trace record type {kind!r}")
+            try:
+                records[kind].append(_typed(_RECORD_TYPES[kind](**obj)))
+            except TypeError as e:
+                raise TraceError(lineno, f"bad {kind} record: {e}") from None
+        if summary is None:
+            raise TraceError(lineno, "trace has no summary record")
+        fmt, obj = summary
+        if fmt == 1 and records["closest"]:
+            raise TraceError(lineno, "format-1 trace holds closest records")
+        trace = cls(**obj, spans=records["span"], frames=records["frame"],
+                    reactions=records["reaction"], safety_samples=records["safety"],
+                    closest=records["closest"])
+        if fmt == 1:
+            trace.closest = _closest_approaches(trace.safety_samples)
+            trace.safety_samples = [s for s in trace.safety_samples if s.level != "safe"]
         return trace
+
+
+_RECORD_TYPES = {"span": Span, "frame": FrameRecord, "reaction": ReactionRecord,
+                 "safety": SafetySample, "closest": ClosestApproach}
+_SUMMARY_KEYS = {"scenario_digest", "seed", "duration_us", "busy_us_by_group",
+                 "worker_count_by_group", "budget_violations", "steals_admitted",
+                 "steals_rejected", "ego_segments"}
+
+
+# JSON types a record field of each annotated type may hold (bool is an int)
+_FIELD_TYPES = {"int": int, "str": str, "float": (int, float), "bool": bool}
+# per record type: (field name, annotated type, the JSON types it accepts)
+_FIELD_CHECKS = {rec: [(f.name, f.type, _FIELD_TYPES[f.type]) for f in fields(rec)]
+                 for rec in _RECORD_TYPES.values()}
+
+
+def _typed(rec):
+    """rec, once every field holds a value of its annotated type."""
+    for name, kind, types in _FIELD_CHECKS[type(rec)]:
+        value = getattr(rec, name)
+        if not isinstance(value, types) or (type(value) is bool and kind != "bool"):
+            raise TypeError(f"{name}: expected {kind}, got {value!r}")
+    return rec
+
+
+def _read_summary(lineno: int, obj: dict) -> tuple[int, dict]:
+    """(format, RunTrace fields) of a summary record."""
+    explicit = "format" in obj
+    fmt = obj.pop("format", 1)      # format 1 wrote no "format" field
+    if explicit and (type(fmt) is not int or fmt != TRACE_FORMAT):
+        raise TraceError(lineno, f"unsupported trace format {fmt!r}")
+    if set(obj) != _SUMMARY_KEYS:
+        raise TraceError(lineno, f"summary record: expected fields {sorted(_SUMMARY_KEYS)}, "
+                                 f"got {sorted(obj)}")
+    try:
+        obj["ego_segments"] = [tuple(seg) for seg in obj["ego_segments"]]
+    except TypeError:
+        raise TraceError(lineno, "summary record: ego_segments is not a list of "
+                                 "pairs") from None
+    return fmt, obj
+
+
+def _closest_approaches(samples) -> list[ClosestApproach]:
+    """Per agent, in order of first appearance, the first sample with the
+    smallest lon_gap_m >= 0; agents with no such gap are left out."""
+    best: dict[str, ClosestApproach] = {}
+    for s in samples:
+        gap = s.lon_gap_m
+        c = best.get(s.agent_id)
+        if 0 <= gap and (c is None or gap < c.lon_gap_m):
+            best[s.agent_id] = ClosestApproach(s.agent_id, s.t_us, gap)
+    first_seen = dict.fromkeys(s.agent_id for s in samples)
+    return [best[aid] for aid in first_seen if aid in best]
 
 
 # every trace field is a primitive, so records encode from vars() directly
 _ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+_DECODER = json.JSONDecoder(parse_constant=refuse_constant)
 
 
 def _span_line(s: Span) -> str:
@@ -220,18 +309,7 @@ def _span_line(s: Span) -> str:
             f'"type": "span", "worker": {encode_basestring_ascii(worker)}}}\n')
 
 
-def _safety_line(ss: SafetySample) -> str:
-    """One safety record, formatted as _ENCODER would format it."""
-    t, aid, level, lon, lat = ss.t_us, ss.agent_id, ss.level, ss.lon_gap_m, ss.lat_gap_m
-    if not (type(t) is int and type(aid) is str and type(level) is str
-            and type(lon) is float and type(lat) is float):
-        return _ENCODER.encode({"type": "safety", **vars(ss)}) + "\n"
-    if not (math.isfinite(lon) and math.isfinite(lat)):
-        raise ValueError(f"Out of range float values are not JSON compliant: "
-                         f"{lon!r}, {lat!r}")
-    return (f'{{"agent_id": {encode_basestring_ascii(aid)}, "lat_gap_m": {lat!r}, '
-            f'"level": {encode_basestring_ascii(level)}, "lon_gap_m": {lon!r}, '
-            f'"t_us": {t!r}, "type": "safety"}}\n')
+_SAFE = SafetyLevel.SAFE.value
 
 
 class _Task:
@@ -310,6 +388,9 @@ class Simulation:
         self.ego_segments: list[tuple[int, float]] = []
         self._ego = CompiledTrajectory(TrajectorySpec(initial=scenario.ego_initial))
         self._world = AgentArrays(scenario.agents)
+        # per agent, the smallest rounded lon_gap_m >= 0 so far and its first time
+        self._closest_gap = np.full(len(self._world.ids), math.inf)
+        self._closest_t = np.zeros(len(self._world.ids), dtype=np.int64)
         self._frame_seq = 0
         self._fusion_history: dict[str, dict[str, list[bool]]] = {}
         self._fusion_tracks: dict[str, dict[str, ObjectTrack]] = {}
@@ -356,6 +437,12 @@ class Simulation:
                 self._schedule_tick(name, 0)
         self._schedule_safety_tick(0)
         self.queue.run_until(self.scenario.duration_us)
+        found = np.flatnonzero(self._closest_gap < math.inf)
+        ids = self._world.ids
+        self.trace.closest = [
+            ClosestApproach(ids[i], t, gap)
+            for i, t, gap in zip(found.tolist(), self._closest_t[found].tolist(),
+                                 self._closest_gap[found].tolist())]
         for g in self.groups.values():
             self.trace.busy_us_by_group[g.spec.name] = g.busy_us
         for t0, agent_id, label in self.scenario.hazard_events:
@@ -388,10 +475,16 @@ class Simulation:
         s, v, a = agent_arrays_at(world, t)
         levels, lon, lat = check_safety_many(ego, s, world.l_m, v, a, self.config.rss,
                                              self.scenario.d_buffer_m)
-        self.trace.safety_samples.extend([
-            SafetySample(t, aid, level, lon_gap, lat_gap)
-            for aid, level, lon_gap, lat_gap in zip(world.ids, levels, _round6(lon),
-                                                    _round6(lat))])
+        gaps = _round6(lon)
+        closer = (gaps >= 0) & (gaps < self._closest_gap)
+        self._closest_gap[closer] = gaps[closer]
+        self._closest_t[closer] = t
+        if levels.count(_SAFE) < len(levels):
+            unsafe = [i for i, level in enumerate(levels) if level != _SAFE]
+            self.trace.safety_samples.extend(
+                SafetySample(t, world.ids[i], levels[i], lon_gap, lat_gap)
+                for i, lon_gap, lat_gap in zip(unsafe, gaps[unsafe].tolist(),
+                                               _round6(lat[unsafe]).tolist()))
         self._schedule_safety_tick(t + self.config.tick_us)
 
     # -- sensing -----------------------------------------------------------
@@ -673,8 +766,8 @@ def _rebuild_message(inputs, objects, now: int, deadline_cap_us: int) -> FrameMe
         message_deadline=mit.message_deadline(objects, now, deadline_cap_us))
 
 
-def _round6(x: np.ndarray) -> list[float]:
-    """[round(v, 6) for v in x.tolist()], mostly computed in numpy.
+def _round6(x: np.ndarray) -> np.ndarray:
+    """round(v, 6) of every element of x, mostly computed in numpy.
 
     round() is correctly rounded: the integer nearest x * 10**6, ties to
     even, divided by 10**6. rint(x * 1e6) / 1e6 gives the same float
@@ -686,7 +779,7 @@ def _round6(x: np.ndarray) -> list[float]:
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = x * 1e6
         exact = (np.abs(x) < 2.0 ** 20) & (np.abs(scaled - np.floor(scaled) - 0.5) > 2.0 ** -12)
-        out = (np.rint(scaled) / 1e6).tolist()
+        out = np.rint(scaled) / 1e6
     if not exact.all():
         raw = x.tolist()
         for i in np.flatnonzero(~exact).tolist():

@@ -28,6 +28,10 @@ class FieldError(ValueError):
 _REQUIRED = object()
 
 
+def _value(obj: dict, key: str, default):
+    return obj[key] if default is _REQUIRED else obj.get(key, default)
+
+
 def read_int(obj: dict, key: str, default=_REQUIRED) -> int:
     """obj[key], or default when the key is absent, as an int.
 
@@ -35,12 +39,38 @@ def read_int(obj: dict, key: str, default=_REQUIRED) -> int:
     a boolean, a fraction (2.9) or any other value raises FieldError,
     and a missing key without a default raises KeyError.
     """
-    value = obj[key] if default is _REQUIRED else obj.get(key, default)
+    value = _value(obj, key, default)
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise FieldError(key, f"expected an integer, got {value!r}")
+
+
+def read_float(obj: dict, key: str, default=_REQUIRED) -> float:
+    """obj[key], or default when the key is absent, as a float; only a
+    JSON number (integer or float) is accepted, not a string or a boolean."""
+    value = _value(obj, key, default)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise FieldError(key, f"expected a number, got {value!r}")
+
+
+def read_str(obj: dict, key: str, default=_REQUIRED) -> str:
+    """obj[key], or default when the key is absent; only a JSON string."""
+    value = _value(obj, key, default)
+    if isinstance(value, str):
+        return value
+    raise FieldError(key, f"expected a string, got {value!r}")
+
+
+def read_str_list(obj: dict, key: str) -> tuple[str, ...]:
+    """obj[key] as a tuple, or () when the key is absent; only a JSON list
+    of strings."""
+    value = obj.get(key, [])
+    if isinstance(value, list) and all(isinstance(v, str) for v in value):
+        return tuple(value)
+    raise FieldError(key, f"expected a list of strings, got {value!r}")
 
 
 def read_bool(obj: dict, key: str, default: bool) -> bool:
@@ -76,7 +106,8 @@ def fields(ctx: str, error=InputError):
         raise error(f"{ctx}: {e}") from None
 
 
-def _refuse_constant(name: str):
+def refuse_constant(name: str):
+    """parse_constant for json.load(s): refuses NaN and Infinity."""
     raise ValueError(f"non-finite number {name}")
 
 
@@ -84,7 +115,7 @@ def load_json(path, convert, error, ctx: str):
     """convert(the parsed file), every input failure raised as error."""
     with open(path, "r", encoding="utf-8") as f:
         try:
-            obj = json.load(f, parse_constant=_refuse_constant)
+            obj = json.load(f, parse_constant=refuse_constant)
         except ValueError as e:     # json.JSONDecodeError is a ValueError
             raise error(f"{path}: malformed JSON: {e}") from None
     with fields(ctx, error):

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .jsonio import InputError, check_keys, fields, load_json, read_int
+from .jsonio import (InputError, check_keys, fields, load_json, read_float, read_int,
+                     read_str, read_str_list)
 from .scenario import AgentKind, AgentState
 from .simkernel import RandomStream
 
@@ -342,25 +343,26 @@ def _latency_from_json(obj: dict, ctx: str) -> LatencyModel:
             check_keys(nb, {"kind", "sigma", "jitter_us"}, f"{ctx}.noise", PipelineError)
             with fields(f"{ctx}.noise", PipelineError):
                 noise = NoiseSpec(kind=NoiseKind(nb.get("kind", "none")),
-                                  sigma=float(nb.get("sigma", 0.0)),
+                                  sigma=read_float(nb, "sigma", 0.0),
                                   jitter_us=read_int(nb, "jitter_us", 0))
         contention = None
         if "contention" in obj and obj["contention"] is not None:
             cb = obj["contention"]
             check_keys(cb, {"slope_us_per_miss", "misses_per_unit", "base_misses"},
                        f"{ctx}.contention", PipelineError)
-            contention = ContentionSpec(
-                slope_us_per_miss=float(cb["slope_us_per_miss"]),
-                misses_per_unit=float(cb["misses_per_unit"]),
-                base_misses=float(cb.get("base_misses", 0.0)))
+            with fields(f"{ctx}.contention", PipelineError):
+                contention = ContentionSpec(
+                    slope_us_per_miss=read_float(cb, "slope_us_per_miss"),
+                    misses_per_unit=read_float(cb, "misses_per_unit"),
+                    base_misses=read_float(cb, "base_misses", 0.0))
         costs = obj.get("per_kind_cost_us", {})
         with fields(f"{ctx}.per_kind_cost_us", PipelineError):
             per_kind = {AgentKind(k): read_int(costs, k) for k in costs}
         return LatencyModel(per_kind_cost_us=per_kind,
                             offset_us=read_int(obj, "offset_us", 0),
                             noise=noise, contention=contention,
-                            lookahead_cost_us_per_m=float(obj.get("lookahead_cost_us_per_m",
-                                                                  0.0)),
+                            lookahead_cost_us_per_m=read_float(obj, "lookahead_cost_us_per_m",
+                                                               0.0),
                             offset_floor_us=read_int(obj, "offset_floor_us", 1))
 
 
@@ -389,7 +391,7 @@ def pipeline_from_json(obj: dict) -> PipelineGraph:
         ctx = f"channels[{i}]"
         check_keys(c, {"id", "policy", "capacity"}, ctx, PipelineError)
         with fields(ctx, PipelineError):
-            cid = str(c["id"])
+            cid = read_str(c, "id")
             if cid in channels:
                 raise PipelineError(f"duplicate channel id {cid!r}")
             channels[cid] = Channel(id=cid, policy=ChannelPolicy(c.get("policy", "fifo")),
@@ -401,7 +403,7 @@ def pipeline_from_json(obj: dict) -> PipelineGraph:
                         "latency", "fast_latency", "lookahead_m", "fusion",
                         "proactive_cost_us"}, ctx, PipelineError)
         with fields(ctx, PipelineError):
-            name = str(nb["name"])
+            name = read_str(nb, "name")
             if name in nodes:
                 raise PipelineError(f"duplicate node name {name!r}")
             fusion = None
@@ -417,12 +419,12 @@ def pipeline_from_json(obj: dict) -> PipelineGraph:
                 name=name,
                 pattern=ExecutionPattern(nb["pattern"]),
                 period_us=read_int(nb, "period_us", 0),
-                inputs=tuple(nb.get("inputs", [])),
-                outputs=tuple(nb.get("outputs", [])),
+                inputs=read_str_list(nb, "inputs"),
+                outputs=read_str_list(nb, "outputs"),
                 role=NodeRole(nb.get("role", "other")),
                 latency=_latency_from_json(nb.get("latency", {}), f"{ctx}.latency"),
                 fast_latency=fast,
-                lookahead_m=(float(nb["lookahead_m"]) if nb.get("lookahead_m") is not None
+                lookahead_m=(read_float(nb, "lookahead_m") if nb.get("lookahead_m") is not None
                              else None),
                 fusion=fusion,
                 proactive_cost_us=read_int(nb, "proactive_cost_us", 0),

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .jsonio import InputError, check_keys, fields, load_json, read_int
+from .jsonio import InputError, check_keys, fields, load_json, read_float, read_int, read_str
 from .simkernel import US_PER_S, RandomStream
 
 SCENARIO_FORMAT = 1
@@ -308,8 +308,8 @@ def _state_to_json(st: AgentState) -> dict:
 def _state_from_json(obj: dict, ctx: str) -> AgentState:
     check_keys(obj, {"s_m", "l_m", "v_mps", "a_mps2", "lane_index"}, ctx, ScenarioError)
     with fields(ctx, ScenarioError):
-        return AgentState(s_m=float(obj["s_m"]), l_m=float(obj["l_m"]),
-                          v_mps=float(obj["v_mps"]), a_mps2=float(obj["a_mps2"]),
+        return AgentState(s_m=read_float(obj, "s_m"), l_m=read_float(obj, "l_m"),
+                          v_mps=read_float(obj, "v_mps"), a_mps2=read_float(obj, "a_mps2"),
                           lane_index=read_int(obj, "lane_index", 0))
 
 
@@ -353,23 +353,23 @@ def scenario_from_json(obj: dict) -> Scenario:
             for j, s in enumerate(a.get("segments", [])):
                 check_keys(s, {"start_us", "a_mps2"}, f"{ctx}.segments[{j}]", ScenarioError)
                 with fields(f"{ctx}.segments[{j}]", ScenarioError):
-                    segs.append((read_int(s, "start_us"), float(s["a_mps2"])))
+                    segs.append((read_int(s, "start_us"), read_float(s, "a_mps2")))
             traj = TrajectorySpec(initial=_state_from_json(a["initial"], f"{ctx}.initial"),
                                   segments=tuple(segs),
                                   visible_from_us=read_int(a, "visible_from_us", 0))
-            agents.append((str(a["id"]), kind, traj))
+            agents.append((read_str(a, "id"), kind, traj))
     hazards = []
     for i, h in enumerate(obj.get("hazards", [])):
         check_keys(h, {"time_us", "agent_id", "label"}, f"hazards[{i}]", ScenarioError)
         with fields(f"hazards[{i}]", ScenarioError):
-            hazards.append((read_int(h, "time_us"), str(h["agent_id"]),
-                            str(h.get("label", ""))))
+            hazards.append((read_int(h, "time_us"), read_str(h, "agent_id"),
+                            read_str(h, "label", "")))
     return Scenario(
         ego_initial=_state_from_json(obj["ego"], "ego"),
         agents=tuple(agents),
         duration_us=read_int(obj, "duration_us"),
         hazard_events=tuple(hazards),
-        d_buffer_m=float(obj.get("d_buffer_m", 3.0)),
+        d_buffer_m=read_float(obj, "d_buffer_m", 3.0),
     )
 
 

@@ -68,3 +68,13 @@ def following_scenario():
 @pytest.fixture
 def quiet_config():
     return EngineConfig()
+
+
+def assert_same_lines(got: str, expected: str):
+    """got == expected, reporting the first differing line rather than
+    diffing two long strings."""
+    got_lines, expected_lines = got.split("\n"), expected.split("\n")
+    for i, (g, e) in enumerate(zip(got_lines, expected_lines), start=1):
+        assert g == e, f"line {i} differs:\n  got      {g}\n  expected {e}"
+    assert len(got_lines) == len(expected_lines), (
+        f"{len(got_lines)} lines, expected {len(expected_lines)}")

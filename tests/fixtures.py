@@ -141,3 +141,22 @@ def mitigated_config(**kw):
     kw.setdefault("proactive", True)
     kw.setdefault("stealing", True)
     return EngineConfig(mitigation=MitigationConfig(**kw))
+
+
+def safety_mix_scenario():
+    """Two seconds with every safety level: a braking lead (violations),
+    an agent overlapping the ego (collisions), a laterally clear parked
+    car the ego passes, a late-visible agent and one far behind."""
+    ego = AgentState(s_m=0.0, l_m=0.0, v_mps=10.0, a_mps2=0.0)
+
+    def agent(s, l, v, segments=(), visible_from_us=0):
+        return TrajectorySpec(initial=AgentState(s_m=s, l_m=l, v_mps=v, a_mps2=0.0),
+                              segments=segments, visible_from_us=visible_from_us)
+
+    agents = (("lead", V, agent(14.0, 0.0, 6.0, segments=((sec(1), -6.0),))),
+              ("tailgater", V, agent(-1.5, 0.2, 10.0)),
+              ("parked", V, agent(12.0, 3.5, 0.0)),
+              ("late", C, agent(40.0, 0.0, 8.0, visible_from_us=sec(1))),
+              ("behind", P, agent(-30.0, 0.0, 1.0)))
+    return Scenario(ego_initial=ego, agents=agents, duration_us=sec(2),
+                    hazard_events=((sec(1), "lead", "lead brakes"),), d_buffer_m=3.0)

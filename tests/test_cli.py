@@ -130,10 +130,32 @@ def _set(path, value):
      "nodes[0].latency.offset_us: expected an integer"),
     ("pipeline.json", _set(("channels", 0, "capacity"), 8.5),
      "channels[0].capacity: expected an integer"),
+    ("config.json", _set(("sensor_range_m",), "60"),
+     "config.sensor_range_m: expected a number, got '60'"),
+    ("config.json", _set(("mitigation",), {"radius_m": "15"}),
+     "mitigation.radius_m: expected a number, got '15'"),
+    ("scenario.json", _set(("agents", 0, "initial", "s_m"), "30"),
+     "agents[0].initial.s_m: expected a number, got '30'"),
+    ("pipeline.json", _set(("nodes", 0, "latency", "noise"),
+                           {"kind": "lognormal", "sigma": True}),
+     "nodes[0].latency.noise.sigma: expected a number, got True"),
+    ("config.json", _set(("groups", 0, "name"), 5),
+     "groups[0].name: expected a string, got 5"),
+    ("config.json", _set(("scenario",), 3), "config.scenario: expected a string, got 3"),
+    ("scenario.json", _set(("agents", 0, "id"), 5), "agents[0].id: expected a string, got 5"),
+    ("scenario.json", _set(("hazards", 0, "agent_id"), ["lead"]),
+     "hazards[0].agent_id: expected a string, got ['lead']"),
+    ("pipeline.json", _set(("channels", 0, "id"), 7), "channels[0].id: expected a string, got 7"),
+    ("config.json", _set(("groups", 0, "pinned_nodes"), "ab"),
+     "groups[0].pinned_nodes: expected a list of strings, got 'ab'"),
+    ("pipeline.json", _set(("nodes", 0, "inputs"), [1]),
+     "nodes[0].inputs: expected a list of strings, got [1]"),
 ], ids=["pattern", "role", "node-name", "group-name", "groups-int", "seed-str",
         "rss-key", "duration-nan", "range-nan", "fastpath-str", "cancel-int",
         "workers-frac", "workers-bool", "tick-str", "response-frac", "duration-frac",
-        "hazard-str", "offset-frac", "capacity-frac"])
+        "hazard-str", "offset-frac", "capacity-frac", "range-str", "radius-str",
+        "state-str", "sigma-bool", "group-name-int", "scenario-path-int", "agent-id-int",
+        "hazard-agent-list", "channel-id-int", "pinned-str", "inputs-int"])
 def test_run_bad_input_exits_1_with_message(workdir, capsys, name, mutate, expect):
     path = workdir / name
     obj = json.loads(path.read_text())
@@ -307,6 +329,10 @@ def test_compare_command(workdir, capsys):
     rc = main(["compare", str(workdir / "r1" / "trace.ndjson"),
                str(workdir / "missing.ndjson")])
     assert rc == EXIT_VALIDATION
+    capsys.readouterr()
+    rc = main(["compare", str(workdir / "r1" / "trace.ndjson"), str(workdir)])
+    assert rc == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"error: cannot read {workdir}:")
 
 
 def test_compare_rejects_mismatched_scenarios(workdir, tmp_path, capsys):
@@ -324,3 +350,43 @@ def test_compare_rejects_mismatched_scenarios(workdir, tmp_path, capsys):
                str(workdir / "r3" / "trace.ndjson")])
     assert rc == EXIT_RUNTIME
     assert "same scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, expect", [
+    ('{"type": "span", "node": "a"', ":1: malformed JSON"),
+    ('{"type": "weird"}\n', ":1: unknown trace record type 'weird'"),
+    ("[1, 2]\n", ":1: unknown trace record type None"),
+    ('{"type": "closest", "agent_id": "a", "t_us": 0, "lon_gap_m": NaN}\n',
+     ":1: malformed JSON: non-finite number NaN"),
+    ('{"type": "safety", "t_us": 0}\n', ":1: bad safety record"),
+    ('\n{"type": "closest", "agent_id": "a", "t_us": true, "lon_gap_m": 1}\n',
+     ":2: bad closest record: t_us: expected int, got True"),
+    ("\n", ":1: trace has no summary record"),
+    (None, "unsupported trace format 3"),
+], ids=["truncated", "unknown-type", "not-an-object", "nan", "missing-fields",
+        "wrong-type", "no-summary", "format-3"])
+def test_compare_bad_trace_exits_1_with_line(workdir, capsys, text, expect):
+    good = workdir / "out" / "trace.ndjson"
+    assert main(["run", "--config", str(workdir / "config.json")]) == EXIT_OK
+    bad = workdir / "bad.ndjson"
+    if text is None:    # the good trace with its summary's format changed
+        lines = good.read_text().splitlines(keepends=True)
+        expect = f":{len(lines)}: {expect}"
+        text = "".join(lines[:-1]) + lines[-1].replace('"format": 2', '"format": 3')
+    bad.write_text(text)
+    capsys.readouterr()
+    for args in ([str(good), str(bad)], [str(bad), str(good)]):
+        rc = main(["compare", *args])
+        err = capsys.readouterr().err
+        assert rc == EXIT_VALIDATION
+        assert err.startswith(f"error: {bad}{expect}") and "Traceback" not in err
+
+
+def test_paired_traces_compare_to_the_paired_report(workdir):
+    assert main(["run", "--config", str(workdir / "config.json"),
+                 "--fastpath", "on", "--paired"]) == EXIT_OK
+    out = workdir / "out"
+    assert main(["compare", str(out / "trace_baseline.ndjson"), str(out / "trace.ndjson"),
+                 "--out", str(workdir / "compare.json")]) == EXIT_OK
+    assert ((workdir / "compare.json").read_bytes()
+            == (out / "compare.json").read_bytes())

@@ -1,0 +1,206 @@
+"""Trace format 2 against format 1.
+
+Format 1 recorded every safety sample; format 2 records only the
+non-safe ones plus each agent's closest approach. The report must come
+out the same from either, and the reader must read both.
+"""
+
+import json
+import os
+import runpy
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from avpipesim.analysis import safety_report
+from avpipesim.engine import (ClosestApproach, EngineConfig, RunTrace, SafetySample,
+                              Simulation, TraceError, _round6, run_simulation)
+from avpipesim.pipeline import NodeRole
+from avpipesim.safety import check_safety_many
+from avpipesim.scenario import (AgentKind, AgentState, Scenario, TrajectorySpec,
+                                agent_arrays_at)
+from avpipesim.simkernel import ms, sec
+
+from conftest import assert_same_lines, chain_pipeline, one_group
+from fixtures import av_groups, av_pipeline, safety_mix_scenario
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+FORMAT1_TRACE = os.path.join(HERE, "data", "format1_safety_mix.ndjson")
+
+
+class EverySampleSimulation(Simulation):
+    """Also keeps every safety sample, as format 1 recorded them."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.every_sample = []
+
+    def _on_safety_tick(self, t):
+        ego, world = self.ego_state(t), self._world
+        s, v, a = agent_arrays_at(world, t)
+        levels, lon, lat = check_safety_many(ego, s, world.l_m, v, a, self.config.rss,
+                                             self.scenario.d_buffer_m)
+        self.every_sample += [SafetySample(t, *rec) for rec in zip(
+            world.ids, levels, _round6(lon).tolist(), _round6(lat).tolist())]
+        super()._on_safety_tick(t)
+
+
+def format1_report(samples, reactions) -> str:
+    """report.json's safety section as format 1 computed it, in one pass
+    over every sample."""
+    violations = collisions = 0
+    min_gap = float("inf")
+    for s in samples:
+        violations += s.level == "violation"
+        collisions += s.level == "collision"
+        if 0 <= s.lon_gap_m < min_gap:
+            min_gap = s.lon_gap_m
+    return json.dumps({"violations": violations, "collisions": collisions,
+                       "no_reaction": sum(1 for r in reactions if not r.reacted),
+                       "min_gap_m": None if min_gap == float("inf") else round(min_gap, 6)})
+
+
+def format1_closest(samples, agent_ids):
+    """Per agent, the first sample with its smallest gap >= 0."""
+    out = []
+    for aid in agent_ids:
+        best = None
+        for s in samples:
+            if s.agent_id == aid and 0 <= s.lon_gap_m and (
+                    best is None or s.lon_gap_m < best.lon_gap_m):
+                best = ClosestApproach(aid, s.t_us, s.lon_gap_m)
+        if best is not None:
+            out.append(best)
+    return out
+
+
+def format1_ndjson(trace: RunTrace, every_sample) -> str:
+    """The trace as format 1 wrote it: every sample, no closest records
+    and no "format" in the summary."""
+    old = RunTrace(**{**vars(trace), "safety_samples": every_sample, "closest": []})
+    lines = old.to_ndjson().splitlines(keepends=True)
+    summary = json.loads(lines[-1])
+    del summary["format"]
+    return "".join(lines[:-1]) + json.dumps(summary, sort_keys=True) + "\n"
+
+
+def finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+agent_specs = st.builds(
+    lambda s, l, v, segs, visible: TrajectorySpec(
+        initial=AgentState(s_m=s, l_m=l, v_mps=v, a_mps2=0.0),
+        segments=tuple(sorted(segs)), visible_from_us=visible),
+    s=st.sampled_from([0.0, -0.0, -2.0, 5.0, 12.5]) | finite(-40, 80),
+    l=st.sampled_from([0.0, 0.3, 3.5, -3.5]) | finite(-4, 4),
+    v=st.sampled_from([0.0, 10.0]) | finite(0, 20),
+    segs=st.lists(st.tuples(st.integers(0, sec(3)),
+                            st.sampled_from([-8.0, 0.0]) | finite(-10, 3)),
+                  max_size=3, unique_by=lambda seg: seg[0]),
+    visible=st.integers(0, sec(3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(agents=st.lists(agent_specs, max_size=6),
+       duration_us=st.integers(1, sec(3)),
+       tick_us=st.sampled_from([ms(50), ms(100), ms(250)]),
+       ego_v=st.sampled_from([0.0, 10.0]) | finite(0, 20))
+def test_format2_report_equals_format1(agents, duration_us, tick_us, ego_v):
+    """Stops, collisions, agents behind and late-visible agents: the
+    non-safe samples plus the closest approaches give format 1's report,
+    and the reader turns the format-1 trace into the format-2 one."""
+    sc = Scenario(ego_initial=AgentState(s_m=0.0, l_m=0.0, v_mps=ego_v, a_mps2=0.0),
+                  agents=tuple((f"a{i}", AgentKind.VEHICLE, traj)
+                               for i, traj in enumerate(agents)),
+                  duration_us=duration_us,
+                  hazard_events=tuple((0, f"a{i}", "h") for i in range(len(agents))))
+    g = chain_pipeline({"detect": (ms(20), NodeRole.PERCEPTION),
+                        "act": (ms(5), NodeRole.CONTROL)})
+    cfg = EngineConfig(tick_us=tick_us, response_margin_us=sec(3))    # brakes often
+    sim = EverySampleSimulation(sc, g, one_group(g), cfg, 1)
+    trace = sim.run()
+    every = sim.every_sample
+    assert trace.safety_samples == [s for s in every if s.level != "safe"]
+    assert ([(c.agent_id, c.t_us, repr(c.lon_gap_m)) for c in trace.closest]
+            == [(c.agent_id, c.t_us, repr(c.lon_gap_m))
+                for c in format1_closest(every, [aid for aid, _, _ in sc.agents])])
+    expected = format1_report(every, trace.reactions)
+    assert json.dumps(safety_report(trace).to_json()) == expected
+    text = format1_ndjson(trace, every)
+    read = RunTrace.from_ndjson(text)
+    assert json.dumps(safety_report(read).to_json()) == expected
+    assert_same_lines(read.to_ndjson(), trace.to_ndjson())
+
+
+def test_report_keeps_the_first_of_equal_zero_gaps():
+    # -0.0 at t=0 before 0.0: one pass over every sample keeps -0.0
+    trace = RunTrace(scenario_digest="x", seed=0, duration_us=1)
+    trace.closest = [ClosestApproach("a", 5, 0.0), ClosestApproach("b", 0, -0.0)]
+    assert repr(safety_report(trace).min_gap_m) == "-0.0"
+    trace.closest.reverse()
+    assert repr(safety_report(trace).min_gap_m) == "-0.0"
+    trace.closest = [ClosestApproach("a", 0, 0.0), ClosestApproach("b", 0, -0.0)]
+    assert repr(safety_report(trace).min_gap_m) == "0.0"
+
+
+def run_safety_mix():
+    return run_simulation(safety_mix_scenario(), av_pipeline(), av_groups(workers=2),
+                          EngineConfig(), seed=3)
+
+
+def test_checked_in_format1_trace_reads_as_the_format2_run():
+    """The file was written by the format-1 writer from this very run."""
+    with open(FORMAT1_TRACE, encoding="utf-8") as f:
+        old_records = [json.loads(line) for line in f]
+    assert "format" not in old_records[-1]
+    samples = [SafetySample(**{k: v for k, v in r.items() if k != "type"})
+               for r in old_records if r["type"] == "safety"]
+    assert {s.level for s in samples} == {"safe", "violation", "collision"}
+    with open(FORMAT1_TRACE, encoding="utf-8") as f:
+        read = RunTrace.from_ndjson(f)
+    trace = run_safety_mix()
+    assert json.dumps(safety_report(read).to_json()) == format1_report(
+        samples, trace.reactions)
+    assert_same_lines(read.to_ndjson(), trace.to_ndjson())
+    # scenario order, though the tailgater's gap turns >= 0 only at 0.9 s
+    assert [c.agent_id for c in read.closest] == ["lead", "tailgater", "parked", "late"]
+
+
+def test_format2_round_trip():
+    text = run_safety_mix().to_ndjson()
+    assert '"type": "closest"' in text and '"level": "safe"' not in text
+    assert_same_lines(RunTrace.from_ndjson(text.splitlines(keepends=True)).to_ndjson(),
+                      text)
+
+
+@pytest.mark.parametrize("change, expect", [
+    ({"format": 1}, "unsupported trace format 1"),
+    ({"format": "2"}, "unsupported trace format '2'"),
+    ({"format": True}, "unsupported trace format True"),
+    ({"extra": 1}, "summary record: expected fields"),
+    ({"ego_segments": 5}, "ego_segments is not a list of pairs"),
+])
+def test_reader_refuses_bad_summaries(change, expect):
+    lines = run_safety_mix().to_ndjson().splitlines()
+    lines[-1] = json.dumps({**json.loads(lines[-1]), **change})
+    with pytest.raises(TraceError, match=expect) as info:
+        RunTrace.from_ndjson(lines)
+    assert info.value.lineno == len(lines)
+
+
+def test_reader_refuses_closest_records_in_format1_and_a_second_summary():
+    with open(FORMAT1_TRACE, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    closest = '{"agent_id": "a", "lon_gap_m": 1.0, "t_us": 0, "type": "closest"}'
+    with pytest.raises(TraceError, match="format-1 trace holds closest records"):
+        RunTrace.from_ndjson([closest] + lines)
+    with pytest.raises(TraceError, match="second summary record") as info:
+        RunTrace.from_ndjson(lines + lines[-1:])
+    assert info.value.lineno == len(lines) + 1
+
+
+def test_demo_reads_the_lead_closest_approach(capsys):
+    demo = os.path.join(HERE, os.pardir, "demos", "reaction_time_walkthrough.py")
+    runpy.run_path(demo, run_name="__main__")
+    assert "closest approach to the lead: 24.05 m" in capsys.readouterr().out

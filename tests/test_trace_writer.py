@@ -1,5 +1,5 @@
-"""The streamed NDJSON writer against the original asdict + json.dumps
-encoding of trace format 1, which it must reproduce byte for byte."""
+"""The streamed NDJSON writer against a plain asdict + json.dumps
+encoding of trace format 2, which it must reproduce byte for byte."""
 
 import json
 import math
@@ -10,15 +10,15 @@ import pytest
 
 import numpy as np
 
-from avpipesim.engine import (EngineConfig, ProcessorGroup, RunTrace, SafetySample, Span,
-                              run_simulation)
+from avpipesim.engine import (ClosestApproach, EngineConfig, ProcessorGroup, RunTrace,
+                              SafetySample, Span, run_simulation)
 from avpipesim.mitigation import MitigationConfig, PathChoice
 from avpipesim.pipeline import LatencyModel, NodeRole
 from avpipesim.scenario import (AgentKind, AgentState, RoadSpec, Scenario,
                                 TrajectorySpec, generate_traffic)
 from avpipesim.simkernel import ms, sec
 
-from conftest import chain_pipeline
+from conftest import assert_same_lines, chain_pipeline
 from fixtures import av_pipeline
 
 LEAD = 'lead "Ω" ü'
@@ -26,15 +26,15 @@ HIDDEN = "hidden\\é\t"
 
 
 def reference_ndjson(trace: RunTrace) -> str:
-    """Trace format 1 as first written: one json.dumps per record."""
+    """Trace format 2: one json.dumps per record."""
     lines = []
     for kind, records in (("span", trace.spans), ("frame", trace.frames),
                           ("reaction", trace.reactions),
-                          ("safety", trace.safety_samples)):
+                          ("safety", trace.safety_samples), ("closest", trace.closest)):
         for rec in records:
             lines.append(json.dumps({"type": kind, **asdict(rec)}, sort_keys=True))
     lines.append(json.dumps({
-        "type": "summary", "scenario_digest": trace.scenario_digest,
+        "type": "summary", "format": 2, "scenario_digest": trace.scenario_digest,
         "seed": trace.seed, "duration_us": trace.duration_us,
         "busy_us_by_group": trace.busy_us_by_group,
         "worker_count_by_group": trace.worker_count_by_group,
@@ -72,6 +72,9 @@ def mitigated_trace():
         SafetySample(sec(6), HIDDEN, "collision", 1e16, -1e-7),
         SafetySample(sec(6), "int gaps", "safe", 30, -2),
     ]
+    trace.closest += [ClosestApproach(LEAD, sec(6), -0.0),
+                      ClosestApproach(HIDDEN, sec(6), 1e16),
+                      ClosestApproach("int gap", sec(6), 30)]
     return trace
 
 
@@ -86,10 +89,11 @@ def test_run_covers_every_record_kind(mitigated_trace):
 
 def test_streamed_lines_equal_reference_encoding(mitigated_trace):
     expected = reference_ndjson(mitigated_trace)
-    assert "".join(mitigated_trace.ndjson_lines()) == expected
-    assert mitigated_trace.to_ndjson() == expected
+    assert_same_lines("".join(mitigated_trace.ndjson_lines()), expected)
+    assert_same_lines(mitigated_trace.to_ndjson(), expected)
     assert '"lon_gap_m": -0.0' in expected and '"lat_gap_m": 1e-07' in expected
     assert '"lon_gap_m": 1e+16' in expected and '"lon_gap_m": 30,' in expected
+    assert '"type": "closest"' in expected and '"format": 2' in expected
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +123,8 @@ def test_odd_names_equal_reference_encoding(odd_names_trace):
     spans = odd_names_trace.spans
     assert any(s.guest for s in spans) and any(s.path == "fastpath" for s in spans)
     assert any("\\" in s.worker and not s.worker.isascii() for s in spans)
-    assert "".join(odd_names_trace.ndjson_lines()) == reference_ndjson(odd_names_trace)
+    assert_same_lines("".join(odd_names_trace.ndjson_lines()),
+                      reference_ndjson(odd_names_trace))
 
 
 def test_span_of_non_standard_types_takes_encoder_fallback():
@@ -127,7 +132,7 @@ def test_span_of_non_standard_types_takes_encoder_fallback():
     trace.spans = [Span("n", 1, 0, 5, "g/0", 0),
                    Span("n", True, 0, 5, "g/0", 0, path=PathChoice.FASTPATH),
                    Span("n", 2, 0, 5, "g/0", 0, guest=1, residual=0)]
-    assert "".join(trace.ndjson_lines()) == reference_ndjson(trace)
+    assert_same_lines("".join(trace.ndjson_lines()), reference_ndjson(trace))
     trace.spans = [Span("n", np.int64(3), 0, 5, "g/0", 0)]
     with pytest.raises(TypeError):
         reference_ndjson(trace)
@@ -137,7 +142,7 @@ def test_span_of_non_standard_types_takes_encoder_fallback():
 
 def test_roundtrip_through_reader(mitigated_trace):
     text = mitigated_trace.to_ndjson()
-    assert RunTrace.from_ndjson(text).to_ndjson() == text
+    assert_same_lines(RunTrace.from_ndjson(text).to_ndjson(), text)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -147,6 +152,10 @@ def test_non_finite_values_are_refused(bad):
     with pytest.raises(ValueError):
         trace.to_ndjson()
     trace.safety_samples = [SafetySample(0, "a", "safe", 1, 2)]
+    trace.closest = [ClosestApproach("a", 0, bad)]
+    with pytest.raises(ValueError):
+        trace.to_ndjson()
+    trace.closest = []
     trace.ego_segments = [(0, bad)]
     with pytest.raises(ValueError):
         trace.to_ndjson()

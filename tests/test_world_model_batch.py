@@ -146,7 +146,7 @@ def test_incremental_ego_equals_fresh_rebuild(ego0, decisions, extra_times):
 
 def assert_round6_matches(values):
     x = np.array(values, dtype=float)
-    assert [repr(r) for r in _round6(x)] == [repr(round(v, 6)) for v in x.tolist()]
+    assert [repr(r) for r in _round6(x).tolist()] == [repr(round(v, 6)) for v in x.tolist()]
 
 
 @given(st.lists(st.floats(), max_size=20))
