@@ -10,15 +10,16 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 from . import analysis
 from .config import ConfigError, RunConfig, load_config
 from .engine import EngineError, RunTrace, TraceError, run_simulation
-from .jsonio import InputError
+from .jsonio import InputError, as_scalar, dumps, save_json
 from .mitigation import MitigationConfig
 from .pipeline import load_pipeline
 from .scenario import RoadSpec, Scenario, generate_traffic, load_scenario
@@ -67,24 +68,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    mit = cfg.engine.mitigation
-    changes = {}
-    for name in ("fastpath", "proactive", "stealing"):
-        v = getattr(args, name, None)
-        if v is not None:
-            changes[name] = v == "on"
-    if getattr(args, "deadline_cap_us", None) is not None:
-        changes["deadline_cap_us"] = args.deadline_cap_us
-    if changes:
-        mit = dataclasses.replace(mit, **changes)
-    engine = dataclasses.replace(cfg.engine, mitigation=mit)
+    flags = {"fastpath": args.fastpath, "proactive": args.proactive,
+             "stealing": args.stealing, "deadline_cap_us": args.deadline_cap_us}
+    mit = dataclasses.replace(cfg.engine.mitigation, **{
+        name: v == "on" if isinstance(v, str) else v for name, v in flags.items()
+        if v is not None})
     return dataclasses.replace(
         cfg,
         scenario_path=args.scenario or cfg.scenario_path,
         pipeline_path=args.pipeline or cfg.pipeline_path,
         seed=args.seed if args.seed is not None else cfg.seed,
         out_dir=args.out or cfg.out_dir,
-        engine=engine,
+        engine=dataclasses.replace(cfg.engine, mitigation=mit),
     )
 
 
@@ -96,10 +91,20 @@ def _is_stochastic(graph) -> bool:
     return False
 
 
-def _load_inputs(cfg: RunConfig):
-    scenario = load_scenario(cfg.scenario_path)
-    graph = load_pipeline(cfg.pipeline_path)
-    return scenario, graph
+def _load_run(args):
+    """(config with the flags applied, scenario, graph) of run and sweep."""
+    cfg = _apply_overrides(load_config(args.config), args)
+    return cfg, load_scenario(cfg.scenario_path), load_pipeline(cfg.pipeline_path)
+
+
+@contextmanager
+def _writing(path: str):
+    """Report an OSError raised while writing outputs under path as an
+    input error naming the file."""
+    try:
+        yield
+    except OSError as e:
+        raise InputError(f"cannot write {e.filename or path}: {e.strerror or e}") from None
 
 
 def _execute(cfg: RunConfig, scenario: Scenario, graph) -> RunTrace:
@@ -120,19 +125,8 @@ def _write_run_outputs(trace: RunTrace, out_dir: str, suffix: str = "") -> dict:
         report["latency"] = analysis.compute_stats(samples).to_json()
         analysis.export_cdf(samples, os.path.join(out_dir, f"cdf{suffix}.csv"))
     report["reactions"] = [dataclasses.asdict(r) for r in trace.reactions]
-    _write_json(report, os.path.join(out_dir, f"report{suffix}.json"))
+    save_json(report, os.path.join(out_dir, f"report{suffix}.json"))
     return report
-
-
-def _write_json(obj, path: str):
-    """Strict JSON (NaN and Infinity refused), indented, keys sorted."""
-    text = _dumps(obj)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
-
-
-def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _summary_line(report: dict) -> str:
@@ -145,30 +139,15 @@ def _summary_line(report: dict) -> str:
 
 
 def cmd_validate(args) -> int:
-    try:
-        load_scenario(args.scenario)
-        load_pipeline(args.pipeline)
-    except FileNotFoundError as e:
-        print(f"error: missing file: {e.filename}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
+    load_scenario(args.scenario)
+    load_pipeline(args.pipeline)
     print("ok")
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = _apply_overrides(load_config(args.config), args)
-        scenario, graph = _load_inputs(cfg)
-    except FileNotFoundError as e:
-        print(f"error: missing file: {e.filename}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (InputError, EngineError) as e:    # EngineError: bad group or tick
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
+    cfg, scenario, graph = _load_run(args)
+    with _writing(cfg.out_dir):
         trace = _execute(cfg, scenario, graph)
         report = _write_run_outputs(trace, cfg.out_dir)
         if args.paired:
@@ -179,18 +158,33 @@ def cmd_run(args) -> int:
             base_trace = _execute(base_cfg, scenario, graph)
             _write_run_outputs(base_trace, cfg.out_dir, suffix="_baseline")
             comparison = analysis.compare_runs(base_trace, trace)
-            _write_json(comparison, os.path.join(cfg.out_dir, "compare.json"))
-    except (ConfigError,) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (EngineError, analysis.AnalysisError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
+            save_json(comparison, os.path.join(cfg.out_dir, "compare.json"))
     print(_summary_line(report))
     return EXIT_OK
 
 
 SWEEP_AXES = ("deadline_cap", "density", "seed")
+SWEEP_COLUMNS = ("mean_us", "p99_us", "max_us", "violations", "collisions")
+
+
+def _sweep_values(axis: str, text: str) -> list[float]:
+    """The comma-separated values of --values: integers for deadline_cap
+    and seed, finite and >= 0 for density."""
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"invalid axis {axis!r}; choose from {SWEEP_AXES}")
+    values = [v.strip() for v in text.split(",") if v.strip()]
+    if len(values) < 2:
+        raise ConfigError(">= 2 values required")
+    try:
+        values = [float(v) for v in values]
+        for v in values:
+            if axis != "density":
+                as_scalar(int, v)
+            elif not 0 <= v < math.inf:
+                raise ValueError(f"expected a finite number >= 0, got {v}")
+    except ValueError as e:
+        raise ConfigError(f"--values: {e}") from None
+    return values
 
 
 def _with_density(scenario: Scenario, density: float, seed: int) -> Scenario:
@@ -221,47 +215,25 @@ def _sweep_point(payload) -> tuple[float, dict]:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        cfg = _apply_overrides(load_config(args.config), args)
-        scenario, graph = _load_inputs(cfg)
-        if args.axis not in SWEEP_AXES:
-            raise ConfigError(f"invalid axis {args.axis!r}; choose from {SWEEP_AXES}")
-        values = [v.strip() for v in args.values.split(",") if v.strip()]
-        if len(values) < 2:
-            raise ConfigError(">= 2 values required")
-        values = [float(v) for v in values]
-    except FileNotFoundError as e:
-        print(f"error: missing file: {e.filename}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (InputError, EngineError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        payloads = [(cfg, scenario, graph, args.axis, v) for v in values]
-        threads = int(os.environ.get("COLA_SIM_THREADS", "1"))
-        if threads > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(_sweep_point, payloads))
-        else:
-            results = [_sweep_point(p) for p in payloads]
-        results.sort(key=lambda r: values.index(r[0]))
+    cfg, scenario, graph = _load_run(args)
+    values = _sweep_values(args.axis, args.values)
+    payloads = [(cfg, scenario, graph, args.axis, v) for v in values]
+    threads = int(os.environ.get("COLA_SIM_THREADS", "1"))
+    if threads > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(_sweep_point, payloads))
+    else:
+        results = [_sweep_point(p) for p in payloads]
+    results.sort(key=lambda r: values.index(r[0]))
+    out_path = os.path.join(cfg.out_dir, "sweep.csv")
+    with _writing(cfg.out_dir):
         os.makedirs(cfg.out_dir, exist_ok=True)
-        out_path = os.path.join(cfg.out_dir, "sweep.csv")
         with open(out_path, "w", encoding="utf-8", newline="") as f:
             w = csv.writer(f)
-            w.writerow(["value", "mean_us", "p99_us", "max_us", "violations",
-                        "collisions"])
+            w.writerow(["value", *SWEEP_COLUMNS])
             for value, row in results:
-                w.writerow([value, row.get("mean_us", ""), row.get("p99_us", ""),
-                            row.get("max_us", ""), row["violations"],
-                            row["collisions"]])
-        print(out_path)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (EngineError, analysis.AnalysisError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
+                w.writerow([value, *(row.get(c, "") for c in SWEEP_COLUMNS)])
+    print(out_path)
     return EXIT_OK
 
 
@@ -276,26 +248,11 @@ def _read_trace(path: str) -> RunTrace:
 
 
 def cmd_compare(args) -> int:
-    try:
-        base = _read_trace(args.baseline)
-        treat = _read_trace(args.treatment)
-    except FileNotFoundError as e:
-        print(f"error: missing file: {e.filename}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as e:
-        print(f"error: cannot read {e.filename}: {e.strerror}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        report = analysis.compare_runs(base, treat)
-    except analysis.AnalysisError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
-    text = _dumps(report)
+    base = _read_trace(args.baseline)
+    treat = _read_trace(args.treatment)
+    text = dumps(analysis.compare_runs(base, treat))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
+        with _writing(args.out), open(args.out, "w", encoding="utf-8") as f:
             f.write(text)
     else:
         sys.stdout.write(text)
@@ -304,8 +261,20 @@ def cmd_compare(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return {"validate": cmd_validate, "run": cmd_run,
-            "sweep": cmd_sweep, "compare": cmd_compare}[args.command](args)
+    command = {"validate": cmd_validate, "run": cmd_run,
+               "sweep": cmd_sweep, "compare": cmd_compare}[args.command]
+    try:
+        return command(args)
+    except FileNotFoundError as e:
+        message, code = f"missing file: {e.filename}", EXIT_VALIDATION
+    except OSError as e:
+        message, code = f"cannot read {e.filename}: {e.strerror}", EXIT_VALIDATION
+    except InputError as e:
+        message, code = e, EXIT_VALIDATION
+    except (EngineError, analysis.AnalysisError) as e:
+        message, code = e, EXIT_RUNTIME
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

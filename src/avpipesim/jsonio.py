@@ -1,109 +1,193 @@
-"""Strict reading of the JSON input files: run config, scenario, pipeline.
+"""Strict, table-driven reading and writing of the JSON input files: run
+config, scenario, pipeline.
 
-One reader serves all three loaders. It refuses NaN and Infinity, which
-json.load accepts by default, and it re-raises every error met while
-converting the parsed fields as the loader's own error class, naming
-the field.
+A record of an input file is a dataclass, or a tuple whose items sit
+under named keys. An attribute's JSON key, type and default come from
+dataclasses.fields() and the annotations; each module keeps a field
+table next to its dataclasses, {class: {attribute: Key}}, for the
+exceptions only. The reader refuses NaN and Infinity, which json.load
+accepts by default, unknown and missing keys and values of the wrong
+type, and each message names the field.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import numbers
-from contextlib import contextmanager
+import typing
+from enum import Enum
+
+MISSING = dataclasses.MISSING
 
 
 class InputError(ValueError):
     """An input file failed validation; the message names the field."""
 
 
-class FieldError(ValueError):
-    """A field holds a value of the wrong type; fields() names the field."""
-
-    def __init__(self, key: str, message: str):
-        super().__init__(message)
-        self.key = key
-
-
-_REQUIRED = object()
-
-
-def _value(obj: dict, key: str, default):
-    return obj[key] if default is _REQUIRED else obj.get(key, default)
+class Key(typing.NamedTuple):
+    """How an attribute, or an item of a tuple record, sits in a file. In
+    a field table, None in place of a Key leaves the attribute out."""
+    name: str = ""              # the JSON key, where it is not the attribute's name
+    default: object = MISSING   # the JSON value of a missing key, where the dataclass has none
+    omit: bool = False          # not written while it equals the dataclass default
+    min: int | None = None      # the smallest valid number
+    flat: bool = False          # a record whose keys sit in its parent's object
+    cols: tuple = ()            # tuples written as objects, their items under these keys
+    by: str = ""                # {name: record} written as a list sorted by this attribute
 
 
-def read_int(obj: dict, key: str, default=_REQUIRED) -> int:
-    """obj[key], or default when the key is absent, as an int.
-
-    A JSON integer or a float with an integral value (2.0) is accepted;
-    a boolean, a fraction (2.9) or any other value raises FieldError,
-    and a missing key without a default raises KeyError.
-    """
-    value = _value(obj, key, default)
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise FieldError(key, f"expected an integer, got {value!r}")
+# scalar type: (whether a parsed JSON value is one, what a message calls it)
+_SCALARS = {
+    int: (lambda v: type(v) is int or type(v) is float and v.is_integer()
+          and abs(v) <= 2 ** 53, "an integer"),
+    float: (lambda v: type(v) in (int, float), "a number"),
+    str: (lambda v: type(v) is str, "a string"),
+    bool: (lambda v: type(v) is bool, "true or false"),
+    tuple[str, ...]: (lambda v: type(v) is list and all(type(s) is str for s in v),
+                      "a list of strings"),
+}
 
 
-def read_float(obj: dict, key: str, default=_REQUIRED) -> float:
-    """obj[key], or default when the key is absent, as a float; only a
-    JSON number (integer or float) is accepted, not a string or a boolean."""
-    value = _value(obj, key, default)
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise FieldError(key, f"expected a number, got {value!r}")
+def as_scalar(tp, value):
+    """value as tp, a key of _SCALARS. An integer may be given as a float
+    with an integral value up to 2**53 (2.0, not 2.9 or 1e30), and a
+    number as an integer; anything else raises ValueError."""
+    is_tp, what = _SCALARS[tp]
+    if not is_tp(value):
+        raise ValueError(f"expected {what}, got {value!r}")
+    return tp(value)
 
 
-def read_str(obj: dict, key: str, default=_REQUIRED) -> str:
-    """obj[key], or default when the key is absent; only a JSON string."""
-    value = _value(obj, key, default)
-    if isinstance(value, str):
+_PLANS: dict = {}      # (type, cols) -> plan; each class is in one module's table
+
+
+def _plan(tp, table, cols=()) -> tuple[list, set]:
+    """(fields, keys) of a record type: per field, (attribute, JSON key,
+    type, Key, dataclass default), and the keys its JSON object may hold.
+    A record is a dataclass, or a tuple of type tp whose items sit under
+    the Keys cols."""
+    if (tp, cols) not in _PLANS:
+        if cols:
+            plan = [(i, k.name, t, k, MISSING) for i, (k, t) in enumerate(zip(cols, tp.__args__))]
+        else:
+            hints, keys = typing.get_type_hints(tp), table.get(tp, {})
+            plan = [(f.name, k.name or f.name, hints[f.name], k,
+                     f.default if f.default_factory is MISSING else f.default_factory())
+                    for f in dataclasses.fields(tp) if (k := keys.get(f.name, Key())) is not None]
+        _PLANS[tp, cols] = plan, set().union(*(_plan(t, table)[1] if k.flat else {key}
+                                               for _, key, t, k, _ in plan))
+    return _PLANS[tp, cols]
+
+
+def _expect(value, kind, ctx: str):
+    if not isinstance(value, kind):
+        what = "an object" if kind is dict else "a list"
+        raise InputError(f"{ctx}: expected {what}, got {type(value).__name__}")
+
+
+def _read_record(tp, obj, ctx: str, inner: str, table, cols=(), extra=frozenset()):
+    """The record of type tp in obj. ctx names it, inner prefixes its
+    fields' names, and obj may hold extra keys besides its own (None for
+    a flat record: its parent checked the keys)."""
+    fields, keys = _plan(tp, table, cols)
+    if extra is not None:
+        _expect(obj, dict, ctx)
+        if obj.keys() - keys - extra:
+            raise InputError(f"{ctx}: unknown fields {sorted(obj.keys() - keys - extra)}")
+    values = {}
+    for attr, key, t, k, default in fields:
+        if k.flat:
+            values[attr] = _read_record(t, obj, ctx, inner, table, extra=None)
+        elif key in obj or k.default is not MISSING:
+            values[attr] = _read(t, obj.get(key, k.default), ctx, key, inner, k, table)
+        elif default is MISSING:
+            raise InputError(f"{ctx}: missing field {key!r}")
+    try:
+        return tuple(values.values()) if cols else tp(**values)
+    except (TypeError, ValueError, RuntimeError) as e:  # RuntimeError: engine.EngineError
+        raise InputError(f"{ctx}: {e}") from None
+
+
+def _read(tp, value, ctx: str, key: str, inner: str, k: Key, table):
+    """value, found under key in the record ctx, as type tp."""
+    if tp in _SCALARS:
+        try:
+            value = as_scalar(tp, value)
+        except ValueError as e:
+            raise InputError(f"{ctx}.{key}: {e}") from None
+        if k.min is not None and value < k.min:
+            raise InputError(f"{ctx}.{key}: expected >= {k.min}, got {value}")
         return value
-    raise FieldError(key, f"expected a string, got {value!r}")
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        try:
+            return tp(value)
+        except ValueError as e:     # "'x' is not a valid NodeRole", named by the record
+            raise InputError(f"{ctx}: {e}") from None
+    if typing.get_origin(tp) is typing.Union:     # Optional[X]: null reads as None
+        return None if value is None else _read(tp.__args__[0], value, ctx, key, inner, k, table)
+    ctx = inner + key
+    if dataclasses.is_dataclass(tp):
+        return _read_record(tp, value, ctx, ctx + ".", table)
+    if typing.get_origin(tp) is dict and not k.by:      # {enum: number}
+        _expect(value, dict, ctx)
+        return {_read(tp.__args__[0], name, ctx, name, "", Key(), table):
+                _read(tp.__args__[1], v, ctx, name, "", Key(), table)
+                for name, v in value.items()}
+    _expect(value, list, ctx)
+    item = tp.__args__[1 if k.by else 0]       # dict[str, record] or tuple[record, ...]
+    records = [_read_record(item, v, f"{ctx}[{i}]", f"{ctx}[{i}].", table, k.cols)
+               for i, v in enumerate(value)]
+    if not k.by:
+        return tuple(records)
+    out = {}
+    for i, rec in enumerate(records):
+        if out.setdefault(getattr(rec, k.by), rec) is not rec:
+            raise InputError(f"{ctx}[{i}]: duplicate {k.by} {getattr(rec, k.by)!r}")
+    return out
 
 
-def read_str_list(obj: dict, key: str) -> tuple[str, ...]:
-    """obj[key] as a tuple, or () when the key is absent; only a JSON list
-    of strings."""
-    value = obj.get(key, [])
-    if isinstance(value, list) and all(isinstance(v, str) for v in value):
-        return tuple(value)
-    raise FieldError(key, f"expected a list of strings, got {value!r}")
+def _write_record(tp, rec, table, out: dict, cols=()) -> dict:
+    values = dict(enumerate(rec)) if cols else vars(rec)
+    for attr, key, t, k, default in _plan(tp, table, cols)[0]:
+        value = values[attr]
+        if k.flat:
+            _write_record(t, value, table, out)
+        elif not (k.omit and value == default):
+            out[key] = value if type(value) in _SCALARS else _write(t, value, k, table)
+    return out
 
 
-def read_bool(obj: dict, key: str, default: bool) -> bool:
-    """obj[key], or default when the key is absent; only true or false."""
-    value = obj.get(key, default)
-    if not isinstance(value, bool):
-        raise FieldError(key, f"expected true or false, got {value!r}")
+def _write(tp, value, k: Key, table):
+    """The JSON of value, of type tp."""
+    if k.cols:
+        return [_write_record(tp.__args__[0], row, table, {}, k.cols) for row in value]
+    if k.by:
+        value = tuple(value[name] for name in sorted(value))
+    if isinstance(value, Enum):
+        return value.value
+    if dataclasses.is_dataclass(value):
+        return _write_record(type(value), value, table, {})
+    if isinstance(value, dict):         # {enum: number}
+        return {kind.value: v for kind, v in value.items()}
+    if isinstance(value, tuple):
+        return [_write(None, v, Key(), table) for v in value]
     return value
 
 
-def check_keys(obj, allowed: set[str], ctx: str, error=InputError):
-    if not isinstance(obj, dict):
-        raise error(f"{ctx}: expected an object, got {type(obj).__name__}")
-    extra = set(obj) - allowed
-    if extra:
-        raise error(f"{ctx}: unknown fields {sorted(extra)}")
-
-
-@contextmanager
-def fields(ctx: str, error=InputError):
-    """Re-raise a KeyError, TypeError or ValueError from the block as
-    error, prefixed with ctx (a FieldError with ctx.key); an InputError
-    passes unchanged."""
+def from_json(cls, obj, ctx: str, version: int, error, table):
+    """The record cls in a parsed input file of format version; any
+    failure is raised as error, naming the field."""
     try:
-        yield
-    except InputError:
-        raise
-    except FieldError as e:
-        raise error(f"{ctx}.{e.key}: {e}") from None
-    except KeyError as e:
-        raise error(f"{ctx}: missing field {e.args[0]!r}") from None
-    except (TypeError, ValueError) as e:
-        raise error(f"{ctx}: {e}") from None
+        if isinstance(obj, dict) and obj.get("format") != version:
+            raise InputError(f"format: expected {version}, got {obj.get('format')!r}")
+        return _read_record(cls, obj, ctx, "", table, extra={"format"})
+    except InputError as e:
+        raise error(str(e)) from None
+
+
+def to_json(rec, version: int, table) -> dict:
+    """The JSON object of an input file of format version holding rec."""
+    return _write_record(type(rec), rec, table, {"format": version})
 
 
 def refuse_constant(name: str):
@@ -111,12 +195,23 @@ def refuse_constant(name: str):
     raise ValueError(f"non-finite number {name}")
 
 
-def load_json(path, convert, error, ctx: str):
-    """convert(the parsed file), every input failure raised as error."""
+def load_json(path, convert, error):
+    """convert(the parsed file); malformed JSON is raised as error."""
     with open(path, "r", encoding="utf-8") as f:
         try:
             obj = json.load(f, parse_constant=refuse_constant)
         except ValueError as e:     # json.JSONDecodeError is a ValueError
             raise error(f"{path}: malformed JSON: {e}") from None
-    with fields(ctx, error):
-        return convert(obj)
+    return convert(obj)
+
+
+def dumps(obj) -> str:
+    """obj as strict JSON text (NaN and Infinity refused), indented, keys sorted."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def save_json(obj, path):
+    """dumps(obj) written to path; nothing is written if encoding fails."""
+    text = dumps(obj)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)

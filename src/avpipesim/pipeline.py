@@ -8,13 +8,11 @@ contention add-on driven by payload size, and an affine lookahead term.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .jsonio import (InputError, check_keys, fields, load_json, read_float, read_int,
-                     read_str, read_str_list)
+from .jsonio import InputError, Key, from_json, load_json, save_json, to_json
 from .scenario import AgentKind, AgentState
 from .simkernel import RandomStream
 
@@ -333,135 +331,34 @@ def downstream_estimate(g: PipelineGraph | CompiledGraph, node: str,
 # ---------------------------------------------------------------------------
 # serialization
 
-def _latency_from_json(obj: dict, ctx: str) -> LatencyModel:
-    check_keys(obj, {"per_kind_cost_us", "offset_us", "noise", "contention",
-                     "lookahead_cost_us_per_m", "offset_floor_us"}, ctx, PipelineError)
-    with fields(ctx, PipelineError):
-        noise = NoiseSpec()
-        if "noise" in obj:
-            nb = obj["noise"]
-            check_keys(nb, {"kind", "sigma", "jitter_us"}, f"{ctx}.noise", PipelineError)
-            with fields(f"{ctx}.noise", PipelineError):
-                noise = NoiseSpec(kind=NoiseKind(nb.get("kind", "none")),
-                                  sigma=read_float(nb, "sigma", 0.0),
-                                  jitter_us=read_int(nb, "jitter_us", 0))
-        contention = None
-        if "contention" in obj and obj["contention"] is not None:
-            cb = obj["contention"]
-            check_keys(cb, {"slope_us_per_miss", "misses_per_unit", "base_misses"},
-                       f"{ctx}.contention", PipelineError)
-            with fields(f"{ctx}.contention", PipelineError):
-                contention = ContentionSpec(
-                    slope_us_per_miss=read_float(cb, "slope_us_per_miss"),
-                    misses_per_unit=read_float(cb, "misses_per_unit"),
-                    base_misses=read_float(cb, "base_misses", 0.0))
-        costs = obj.get("per_kind_cost_us", {})
-        with fields(f"{ctx}.per_kind_cost_us", PipelineError):
-            per_kind = {AgentKind(k): read_int(costs, k) for k in costs}
-        return LatencyModel(per_kind_cost_us=per_kind,
-                            offset_us=read_int(obj, "offset_us", 0),
-                            noise=noise, contention=contention,
-                            lookahead_cost_us_per_m=read_float(obj, "lookahead_cost_us_per_m",
-                                                               0.0),
-                            offset_floor_us=read_int(obj, "offset_floor_us", 1))
-
-
-def _latency_to_json(m: LatencyModel) -> dict:
-    out: dict = {"per_kind_cost_us": {k.value: v for k, v in m.per_kind_cost_us.items()},
-                 "offset_us": m.offset_us,
-                 "offset_floor_us": m.offset_floor_us}
-    if m.noise.kind != NoiseKind.NONE:
-        out["noise"] = {"kind": m.noise.kind.value, "sigma": m.noise.sigma,
-                        "jitter_us": m.noise.jitter_us}
-    if m.contention is not None:
-        out["contention"] = {"slope_us_per_miss": m.contention.slope_us_per_miss,
-                             "misses_per_unit": m.contention.misses_per_unit,
-                             "base_misses": m.contention.base_misses}
-    if m.lookahead_cost_us_per_m:
-        out["lookahead_cost_us_per_m"] = m.lookahead_cost_us_per_m
-    return out
+# JSON keys, types and defaults come from the dataclasses; this table
+# lists the exceptions (see jsonio.Key). Nodes and channels are lists
+# sorted by name and id; a channel's queue is run state.
+_SCHEMA = {
+    PipelineGraph: {"nodes": Key(default=[], by="name"), "channels": Key(default=[], by="id")},
+    NodeSpec: {"inputs": Key(default=[]), "outputs": Key(default=[]), "latency": Key(default={}),
+               "period_us": Key(omit=True), "fast_latency": Key(omit=True),
+               "lookahead_m": Key(omit=True), "fusion": Key(omit=True),
+               "proactive_cost_us": Key(omit=True)},
+    LatencyModel: {"noise": Key(omit=True), "contention": Key(omit=True),
+                   "lookahead_cost_us_per_m": Key(omit=True)},
+    Channel: {"policy": Key(default="fifo"), "capacity": Key(min=1), "queued": None},
+}
 
 
 def pipeline_from_json(obj: dict) -> PipelineGraph:
-    check_keys(obj, {"format", "nodes", "channels"}, "pipeline", PipelineError)
-    if obj.get("format") != PIPELINE_FORMAT:
-        raise PipelineError(f"format: expected {PIPELINE_FORMAT}, got {obj.get('format')!r}")
-    channels: dict[str, Channel] = {}
-    for i, c in enumerate(obj.get("channels", [])):
-        ctx = f"channels[{i}]"
-        check_keys(c, {"id", "policy", "capacity"}, ctx, PipelineError)
-        with fields(ctx, PipelineError):
-            cid = read_str(c, "id")
-            if cid in channels:
-                raise PipelineError(f"duplicate channel id {cid!r}")
-            channels[cid] = Channel(id=cid, policy=ChannelPolicy(c.get("policy", "fifo")),
-                                    capacity=read_int(c, "capacity", 8))
-    nodes: dict[str, NodeSpec] = {}
-    for i, nb in enumerate(obj.get("nodes", [])):
-        ctx = f"nodes[{i}]"
-        check_keys(nb, {"name", "pattern", "period_us", "inputs", "outputs", "role",
-                        "latency", "fast_latency", "lookahead_m", "fusion",
-                        "proactive_cost_us"}, ctx, PipelineError)
-        with fields(ctx, PipelineError):
-            name = read_str(nb, "name")
-            if name in nodes:
-                raise PipelineError(f"duplicate node name {name!r}")
-            fusion = None
-            if "fusion" in nb and nb["fusion"] is not None:
-                fb = nb["fusion"]
-                check_keys(fb, {"a", "n"}, f"{ctx}.fusion", PipelineError)
-                with fields(f"{ctx}.fusion", PipelineError):
-                    fusion = FusionSpec(a=read_int(fb, "a"), n=read_int(fb, "n"))
-            fast = None
-            if "fast_latency" in nb and nb["fast_latency"] is not None:
-                fast = _latency_from_json(nb["fast_latency"], f"{ctx}.fast_latency")
-            nodes[name] = NodeSpec(
-                name=name,
-                pattern=ExecutionPattern(nb["pattern"]),
-                period_us=read_int(nb, "period_us", 0),
-                inputs=read_str_list(nb, "inputs"),
-                outputs=read_str_list(nb, "outputs"),
-                role=NodeRole(nb.get("role", "other")),
-                latency=_latency_from_json(nb.get("latency", {}), f"{ctx}.latency"),
-                fast_latency=fast,
-                lookahead_m=(read_float(nb, "lookahead_m") if nb.get("lookahead_m") is not None
-                             else None),
-                fusion=fusion,
-                proactive_cost_us=read_int(nb, "proactive_cost_us", 0),
-            )
-    g = PipelineGraph(nodes=nodes, channels=channels)
+    g = from_json(PipelineGraph, obj, "pipeline", PIPELINE_FORMAT, PipelineError, _SCHEMA)
     validate_graph(g)
     return g
 
 
 def pipeline_to_json(g: PipelineGraph) -> dict:
-    nodes = []
-    for name in sorted(g.nodes):
-        n = g.nodes[name]
-        nb: dict = {"name": n.name, "pattern": n.pattern.value,
-                    "inputs": list(n.inputs), "outputs": list(n.outputs),
-                    "role": n.role.value, "latency": _latency_to_json(n.latency)}
-        if n.pattern == ExecutionPattern.TIMING:
-            nb["period_us"] = n.period_us
-        if n.fast_latency is not None:
-            nb["fast_latency"] = _latency_to_json(n.fast_latency)
-        if n.lookahead_m is not None:
-            nb["lookahead_m"] = n.lookahead_m
-        if n.fusion is not None:
-            nb["fusion"] = {"a": n.fusion.a, "n": n.fusion.n}
-        if n.proactive_cost_us:
-            nb["proactive_cost_us"] = n.proactive_cost_us
-        nodes.append(nb)
-    chans = [{"id": c.id, "policy": c.policy.value, "capacity": c.capacity}
-             for c in (g.channels[k] for k in sorted(g.channels))]
-    return {"format": PIPELINE_FORMAT, "nodes": nodes, "channels": chans}
+    return to_json(g, PIPELINE_FORMAT, _SCHEMA)
 
 
 def load_pipeline(path) -> PipelineGraph:
-    return load_json(path, pipeline_from_json, PipelineError, "pipeline")
+    return load_json(path, pipeline_from_json, PipelineError)
 
 
 def save_pipeline(g: PipelineGraph, path):
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(pipeline_to_json(g), f, indent=2, sort_keys=True, allow_nan=False)
-        f.write("\n")
+    save_json(pipeline_to_json(g), path)

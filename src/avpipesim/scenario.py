@@ -7,7 +7,6 @@ Velocity clamps at zero: a braking agent stops and stays stopped.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -15,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .jsonio import InputError, check_keys, fields, load_json, read_float, read_int, read_str
+from .jsonio import InputError, Key, from_json, load_json, save_json, to_json
 from .simkernel import US_PER_S, RandomStream
 
 SCENARIO_FORMAT = 1
@@ -300,84 +299,29 @@ def generate_traffic(density: float, seed: int, road: RoadSpec,
 # ---------------------------------------------------------------------------
 # serialization (JSON, units in key names, versioned, unknown keys rejected)
 
-def _state_to_json(st: AgentState) -> dict:
-    return {"s_m": st.s_m, "l_m": st.l_m, "v_mps": st.v_mps,
-            "a_mps2": st.a_mps2, "lane_index": st.lane_index}
-
-
-def _state_from_json(obj: dict, ctx: str) -> AgentState:
-    check_keys(obj, {"s_m", "l_m", "v_mps", "a_mps2", "lane_index"}, ctx, ScenarioError)
-    with fields(ctx, ScenarioError):
-        return AgentState(s_m=read_float(obj, "s_m"), l_m=read_float(obj, "l_m"),
-                          v_mps=read_float(obj, "v_mps"), a_mps2=read_float(obj, "a_mps2"),
-                          lane_index=read_int(obj, "lane_index", 0))
+# JSON keys, types and defaults come from the dataclasses; this table
+# lists the exceptions (see jsonio.Key). An agent is one object holding
+# its id, its kind and its trajectory's fields.
+_SCHEMA = {
+    Scenario: {"ego_initial": Key("ego"),
+               "agents": Key(default=[], cols=(Key("id"), Key("kind"), Key(flat=True))),
+               "hazard_events": Key("hazards", cols=(Key("time_us"), Key("agent_id"),
+                                                     Key("label", default="")))},
+    TrajectorySpec: {"segments": Key(cols=(Key("start_us"), Key("a_mps2")))},
+}
 
 
 def scenario_to_json(sc: Scenario) -> dict:
-    return {
-        "format": SCENARIO_FORMAT,
-        "ego": _state_to_json(sc.ego_initial),
-        "agents": [
-            {
-                "id": aid,
-                "kind": kind.value,
-                "initial": _state_to_json(traj.initial),
-                "segments": [{"start_us": t, "a_mps2": a} for t, a in traj.segments],
-                "visible_from_us": traj.visible_from_us,
-            }
-            for aid, kind, traj in sc.agents
-        ],
-        "duration_us": sc.duration_us,
-        "hazards": [{"time_us": t, "agent_id": aid, "label": lbl}
-                    for t, aid, lbl in sc.hazard_events],
-        "d_buffer_m": sc.d_buffer_m,
-    }
+    return to_json(sc, SCENARIO_FORMAT, _SCHEMA)
 
 
 def scenario_from_json(obj: dict) -> Scenario:
-    check_keys(obj, {"format", "ego", "agents", "duration_us", "hazards", "d_buffer_m"},
-               "scenario", ScenarioError)
-    if obj.get("format") != SCENARIO_FORMAT:
-        raise ScenarioError(f"format: expected {SCENARIO_FORMAT}, got {obj.get('format')!r}")
-    for key in ("ego", "duration_us"):
-        if key not in obj:
-            raise ScenarioError(f"scenario: missing field {key!r}")
-    agents = []
-    for i, a in enumerate(obj.get("agents", [])):
-        ctx = f"agents[{i}]"
-        check_keys(a, {"id", "kind", "initial", "segments", "visible_from_us"}, ctx,
-                   ScenarioError)
-        with fields(ctx, ScenarioError):
-            kind = AgentKind(a["kind"])
-            segs = []
-            for j, s in enumerate(a.get("segments", [])):
-                check_keys(s, {"start_us", "a_mps2"}, f"{ctx}.segments[{j}]", ScenarioError)
-                with fields(f"{ctx}.segments[{j}]", ScenarioError):
-                    segs.append((read_int(s, "start_us"), read_float(s, "a_mps2")))
-            traj = TrajectorySpec(initial=_state_from_json(a["initial"], f"{ctx}.initial"),
-                                  segments=tuple(segs),
-                                  visible_from_us=read_int(a, "visible_from_us", 0))
-            agents.append((read_str(a, "id"), kind, traj))
-    hazards = []
-    for i, h in enumerate(obj.get("hazards", [])):
-        check_keys(h, {"time_us", "agent_id", "label"}, f"hazards[{i}]", ScenarioError)
-        with fields(f"hazards[{i}]", ScenarioError):
-            hazards.append((read_int(h, "time_us"), read_str(h, "agent_id"),
-                            read_str(h, "label", "")))
-    return Scenario(
-        ego_initial=_state_from_json(obj["ego"], "ego"),
-        agents=tuple(agents),
-        duration_us=read_int(obj, "duration_us"),
-        hazard_events=tuple(hazards),
-        d_buffer_m=read_float(obj, "d_buffer_m", 3.0),
-    )
+    return from_json(Scenario, obj, "scenario", SCENARIO_FORMAT, ScenarioError, _SCHEMA)
 
 
 def load_scenario(path) -> Scenario:
-    return load_json(path, scenario_from_json, ScenarioError, "scenario")
+    return load_json(path, scenario_from_json, ScenarioError)
 
 
 def save_scenario(sc: Scenario, path):
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(scenario_to_json(sc), f, indent=2, sort_keys=True, allow_nan=False)
-        f.write("\n")
+    save_json(scenario_to_json(sc), path)

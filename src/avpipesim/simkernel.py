@@ -88,9 +88,6 @@ class EventQueue:
             self.clock = horizon
         return self.clock
 
-    def __len__(self) -> int:
-        return sum(1 for _, _, h in self._heap if not h.cancelled)
-
 
 class RandomStream:
     """Named deterministic random stream.

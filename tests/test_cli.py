@@ -150,12 +150,19 @@ def _set(path, value):
      "groups[0].pinned_nodes: expected a list of strings, got 'ab'"),
     ("pipeline.json", _set(("nodes", 0, "inputs"), [1]),
      "nodes[0].inputs: expected a list of strings, got [1]"),
+    ("pipeline.json", _set(("channels", 0, "capacity"), 0),
+     "channels[0].capacity: expected >= 1, got 0"),
+    ("pipeline.json", _set(("channels", 1, "capacity"), -3),
+     "channels[1].capacity: expected >= 1, got -3"),
+    ("config.json", _set(("actuation_delay_us",), -1),
+     "config.actuation_delay_us: expected >= 0, got -1"),
 ], ids=["pattern", "role", "node-name", "group-name", "groups-int", "seed-str",
         "rss-key", "duration-nan", "range-nan", "fastpath-str", "cancel-int",
         "workers-frac", "workers-bool", "tick-str", "response-frac", "duration-frac",
         "hazard-str", "offset-frac", "capacity-frac", "range-str", "radius-str",
         "state-str", "sigma-bool", "group-name-int", "scenario-path-int", "agent-id-int",
-        "hazard-agent-list", "channel-id-int", "pinned-str", "inputs-int"])
+        "hazard-agent-list", "channel-id-int", "pinned-str", "inputs-int", "capacity-zero",
+        "capacity-negative", "actuation-negative"])
 def test_run_bad_input_exits_1_with_message(workdir, capsys, name, mutate, expect):
     path = workdir / name
     obj = json.loads(path.read_text())
@@ -285,6 +292,50 @@ def test_sweep_needs_two_values(workdir, capsys):
                "--axis", "seed", "--values", "1"])
     assert rc == EXIT_VALIDATION
     assert ">= 2 values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis, values, expect", [
+    ("density", "nan,1", "expected a finite number >= 0, got nan"),
+    ("density", "inf,1", "expected a finite number >= 0, got inf"),
+    ("density", "-1,1", "expected a finite number >= 0, got -1.0"),
+    ("seed", "1.5,2", "expected an integer, got 1.5"),
+    ("seed", "1e30,2", "expected an integer, got 1e+30"),
+    ("deadline_cap", "125000,1e30", "expected an integer, got 1e+30"),
+], ids=["density-nan", "density-inf", "density-negative", "seed-fraction", "seed-huge",
+        "cap-huge"])
+def test_sweep_bad_values_exit_1(workdir, capsys, axis, values, expect):
+    rc = main(["sweep", "--config", str(workdir / "config.json"),
+               "--axis", axis, f"--values={values}"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION
+    assert err == f"error: --values: {expect}\n"
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["run"], ["sweep", "--axis", "seed", "--values", "1,2"]], ids=["run", "sweep"])
+def test_out_naming_a_file_exits_1(workdir, capsys, command):
+    afile = workdir / "afile"
+    afile.write_text("")
+    rc = main([*command, "--config", str(workdir / "config.json"), "--out", str(afile)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION
+    assert err.startswith(f"error: cannot write {afile}: ") and "Traceback" not in err
+    # any other OSError while writing outputs: a directory below a file
+    rc = main([*command, "--config", str(workdir / "config.json"),
+               "--out", str(afile / "sub")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION
+    assert err.startswith(f"error: cannot write {afile / 'sub'}: ")
+
+
+def test_compare_out_naming_a_directory_exits_1(workdir, capsys):
+    assert main(["run", "--config", str(workdir / "config.json")]) == EXIT_OK
+    trace = str(workdir / "out" / "trace.ndjson")
+    capsys.readouterr()
+    rc = main(["compare", trace, trace, "--out", str(workdir)])
+    assert rc == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"error: cannot write {workdir}: ")
 
 
 def test_sweep_writes_table(workdir, capsys):
