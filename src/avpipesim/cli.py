@@ -218,7 +218,10 @@ def cmd_sweep(args) -> int:
     cfg, scenario, graph = _load_run(args)
     values = _sweep_values(args.axis, args.values)
     payloads = [(cfg, scenario, graph, args.axis, v) for v in values]
-    threads = int(os.environ.get("COLA_SIM_THREADS", "1"))
+    try:
+        threads = as_scalar(int, float(os.environ.get("COLA_SIM_THREADS", "1")))
+    except ValueError as e:
+        raise ConfigError(f"COLA_SIM_THREADS: {e}") from None
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_sweep_point, payloads))

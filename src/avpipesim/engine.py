@@ -100,10 +100,6 @@ class ReactionRecord:
     t_bubble_us: int = 0
     path: str = "normal"
 
-    @property
-    def reaction_us(self) -> int:
-        return self.decision_ts - self.hazard_ts
-
 
 @dataclass
 class SafetySample:
@@ -177,16 +173,8 @@ class RunTrace:
             yield encode({"type": "safety", **vars(ss)}) + "\n"
         for c in self.closest:
             yield encode({"type": "closest", **vars(c)}) + "\n"
-        yield encode({
-            "type": "summary", "format": TRACE_FORMAT,
-            "scenario_digest": self.scenario_digest,
-            "seed": self.seed, "duration_us": self.duration_us,
-            "busy_us_by_group": self.busy_us_by_group,
-            "worker_count_by_group": self.worker_count_by_group,
-            "budget_violations": self.budget_violations,
-            "steals_admitted": self.steals_admitted,
-            "steals_rejected": self.steals_rejected,
-            "ego_segments": self.ego_segments}) + "\n"
+        yield encode({"type": "summary", "format": TRACE_FORMAT,
+                      **{name: getattr(self, name) for name in _SUMMARY_FIELDS}}) + "\n"
 
     def to_ndjson(self) -> str:
         return "".join(self.ndjson_lines())
@@ -237,9 +225,10 @@ class RunTrace:
 
 _RECORD_TYPES = {"span": Span, "frame": FrameRecord, "reaction": ReactionRecord,
                  "safety": SafetySample, "closest": ClosestApproach}
-_SUMMARY_KEYS = {"scenario_digest", "seed", "duration_us", "busy_us_by_group",
-                 "worker_count_by_group", "budget_violations", "steals_admitted",
-                 "steals_rejected", "ego_segments"}
+# the RunTrace fields a summary record holds, besides "type" and "format"
+_SUMMARY_FIELDS = ("scenario_digest", "seed", "duration_us", "busy_us_by_group",
+                   "worker_count_by_group", "budget_violations", "steals_admitted",
+                   "steals_rejected", "ego_segments")
 
 
 # JSON types a record field of each annotated type may hold (bool is an int)
@@ -264,8 +253,8 @@ def _read_summary(lineno: int, obj: dict) -> tuple[int, dict]:
     fmt = obj.pop("format", 1)      # format 1 wrote no "format" field
     if explicit and (type(fmt) is not int or fmt != TRACE_FORMAT):
         raise TraceError(lineno, f"unsupported trace format {fmt!r}")
-    if set(obj) != _SUMMARY_KEYS:
-        raise TraceError(lineno, f"summary record: expected fields {sorted(_SUMMARY_KEYS)}, "
+    if set(obj) != set(_SUMMARY_FIELDS):
+        raise TraceError(lineno, f"summary record: expected fields {sorted(_SUMMARY_FIELDS)}, "
                                  f"got {sorted(obj)}")
     try:
         obj["ego_segments"] = [tuple(seg) for seg in obj["ego_segments"]]
@@ -385,18 +374,18 @@ class Simulation:
         # of the node's input channels is offered to or taken from
         self._predicted: dict[str, int] = {}
 
-        self.ego_segments: list[tuple[int, float]] = []
         self._ego = CompiledTrajectory(TrajectorySpec(initial=scenario.ego_initial))
         self._world = AgentArrays(scenario.agents)
         # per agent, the smallest rounded lon_gap_m >= 0 so far and its first time
         self._closest_gap = np.full(len(self._world.ids), math.inf)
         self._closest_t = np.zeros(len(self._world.ids), dtype=np.int64)
-        self._frame_seq = 0
         self._fusion_history: dict[str, dict[str, list[bool]]] = {}
         self._fusion_tracks: dict[str, dict[str, ObjectTrack]] = {}
         self._proactive_arrival: dict[str, Optional[int]] = {}
-        self._capture_index: dict[int, tuple[int, tuple[str, ...]]] = {}
-        # per trace.frames entry: the output's lineage and object ids
+        # per sensor frame seq: its capture time and object ids
+        self._capture_index: list[tuple[int, tuple[str, ...]]] = []
+        # per trace.frames entry: the output's lineage and object ids; not
+        # the message, whose objects would then all stay alive
         self._frame_lineage: list[tuple[dict, tuple[str, ...]]] = []
 
         from .scenario import scenario_to_json
@@ -406,6 +395,7 @@ class Simulation:
             scenario_digest=hashlib.sha256(digest_src.encode()).hexdigest()[:16],
             seed=seed, duration_us=scenario.duration_us,
             worker_count_by_group={g.name: g.worker_count for g in groups})
+        self.ego_segments = self.trace.ego_segments
 
         terminals = [n for n, s in graph.nodes.items() if s.role == NodeRole.CONTROL]
         self._terminal_nodes = set(
@@ -426,7 +416,6 @@ class Simulation:
         if decision == "brake":
             self.ego_segments.append((t_eff, level))
             self._ego.append(t_eff, level)
-        self.trace.ego_segments = list(self.ego_segments)
 
     # -- run loop ----------------------------------------------------------
 
@@ -501,14 +490,9 @@ class Simulation:
             objects.append(ObjectTrack(agent_id=aid, kind=kind, state=st,
                                        deadline_us=dl, deadline_capped=capped))
         objects = tuple(objects)
-        seq = self._frame_seq
-        self._frame_seq += 1
-        ids = tuple(o.agent_id for o in objects)
-        self._capture_index[seq] = (t, ids)
-        msg = FrameMessage(
-            seq=seq, sensor_ts=t, created_ts=t, objects=objects,
-            message_deadline=mit.message_deadline(objects, t, cap),
-            lineage={seq: (t, 0, t)})
+        seq = len(self._capture_index)
+        self._capture_index.append((t, tuple(o.agent_id for o in objects)))
+        msg = FrameMessage(created_ts=t, objects=objects, lineage={seq: (t, 0)})
         if _model_is_zero(spec.latency):
             self._emit(node, msg)
         else:
@@ -554,17 +538,18 @@ class Simulation:
         else:
             objects = _merge_objects(inputs)
 
+        counts = _kind_counts(inputs, objects)
         if (not is_residual and cfg.fastpath and spec.supports_fastpath):
-            probe = _rebuild_message(inputs, objects, now, cfg.deadline_cap_us)
-            est = downstream_estimate(self._net, node, probe.counts())
-            path = mit.choose_path(spec, probe, now, est)
+            est = downstream_estimate(self._net, node, counts)
+            deadline = mit.message_deadline(objects, now, cfg.deadline_cap_us)
+            path = mit.choose_path(spec, counts, deadline, now, est)
             if path == PathChoice.FASTPATH:
                 ego = self.ego_state(now)
                 critical, residual = mit.partial_update(objects, ego,
                                                         cfg.criticality_radius_m)
                 objects = critical
+                counts = _kind_counts(inputs, objects)
 
-        counts = _kind_counts(inputs, objects)
         if path == PathChoice.FASTPATH:
             model = spec.fast_latency
             lookahead = cfg.fast_lookahead_m if spec.lookahead_m is not None else None
@@ -587,7 +572,8 @@ class Simulation:
         grp.running[widx] = task
         grp.busy_us += duration
         guest = self._home[node] is not grp
-        span = Span(node=node, frame_seq=_newest_origin(inputs), start_us=now, end_us=end,
+        span = Span(node=node, frame_seq=max((m.seq for m in inputs), default=-1),
+                    start_us=now, end_us=end,
                     worker=grp.worker_names[widx], ready_us=task.ready_us,
                     path=path.value, guest=guest, residual=is_residual)
         self.trace.spans.append(span)
@@ -605,12 +591,9 @@ class Simulation:
         spec = self.graph.nodes[node]
         out_objects = self._transform_objects(spec, inputs, objects)
         msg = FrameMessage(
-            seq=span.frame_seq, sensor_ts=_newest_capture_ts(inputs),
             created_ts=now, objects=out_objects,
-            message_deadline=mit.message_deadline(
-                out_objects, now, self.config.mitigation.deadline_cap_us),
             partial=(span.path == PathChoice.FASTPATH or span.residual),
-            lineage=_advance_lineage(inputs, duration, now))
+            lineage=_advance_lineage(inputs, duration))
 
         deliver = True
         if span.residual and not mit.residual_needs_downstream(objects):
@@ -715,9 +698,9 @@ class Simulation:
 
     def _record_terminal(self, msg: FrameMessage, span: Span):
         origin = msg.seq
-        if origin < 0 or origin not in msg.lineage:
+        if origin < 0:
             return
-        cap_ts, module, _ = msg.lineage[origin]
+        cap_ts, module = msg.lineage[origin]
         e2e = msg.created_ts - cap_ts
         ego = self.ego_state(msg.created_ts)
         radius = self.config.mitigation.criticality_radius_m
@@ -726,12 +709,11 @@ class Simulation:
             seq=origin, sensor_ts=cap_ts, done_ts=msg.created_ts, e2e_us=e2e,
             module_us=module, bubble_us=e2e - module, terminal=span.node,
             path=span.path, has_critical=has_critical, partial=msg.partial))
-        self._frame_lineage.append(
-            (dict(msg.lineage), tuple(o.agent_id for o in msg.objects)))
+        self._frame_lineage.append((msg.lineage, tuple(o.agent_id for o in msg.objects)))
 
     def _measure_reaction(self, t0: int, agent_id: str, label: str) -> ReactionRecord:
         # captures are indexed in seq order, which is time order
-        first_cap_ts = next((cap_ts for cap_ts, ids in self._capture_index.values()
+        first_cap_ts = next((cap_ts for cap_ts, ids in self._capture_index
                              if cap_ts >= t0 and agent_id in ids), None)
         if first_cap_ts is None:
             return ReactionRecord(hazard_ts=t0, agent_id=agent_id, label=label,
@@ -756,14 +738,6 @@ class Simulation:
                                   t_bubble_us=t_bubble, path=frame.path)
         return ReactionRecord(hazard_ts=t0, agent_id=agent_id, label=label,
                               reacted=False)
-
-
-def _rebuild_message(inputs, objects, now: int, deadline_cap_us: int) -> FrameMessage:
-    """Transient view of merged inputs, used to probe the path choice."""
-    return FrameMessage(
-        seq=_newest_origin(inputs), sensor_ts=_newest_capture_ts(inputs),
-        created_ts=now, objects=tuple(objects),
-        message_deadline=mit.message_deadline(objects, now, deadline_cap_us))
 
 
 def _round6(x: np.ndarray) -> np.ndarray:
@@ -818,26 +792,15 @@ def _kind_counts(msgs, objects) -> dict:
     return kind_counts(objects)
 
 
-def _newest_origin(msgs) -> int:
-    seqs = [s for m in (msgs or []) for s in m.lineage]
-    return max(seqs) if seqs else -1
-
-
-def _newest_capture_ts(msgs) -> int:
-    out = 0
-    for m in (msgs or []):
-        out = max(out, m.sensor_ts)
-    return out
-
-
-def _advance_lineage(msgs, duration: int, now: int) -> dict:
-    """Per origin frame, extend the path through the most recent carrier."""
-    lineage: dict[int, tuple[int, int, int]] = {}
+def _advance_lineage(msgs, duration: int) -> dict:
+    """Per origin frame, extend the path through the most recent carrier;
+    on a tie the first input carrying it wins."""
+    lineage: dict[int, tuple[int, int]] = {}
     carrier: dict[int, int] = {}
-    for m in (msgs or []):
-        for origin, (cap_ts, module, _) in m.lineage.items():
+    for m in msgs:
+        for origin, (cap_ts, module) in m.lineage.items():
             if origin not in lineage or m.created_ts > carrier[origin]:
-                lineage[origin] = (cap_ts, module + duration, now)
+                lineage[origin] = (cap_ts, module + duration)
                 carrier[origin] = m.created_ts
     return lineage
 

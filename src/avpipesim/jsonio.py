@@ -178,8 +178,10 @@ def from_json(cls, obj, ctx: str, version: int, error, table):
     """The record cls in a parsed input file of format version; any
     failure is raised as error, naming the field."""
     try:
-        if isinstance(obj, dict) and obj.get("format") != version:
-            raise InputError(f"format: expected {version}, got {obj.get('format')!r}")
+        if isinstance(obj, dict):
+            fmt = obj.get("format")
+            if not _SCALARS[int][0](fmt) or fmt != version:     # True == 1 in Python
+                raise InputError(f"format: expected {version}, got {fmt!r}")
         return _read_record(cls, obj, ctx, "", table, extra={"format"})
     except InputError as e:
         raise error(str(e)) from None

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .pipeline import FrameMessage, NodeSpec, ObjectTrack, predict_latency
+from .pipeline import NodeSpec, ObjectTrack, predict_latency
 from .safety import DEFAULT_DEADLINE_CAP_US
-from .scenario import AgentState
+from .scenario import AgentKind, AgentState
 
 
 @dataclass(frozen=True)
@@ -48,16 +48,17 @@ def message_deadline(objects, now_us: int,
     return min(o.deadline_us for o in objects)
 
 
-def choose_path(node: NodeSpec, msg: FrameMessage, now_us: int,
-                downstream_us: int) -> PathChoice:
-    """Fastpath iff the normal-path prediction does not fit the budget
-    remaining after the estimated downstream cost."""
+def choose_path(node: NodeSpec, counts: dict[AgentKind, int], deadline_us: int,
+                now_us: int, downstream_us: int) -> PathChoice:
+    """Fastpath iff the normal-path prediction for objects of these kind
+    counts does not fit the budget left before deadline_us (their
+    message_deadline) after the estimated downstream cost."""
     if not node.supports_fastpath:
         raise ValueError(f"node {node.name} is not fastpath-enabled")
-    remaining = msg.message_deadline - now_us - downstream_us
+    remaining = deadline_us - now_us - downstream_us
     if remaining <= 0:
         return PathChoice.FASTPATH
-    normal_cost = predict_latency(node.latency, msg.counts(), node.lookahead_m)
+    normal_cost = predict_latency(node.latency, counts, node.lookahead_m)
     return PathChoice.FASTPATH if normal_cost > remaining else PathChoice.NORMAL
 
 

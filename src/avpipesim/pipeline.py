@@ -208,19 +208,17 @@ class ObjectTrack:
 
 @dataclass
 class FrameMessage:
-    seq: int
-    sensor_ts: int
     created_ts: int
     objects: tuple[ObjectTrack, ...]
-    message_deadline: int
     partial: bool = False
-    # origin sensor frame seq -> (capture_ts, accumulated module time,
-    # created_ts of the hop that carried it); drives reaction attribution
-    lineage: dict[int, tuple[int, int, int]] = field(default_factory=dict)
+    # the message's only provenance: origin sensor frame seq ->
+    # (capture_ts, accumulated module time); drives reaction attribution
+    lineage: dict[int, tuple[int, int]] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.sensor_ts > self.created_ts:
-            raise PipelineError("sensor_ts must be <= created_ts")
+    @property
+    def seq(self) -> int:
+        """The newest sensor frame feeding this message; -1 for none."""
+        return max(self.lineage, default=-1)
 
     def counts(self) -> dict[AgentKind, int]:
         """kind_counts(self.objects), counted once: a message is never

@@ -156,13 +156,17 @@ def _set(path, value):
      "channels[1].capacity: expected >= 1, got -3"),
     ("config.json", _set(("actuation_delay_us",), -1),
      "config.actuation_delay_us: expected >= 0, got -1"),
+    ("config.json", _set(("format",), True), "format: expected 1, got True"),
+    ("scenario.json", _set(("format",), True), "format: expected 1, got True"),
+    ("pipeline.json", _set(("format",), True), "format: expected 1, got True"),
 ], ids=["pattern", "role", "node-name", "group-name", "groups-int", "seed-str",
         "rss-key", "duration-nan", "range-nan", "fastpath-str", "cancel-int",
         "workers-frac", "workers-bool", "tick-str", "response-frac", "duration-frac",
         "hazard-str", "offset-frac", "capacity-frac", "range-str", "radius-str",
         "state-str", "sigma-bool", "group-name-int", "scenario-path-int", "agent-id-int",
         "hazard-agent-list", "channel-id-int", "pinned-str", "inputs-int", "capacity-zero",
-        "capacity-negative", "actuation-negative"])
+        "capacity-negative", "actuation-negative", "config-format-bool",
+        "scenario-format-bool", "pipeline-format-bool"])
 def test_run_bad_input_exits_1_with_message(workdir, capsys, name, mutate, expect):
     path = workdir / name
     obj = json.loads(path.read_text())
@@ -309,6 +313,20 @@ def test_sweep_bad_values_exit_1(workdir, capsys, axis, values, expect):
     err = capsys.readouterr().err
     assert rc == EXIT_VALIDATION
     assert err == f"error: --values: {expect}\n"
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("threads, expect", [
+    ("abc", "could not convert string to float: 'abc'"),
+    ("1.5", "expected an integer, got 1.5"),
+], ids=["threads-str", "threads-fraction"])
+def test_sweep_bad_thread_count_exits_1(workdir, capsys, monkeypatch, threads, expect):
+    monkeypatch.setenv("COLA_SIM_THREADS", threads)
+    rc = main(["sweep", "--config", str(workdir / "config.json"),
+               "--axis", "seed", "--values", "1,2"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION
+    assert err == f"error: COLA_SIM_THREADS: {expect}\n"
     assert not (workdir / "out").exists()
 
 

@@ -1,8 +1,9 @@
 import pytest
 
+from avpipesim import engine
 from avpipesim.engine import (EngineConfig, EngineError, ProcessorGroup,
                               RunTrace, Simulation, run_simulation)
-from avpipesim.pipeline import (Channel, ChannelPolicy, ExecutionPattern,
+from avpipesim.pipeline import (Channel, ChannelPolicy, ExecutionPattern, FrameMessage,
                                 LatencyModel, NodeRole, NodeSpec, PipelineGraph)
 from avpipesim.scenario import AgentKind, AgentState, Scenario, TrajectorySpec
 from avpipesim.simkernel import ms, sec
@@ -132,6 +133,16 @@ class TestReactionMeasurement:
         g = chain_pipeline({"proc": (ms(10), NodeRole.CONTROL)})
         trace = run_simulation(sc, g, one_group(g), EngineConfig(), seed=1)
         assert not trace.reactions[0].reacted
+
+    def test_lineage_follows_the_newest_carrier(self):
+        """Each origin's module time continues from the newest input that
+        carries it, from the first such input on a tie; seq is the newest
+        origin."""
+        a = FrameMessage(created_ts=10, objects=(), lineage={0: (0, 5), 1: (3, 2)})
+        b = FrameMessage(created_ts=20, objects=(), lineage={0: (0, 9)})
+        c = FrameMessage(created_ts=20, objects=(), lineage={0: (0, 7), 1: (3, 4)})
+        assert engine._advance_lineage([a, b, c], 100) == {0: (0, 109), 1: (3, 104)}
+        assert (a.seq, b.seq, FrameMessage(created_ts=0, objects=()).seq) == (1, 0, -1)
 
 
 class TestControlApplication:

@@ -4,8 +4,8 @@ from avpipesim.mitigation import (MitigationConfig, PathChoice, StealRequest,
                                   choose_path, message_deadline, partial_update,
                                   proactive_credit, residual_needs_downstream,
                                   steal_admission)
-from avpipesim.pipeline import (ExecutionPattern, FrameMessage, LatencyModel,
-                                NodeRole, NodeSpec, ObjectTrack, predict_latency)
+from avpipesim.pipeline import (ExecutionPattern, LatencyModel, NodeRole, NodeSpec,
+                                ObjectTrack, kind_counts, predict_latency)
 from avpipesim.scenario import AgentKind, AgentState
 from avpipesim.simkernel import ms
 
@@ -19,10 +19,10 @@ def track(aid, s_m, deadline_us, capped=False):
 
 
 def make_msg(objects, sensor_ts=0, deadline=None):
-    return FrameMessage(seq=0, sensor_ts=sensor_ts, created_ts=sensor_ts,
-                        objects=tuple(objects),
-                        message_deadline=(deadline if deadline is not None
-                                          else message_deadline(objects, sensor_ts)))
+    """choose_path's (counts, deadline_us) for a message of objects
+    captured at sensor_ts."""
+    return (kind_counts(objects),
+            deadline if deadline is not None else message_deadline(objects, sensor_ts))
 
 
 class TestMessageDeadline:
@@ -50,24 +50,24 @@ class TestChoosePath:
         # remaining 45 ms < normal 60 ms
         node = self.make_node(ms(60))
         msg = make_msg([track("a", 5, ms(125))], sensor_ts=0, deadline=ms(125))
-        assert choose_path(node, msg, ms(40), ms(40)) == PathChoice.FASTPATH
+        assert choose_path(node, *msg, ms(40), ms(40)) == PathChoice.FASTPATH
 
     def test_normal_when_it_fits(self):
         node = self.make_node(ms(30))
         msg = make_msg([track("a", 5, ms(125))], sensor_ts=0, deadline=ms(125))
-        assert choose_path(node, msg, ms(40), ms(40)) == PathChoice.NORMAL
+        assert choose_path(node, *msg, ms(40), ms(40)) == PathChoice.NORMAL
 
     def test_saturating_when_budget_exhausted(self):
         node = self.make_node(ms(1))
         msg = make_msg([track("a", 5, ms(125))], sensor_ts=0, deadline=ms(125))
-        assert choose_path(node, msg, ms(200), 0) == PathChoice.FASTPATH
+        assert choose_path(node, *msg, ms(200), 0) == PathChoice.FASTPATH
 
     def test_rejects_non_fastpath_node(self):
         node = NodeSpec(name="perc", pattern=ExecutionPattern.INTERRUPT,
                         inputs=("i",), outputs=("o",),
                         latency=LatencyModel(offset_us=100), role=NodeRole.PERCEPTION)
         with pytest.raises(ValueError):
-            choose_path(node, make_msg([]), 0, 0)
+            choose_path(node, *make_msg([]), 0, 0)
 
 
 class TestPartialUpdate:

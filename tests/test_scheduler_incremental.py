@@ -200,7 +200,7 @@ def test_memoized_scheduler_matches_uncached_reference(run):
 
 def message(ids, created_ts):
     state = AgentState(s_m=0.0, l_m=0.0, v_mps=0.0, a_mps2=0.0)
-    return FrameMessage(seq=0, sensor_ts=0, created_ts=created_ts, message_deadline=0,
+    return FrameMessage(created_ts=created_ts,
                         objects=tuple(ObjectTrack(agent_id=aid, kind=(V, P)[i % 2],
                                                   state=state, deadline_us=i)
                                       for i, aid in enumerate(ids)))
