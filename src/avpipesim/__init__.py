@@ -11,9 +11,8 @@ from .analysis import (LatencyStats, SafetyReport, compare_runs, compute_stats,
                        density_correlation, export_cdf, safety_report)
 from .engine import (EngineConfig, ProcessorGroup, ReactionRecord, RunTrace,
                      Simulation, run_simulation)
-from .mitigation import (MitigationConfig, PathChoice, StealRequest, choose_path,
-                         message_deadline, partial_update, proactive_credit,
-                         steal_admission)
+from .mitigation import (MitigationConfig, PathChoice, choose_path, message_deadline,
+                         partial_update, proactive_credit, steal_admission)
 from .pipeline import (Channel, ChannelPolicy, ExecutionPattern, FrameMessage,
                        FusionSpec, LatencyModel, NodeRole, NodeSpec, ObjectTrack,
                        PipelineGraph, fusion_update, load_pipeline,

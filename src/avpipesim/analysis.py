@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .engine import RunTrace
@@ -29,10 +29,6 @@ class LatencyStats:
     p99_us: int
     max_us: int
 
-    def to_json(self) -> dict:
-        return {"count": self.count, "mean_us": self.mean_us, "p50_us": self.p50_us,
-                "p95_us": self.p95_us, "p99_us": self.p99_us, "max_us": self.max_us}
-
 
 @dataclass(frozen=True)
 class SafetyReport:
@@ -40,10 +36,6 @@ class SafetyReport:
     collisions: int
     no_reaction: int
     min_gap_m: Optional[float]      # None when no sample has a gap >= 0
-
-    def to_json(self) -> dict:
-        return {"violations": self.violations, "collisions": self.collisions,
-                "no_reaction": self.no_reaction, "min_gap_m": self.min_gap_m}
 
 
 def nearest_rank(samples_sorted: list[int], p: float) -> int:
@@ -116,8 +108,8 @@ def compare_runs(baseline: RunTrace, treatment: RunTrace) -> dict:
                            if common else 0),
         "violation_delta": t_safety.violations - b_safety.violations,
         "collision_delta": t_safety.collisions - b_safety.collisions,
-        "baseline": b_stats.to_json() if b_stats else None,
-        "treatment": t_stats.to_json() if t_stats else None,
+        "baseline": asdict(b_stats) if b_stats else None,
+        "treatment": asdict(t_stats) if t_stats else None,
         "per_node_busy_us": {k: per_node[k] for k in sorted(per_node)},
     }
 

@@ -68,6 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
+    if args.deadline_cap_us is not None and args.deadline_cap_us < 0:
+        raise ConfigError(f"--deadline-cap-us: expected >= 0, got {args.deadline_cap_us}")
     flags = {"fastpath": args.fastpath, "proactive": args.proactive,
              "stealing": args.stealing, "deadline_cap_us": args.deadline_cap_us}
     mit = dataclasses.replace(cfg.engine.mitigation, **{
@@ -119,10 +121,10 @@ def _write_run_outputs(trace: RunTrace, out_dir: str, suffix: str = "") -> dict:
     trace_path = os.path.join(out_dir, f"trace{suffix}.ndjson")
     with open(trace_path, "w", encoding="utf-8") as f:
         f.writelines(trace.ndjson_lines())
-    report = {"safety": analysis.safety_report(trace).to_json()}
+    report = {"safety": dataclasses.asdict(analysis.safety_report(trace))}
     samples = trace.e2e_samples()
     if samples:
-        report["latency"] = analysis.compute_stats(samples).to_json()
+        report["latency"] = dataclasses.asdict(analysis.compute_stats(samples))
         analysis.export_cdf(samples, os.path.join(out_dir, f"cdf{suffix}.csv"))
     report["reactions"] = [dataclasses.asdict(r) for r in trace.reactions]
     save_json(report, os.path.join(out_dir, f"report{suffix}.json"))
@@ -168,8 +170,8 @@ SWEEP_COLUMNS = ("mean_us", "p99_us", "max_us", "violations", "collisions")
 
 
 def _sweep_values(axis: str, text: str) -> list[float]:
-    """The comma-separated values of --values: integers for deadline_cap
-    and seed, finite and >= 0 for density."""
+    """The comma-separated values of --values: integers for seed, integers
+    >= 0 for deadline_cap, finite and >= 0 for density."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"invalid axis {axis!r}; choose from {SWEEP_AXES}")
     values = [v.strip() for v in text.split(",") if v.strip()]
@@ -182,6 +184,8 @@ def _sweep_values(axis: str, text: str) -> list[float]:
                 as_scalar(int, v)
             elif not 0 <= v < math.inf:
                 raise ValueError(f"expected a finite number >= 0, got {v}")
+            if axis == "deadline_cap" and v < 0:
+                raise ValueError(f"expected >= 0, got {int(v)}")
     except ValueError as e:
         raise ConfigError(f"--values: {e}") from None
     return values
@@ -209,9 +213,8 @@ def _sweep_point(payload) -> tuple[float, dict]:
         cfg = dataclasses.replace(cfg, seed=int(value))
     trace = _execute(cfg, scenario, graph)
     samples = trace.e2e_samples()
-    stats = analysis.compute_stats(samples).to_json() if samples else {}
-    safety = analysis.safety_report(trace).to_json()
-    return value, {**stats, **safety}
+    stats = dataclasses.asdict(analysis.compute_stats(samples)) if samples else {}
+    return value, {**stats, **dataclasses.asdict(analysis.safety_report(trace))}
 
 
 def cmd_sweep(args) -> int:

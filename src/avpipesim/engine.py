@@ -19,7 +19,7 @@ import numpy as np
 
 from . import mitigation as mit
 from .jsonio import refuse_constant
-from .mitigation import MitigationConfig, PathChoice, StealRequest
+from .mitigation import MitigationConfig, PathChoice
 from .pipeline import (Channel, CompiledGraph, ExecutionPattern, FrameMessage,
                        LatencyModel, NodeRole, NodeSpec, ObjectTrack,
                        PipelineGraph, downstream_estimate, fusion_update,
@@ -315,18 +315,17 @@ class _GroupState:
     def __init__(self, spec: ProcessorGroup):
         self.spec = spec
         self.worker_names = tuple(f"{spec.name}/{i}" for i in range(spec.worker_count))
-        self.busy_until = [0] * spec.worker_count   # end of each worker's last task
-        # a worker's task is finished, and its entry None, from busy_until on
-        self.running: list[Optional[_Task]] = [None] * spec.worker_count
+        # per worker, the end of its running task; None while it is free
+        self.ends: list[Optional[int]] = [None] * spec.worker_count
         self.ready: deque[_Task] = deque()
         self.busy_us = 0
 
     def free_worker(self) -> Optional[int]:
-        running = self.running
-        return running.index(None) if None in running else None
+        ends = self.ends
+        return ends.index(None) if None in ends else None
 
     def worker_loads(self, now: int) -> list[int]:
-        return [max(0, u - now) for u in self.busy_until]
+        return [0 if end is None else end - now for end in self.ends]
 
 
 class Simulation:
@@ -379,8 +378,8 @@ class Simulation:
         # per agent, the smallest rounded lon_gap_m >= 0 so far and its first time
         self._closest_gap = np.full(len(self._world.ids), math.inf)
         self._closest_t = np.zeros(len(self._world.ids), dtype=np.int64)
-        self._fusion_history: dict[str, dict[str, list[bool]]] = {}
-        self._fusion_tracks: dict[str, dict[str, ObjectTrack]] = {}
+        # per fusion node: its a-of-n history and the newest track of each id in it
+        self._fusion: dict[str, tuple[dict[str, list[bool]], dict[str, ObjectTrack]]] = {}
         self._proactive_arrival: dict[str, Optional[int]] = {}
         # per sensor frame seq: its capture time and object ids
         self._capture_index: list[tuple[int, tuple[str, ...]]] = []
@@ -423,8 +422,8 @@ class Simulation:
         for name in sorted(self.graph.nodes):
             spec = self.graph.nodes[name]
             if spec.pattern == ExecutionPattern.TIMING:
-                self._schedule_tick(name, 0)
-        self._schedule_safety_tick(0)
+                self._at(0, self._on_tick, name)
+        self._at(0, self._on_safety_tick)
         self.queue.run_until(self.scenario.duration_us)
         found = np.flatnonzero(self._closest_gap < math.inf)
         ids = self._world.ids
@@ -438,10 +437,10 @@ class Simulation:
             self.trace.reactions.append(self._measure_reaction(t0, agent_id, label))
         return self.trace
 
-    def _schedule_tick(self, node: str, t: int):
-        if t > self.scenario.duration_us:
-            return
-        self.queue.schedule(t, lambda: self._on_tick(node, t))
+    def _at(self, t: int, handler, *args):
+        """Schedule handler(*args, t) at t, unless t is past the horizon."""
+        if t <= self.scenario.duration_us:
+            self.queue.schedule(t, lambda: handler(*args, t))
 
     def _on_tick(self, node: str, t: int):
         spec = self.graph.nodes[node]
@@ -451,12 +450,7 @@ class Simulation:
             grp = self._home[node]
             grp.ready.append(_Task(node, ready_us=t))
             self._dispatch(grp)
-        self._schedule_tick(node, t + spec.period_us)
-
-    def _schedule_safety_tick(self, t: int):
-        if t > self.scenario.duration_us:
-            return
-        self.queue.schedule(t, lambda: self._on_safety_tick(t))
+        self._at(t + spec.period_us, self._on_tick, node)
 
     def _on_safety_tick(self, t: int):
         ego = self.ego_state(t)
@@ -474,7 +468,7 @@ class Simulation:
                 SafetySample(t, world.ids[i], levels[i], lon_gap, lat_gap)
                 for i, lon_gap, lat_gap in zip(unsafe, gaps[unsafe].tolist(),
                                                _round6(lat[unsafe]).tolist()))
-        self._schedule_safety_tick(t + self.config.tick_us)
+        self._at(t + self.config.tick_us, self._on_safety_tick)
 
     # -- sensing -----------------------------------------------------------
 
@@ -567,10 +561,9 @@ class Simulation:
                 duration = max(1, duration - credit)
             self._proactive_arrival[node] = None
 
-        end = now + duration
-        grp.busy_until[widx] = end
-        grp.running[widx] = task
-        grp.busy_us += duration
+        end = grp.ends[widx] = now + duration
+        # busy time within the run: a span may end after the horizon
+        grp.busy_us += min(end, self.scenario.duration_us) - now
         guest = self._home[node] is not grp
         span = Span(node=node, frame_seq=max((m.seq for m in inputs), default=-1),
                     start_us=now, end_us=end,
@@ -586,10 +579,10 @@ class Simulation:
     def _finish_task(self, task: _Task, grp: _GroupState, widx: int, span: Span,
                      objects, residual, duration: int):
         now = self.queue.clock
-        grp.running[widx] = None
+        grp.ends[widx] = None
         node, inputs = task.node, task.inputs
         spec = self.graph.nodes[node]
-        out_objects = self._transform_objects(spec, inputs, objects)
+        out_objects = self._transform_objects(spec, objects)
         msg = FrameMessage(
             created_ts=now, objects=out_objects,
             partial=(span.path == PathChoice.FASTPATH or span.residual),
@@ -613,22 +606,16 @@ class Simulation:
             if g.ready:
                 self._dispatch(g)
 
-    def _transform_objects(self, spec: NodeSpec, inputs, objects):
+    def _transform_objects(self, spec: NodeSpec, objects):
         if spec.role != NodeRole.FUSION or spec.fusion is None:
             return tuple(objects)
-        hist = self._fusion_history.setdefault(spec.name, {})
-        tracks = self._fusion_tracks.setdefault(spec.name, {})
-        detections = set()
-        for o in objects:
-            detections.add(o.agent_id)
-            tracks[o.agent_id] = o
-        published, hist = fusion_update(spec.fusion, hist, detections)
-        self._fusion_history[spec.name] = hist
-        for oid in list(tracks):
-            if oid not in hist:
-                del tracks[oid]
-        return tuple(sorted((tracks[oid] for oid in published if oid in tracks),
-                            key=lambda o: o.agent_id))
+        hist, tracks = self._fusion.get(spec.name, ({}, {}))
+        seen = {o.agent_id: o for o in objects}
+        published, hist = fusion_update(spec.fusion, hist, set(seen))
+        # an id stays in the history only while it was detected in the window
+        tracks = {oid: seen[oid] if oid in seen else tracks[oid] for oid in hist}
+        self._fusion[spec.name] = hist, tracks
+        return tuple(tracks[oid] for oid in sorted(published))
 
     def _emit(self, node: str, msg: FrameMessage):
         nodes, predicted = self.graph.nodes, self._predicted
@@ -670,16 +657,15 @@ class Simulation:
 
     def _try_steal(self, node: str, task: _Task) -> bool:
         now = self.queue.clock
-        req = None
+        cost = None
         for host in self._steal_hosts[node]:
             widx = host.free_worker()
             if widx is None:
                 continue
-            if req is None:
-                req = StealRequest(node=node,
-                                   predicted_guest_cost_us=self._predict_next(node))
+            if cost is None:
+                cost = self._predict_next(node)
             pending = [self._predict_next(t.node) for t in host.ready]
-            if mit.steal_admission(req, host.worker_loads(now), pending,
+            if mit.steal_admission(cost, host.worker_loads(now), pending,
                                    host.spec.budget_us,
                                    self.config.mitigation.steal_safety_factor):
                 self.trace.steals_admitted += 1

@@ -94,18 +94,13 @@ def proactive_credit(precompute_cost_us: int, arrival_us: int, trigger_us: int,
     return min(precompute_cost_us, trigger_us - arrival_us)
 
 
-@dataclass(frozen=True)
-class StealRequest:
-    node: str
-    predicted_guest_cost_us: int
-
-
-def steal_admission(req: StealRequest, host_worker_loads_us: list[int],
+def steal_admission(guest_cost_us: int, host_worker_loads_us: list[int],
                     host_pending_costs_us: list[int], budget_us: int,
                     safety_factor: float = 1.25) -> bool:
     """Admit a guest task into a host group only if no host work can miss
     the group budget.
 
+    guest_cost_us: the guest task's predicted cost;
     host_worker_loads_us: remaining busy time per host worker;
     host_pending_costs_us: predicted costs of host tasks not yet started.
     Pending work and the guest are list-scheduled onto the workers; admit
@@ -118,6 +113,6 @@ def steal_admission(req: StealRequest, host_worker_loads_us: list[int],
     for cost in host_pending_costs_us:
         loads[0] += cost
         loads.sort()
-    guest = round(req.predicted_guest_cost_us * safety_factor)
+    guest = round(guest_cost_us * safety_factor)
     loads[0] += guest
     return max(loads) <= budget_us

@@ -30,60 +30,49 @@ class SchedulingError(Exception):
     """Raised when an event is scheduled before the current clock."""
 
 
-class EventHandle:
-    """Token returned by schedule(); permits cancellation."""
-
-    __slots__ = ("fire_at", "seq", "action", "cancelled", "fired")
-
-    def __init__(self, fire_at: int, seq: int, action: Callable[[], None]):
-        self.fire_at = fire_at
-        self.seq = seq
-        self.action = action
-        self.cancelled = False
-        self.fired = False
-
-
 class EventQueue:
     """Priority queue of timed events, popped in (fire_at, seq) order.
 
     seq is assigned at schedule time, so simultaneous events fire in the
-    order they were scheduled. Cancelled entries stay in the heap and are
-    skipped on pop.
+    order they were scheduled. A heap entry [fire_at, seq, action] is the
+    handle schedule() returns; its action becomes None once the event
+    fires or is cancelled, and a cancelled entry is skipped on pop.
     """
 
     def __init__(self):
-        self._heap: list[tuple[int, int, EventHandle]] = []
+        self._heap: list[list] = []
         self._seq = 0
         self.clock = 0
 
-    def schedule(self, fire_at: int, action: Callable[[], None]) -> EventHandle:
+    def schedule(self, fire_at: int, action: Callable[[], None]) -> list:
         if fire_at < 0:
             raise SchedulingError(f"negative fire time {fire_at}")
         if fire_at < self.clock:
             raise SchedulingError(
                 f"cannot schedule at {fire_at} us: clock is already {self.clock} us"
             )
-        handle = EventHandle(fire_at, self._seq, action)
+        entry = [fire_at, self._seq, action]
         self._seq += 1
-        heapq.heappush(self._heap, (fire_at, handle.seq, handle))
-        return handle
+        heapq.heappush(self._heap, entry)
+        return entry
 
-    def cancel(self, handle: EventHandle) -> bool:
-        if handle.fired or handle.cancelled:
-            return False
-        handle.cancelled = True
-        return True
+    def cancel(self, entry: list) -> bool:
+        """Cancel a pending event; False if it already fired or was cancelled."""
+        pending = entry[2] is not None
+        entry[2] = None
+        return pending
 
     def run_until(self, horizon: int) -> int:
         """Execute all events with fire_at <= horizon; returns the final clock."""
-        while self._heap and self._heap[0][0] <= horizon:
-            fire_at, _, handle = heapq.heappop(self._heap)
-            if handle.cancelled:
+        heap = self._heap
+        while heap and heap[0][0] <= horizon:
+            entry = heapq.heappop(heap)
+            action = entry[2]
+            if action is None:
                 continue
-            assert fire_at >= self.clock
-            self.clock = fire_at
-            handle.fired = True
-            handle.action()
+            entry[2] = None
+            self.clock = entry[0]
+            action()
         if horizon > self.clock:
             self.clock = horizon
         return self.clock

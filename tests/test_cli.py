@@ -159,6 +159,16 @@ def _set(path, value):
     ("config.json", _set(("format",), True), "format: expected 1, got True"),
     ("scenario.json", _set(("format",), True), "format: expected 1, got True"),
     ("pipeline.json", _set(("format",), True), "format: expected 1, got True"),
+    ("config.json", _set(("groups", 0, "budget_us"), -5),
+     "groups[0].budget_us: expected >= 0, got -5"),
+    ("config.json", _set(("sensor_range_m",), -1.5),
+     "config.sensor_range_m: expected >= 0, got -1.5"),
+    ("config.json", _set(("response_margin_us",), -1),
+     "config.response_margin_us: expected >= 0, got -1"),
+    ("config.json", _set(("mitigation",), {"fast_lookahead_m": -2.0}),
+     "mitigation.fast_lookahead_m: expected >= 0, got -2.0"),
+    ("config.json", _set(("mitigation",), {"deadline_cap_us": -7}),
+     "mitigation.deadline_cap_us: expected >= 0, got -7"),
 ], ids=["pattern", "role", "node-name", "group-name", "groups-int", "seed-str",
         "rss-key", "duration-nan", "range-nan", "fastpath-str", "cancel-int",
         "workers-frac", "workers-bool", "tick-str", "response-frac", "duration-frac",
@@ -166,7 +176,8 @@ def _set(path, value):
         "state-str", "sigma-bool", "group-name-int", "scenario-path-int", "agent-id-int",
         "hazard-agent-list", "channel-id-int", "pinned-str", "inputs-int", "capacity-zero",
         "capacity-negative", "actuation-negative", "config-format-bool",
-        "scenario-format-bool", "pipeline-format-bool"])
+        "scenario-format-bool", "pipeline-format-bool", "budget-negative",
+        "range-negative", "margin-negative", "lookahead-negative", "cap-negative"])
 def test_run_bad_input_exits_1_with_message(workdir, capsys, name, mutate, expect):
     path = workdir / name
     obj = json.loads(path.read_text())
@@ -176,6 +187,13 @@ def test_run_bad_input_exits_1_with_message(workdir, capsys, name, mutate, expec
     err = capsys.readouterr().err
     assert rc == EXIT_VALIDATION
     assert err.startswith("error:") and expect in err and "Traceback" not in err
+
+
+def test_run_negative_deadline_cap_flag_exits_1(workdir, capsys):
+    rc = main(["run", "--config", str(workdir / "config.json"), "--deadline-cap-us", "-7"])
+    assert rc == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: --deadline-cap-us: expected >= 0, got -7\n"
+    assert not (workdir / "out").exists()
 
 
 def test_run_accepts_integral_floats(workdir):
@@ -305,8 +323,9 @@ def test_sweep_needs_two_values(workdir, capsys):
     ("seed", "1.5,2", "expected an integer, got 1.5"),
     ("seed", "1e30,2", "expected an integer, got 1e+30"),
     ("deadline_cap", "125000,1e30", "expected an integer, got 1e+30"),
+    ("deadline_cap", "125000,-7", "expected >= 0, got -7"),
 ], ids=["density-nan", "density-inf", "density-negative", "seed-fraction", "seed-huge",
-        "cap-huge"])
+        "cap-huge", "cap-negative"])
 def test_sweep_bad_values_exit_1(workdir, capsys, axis, values, expect):
     rc = main(["sweep", "--config", str(workdir / "config.json"),
                "--axis", axis, f"--values={values}"])

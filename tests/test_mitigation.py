@@ -1,9 +1,8 @@
 import pytest
 
-from avpipesim.mitigation import (MitigationConfig, PathChoice, StealRequest,
-                                  choose_path, message_deadline, partial_update,
-                                  proactive_credit, residual_needs_downstream,
-                                  steal_admission)
+from avpipesim.mitigation import (MitigationConfig, PathChoice, choose_path,
+                                  message_deadline, partial_update, proactive_credit,
+                                  residual_needs_downstream, steal_admission)
 from avpipesim.pipeline import (ExecutionPattern, LatencyModel, NodeRole, NodeSpec,
                                 ObjectTrack, kind_counts, predict_latency)
 from avpipesim.scenario import AgentKind, AgentState
@@ -134,32 +133,29 @@ class TestProactiveCredit:
 
 
 class TestStealAdmission:
-    def req(self, cost):
-        return StealRequest(node="g", predicted_guest_cost_us=cost)
-
     def test_admit_within_budget(self):
-        assert steal_admission(self.req(ms(3)), [ms(6)], [], ms(10),
+        assert steal_admission(ms(3), [ms(6)], [], ms(10),
                                safety_factor=1.0)
 
     def test_reject_over_budget(self):
-        assert not steal_admission(self.req(ms(5)), [ms(6)], [], ms(10),
+        assert not steal_admission(ms(5), [ms(6)], [], ms(10),
                                    safety_factor=1.0)
 
     def test_empty_host_admits_small_guest(self):
-        assert steal_admission(self.req(ms(4)), [0, 0], [], ms(10),
+        assert steal_admission(ms(4), [0, 0], [], ms(10),
                                safety_factor=1.0)
 
     def test_pending_host_work_counted(self):
-        assert not steal_admission(self.req(ms(3)), [0], [ms(8)], ms(10),
+        assert not steal_admission(ms(3), [0], [ms(8)], ms(10),
                                    safety_factor=1.0)
 
     def test_safety_factor_inflates_guest(self):
-        assert steal_admission(self.req(ms(8)), [0], [], ms(10), safety_factor=1.0)
-        assert not steal_admission(self.req(ms(8)), [0], [], ms(10),
+        assert steal_admission(ms(8), [0], [], ms(10), safety_factor=1.0)
+        assert not steal_admission(ms(8), [0], [], ms(10),
                                    safety_factor=1.3)
 
     def test_overloaded_host_rejects_everything(self):
-        assert not steal_admission(self.req(1), [ms(20)], [], ms(10),
+        assert not steal_admission(1, [ms(20)], [], ms(10),
                                    safety_factor=1.0)
 
 

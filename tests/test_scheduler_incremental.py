@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from avpipesim import engine
 from avpipesim.engine import EngineConfig, ProcessorGroup, Simulation
-from avpipesim.mitigation import MitigationConfig, StealRequest, steal_admission
+from avpipesim.mitigation import MitigationConfig, steal_admission
 from avpipesim.pipeline import (Channel, ChannelPolicy, ExecutionPattern, FrameMessage,
                                 FusionSpec, LatencyModel, NodeRole, NodeSpec, NoiseKind,
                                 NoiseSpec, ObjectTrack, PipelineGraph, kind_counts,
@@ -49,17 +49,16 @@ class UncachedSimulation(Simulation):
 
     def _try_steal(self, node, task):
         now = self.queue.clock
-        req = StealRequest(node=node, predicted_guest_cost_us=self._predict_next(node))
+        cost = self._predict_next(node)
         for name in sorted(self.groups):
             host = self.groups[name]
             if host is self._home[node]:
                 continue
-            widx = next((i for i, until in enumerate(host.busy_until)
-                         if host.running[i] is None and until <= now), None)
+            widx = next((i for i, end in enumerate(host.ends) if end is None), None)
             if widx is None:
                 continue
             pending = [self._predict_next(t.node) for t in host.ready]
-            if steal_admission(req, host.worker_loads(now), pending, host.spec.budget_us,
+            if steal_admission(cost, host.worker_loads(now), pending, host.spec.budget_us,
                                self.config.mitigation.steal_safety_factor):
                 self.trace.steals_admitted += 1
                 self._start_task(task, host, widx)

@@ -8,6 +8,7 @@ out the same from either, and the reader must read both.
 import json
 import os
 import runpy
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -126,10 +127,10 @@ def test_format2_report_equals_format1(agents, duration_us, tick_us, ego_v):
             == [(c.agent_id, c.t_us, repr(c.lon_gap_m))
                 for c in format1_closest(every, [aid for aid, _, _ in sc.agents])])
     expected = format1_report(every, trace.reactions)
-    assert json.dumps(safety_report(trace).to_json()) == expected
+    assert json.dumps(asdict(safety_report(trace))) == expected
     text = format1_ndjson(trace, every)
     read = RunTrace.from_ndjson(text)
-    assert json.dumps(safety_report(read).to_json()) == expected
+    assert json.dumps(asdict(safety_report(read))) == expected
     assert_same_lines(read.to_ndjson(), trace.to_ndjson())
 
 
@@ -160,7 +161,7 @@ def test_checked_in_format1_trace_reads_as_the_format2_run():
     with open(FORMAT1_TRACE, encoding="utf-8") as f:
         read = RunTrace.from_ndjson(f)
     trace = run_safety_mix()
-    assert json.dumps(safety_report(read).to_json()) == format1_report(
+    assert json.dumps(asdict(safety_report(read))) == format1_report(
         samples, trace.reactions)
     assert_same_lines(read.to_ndjson(), trace.to_ndjson())
     # scenario order, though the tailgater's gap turns >= 0 only at 0.9 s
