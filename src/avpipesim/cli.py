@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Commands: validate | run | sweep | compare. Exit codes: 0 success,
-1 validation failure, 2 runtime failure. Flags mirror run-config keys
-and override file values; COLA_SIM_THREADS bounds sweep parallelism.
+Commands: validate | run | sweep | compare. Exit codes: 0 success, 1 bad
+input (a file, trace, flag or environment value), 2 analysis failure.
+Flags mirror run-config keys and override file values; COLA_SIM_THREADS
+bounds sweep parallelism.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -18,7 +18,7 @@ from contextlib import contextmanager
 
 from . import analysis
 from .config import ConfigError, RunConfig, load_config
-from .engine import EngineError, RunTrace, TraceError, run_simulation
+from .engine import RunTrace, TraceError, run_simulation
 from .jsonio import InputError, as_scalar, dumps, save_json
 from .mitigation import MitigationConfig
 from .pipeline import load_pipeline
@@ -68,13 +68,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if args.deadline_cap_us is not None and args.deadline_cap_us < 0:
-        raise ConfigError(f"--deadline-cap-us: expected >= 0, got {args.deadline_cap_us}")
     flags = {"fastpath": args.fastpath, "proactive": args.proactive,
              "stealing": args.stealing, "deadline_cap_us": args.deadline_cap_us}
-    mit = dataclasses.replace(cfg.engine.mitigation, **{
-        name: v == "on" if isinstance(v, str) else v for name, v in flags.items()
-        if v is not None})
+    try:    # the switches are on or off, so only the cap can be out of bounds
+        mit = dataclasses.replace(cfg.engine.mitigation, **{
+            name: v == "on" if isinstance(v, str) else v for name, v in flags.items()
+            if v is not None})
+    except InputError as e:
+        raise ConfigError(f"--deadline-cap-us: {e}") from None
     return dataclasses.replace(
         cfg,
         scenario_path=args.scenario or cfg.scenario_path,
@@ -112,8 +113,7 @@ def _writing(path: str):
 def _execute(cfg: RunConfig, scenario: Scenario, graph) -> RunTrace:
     if _is_stochastic(graph) and cfg.seed is None:
         raise ConfigError("stochastic pipeline requires an explicit seed")
-    return run_simulation(scenario, graph, list(cfg.groups), cfg.engine,
-                          cfg.seed if cfg.seed is not None else 0)
+    return run_simulation(scenario, graph, list(cfg.groups), cfg.engine, cfg.seed or 0)
 
 
 def _write_run_outputs(trace: RunTrace, out_dir: str, suffix: str = "") -> dict:
@@ -169,48 +169,41 @@ SWEEP_AXES = ("deadline_cap", "density", "seed")
 SWEEP_COLUMNS = ("mean_us", "p99_us", "max_us", "violations", "collisions")
 
 
-def _sweep_values(axis: str, text: str) -> list[float]:
-    """The comma-separated values of --values: integers for seed, integers
-    >= 0 for deadline_cap, finite and >= 0 for density."""
+def _with_density(scenario: Scenario, density: float, seed: int) -> Scenario:
+    road = RoadSpec(speed_mps=max(scenario.ego_initial.v_mps, 1.0))
+    extra = generate_traffic(density, seed, road)
+    return dataclasses.replace(scenario, agents=scenario.agents + tuple(
+        (f"bg{i:03d}", kind, traj) for i, (kind, traj) in enumerate(extra)))
+
+
+def _sweep_points(cfg: RunConfig, scenario: Scenario, axis: str,
+                  text: str) -> list[tuple[float, RunConfig, Scenario]]:
+    """(value, config, scenario) per comma-separated value of --values:
+    integers for seed and deadline_cap. Each point's records are built
+    here, so a value out of its field's bounds fails before any run."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"invalid axis {axis!r}; choose from {SWEEP_AXES}")
     values = [v.strip() for v in text.split(",") if v.strip()]
     if len(values) < 2:
         raise ConfigError(">= 2 values required")
+    points = []
     try:
-        values = [float(v) for v in values]
-        for v in values:
-            if axis != "density":
-                as_scalar(int, v)
-            elif not 0 <= v < math.inf:
-                raise ValueError(f"expected a finite number >= 0, got {v}")
-            if axis == "deadline_cap" and v < 0:
-                raise ValueError(f"expected >= 0, got {int(v)}")
+        for v in map(float, values):
+            if axis == "density":
+                points.append((v, cfg, _with_density(scenario, v, cfg.seed or 0)))
+            elif axis == "seed":
+                points.append((v, dataclasses.replace(cfg, seed=as_scalar(int, v)), scenario))
+            else:
+                mit = dataclasses.replace(cfg.engine.mitigation, deadline_cap_us=as_scalar(int, v))
+                engine = dataclasses.replace(cfg.engine, mitigation=mit)
+                points.append((v, dataclasses.replace(cfg, engine=engine), scenario))
     except ValueError as e:
         raise ConfigError(f"--values: {e}") from None
-    return values
-
-
-def _with_density(scenario: Scenario, density: float, seed: int) -> Scenario:
-    road = RoadSpec(speed_mps=max(scenario.ego_initial.v_mps, 1.0))
-    extra = generate_traffic(density, seed, road)
-    agents = list(scenario.agents)
-    for i, (kind, traj) in enumerate(extra):
-        agents.append((f"bg{i:03d}", kind, traj))
-    return dataclasses.replace(scenario, agents=tuple(agents))
+    return points
 
 
 def _sweep_point(payload) -> tuple[float, dict]:
-    cfg, scenario, graph, axis, value = payload
-    if axis == "deadline_cap":
-        mit = dataclasses.replace(cfg.engine.mitigation, deadline_cap_us=int(value))
-        cfg = dataclasses.replace(cfg, engine=dataclasses.replace(
-            cfg.engine, mitigation=mit))
-    elif axis == "density":
-        scenario = _with_density(scenario, float(value),
-                                 cfg.seed if cfg.seed is not None else 0)
-    elif axis == "seed":
-        cfg = dataclasses.replace(cfg, seed=int(value))
+    value, cfg, scenario, graph = payload
     trace = _execute(cfg, scenario, graph)
     samples = trace.e2e_samples()
     stats = dataclasses.asdict(analysis.compute_stats(samples)) if samples else {}
@@ -219,18 +212,16 @@ def _sweep_point(payload) -> tuple[float, dict]:
 
 def cmd_sweep(args) -> int:
     cfg, scenario, graph = _load_run(args)
-    values = _sweep_values(args.axis, args.values)
-    payloads = [(cfg, scenario, graph, args.axis, v) for v in values]
+    payloads = [(*point, graph) for point in _sweep_points(cfg, scenario, args.axis, args.values)]
     try:
         threads = as_scalar(int, float(os.environ.get("COLA_SIM_THREADS", "1")))
     except ValueError as e:
         raise ConfigError(f"COLA_SIM_THREADS: {e}") from None
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_sweep_point, payloads))
+            results = list(pool.map(_sweep_point, payloads))     # in payload order
     else:
         results = [_sweep_point(p) for p in payloads]
-    results.sort(key=lambda r: values.index(r[0]))
     out_path = os.path.join(cfg.out_dir, "sweep.csv")
     with _writing(cfg.out_dir):
         os.makedirs(cfg.out_dir, exist_ok=True)
@@ -277,7 +268,7 @@ def main(argv=None) -> int:
         message, code = f"cannot read {e.filename}: {e.strerror}", EXIT_VALIDATION
     except InputError as e:
         message, code = e, EXIT_VALIDATION
-    except (EngineError, analysis.AnalysisError) as e:
+    except analysis.AnalysisError as e:
         message, code = e, EXIT_RUNTIME
     print(f"error: {message}", file=sys.stderr)
     return code

@@ -35,13 +35,9 @@ class RunConfig:
 _SCHEMA = {
     RunConfig: {"scenario_path": Key("scenario"), "pipeline_path": Key("pipeline"),
                 "engine": Key(flat=True), "seed": Key(default=None), "out_dir": Key("out")},
-    ProcessorGroup: {"worker_count": Key("workers", default=1),
-                     "pinned_nodes": Key(default=[]), "budget_us": Key(min=0)},
-    EngineConfig: {"actuation_delay_us": Key(min=0), "sensor_range_m": Key(min=0),
-                   "response_margin_us": Key(min=0)},
+    ProcessorGroup: {"worker_count": Key("workers", default=1), "pinned_nodes": Key(default=[])},
     MitigationConfig: {"criticality_radius_m": Key("radius_m"),
-                       "steal_safety_factor": Key("safety_factor"),
-                       "fast_lookahead_m": Key(min=0), "deadline_cap_us": Key(min=0)},
+                       "steal_safety_factor": Key("safety_factor")},
     RssParams: {"a_max_accel": Key("a_max_accel_mps2"), "a_min_brake": Key("a_min_brake_mps2"),
                 "a_max_brake": Key("a_max_brake_mps2")},
 }

@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import mitigation as mit
-from .jsonio import refuse_constant
+from .jsonio import InputError, check_min, read_record, refuse_constant
 from .mitigation import MitigationConfig, PathChoice
 from .pipeline import (Channel, CompiledGraph, ExecutionPattern, FrameMessage,
                        LatencyModel, NodeRole, NodeSpec, ObjectTrack,
@@ -30,8 +30,8 @@ from .scenario import (AgentArrays, AgentState, CompiledTrajectory, Scenario,
 from .simkernel import EventQueue, StreamFactory
 
 
-class EngineError(RuntimeError):
-    pass
+class EngineError(InputError):
+    """A group, engine config or pinning that no run can use."""
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,8 @@ class ProcessorGroup:
     budget_us: int = 1_000_000_000
 
     def __post_init__(self):
-        if self.worker_count < 1:
-            raise EngineError(f"group {self.name}: worker_count must be >= 1")
+        check_min(self, 1, "worker_count", error=EngineError)
+        check_min(self, 0, "budget_us", error=EngineError)
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,9 @@ class EngineConfig:
     rss: RssParams = RssParams()
 
     def __post_init__(self):
-        if self.tick_us <= 0:
-            raise EngineError("config.tick must be > 0")
+        check_min(self, 1, "tick_us", error=EngineError)
+        check_min(self, 0, "actuation_delay_us", "sensor_range_m", "response_margin_us",
+                  error=EngineError)
 
 
 @dataclass
@@ -188,7 +189,6 @@ class RunTrace:
         if isinstance(lines, str):
             lines = lines.splitlines()
         records = {kind: [] for kind in _RECORD_TYPES}
-        summary = None
         lineno = 0
         for lineno, line in enumerate(lines, start=1):
             if not line.strip():
@@ -198,70 +198,40 @@ class RunTrace:
             except ValueError as e:     # json.JSONDecodeError is a ValueError
                 raise TraceError(lineno, f"malformed JSON: {e}") from None
             kind = obj.pop("type", None) if isinstance(obj, dict) else None
-            if kind == "summary":
-                if summary is not None:
-                    raise TraceError(lineno, "second summary record")
-                summary = _read_summary(lineno, obj)
-                continue
             if kind not in _RECORD_TYPES:
                 raise TraceError(lineno, f"unknown trace record type {kind!r}")
+            if kind == "summary":
+                if records["summary"]:
+                    raise TraceError(lineno, "second summary record")
+                explicit = "format" in obj
+                fmt = obj.pop("format", 1)      # format 1 wrote no "format" field
+                if explicit and (type(fmt) is not int or fmt != TRACE_FORMAT):
+                    raise TraceError(lineno, f"unsupported trace format {fmt!r}")
             try:
-                records[kind].append(_typed(_RECORD_TYPES[kind](**obj)))
-            except TypeError as e:
-                raise TraceError(lineno, f"bad {kind} record: {e}") from None
-        if summary is None:
+                records[kind].append(read_record(_RECORD_TYPES[kind], obj, kind, _TRACE_SCHEMA))
+            except InputError as e:
+                raise TraceError(lineno, str(e)) from None
+        if not records["summary"]:
             raise TraceError(lineno, "trace has no summary record")
-        fmt, obj = summary
         if fmt == 1 and records["closest"]:
             raise TraceError(lineno, "format-1 trace holds closest records")
-        trace = cls(**obj, spans=records["span"], frames=records["frame"],
-                    reactions=records["reaction"], safety_samples=records["safety"],
-                    closest=records["closest"])
+        trace = records.pop("summary")[0]
+        for name, recs in zip(_RECORD_LISTS, records.values()):
+            setattr(trace, name, recs)
         if fmt == 1:
             trace.closest = _closest_approaches(trace.safety_samples)
             trace.safety_samples = [s for s in trace.safety_samples if s.level != "safe"]
         return trace
 
 
+# trace record type -> its dataclass; a summary is a RunTrace without its
+# record lists, which hold the other types in this order
 _RECORD_TYPES = {"span": Span, "frame": FrameRecord, "reaction": ReactionRecord,
-                 "safety": SafetySample, "closest": ClosestApproach}
+                 "safety": SafetySample, "closest": ClosestApproach, "summary": RunTrace}
+_RECORD_LISTS = ("spans", "frames", "reactions", "safety_samples", "closest")
+_TRACE_SCHEMA = {RunTrace: dict.fromkeys(_RECORD_LISTS)}     # a jsonio field table
 # the RunTrace fields a summary record holds, besides "type" and "format"
-_SUMMARY_FIELDS = ("scenario_digest", "seed", "duration_us", "busy_us_by_group",
-                   "worker_count_by_group", "budget_violations", "steals_admitted",
-                   "steals_rejected", "ego_segments")
-
-
-# JSON types a record field of each annotated type may hold (bool is an int)
-_FIELD_TYPES = {"int": int, "str": str, "float": (int, float), "bool": bool}
-# per record type: (field name, annotated type, the JSON types it accepts)
-_FIELD_CHECKS = {rec: [(f.name, f.type, _FIELD_TYPES[f.type]) for f in fields(rec)]
-                 for rec in _RECORD_TYPES.values()}
-
-
-def _typed(rec):
-    """rec, once every field holds a value of its annotated type."""
-    for name, kind, types in _FIELD_CHECKS[type(rec)]:
-        value = getattr(rec, name)
-        if not isinstance(value, types) or (type(value) is bool and kind != "bool"):
-            raise TypeError(f"{name}: expected {kind}, got {value!r}")
-    return rec
-
-
-def _read_summary(lineno: int, obj: dict) -> tuple[int, dict]:
-    """(format, RunTrace fields) of a summary record."""
-    explicit = "format" in obj
-    fmt = obj.pop("format", 1)      # format 1 wrote no "format" field
-    if explicit and (type(fmt) is not int or fmt != TRACE_FORMAT):
-        raise TraceError(lineno, f"unsupported trace format {fmt!r}")
-    if set(obj) != set(_SUMMARY_FIELDS):
-        raise TraceError(lineno, f"summary record: expected fields {sorted(_SUMMARY_FIELDS)}, "
-                                 f"got {sorted(obj)}")
-    try:
-        obj["ego_segments"] = [tuple(seg) for seg in obj["ego_segments"]]
-    except TypeError:
-        raise TraceError(lineno, "summary record: ego_segments is not a list of "
-                                 "pairs") from None
-    return fmt, obj
+_SUMMARY_FIELDS = tuple(f.name for f in fields(RunTrace) if f.name not in _TRACE_SCHEMA[RunTrace])
 
 
 def _closest_approaches(samples) -> list[ClosestApproach]:
@@ -643,13 +613,14 @@ class Simulation:
         grp.ready.append(task)
 
     def _predict_next(self, node: str) -> int:
-        """Predicted cost of node's next run, from the newest message on
-        each of its inputs; memoized until one of those inputs changes."""
+        """Predicted cost of node's next run, from the message its next
+        take() pops from each input: the head, which on a latest-only
+        channel is the only message. Memoized until one of those inputs
+        changes."""
         cost = self._predicted.get(node)
         if cost is None:
             spec = self.graph.nodes[node]
-            preview = [m for m in (self._channels[c].peek_latest() for c in spec.inputs)
-                       if m is not None]
+            preview = [q[0] for q in (self._channels[c].queued for c in spec.inputs) if q]
             counts = _kind_counts(preview, _merge_objects(preview))
             cost = self._predicted[node] = predict_latency(spec.latency, counts,
                                                            spec.lookahead_m)

@@ -1,5 +1,5 @@
-"""Strict, table-driven reading and writing of the JSON input files: run
-config, scenario, pipeline.
+"""Strict, table-driven reading and writing of the JSON input files (run
+config, scenario, pipeline), and reading of trace records.
 
 A record of an input file is a dataclass, or a tuple whose items sit
 under named keys. An attribute's JSON key, type and default come from
@@ -7,7 +7,8 @@ dataclasses.fields() and the annotations; each module keeps a field
 table next to its dataclasses, {class: {attribute: Key}}, for the
 exceptions only. The reader refuses NaN and Infinity, which json.load
 accepts by default, unknown and missing keys and values of the wrong
-type, and each message names the field.
+type, and each message names the field. Value bounds sit in no table:
+each record checks its own in __post_init__, with check_min.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ class Key(typing.NamedTuple):
     name: str = ""              # the JSON key, where it is not the attribute's name
     default: object = MISSING   # the JSON value of a missing key, where the dataclass has none
     omit: bool = False          # not written while it equals the dataclass default
-    min: int | None = None      # the smallest valid number
     flat: bool = False          # a record whose keys sit in its parent's object
     cols: tuple = ()            # tuples written as objects, their items under these keys
     by: str = ""                # {name: record} written as a list sorted by this attribute
@@ -104,7 +104,7 @@ def _read_record(tp, obj, ctx: str, inner: str, table, cols=(), extra=frozenset(
             raise InputError(f"{ctx}: missing field {key!r}")
     try:
         return tuple(values.values()) if cols else tp(**values)
-    except (TypeError, ValueError, RuntimeError) as e:  # RuntimeError: engine.EngineError
+    except (TypeError, ValueError) as e:
         raise InputError(f"{ctx}: {e}") from None
 
 
@@ -112,12 +112,9 @@ def _read(tp, value, ctx: str, key: str, inner: str, k: Key, table):
     """value, found under key in the record ctx, as type tp."""
     if tp in _SCALARS:
         try:
-            value = as_scalar(tp, value)
+            return as_scalar(tp, value)
         except ValueError as e:
             raise InputError(f"{ctx}.{key}: {e}") from None
-        if k.min is not None and value < k.min:
-            raise InputError(f"{ctx}.{key}: expected >= {k.min}, got {value}")
-        return value
     if isinstance(tp, type) and issubclass(tp, Enum):
         try:
             return tp(value)
@@ -134,7 +131,9 @@ def _read(tp, value, ctx: str, key: str, inner: str, k: Key, table):
                 _read(tp.__args__[1], v, ctx, name, "", Key(), table)
                 for name, v in value.items()}
     _expect(value, list, ctx)
-    item = tp.__args__[1 if k.by else 0]       # dict[str, record] or tuple[record, ...]
+    item = tp.__args__[1 if k.by else 0]   # dict[str, record], tuple[record, ...], list[pair]
+    if typing.get_origin(item) is tuple and not k.cols:     # [x, y] pairs, read as a list
+        return [_pair(item.__args__, v, f"{ctx}[{i}]") for i, v in enumerate(value)]
     records = [_read_record(item, v, f"{ctx}[{i}]", f"{ctx}[{i}].", table, k.cols)
                for i, v in enumerate(value)]
     if not k.by:
@@ -144,6 +143,16 @@ def _read(tp, value, ctx: str, key: str, inner: str, k: Key, table):
         if out.setdefault(getattr(rec, k.by), rec) is not rec:
             raise InputError(f"{ctx}[{i}]: duplicate {k.by} {getattr(rec, k.by)!r}")
     return out
+
+
+def _pair(types, value, ctx: str) -> tuple:
+    """value, a JSON list of one scalar per item of types, as a tuple."""
+    if type(value) is not list or len(value) != len(types):
+        raise InputError(f"{ctx}: expected a list of {len(types)} items, got {value!r}")
+    try:
+        return tuple(as_scalar(t, v) for t, v in zip(types, value))
+    except ValueError as e:
+        raise InputError(f"{ctx}: {e}") from None
 
 
 def _write_record(tp, rec, table, out: dict, cols=()) -> dict:
@@ -187,9 +196,27 @@ def from_json(cls, obj, ctx: str, version: int, error, table):
         raise error(str(e)) from None
 
 
+def read_record(tp, obj: dict, ctx: str, table):
+    """The record tp in obj, which must hold every one of its keys, those
+    the dataclass defaults too (a trace record, always written whole);
+    raises InputError naming the field."""
+    if missing := _plan(tp, table)[1] - obj.keys():
+        raise InputError(f"{ctx}: missing fields {sorted(missing)}")
+    return _read_record(tp, obj, ctx, ctx + ".", table)
+
+
 def to_json(rec, version: int, table) -> dict:
     """The JSON object of an input file of format version holding rec."""
     return _write_record(type(rec), rec, table, {"format": version})
+
+
+def check_min(rec, low, *names, error=InputError):
+    """Raise error naming the first attribute in names whose value on rec is
+    below low. Records check their bounds so, in __post_init__."""
+    for name in names:
+        value = getattr(rec, name)
+        if value < low:
+            raise error(f"{name}: expected >= {low}, got {value}")
 
 
 def refuse_constant(name: str):

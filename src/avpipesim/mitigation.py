@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .jsonio import check_min
 from .pipeline import NodeSpec, ObjectTrack, predict_latency
 from .safety import DEFAULT_DEADLINE_CAP_US
 from .scenario import AgentKind, AgentState
@@ -33,6 +34,7 @@ class MitigationConfig:
             raise ValueError("criticality radius must be > 0")
         if self.steal_safety_factor < 1.0:
             raise ValueError("steal safety factor must be >= 1")
+        check_min(self, 0, "fast_lookahead_m", "deadline_cap_us")
 
 
 class PathChoice(str, Enum):

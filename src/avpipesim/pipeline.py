@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .jsonio import InputError, Key, from_json, load_json, save_json, to_json
+from .jsonio import InputError, Key, check_min, from_json, load_json, save_json, to_json
 from .scenario import AgentKind, AgentState
 from .simkernel import RandomStream
 
@@ -146,6 +146,9 @@ class Channel:
     policy: ChannelPolicy
     capacity: int = 8
     queued: list = field(default_factory=list)
+
+    def __post_init__(self):
+        check_min(self, 1, "capacity", error=PipelineError)
 
     def offer(self, msg) -> None:
         if self.policy == ChannelPolicy.LATEST_ONLY:
@@ -340,7 +343,7 @@ _SCHEMA = {
                "proactive_cost_us": Key(omit=True)},
     LatencyModel: {"noise": Key(omit=True), "contention": Key(omit=True),
                    "lookahead_cost_us_per_m": Key(omit=True)},
-    Channel: {"policy": Key(default="fifo"), "capacity": Key(min=1), "queued": None},
+    Channel: {"policy": Key(default="fifo"), "queued": None},
 }
 
 

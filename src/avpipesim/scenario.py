@@ -275,8 +275,8 @@ def generate_traffic(density: float, seed: int, road: RoadSpec,
     along the road, centered on the ego start, in non-ego lanes so they
     load the pipeline without forcing interactions.
     """
-    if density < 0:
-        raise ValueError(f"density must be >= 0, got {density}")
+    if not 0 <= density < np.inf:
+        raise ValueError(f"density must be finite and >= 0, got {density}")
     if density == 0:
         return []
     stream = RandomStream(seed, "traffic-gen")

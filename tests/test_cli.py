@@ -151,24 +151,28 @@ def _set(path, value):
     ("pipeline.json", _set(("nodes", 0, "inputs"), [1]),
      "nodes[0].inputs: expected a list of strings, got [1]"),
     ("pipeline.json", _set(("channels", 0, "capacity"), 0),
-     "channels[0].capacity: expected >= 1, got 0"),
+     "channels[0]: capacity: expected >= 1, got 0"),
     ("pipeline.json", _set(("channels", 1, "capacity"), -3),
-     "channels[1].capacity: expected >= 1, got -3"),
+     "channels[1]: capacity: expected >= 1, got -3"),
     ("config.json", _set(("actuation_delay_us",), -1),
-     "config.actuation_delay_us: expected >= 0, got -1"),
+     "config: actuation_delay_us: expected >= 0, got -1"),
     ("config.json", _set(("format",), True), "format: expected 1, got True"),
     ("scenario.json", _set(("format",), True), "format: expected 1, got True"),
     ("pipeline.json", _set(("format",), True), "format: expected 1, got True"),
     ("config.json", _set(("groups", 0, "budget_us"), -5),
-     "groups[0].budget_us: expected >= 0, got -5"),
+     "groups[0]: budget_us: expected >= 0, got -5"),
     ("config.json", _set(("sensor_range_m",), -1.5),
-     "config.sensor_range_m: expected >= 0, got -1.5"),
+     "config: sensor_range_m: expected >= 0, got -1.5"),
     ("config.json", _set(("response_margin_us",), -1),
-     "config.response_margin_us: expected >= 0, got -1"),
+     "config: response_margin_us: expected >= 0, got -1"),
     ("config.json", _set(("mitigation",), {"fast_lookahead_m": -2.0}),
-     "mitigation.fast_lookahead_m: expected >= 0, got -2.0"),
+     "mitigation: fast_lookahead_m: expected >= 0, got -2.0"),
     ("config.json", _set(("mitigation",), {"deadline_cap_us": -7}),
-     "mitigation.deadline_cap_us: expected >= 0, got -7"),
+     "mitigation: deadline_cap_us: expected >= 0, got -7"),
+    ("config.json", _set(("groups", 0, "pinned_nodes"), ["sensor", "detect", "act", "ghost"]),
+     "group main pins unknown node 'ghost'"),
+    ("config.json", _set(("groups", 0, "pinned_nodes"), ["sensor", "detect"]),
+     "node act is not pinned to any group"),
 ], ids=["pattern", "role", "node-name", "group-name", "groups-int", "seed-str",
         "rss-key", "duration-nan", "range-nan", "fastpath-str", "cancel-int",
         "workers-frac", "workers-bool", "tick-str", "response-frac", "duration-frac",
@@ -177,7 +181,8 @@ def _set(path, value):
         "hazard-agent-list", "channel-id-int", "pinned-str", "inputs-int", "capacity-zero",
         "capacity-negative", "actuation-negative", "config-format-bool",
         "scenario-format-bool", "pipeline-format-bool", "budget-negative",
-        "range-negative", "margin-negative", "lookahead-negative", "cap-negative"])
+        "range-negative", "margin-negative", "lookahead-negative", "cap-negative",
+        "pin-unknown", "pin-missing"])
 def test_run_bad_input_exits_1_with_message(workdir, capsys, name, mutate, expect):
     path = workdir / name
     obj = json.loads(path.read_text())
@@ -192,7 +197,8 @@ def test_run_bad_input_exits_1_with_message(workdir, capsys, name, mutate, expec
 def test_run_negative_deadline_cap_flag_exits_1(workdir, capsys):
     rc = main(["run", "--config", str(workdir / "config.json"), "--deadline-cap-us", "-7"])
     assert rc == EXIT_VALIDATION
-    assert capsys.readouterr().err == "error: --deadline-cap-us: expected >= 0, got -7\n"
+    assert (capsys.readouterr().err
+            == "error: --deadline-cap-us: deadline_cap_us: expected >= 0, got -7\n")
     assert not (workdir / "out").exists()
 
 
@@ -317,13 +323,13 @@ def test_sweep_needs_two_values(workdir, capsys):
 
 
 @pytest.mark.parametrize("axis, values, expect", [
-    ("density", "nan,1", "expected a finite number >= 0, got nan"),
-    ("density", "inf,1", "expected a finite number >= 0, got inf"),
-    ("density", "-1,1", "expected a finite number >= 0, got -1.0"),
+    ("density", "nan,1", "density must be finite and >= 0, got nan"),
+    ("density", "inf,1", "density must be finite and >= 0, got inf"),
+    ("density", "-1,1", "density must be finite and >= 0, got -1.0"),
     ("seed", "1.5,2", "expected an integer, got 1.5"),
     ("seed", "1e30,2", "expected an integer, got 1e+30"),
     ("deadline_cap", "125000,1e30", "expected an integer, got 1e+30"),
-    ("deadline_cap", "125000,-7", "expected >= 0, got -7"),
+    ("deadline_cap", "125000,-7", "deadline_cap_us: expected >= 0, got -7"),
 ], ids=["density-nan", "density-inf", "density-negative", "seed-fraction", "seed-huge",
         "cap-huge", "cap-negative"])
 def test_sweep_bad_values_exit_1(workdir, capsys, axis, values, expect):
@@ -446,21 +452,24 @@ def test_compare_rejects_mismatched_scenarios(workdir, tmp_path, capsys):
     ("[1, 2]\n", ":1: unknown trace record type None"),
     ('{"type": "closest", "agent_id": "a", "t_us": 0, "lon_gap_m": NaN}\n',
      ":1: malformed JSON: non-finite number NaN"),
-    ('{"type": "safety", "t_us": 0}\n', ":1: bad safety record"),
+    ('{"type": "safety", "t_us": 0}\n',
+     ":1: safety: missing fields ['agent_id', 'lat_gap_m', 'level', 'lon_gap_m']"),
     ('\n{"type": "closest", "agent_id": "a", "t_us": true, "lon_gap_m": 1}\n',
-     ":2: bad closest record: t_us: expected int, got True"),
+     ":2: closest.t_us: expected an integer, got True"),
     ("\n", ":1: trace has no summary record"),
-    (None, "unsupported trace format 3"),
+    (('"format": 2', '"format": 3'), "unsupported trace format 3"),
+    (('"seed": 3', '"seed": "x"'), "summary.seed: expected an integer, got 'x'"),
 ], ids=["truncated", "unknown-type", "not-an-object", "nan", "missing-fields",
-        "wrong-type", "no-summary", "format-3"])
+        "wrong-type", "no-summary", "format-3", "summary-seed-str"])
 def test_compare_bad_trace_exits_1_with_line(workdir, capsys, text, expect):
     good = workdir / "out" / "trace.ndjson"
     assert main(["run", "--config", str(workdir / "config.json")]) == EXIT_OK
     bad = workdir / "bad.ndjson"
-    if text is None:    # the good trace with its summary's format changed
+    if isinstance(text, tuple):     # the good trace with one summary field changed
         lines = good.read_text().splitlines(keepends=True)
         expect = f":{len(lines)}: {expect}"
-        text = "".join(lines[:-1]) + lines[-1].replace('"format": 2', '"format": 3')
+        assert text[0] in lines[-1]
+        text = "".join(lines[:-1]) + lines[-1].replace(*text)
     bad.write_text(text)
     capsys.readouterr()
     for args in ([str(good), str(bad)], [str(bad), str(good)]):

@@ -1,17 +1,20 @@
 """The table-driven input schema: the bytes it writes, save -> load ->
-save round trips, and the defaults of a config that leaves every
-optional field out."""
+save round trips, the defaults of a config that leaves every optional
+field out, and the value bounds the records themselves hold."""
 
 import hashlib
 import json
+import re
 
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
 from avpipesim.config import load_config
+from avpipesim.engine import EngineConfig, ProcessorGroup, run_simulation
+from avpipesim.jsonio import InputError
 from avpipesim.mitigation import MitigationConfig
-from avpipesim.pipeline import (ChannelPolicy, LatencyModel, NodeRole, load_pipeline,
+from avpipesim.pipeline import (Channel, ChannelPolicy, LatencyModel, NodeRole, load_pipeline,
                                 save_pipeline)
 from avpipesim.safety import RssParams
 from avpipesim.scenario import AgentKind, AgentState, Scenario, load_scenario, save_scenario
@@ -89,3 +92,35 @@ def test_config_defaults(tmp_path):
     assert (group.worker_count, group.pinned_nodes, group.budget_us) == (1, (), 1_000_000_000)
     assert cfg.seed is None
     assert (cfg.scenario_path, cfg.out_dir) == (str(tmp_path / "s.json"), str(tmp_path / "out"))
+
+
+def negative_budget_run():
+    """A budget of -5 us once ran and counted all 81 spans as violations."""
+    graph = fixtures.av_pipeline()
+    return run_simulation(fixtures.safety_mix_scenario(), graph,
+                          [ProcessorGroup("all", 2, tuple(graph.nodes), budget_us=-5)],
+                          EngineConfig(sensor_range_m=-1.0), seed=3)
+
+
+@pytest.mark.parametrize("build, expect", [
+    (lambda: ProcessorGroup("g", 1, (), budget_us=-5), "budget_us: expected >= 0, got -5"),
+    (lambda: EngineConfig(actuation_delay_us=-1), "actuation_delay_us: expected >= 0, got -1"),
+    (lambda: EngineConfig(sensor_range_m=-1.0), "sensor_range_m: expected >= 0, got -1.0"),
+    (lambda: EngineConfig(response_margin_us=-1), "response_margin_us: expected >= 0, got -1"),
+    (lambda: MitigationConfig(fast_lookahead_m=-2.0),
+     "fast_lookahead_m: expected >= 0, got -2.0"),
+    (lambda: MitigationConfig(deadline_cap_us=-7), "deadline_cap_us: expected >= 0, got -7"),
+    (lambda: Channel("c", ChannelPolicy.FIFO, capacity=0), "capacity: expected >= 1, got 0"),
+    (negative_budget_run, "budget_us: expected >= 0, got -5"),
+], ids=["budget", "actuation", "range", "margin", "lookahead", "cap", "capacity",
+        "negative-budget-run"])
+def test_bounds_hold_for_library_calls(build, expect):
+    with pytest.raises(InputError, match=f"^{re.escape(expect)}$"):
+        build()
+
+
+def test_bounds_admit_their_limits():
+    assert ProcessorGroup("g", 1, (), budget_us=0).budget_us == 0
+    assert EngineConfig(actuation_delay_us=0, sensor_range_m=0.0, response_margin_us=0)
+    assert MitigationConfig(fast_lookahead_m=0.0, deadline_cap_us=0)
+    assert Channel("c", ChannelPolicy.FIFO, capacity=1).capacity == 1

@@ -99,6 +99,11 @@ class TestTrafficGeneration:
     def test_zero_density_empty(self):
         assert generate_traffic(0.0, 1, RoadSpec()) == []
 
+    @pytest.mark.parametrize("density", [-1.0, math.nan, math.inf])
+    def test_density_must_be_finite_and_non_negative(self, density):
+        with pytest.raises(ValueError, match=f"density must be finite and >= 0, got {density}"):
+            generate_traffic(density, 1, RoadSpec())
+
     def test_deterministic_per_seed(self):
         a = generate_traffic(5.0, 42, RoadSpec())
         b = generate_traffic(5.0, 42, RoadSpec())

@@ -24,6 +24,8 @@ from avpipesim.pipeline import (Channel, ChannelPolicy, ExecutionPattern, FrameM
 from avpipesim.scenario import AgentKind, AgentState, Scenario, TrajectorySpec
 from avpipesim.simkernel import ms, sec
 
+from conftest import chain_pipeline, one_group
+
 V, P, C = AgentKind.VEHICLE, AgentKind.PEDESTRIAN, AgentKind.CYCLIST
 
 
@@ -43,8 +45,8 @@ class UncachedSimulation(Simulation):
 
     def _predict_next(self, node):
         spec = self.graph.nodes[node]
-        preview = [self._channels[c].peek_latest() for c in spec.inputs]
-        counts = kind_counts(reference_merge([m for m in preview if m is not None]))
+        preview = [self._channels[c].queued[0] for c in spec.inputs if self._channels[c].queued]
+        counts = kind_counts(reference_merge(preview))
         return predict_latency(spec.latency, counts, spec.lookahead_m)
 
     def _try_steal(self, node, task):
@@ -217,3 +219,24 @@ def test_merge_and_counts_match_reference(inputs):
     assert engine._kind_counts(msgs, merged) == kind_counts(expected)
     for m in msgs:
         assert m.counts() is m.counts() and m.counts() == kind_counts(m.objects)
+
+
+def test_prediction_prices_the_head_that_take_pops():
+    """Steal admission prices a node's next run. On a FIFO input holding a
+    head and a tail of different object counts that run takes the head,
+    so the head is priced; a latest-only input holds one message."""
+    for policy in ChannelPolicy:
+        graph = chain_pipeline({"proc": (ms(1), NodeRole.CONTROL)}, channel_policy=policy,
+                               per_vehicle_us=ms(2))
+        scenario = Scenario(ego_initial=AgentState(s_m=0.0, l_m=0.0, v_mps=10.0, a_mps2=0.0),
+                            agents=(), duration_us=sec(1))
+        sim = Simulation(scenario, graph, one_group(graph), EngineConfig(), seed=0)
+        channel = sim._channels["ch_sensor"]
+        head, tail = message("a", 0), message("bcd", 1)
+        channel.offer(head)
+        channel.offer(tail)
+        first = head if policy == ChannelPolicy.FIFO else tail
+        spec = graph.nodes["proc"]
+        assert sim._predict_next("proc") == predict_latency(
+            spec.latency, kind_counts(first.objects), None) == ms(1) + len(first.objects) * ms(2)
+        assert channel.take() is first

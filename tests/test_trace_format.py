@@ -175,12 +175,37 @@ def test_format2_round_trip():
                       text)
 
 
+def test_reader_takes_integral_floats_for_integers():
+    """As in the input files: 2.0 reads as the integer 2, 2.5 does not."""
+    lines = run_safety_mix().to_ndjson().splitlines()
+    i = next(i for i, line in enumerate(lines) if '"type": "closest"' in line)
+    obj = json.loads(lines[i])
+    lines[i] = json.dumps({**obj, "t_us": float(obj["t_us"])})
+    assert ".0" in lines[i]
+    read = RunTrace.from_ndjson(lines)
+    assert type(read.closest[0].t_us) is int and read.closest[0].t_us == obj["t_us"]
+    lines[i] = json.dumps({**obj, "t_us": obj["t_us"] + 0.5})
+    with pytest.raises(TraceError, match=r"closest.t_us: expected an integer, got \d+\.5"):
+        RunTrace.from_ndjson(lines)
+
+
 @pytest.mark.parametrize("change, expect", [
     ({"format": 1}, "unsupported trace format 1"),
     ({"format": "2"}, "unsupported trace format '2'"),
     ({"format": True}, "unsupported trace format True"),
-    ({"extra": 1}, "summary record: expected fields"),
-    ({"ego_segments": 5}, "ego_segments is not a list of pairs"),
+    pytest.param({"extra": 1}, r"summary: unknown fields \['extra'\]", id="extra-field"),
+    pytest.param({"ego_segments": 5}, "summary.ego_segments: expected a list, got int",
+                 id="segments-int"),
+    pytest.param({"seed": "x"}, "summary.seed: expected an integer, got 'x'", id="seed-str"),
+    pytest.param({"duration_us": -5.5}, "summary.duration_us: expected an integer, got -5.5",
+                 id="duration-frac"),
+    pytest.param({"busy_us_by_group": 5},
+                 "summary.busy_us_by_group: expected an object, got int", id="busy-int"),
+    pytest.param({"ego_segments": [["t", "a"]]},
+                 r"summary.ego_segments\[0\]: expected an integer, got 't'", id="segment-str"),
+    pytest.param({"ego_segments": [[0]]},
+                 r"summary.ego_segments\[0\]: expected a list of 2 items, got \[0\]",
+                 id="segment-short"),
 ])
 def test_reader_refuses_bad_summaries(change, expect):
     lines = run_safety_mix().to_ndjson().splitlines()
@@ -188,6 +213,20 @@ def test_reader_refuses_bad_summaries(change, expect):
     with pytest.raises(TraceError, match=expect) as info:
         RunTrace.from_ndjson(lines)
     assert info.value.lineno == len(lines)
+
+
+@pytest.mark.parametrize("record", ["span", "summary"])
+def test_reader_refuses_a_record_missing_a_defaulted_field(record):
+    """Every field is required, also one its dataclass defaults."""
+    lines = run_safety_mix().to_ndjson().splitlines()
+    i = next(i for i, line in enumerate(lines) if f'"type": "{record}"' in line)
+    obj = json.loads(lines[i])
+    dropped = "residual" if record == "span" else "steals_admitted"
+    del obj[dropped]
+    lines[i] = json.dumps(obj)
+    with pytest.raises(TraceError, match=rf"{record}: missing fields \['{dropped}'\]") as info:
+        RunTrace.from_ndjson(lines)
+    assert info.value.lineno == i + 1
 
 
 def test_reader_refuses_closest_records_in_format1_and_a_second_summary():
