@@ -502,7 +502,7 @@ class Simulation:
         else:
             objects = _merge_objects(inputs)
 
-        counts = _kind_counts(inputs, objects)
+        counts = kind_counts(objects)
         if (not is_residual and cfg.fastpath and spec.supports_fastpath):
             est = downstream_estimate(self._net, node, counts)
             deadline = mit.message_deadline(objects, now, cfg.deadline_cap_us)
@@ -512,7 +512,7 @@ class Simulation:
                 critical, residual = mit.partial_update(objects, ego,
                                                         cfg.criticality_radius_m)
                 objects = critical
-                counts = _kind_counts(inputs, objects)
+                counts = kind_counts(objects)
 
         if path == PathChoice.FASTPATH:
             model = spec.fast_latency
@@ -621,9 +621,8 @@ class Simulation:
         if cost is None:
             spec = self.graph.nodes[node]
             preview = [q[0] for q in (self._channels[c].queued for c in spec.inputs) if q]
-            counts = _kind_counts(preview, _merge_objects(preview))
-            cost = self._predicted[node] = predict_latency(spec.latency, counts,
-                                                           spec.lookahead_m)
+            cost = self._predicted[node] = predict_latency(
+                spec.latency, kind_counts(_merge_objects(preview)), spec.lookahead_m)
         return cost
 
     def _try_steal(self, node: str, task: _Task) -> bool:
@@ -727,26 +726,12 @@ def _model_is_zero(m: LatencyModel) -> bool:
 def _merge_objects(msgs) -> tuple[ObjectTrack, ...]:
     """Union of input objects, newest message wins per agent id, sorted
     by agent id."""
-    if len(msgs) == 1:
-        objects = msgs[0].objects
-        if all(a.agent_id < b.agent_id for a, b in zip(objects, objects[1:])):
-            return tuple(objects)     # already the sorted union
     best: dict[str, ObjectTrack] = {}
     # a stable sort by age, so on equal created_ts the later input wins
     for m in sorted(msgs, key=lambda m: m.created_ts):
         for o in m.objects:
             best[o.agent_id] = o
     return tuple(best[aid] for aid in sorted(best))
-
-
-def _kind_counts(msgs, objects) -> dict:
-    """kind_counts(objects), where objects is drawn from the union
-    _merge_objects(msgs), which holds one object per agent id. When that
-    is as long as a single message's objects it holds all of them, so the
-    message's own memoized counts apply."""
-    if len(msgs) == 1 and len(objects) == len(msgs[0].objects):
-        return msgs[0].counts()
-    return kind_counts(objects)
 
 
 def _advance_lineage(msgs, duration: int) -> dict:

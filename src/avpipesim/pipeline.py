@@ -45,6 +45,9 @@ class NoiseSpec:
     sigma: float = 0.0        # lognormal shape
     jitter_us: int = 0        # uniform half-width
 
+    def __post_init__(self):
+        check_min(self, 0, "sigma", "jitter_us", error=PipelineError)
+
 
 @dataclass(frozen=True)
 class ContentionSpec:
@@ -128,6 +131,10 @@ class NodeSpec:
             raise PipelineError(f"node {self.name}: at least one output required")
         if self.role == NodeRole.SENSOR and self.inputs:
             raise PipelineError(f"node {self.name}: sensor nodes have no inputs")
+        for side, chans in (("inputs", self.inputs), ("outputs", self.outputs)):
+            for i, ch in enumerate(chans):
+                if ch in chans[:i]:
+                    raise PipelineError(f"node {self.name}: channel {ch!r} listed twice in {side}")
 
     @property
     def supports_fastpath(self) -> bool:
@@ -222,14 +229,6 @@ class FrameMessage:
     def seq(self) -> int:
         """The newest sensor frame feeding this message; -1 for none."""
         return max(self.lineage, default=-1)
-
-    def counts(self) -> dict[AgentKind, int]:
-        """kind_counts(self.objects), counted once: a message is never
-        changed after it is created. The caller must not change the dict."""
-        counts = self.__dict__.get("_counts")
-        if counts is None:
-            counts = self._counts = kind_counts(self.objects)
-        return counts
 
 
 def kind_counts(objects) -> dict[AgentKind, int]:

@@ -76,6 +76,8 @@ class Scenario:
     def __post_init__(self):
         if self.duration_us <= 0:
             raise ScenarioError(f"duration must be > 0, got {self.duration_us}")
+        if not self.d_buffer_m > 0:
+            raise ScenarioError(f"d_buffer_m: expected > 0, got {self.d_buffer_m}")
         ids = [a[0] for a in self.agents]
         seen = set()
         for i in ids:

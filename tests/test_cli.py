@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +103,36 @@ def _set(path, value):
     return apply
 
 
+# files that loaded, and then ended run in a traceback or ran wrong
+BOUND_CASES = [
+    ("scenario.json", _set(("d_buffer_m",), 0.0), "scenario: d_buffer_m: expected > 0, got 0.0"),
+    ("scenario.json", _set(("d_buffer_m",), -2.0), "scenario: d_buffer_m: expected > 0, got -2.0"),
+    ("pipeline.json", _set(("nodes", 0, "latency", "noise"), {"kind": "lognormal", "sigma": -0.5}),
+     "nodes[0].latency.noise: sigma: expected >= 0, got -0.5"),
+    ("pipeline.json", _set(("nodes", 0, "latency", "noise"), {"kind": "uniform", "jitter_us": -3}),
+     "nodes[0].latency.noise: jitter_us: expected >= 0, got -3"),
+    ("pipeline.json", _set(("nodes", 0, "inputs"), ["ch_detect", "ch_detect"]),
+     "nodes[0]: node act: channel 'ch_detect' listed twice in inputs"),
+    ("pipeline.json", _set(("nodes", 0, "outputs"), ["ch_act", "ch_act"]),
+     "nodes[0]: node act: channel 'ch_act' listed twice in outputs"),
+]
+BOUND_IDS = ["dbuffer-zero", "dbuffer-negative", "sigma-negative", "jitter-negative",
+             "inputs-twice", "outputs-twice"]
+
+
+@pytest.mark.parametrize("name, mutate, expect", BOUND_CASES, ids=BOUND_IDS)
+def test_validate_bad_input_exits_1_with_message(workdir, capsys, name, mutate, expect):
+    path = workdir / name
+    obj = json.loads(path.read_text())
+    mutate(obj)
+    path.write_text(json.dumps(obj))
+    rc = main(["validate", "--scenario", str(workdir / "scenario.json"),
+               "--pipeline", str(workdir / "pipeline.json")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION
+    assert err == f"error: {expect}\n"
+
+
 @pytest.mark.parametrize("name, mutate, expect", [
     ("pipeline.json", _set(("nodes", 0, "pattern"), "bogus"), "nodes[0]: 'bogus'"),
     ("pipeline.json", _set(("nodes", 0, "role"), "x"), "nodes[0]: 'x'"),
@@ -173,6 +204,7 @@ def _set(path, value):
      "group main pins unknown node 'ghost'"),
     ("config.json", _set(("groups", 0, "pinned_nodes"), ["sensor", "detect"]),
      "node act is not pinned to any group"),
+    *BOUND_CASES,
 ], ids=["pattern", "role", "node-name", "group-name", "groups-int", "seed-str",
         "rss-key", "duration-nan", "range-nan", "fastpath-str", "cancel-int",
         "workers-frac", "workers-bool", "tick-str", "response-frac", "duration-frac",
@@ -182,7 +214,7 @@ def _set(path, value):
         "capacity-negative", "actuation-negative", "config-format-bool",
         "scenario-format-bool", "pipeline-format-bool", "budget-negative",
         "range-negative", "margin-negative", "lookahead-negative", "cap-negative",
-        "pin-unknown", "pin-missing"])
+        "pin-unknown", "pin-missing", *BOUND_IDS])
 def test_run_bad_input_exits_1_with_message(workdir, capsys, name, mutate, expect):
     path = workdir / name
     obj = json.loads(path.read_text())
@@ -386,7 +418,7 @@ def test_sweep_writes_table(workdir, capsys):
                "--axis", "density", "--values", "0,4"])
     assert rc == EXIT_OK
     path = capsys.readouterr().out.strip()
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "value,mean_us,p99_us,max_us,violations,collisions"
     assert len(lines) == 3
     assert lines[1].startswith("0") and lines[2].startswith("4")

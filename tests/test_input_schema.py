@@ -4,6 +4,7 @@ field out, and the value bounds the records themselves hold."""
 
 import hashlib
 import json
+import math
 import re
 
 import pytest
@@ -14,8 +15,8 @@ from avpipesim.config import load_config
 from avpipesim.engine import EngineConfig, ProcessorGroup, run_simulation
 from avpipesim.jsonio import InputError
 from avpipesim.mitigation import MitigationConfig
-from avpipesim.pipeline import (Channel, ChannelPolicy, LatencyModel, NodeRole, load_pipeline,
-                                save_pipeline)
+from avpipesim.pipeline import (Channel, ChannelPolicy, LatencyModel, NodeRole, NoiseKind,
+                                NoiseSpec, load_pipeline, save_pipeline)
 from avpipesim.safety import RssParams
 from avpipesim.scenario import AgentKind, AgentState, Scenario, load_scenario, save_scenario
 from avpipesim.simkernel import ms, sec
@@ -102,6 +103,11 @@ def negative_budget_run():
                           EngineConfig(sensor_range_m=-1.0), seed=3)
 
 
+def empty_road(d_buffer_m):
+    return Scenario(ego_initial=AgentState(s_m=0.0, l_m=0.0, v_mps=10.0, a_mps2=0.0),
+                    agents=(), duration_us=sec(1), d_buffer_m=d_buffer_m)
+
+
 @pytest.mark.parametrize("build, expect", [
     (lambda: ProcessorGroup("g", 1, (), budget_us=-5), "budget_us: expected >= 0, got -5"),
     (lambda: EngineConfig(actuation_delay_us=-1), "actuation_delay_us: expected >= 0, got -1"),
@@ -112,8 +118,20 @@ def negative_budget_run():
     (lambda: MitigationConfig(deadline_cap_us=-7), "deadline_cap_us: expected >= 0, got -7"),
     (lambda: Channel("c", ChannelPolicy.FIFO, capacity=0), "capacity: expected >= 1, got 0"),
     (negative_budget_run, "budget_us: expected >= 0, got -5"),
+    (lambda: empty_road(0.0), "d_buffer_m: expected > 0, got 0.0"),
+    (lambda: empty_road(-2.0), "d_buffer_m: expected > 0, got -2.0"),
+    (lambda: empty_road(math.nan), "d_buffer_m: expected > 0, got nan"),
+    (lambda: NoiseSpec(NoiseKind.LOGNORMAL, sigma=-0.5), "sigma: expected >= 0, got -0.5"),
+    (lambda: NoiseSpec(NoiseKind.UNIFORM, jitter_us=-3), "jitter_us: expected >= 0, got -3"),
+    # once accepted: the node then took from "raw" twice per run
+    (lambda: test_pipeline.node("p", ("raw", "raw"), ("o",)),
+     "node p: channel 'raw' listed twice in inputs"),
+    # once refused by validate_graph as two producers ['cam', 'cam']
+    (lambda: test_pipeline.node("cam", (), ("raw", "o", "raw")),
+     "node cam: channel 'raw' listed twice in outputs"),
 ], ids=["budget", "actuation", "range", "margin", "lookahead", "cap", "capacity",
-        "negative-budget-run"])
+        "negative-budget-run", "dbuffer-zero", "dbuffer-negative", "dbuffer-nan",
+        "sigma-negative", "jitter-negative", "inputs-twice", "outputs-twice"])
 def test_bounds_hold_for_library_calls(build, expect):
     with pytest.raises(InputError, match=f"^{re.escape(expect)}$"):
         build()
@@ -124,3 +142,4 @@ def test_bounds_admit_their_limits():
     assert EngineConfig(actuation_delay_us=0, sensor_range_m=0.0, response_margin_us=0)
     assert MitigationConfig(fast_lookahead_m=0.0, deadline_cap_us=0)
     assert Channel("c", ChannelPolicy.FIFO, capacity=1).capacity == 1
+    assert NoiseSpec(NoiseKind.UNIFORM, sigma=0.0, jitter_us=0).sigma == 0.0
