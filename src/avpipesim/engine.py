@@ -25,8 +25,7 @@ from .pipeline import (Channel, CompiledGraph, ExecutionPattern, FrameMessage,
                        PipelineGraph, downstream_estimate, fusion_update,
                        kind_counts, predict_latency, sample_latency, validate_graph)
 from .safety import RssParams, SafetyLevel, check_safety_many, object_deadline
-from .scenario import (AgentArrays, AgentState, CompiledTrajectory, Scenario,
-                       TrajectorySpec, agent_arrays_at, visible_in)
+from .scenario import AgentState, CompiledTrajectory, Scenario, TrajectorySpec, World
 from .simkernel import EventQueue, StreamFactory
 
 
@@ -344,10 +343,12 @@ class Simulation:
         self._predicted: dict[str, int] = {}
 
         self._ego = CompiledTrajectory(TrajectorySpec(initial=scenario.ego_initial))
-        self._world = AgentArrays(scenario.agents)
+        periods = [n.period_us for n in graph.nodes.values()
+                   if n.pattern == ExecutionPattern.TIMING and n.role == NodeRole.SENSOR]
+        self._world = World(scenario.agents, [config.tick_us, *periods], scenario.duration_us)
         # per agent, the smallest rounded lon_gap_m >= 0 so far and its first time
-        self._closest_gap = np.full(len(self._world.ids), math.inf)
-        self._closest_t = np.zeros(len(self._world.ids), dtype=np.int64)
+        self._closest_gap = np.full(len(scenario.agents), math.inf)
+        self._closest_t = np.zeros(len(scenario.agents), dtype=np.int64)
         # per fusion node: its a-of-n history and the newest track of each id in it
         self._fusion: dict[str, tuple[dict[str, list[bool]], dict[str, ObjectTrack]]] = {}
         self._proactive_arrival: dict[str, Optional[int]] = {}
@@ -396,7 +397,7 @@ class Simulation:
         self._at(0, self._on_safety_tick)
         self.queue.run_until(self.scenario.duration_us)
         found = np.flatnonzero(self._closest_gap < math.inf)
-        ids = self._world.ids
+        ids = self._world.agents.ids
         self.trace.closest = [
             ClosestApproach(ids[i], t, gap)
             for i, t, gap in zip(found.tolist(), self._closest_t[found].tolist(),
@@ -424,8 +425,8 @@ class Simulation:
 
     def _on_safety_tick(self, t: int):
         ego = self.ego_state(t)
-        world = self._world
-        s, v, a = agent_arrays_at(world, t)
+        world = self._world.agents
+        s, v, a = self._world.at(t)
         levels, lon, lat = check_safety_many(ego, s, world.l_m, v, a, self.config.rss,
                                              self.scenario.d_buffer_m)
         gaps = _round6(lon)
@@ -444,19 +445,25 @@ class Simulation:
 
     def _capture(self, node: str, t: int):
         spec = self.graph.nodes[node]
-        ego = self.ego_state(t)
-        seen = visible_in(self._world, t, self.config.sensor_range_m, ego)
+        ego, world, rss = self.ego_state(t), self._world.agents, self.config.rss
+        # visible_agents plus object_deadline; a laterally clear agent's deadline is the cap
+        s, v, a = self._world.at(t)
+        seen = np.flatnonzero((world.visible_from_us <= t)
+                              & (np.abs(s - ego.s_m) <= self.config.sensor_range_m))
+        clear = (np.abs(world.l_m[seen] - ego.l_m) - rss.lateral_mu_m > 0).tolist()
+        s, v, a, seen = s[seen].tolist(), v[seen].tolist(), a[seen].tolist(), seen.tolist()
         cap = self.config.mitigation.deadline_cap_us
         objects = []
-        for aid, kind, st in seen:
-            dl, capped = object_deadline(t, ego, st, self.scenario.d_buffer_m,
-                                         self.config.rss, deadline_cap_us=cap)
-            objects.append(ObjectTrack(agent_id=aid, kind=kind, state=st,
+        for j, i in enumerate(seen):
+            st = AgentState(s_m=s[j], l_m=world.l_list[i], v_mps=v[j], a_mps2=a[j],
+                            lane_index=world.lane_index[i])
+            dl, capped = (t + cap, True) if clear[j] else object_deadline(
+                t, ego, st, self.scenario.d_buffer_m, rss, deadline_cap_us=cap)
+            objects.append(ObjectTrack(agent_id=world.ids[i], kind=world.kinds[i], state=st,
                                        deadline_us=dl, deadline_capped=capped))
-        objects = tuple(objects)
         seq = len(self._capture_index)
         self._capture_index.append((t, tuple(o.agent_id for o in objects)))
-        msg = FrameMessage(created_ts=t, objects=objects, lineage={seq: (t, 0)})
+        msg = FrameMessage(created_ts=t, objects=tuple(objects), lineage={seq: (t, 0)})
         if _model_is_zero(spec.latency):
             self._emit(node, msg)
         else:

@@ -212,10 +212,10 @@ def to_json(rec, version: int, table) -> dict:
 
 def check_min(rec, low, *names, error=InputError):
     """Raise error naming the first attribute in names whose value on rec is
-    below low. Records check their bounds so, in __post_init__."""
+    below low, or NaN. Records check their bounds so, in __post_init__."""
     for name in names:
         value = getattr(rec, name)
-        if value < low:
+        if not value >= low:
             raise error(f"{name}: expected >= {low}, got {value}")
 
 

@@ -30,6 +30,14 @@ class AgentKind(str, Enum):
     CYCLIST = "cyclist"
 
 
+MAX_MAGNITUDE = 1e12    # of a state's fields and segment accelerations (README)
+
+
+def _check_magnitude(name: str, value: float):
+    if not abs(value) <= MAX_MAGNITUDE:     # NaN fails too
+        raise ScenarioError(f"{name}: expected magnitude <= {MAX_MAGNITUDE:g}, got {value}")
+
+
 @dataclass(frozen=True)
 class AgentState:
     s_m: float          # longitudinal position
@@ -41,6 +49,9 @@ class AgentState:
     def __post_init__(self):
         if self.v_mps < -1e-12:
             raise ScenarioError(f"velocity must be >= 0, got {self.v_mps}")
+        if not abs(self.s_m) + abs(self.l_m) + abs(self.v_mps) + abs(self.a_mps2) <= MAX_MAGNITUDE:
+            for name in ("s_m", "l_m", "v_mps", "a_mps2"):      # or only their sum is over
+                _check_magnitude(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -63,6 +74,8 @@ class TrajectorySpec:
             raise ScenarioError(f"segment start times must be strictly increasing: {times}")
         if times and times[0] < 0:
             raise ScenarioError(f"segment start time must be >= 0: {times[0]}")
+        for k, (_, a) in enumerate(self.segments):
+            _check_magnitude(f"segments[{k}].a_mps2", a)
 
 
 @dataclass(frozen=True)
@@ -211,20 +224,19 @@ class AgentArrays:
         self.segmented = [(i, c.seg_starts) for i, c in enumerate(compiled) if c.seg_starts]
 
 
-def agent_arrays_at(world: AgentArrays, t_us: int):
-    """(s, v, a) of every agent at t, in scenario order.
+def agent_arrays_at(world: AgentArrays, times_us) -> tuple[np.ndarray, ...]:
+    """(s, v, a) of every agent at each of times_us, as (T, N) arrays.
 
-    Element i equals agent_state_at(agent i, t) field for field: the
-    same breakpoint, then _advance's branches and expression order
-    elementwise.
+    Element [k, i] equals agent_state_at(agent i, times_us[k]) field for
+    field: the same breakpoint, then _advance's branches and expression
+    order elementwise. One instant is the case T = 1.
     """
-    idx = world.first
-    if world.segmented:
-        idx = idx.copy()
-        for i, seg_starts in world.segmented:
-            idx[i] += bisect_left(seg_starts, t_us)
+    t = np.array(times_us, dtype=np.int64)[:, None]
+    idx = world.first + np.zeros_like(t)
+    for i, seg_starts in world.segmented:
+        idx[:, i] += np.searchsorted(seg_starts, t[:, 0])     # bisect_left
     s, v, a = world.s[idx], world.v[idx], world.a[idx]
-    dt = (t_us - world.start_us[idx]) / US_PER_S
+    dt = (t - world.start_us[idx]) / US_PER_S
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t_stop = v / -a
         s_stop = s + v * t_stop + 0.5 * a * t_stop * t_stop
@@ -240,17 +252,28 @@ def agent_arrays_at(world: AgentArrays, t_us: int):
     return s_out, v_out, a_out
 
 
-def visible_in(world: AgentArrays, t_us: int, sensor_range_m: float,
-               ego: AgentState) -> list[tuple[str, AgentKind, AgentState]]:
-    """visible_agents for a compiled scenario: same agents, same order."""
-    s, v, a = agent_arrays_at(world, t_us)
-    seen = np.flatnonzero((world.visible_from_us <= t_us)
-                          & (np.abs(s - ego.s_m) <= sensor_range_m)).tolist()
-    s, v, a = s[seen].tolist(), v[seen].tolist(), a[seen].tolist()
-    return [(world.ids[i], world.kinds[i],
-             AgentState(s_m=s[j], l_m=world.l_list[i], v_mps=v[j], a_mps2=a[j],
-                        lane_index=world.lane_index[i]))
-            for j, i in enumerate(seen)]
+# instants per numpy pass; 128 buys ~2% speed for ~5% more peak RSS (README)
+WORLD_BLOCK = 32
+
+
+class World:
+    """A scenario's agents at the engine's instants: the multiples of periods_us up
+    to horizon_us. at(t) returns t's (s, v, a) rows. Unless t is in the last block,
+    it first evaluates t and the next WORLD_BLOCK - 1 instants in one numpy pass,
+    so a capture and a safety tick at the same t share one evaluation."""
+
+    def __init__(self, agents, periods_us, horizon_us: int):
+        self.agents = AgentArrays(agents)
+        self.periods_us, self.horizon_us = set(periods_us), horizon_us
+        self._rows: dict = {}       # instant -> its (s, v, a) rows of the last block
+
+    def at(self, t_us: int):
+        if t_us not in self._rows:
+            after = (range(t_us // p * p + p, self.horizon_us + 1, p)[:WORLD_BLOCK]
+                     for p in self.periods_us)        # the next multiples of each period
+            times = sorted({t_us}.union(*after))[:WORLD_BLOCK]
+            self._rows = dict(zip(times, zip(*agent_arrays_at(self.agents, times))))
+        return self._rows[t_us]
 
 
 # ---------------------------------------------------------------------------

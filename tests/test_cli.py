@@ -115,9 +115,17 @@ BOUND_CASES = [
      "nodes[0]: node act: channel 'ch_detect' listed twice in inputs"),
     ("pipeline.json", _set(("nodes", 0, "outputs"), ["ch_act", "ch_act"]),
      "nodes[0]: node act: channel 'ch_act' listed twice in outputs"),
+    # once accepted: run exited 0 after a numpy overflow, the lead never seen
+    ("scenario.json", _set(("agents", 0, "initial", "v_mps"), 1e308),
+     "agents[0].initial: v_mps: expected magnitude <= 1e+12, got 1e+308"),
+    ("scenario.json", _set(("ego", "s_m"), -2e12),
+     "ego: s_m: expected magnitude <= 1e+12, got -2000000000000.0"),
+    ("scenario.json", _set(("agents", 0, "segments"), [{"start_us": 0, "a_mps2": -1e300}]),
+     "agents[0]: segments[0].a_mps2: expected magnitude <= 1e+12, got -1e+300"),
 ]
 BOUND_IDS = ["dbuffer-zero", "dbuffer-negative", "sigma-negative", "jitter-negative",
-             "inputs-twice", "outputs-twice"]
+             "inputs-twice", "outputs-twice", "speed-huge", "ego-position-huge",
+             "segment-accel-huge"]
 
 
 @pytest.mark.parametrize("name, mutate, expect", BOUND_CASES, ids=BOUND_IDS)

@@ -18,7 +18,8 @@ from avpipesim.mitigation import MitigationConfig
 from avpipesim.pipeline import (Channel, ChannelPolicy, LatencyModel, NodeRole, NoiseKind,
                                 NoiseSpec, load_pipeline, save_pipeline)
 from avpipesim.safety import RssParams
-from avpipesim.scenario import AgentKind, AgentState, Scenario, load_scenario, save_scenario
+from avpipesim.scenario import (AgentKind, AgentState, Scenario, TrajectorySpec, load_scenario,
+                                save_scenario)
 from avpipesim.simkernel import ms, sec
 
 import fixtures
@@ -129,9 +130,24 @@ def empty_road(d_buffer_m):
     # once refused by validate_graph as two producers ['cam', 'cam']
     (lambda: test_pipeline.node("cam", (), ("raw", "o", "raw")),
      "node cam: channel 'raw' listed twice in outputs"),
+    # NaN passed every check_min bound once
+    (lambda: EngineConfig(sensor_range_m=math.nan), "sensor_range_m: expected >= 0, got nan"),
+    (lambda: NoiseSpec(NoiseKind.LOGNORMAL, sigma=math.nan), "sigma: expected >= 0, got nan"),
+    (lambda: MitigationConfig(fast_lookahead_m=math.nan),
+     "fast_lookahead_m: expected >= 0, got nan"),
+    (lambda: AgentState(s_m=0.0, l_m=0.0, v_mps=1e308, a_mps2=0.0),
+     "v_mps: expected magnitude <= 1e+12, got 1e+308"),
+    (lambda: AgentState(s_m=0.0, l_m=math.nan, v_mps=1.0, a_mps2=0.0),
+     "l_m: expected magnitude <= 1e+12, got nan"),
+    (lambda: AgentState(s_m=0.0, l_m=0.0, v_mps=1.0, a_mps2=-math.inf),
+     "a_mps2: expected magnitude <= 1e+12, got -inf"),
+    (lambda: TrajectorySpec(AgentState(0.0, 0.0, 1.0, 0.0), segments=((5, 2.0), (9, 1e13))),
+     "segments[1].a_mps2: expected magnitude <= 1e+12, got 10000000000000.0"),
 ], ids=["budget", "actuation", "range", "margin", "lookahead", "cap", "capacity",
         "negative-budget-run", "dbuffer-zero", "dbuffer-negative", "dbuffer-nan",
-        "sigma-negative", "jitter-negative", "inputs-twice", "outputs-twice"])
+        "sigma-negative", "jitter-negative", "inputs-twice", "outputs-twice",
+        "range-nan", "sigma-nan", "lookahead-nan", "speed-huge", "lateral-nan",
+        "accel-infinite", "segment-accel-huge"])
 def test_bounds_hold_for_library_calls(build, expect):
     with pytest.raises(InputError, match=f"^{re.escape(expect)}$"):
         build()
@@ -143,3 +159,4 @@ def test_bounds_admit_their_limits():
     assert MitigationConfig(fast_lookahead_m=0.0, deadline_cap_us=0)
     assert Channel("c", ChannelPolicy.FIFO, capacity=1).capacity == 1
     assert NoiseSpec(NoiseKind.UNIFORM, sigma=0.0, jitter_us=0).sigma == 0.0
+    assert AgentState(s_m=-1e12, l_m=1e12, v_mps=1e12, a_mps2=-1e12).s_m == -1e12

@@ -18,8 +18,7 @@ from avpipesim.engine import (ClosestApproach, EngineConfig, RunTrace, SafetySam
                               Simulation, TraceError, _round6, run_simulation)
 from avpipesim.pipeline import NodeRole
 from avpipesim.safety import check_safety_many
-from avpipesim.scenario import (AgentKind, AgentState, Scenario, TrajectorySpec,
-                                agent_arrays_at)
+from avpipesim.scenario import AgentKind, AgentState, Scenario, TrajectorySpec
 from avpipesim.simkernel import ms, sec
 
 from conftest import assert_same_lines, chain_pipeline, one_group
@@ -37,8 +36,8 @@ class EverySampleSimulation(Simulation):
         self.every_sample = []
 
     def _on_safety_tick(self, t):
-        ego, world = self.ego_state(t), self._world
-        s, v, a = agent_arrays_at(world, t)
+        ego, world = self.ego_state(t), self._world.agents
+        s, v, a = self._world.at(t)
         levels, lon, lat = check_safety_many(ego, s, world.l_m, v, a, self.config.rss,
                                              self.scenario.d_buffer_m)
         self.every_sample += [SafetySample(t, *rec) for rec in zip(

@@ -1,23 +1,24 @@
 """The engine's compiled world model against the scalar references.
 
-agent_state_at, visible_agents and check_safety define the world model;
-the engine evaluates compiled trajectories in numpy instead. Every
-comparison here is exact (float.hex), not approximate: the trace must
-stay byte-identical.
+agent_state_at, visible_agents, check_safety and object_deadline define
+the world model; the engine evaluates compiled trajectories in numpy
+instead, a block of instants per pass. Every comparison here is exact
+(float.hex), not approximate: the trace must stay byte-identical.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from avpipesim import scenario as scenario_module
 from avpipesim.engine import EngineConfig, Simulation, _round6
 from avpipesim.pipeline import NodeRole
-from avpipesim.safety import RssParams, check_safety, check_safety_many
-from avpipesim.scenario import (AgentArrays, AgentKind, AgentState,
+from avpipesim.safety import RssParams, check_safety, check_safety_many, object_deadline
+from avpipesim.scenario import (WORLD_BLOCK, AgentArrays, AgentKind, AgentState,
                                 CompiledTrajectory, Scenario, TrajectorySpec,
-                                agent_arrays_at, agent_state_at, visible_agents,
-                                visible_in)
+                                agent_arrays_at, agent_state_at, visible_agents)
 from avpipesim.simkernel import US_PER_S, ms, sec
 
 from conftest import chain_pipeline, one_group
@@ -81,20 +82,61 @@ def state_bits(st_: AgentState) -> tuple:
     return bits(st_.s_m, st_.l_m, st_.v_mps, st_.a_mps2) + (st_.lane_index,)
 
 
+def sim_of(scenario: Scenario, config=EngineConfig(), sensor_period_us=100_000,
+           cls=Simulation) -> Simulation:
+    g = chain_pipeline({"proc": (ms(10), NodeRole.CONTROL)}, sensor_period_us=sensor_period_us)
+    return cls(scenario, g, one_group(g), config, seed=1)
+
+
+class CaptureProbe(Simulation):
+    """The engine's capture at any t, for an ego given per call."""
+
+    def tracks(self, t: int, ego: AgentState):
+        """The tracks the sensor emits at t."""
+        self.probe_ego = ego
+        self._capture("sensor", t)
+        return self.emitted
+
+    def ego_state(self, t_us):
+        return self.probe_ego
+
+    def _emit(self, node, msg):
+        self.emitted = msg.objects
+
+
+def track_bits(tracks) -> list:
+    return [(o.agent_id, o.kind, state_bits(o.state), o.deadline_us, o.deadline_capped)
+            for o in tracks]
+
+
+def scalar_tracks(scenario, t, ego, config) -> list:
+    """visible_agents, then object_deadline per agent: the capture's reference."""
+    out = []
+    for aid, kind, x in visible_agents(scenario, t, config.sensor_range_m, ego_state=ego):
+        dl, capped = object_deadline(t, ego, x, scenario.d_buffer_m, config.rss,
+                                     deadline_cap_us=config.mitigation.deadline_cap_us)
+        out.append((aid, kind, state_bits(x), dl, capped))
+    return out
+
+
 @settings(max_examples=250, deadline=None)
 @given(worlds(), finite(1.0, 120.0), st.sampled_from([0.5, 0.25, 2.0]))
 def test_compiled_world_equals_scalar_references(case, sensor_range_m, mu):
     scenario, ego_traj, times = case
-    rss = RssParams(lateral_mu_m=mu)
+    config = EngineConfig(sensor_range_m=sensor_range_m, rss=RssParams(lateral_mu_m=mu))
+    rss = config.rss
     world = AgentArrays(scenario.agents)
     compiled = [CompiledTrajectory(traj) for _, _, traj in scenario.agents]
-    for t in times:
+    sim = sim_of(scenario, config, cls=CaptureProbe)
+    block = agent_arrays_at(world, times)       # every instant in one pass
+    for k, t in enumerate(times):
         ego = agent_state_at(ego_traj, t)
         assert state_bits(CompiledTrajectory(ego_traj).state_at(t)) == state_bits(ego)
         scalar = [agent_state_at(traj, t) for _, _, traj in scenario.agents]
-        s, v, a = agent_arrays_at(world, t)
-        assert [bits(*x) for x in zip(s.tolist(), v.tolist(), a.tolist())] == \
-            [bits(x.s_m, x.v_mps, x.a_mps2) for x in scalar]
+        expect = [bits(x.s_m, x.v_mps, x.a_mps2) for x in scalar]
+        for s, v, a in ([x[k] for x in block], [x[0] for x in agent_arrays_at(world, [t])],
+                        sim._world.at(t)):
+            assert [bits(*x) for x in zip(s.tolist(), v.tolist(), a.tolist())] == expect
         assert [state_bits(c.state_at(t)) for c in compiled] == \
             [state_bits(x) for x in scalar]
 
@@ -107,17 +149,71 @@ def test_compiled_world_equals_scalar_references(case, sensor_range_m, mu):
         assert [bits(g) for g in lat.tolist()] == \
             [bits(x.lateral_gap_m) for x in statuses]
 
-        batch = visible_in(world, t, sensor_range_m, ego)
-        ref = visible_agents(scenario, t, sensor_range_m, ego_state=ego)
-        assert [(aid, kind, state_bits(x)) for aid, kind, x in batch] == \
-            [(aid, kind, state_bits(x)) for aid, kind, x in ref]
+        assert track_bits(sim.tracks(t, ego)) == scalar_tracks(scenario, t, ego, config)
+
+
+def test_capture_at_the_lateral_margin_prices_the_agent():
+    """An agent exactly lateral_mu_m off the ego is in lane: object_deadline
+    prices it. One ulp further out it is clear and gets the cap."""
+    mu = 0.5
+    config = EngineConfig(rss=RssParams(lateral_mu_m=mu))
+    ego = AgentState(s_m=0.0, l_m=0.0, v_mps=20.0, a_mps2=0.0)
+    lateral = [mu, -mu, math.nextafter(mu, math.inf), -math.nextafter(mu, math.inf), 0.0]
+    agents = tuple((f"a{i}", AgentKind.VEHICLE,
+                    TrajectorySpec(initial=AgentState(s_m=25.0, l_m=l, v_mps=5.0, a_mps2=0.0)))
+                   for i, l in enumerate(lateral))
+    scenario = Scenario(ego_initial=ego, agents=agents, duration_us=sec(2))
+    tracks = sim_of(scenario, config, cls=CaptureProbe).tracks(0, ego)
+    assert track_bits(tracks) == scalar_tracks(scenario, 0, ego, config)
+    assert [o.deadline_capped for o in tracks] == [False, False, True, True, False]
+
+
+def run_instants(duration_us, periods_us) -> list[int]:
+    return sorted({k for p in periods_us for k in range(0, duration_us + 1, p)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(worlds(), st.sampled_from([30_000, 50_000, 70_000]), st.integers(-3, 3))
+def test_world_blocks_over_a_whole_run(case, sensor_period_us, extra_ticks):
+    """World.at at every instant of a run whose instant count is not a
+    multiple of WORLD_BLOCK equals agent_state_at."""
+    scenario, _, _ = case
+    duration_us = sec(1) + extra_ticks * 10_000
+    scenario = Scenario(ego_initial=scenario.ego_initial, agents=scenario.agents,
+                        duration_us=duration_us)
+    sim = sim_of(scenario, sensor_period_us=sensor_period_us)
+    instants = run_instants(duration_us, (100_000, sensor_period_us))
+    assert len(instants) % WORLD_BLOCK != 0
+    for t in instants:
+        s, v, a = sim._world.at(t)
+        assert [bits(*x) for x in zip(s.tolist(), v.tolist(), a.tolist())] == \
+            [bits(x.s_m, x.v_mps, x.a_mps2)
+             for x in (agent_state_at(traj, t) for _, _, traj in scenario.agents)]
+
+
+@pytest.mark.parametrize("sensor_period_us", [100_000, 33_000, 250_000])
+def test_a_run_evaluates_each_instant_once(monkeypatch, following_scenario, sensor_period_us):
+    evaluated = []
+
+    def recording(world, times_us):
+        evaluated.extend(times_us)
+        return agent_arrays_at(world, times_us)
+
+    monkeypatch.setattr(scenario_module, "agent_arrays_at", recording)
+    sim_of(following_scenario, sensor_period_us=sensor_period_us).run()
+    assert evaluated == run_instants(following_scenario.duration_us,
+                                     (EngineConfig().tick_us, sensor_period_us))
 
 
 def test_scenario_without_agents():
-    world = AgentArrays(())
-    s, v, a = agent_arrays_at(world, sec(1))
-    assert s.shape == v.shape == a.shape == (0,)
-    assert visible_in(world, sec(1), 60.0, AgentState(0.0, 0.0, 10.0, 0.0)) == []
+    scenario = Scenario(ego_initial=AgentState(0.0, 0.0, 10.0, 0.0), agents=(),
+                        duration_us=sec(2))
+    block = agent_arrays_at(AgentArrays(()), [0, sec(1)])
+    assert [x.shape for x in block] == [(2, 0)] * 3
+    sim = sim_of(scenario, cls=CaptureProbe)
+    assert [x.shape for x in sim._world.at(sec(1))] == [(0,)] * 3
+    assert sim.tracks(sec(1), scenario.ego_initial) == ()
+    assert sim_of(scenario).run().closest == []
 
 
 # -- incremental ego ---------------------------------------------------------
