@@ -8,7 +8,7 @@ stealing.
 """
 
 from .analysis import (LatencyStats, SafetyReport, compare_runs, compute_stats,
-                       density_correlation, export_cdf, safety_report)
+                       export_cdf, safety_report)
 from .engine import (EngineConfig, ProcessorGroup, ReactionRecord, RunTrace,
                      Simulation, run_simulation)
 from .mitigation import (MitigationConfig, PathChoice, choose_path, message_deadline,

@@ -58,18 +58,6 @@ def compute_stats(samples: list[int]) -> LatencyStats:
     )
 
 
-def density_correlation(points: list[tuple[float, float]]) -> float:
-    """Spearman rank correlation (average ranks on ties) between traffic
-    density and a latency statistic."""
-    if len(points) < 3:
-        raise AnalysisError("density correlation needs at least 3 points")
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    from scipy import stats as sstats   # ~1 s to import, needed only here
-    rho, _ = sstats.spearmanr(xs, ys)
-    return float(rho)
-
-
 def safety_report(trace: RunTrace) -> SafetyReport:
     """Violations and collisions from the recorded (non-safe) samples; the
     smallest gap >= 0 from the per-agent closest approaches, the earliest

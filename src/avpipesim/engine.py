@@ -25,7 +25,8 @@ from .pipeline import (Channel, CompiledGraph, ExecutionPattern, FrameMessage,
                        PipelineGraph, downstream_estimate, fusion_update,
                        kind_counts, predict_latency, sample_latency, validate_graph)
 from .safety import RssParams, SafetyLevel, check_safety_many, object_deadline
-from .scenario import AgentState, CompiledTrajectory, Scenario, TrajectorySpec, World
+from .scenario import (MAX_MAGNITUDE, AgentState, CompiledTrajectory, Scenario,
+                       TrajectorySpec, World)
 from .simkernel import EventQueue, StreamFactory
 
 
@@ -59,6 +60,9 @@ class EngineConfig:
         check_min(self, 1, "tick_us", error=EngineError)
         check_min(self, 0, "actuation_delay_us", "sensor_range_m", "response_margin_us",
                   error=EngineError)
+        if not -MAX_MAGNITUDE <= self.brake_level_mps2 <= 0:    # NaN fails too
+            raise EngineError(f"brake_level_mps2: expected in [-{MAX_MAGNITUDE:g}, 0], "
+                              f"got {self.brake_level_mps2}")
 
 
 @dataclass
@@ -181,10 +185,8 @@ class RunTrace:
 
     @classmethod
     def from_ndjson(cls, lines) -> "RunTrace":
-        """Read a trace of format 2, or of format 1 (no "format" in the
-        summary, every sample recorded): its safe samples are dropped and
-        the closest approaches derived from them. lines is the text or an
-        iterable of lines, such as an open file. Raises TraceError."""
+        """Read a trace of format 2. lines is the text or an iterable of
+        lines, such as an open file. Raises TraceError."""
         if isinstance(lines, str):
             lines = lines.splitlines()
         records = {kind: [] for kind in _RECORD_TYPES}
@@ -202,9 +204,8 @@ class RunTrace:
             if kind == "summary":
                 if records["summary"]:
                     raise TraceError(lineno, "second summary record")
-                explicit = "format" in obj
-                fmt = obj.pop("format", 1)      # format 1 wrote no "format" field
-                if explicit and (type(fmt) is not int or fmt != TRACE_FORMAT):
+                fmt = obj.pop("format", None)
+                if type(fmt) is not int or fmt != TRACE_FORMAT:
                     raise TraceError(lineno, f"unsupported trace format {fmt!r}")
             try:
                 records[kind].append(read_record(_RECORD_TYPES[kind], obj, kind, _TRACE_SCHEMA))
@@ -212,14 +213,9 @@ class RunTrace:
                 raise TraceError(lineno, str(e)) from None
         if not records["summary"]:
             raise TraceError(lineno, "trace has no summary record")
-        if fmt == 1 and records["closest"]:
-            raise TraceError(lineno, "format-1 trace holds closest records")
         trace = records.pop("summary")[0]
         for name, recs in zip(_RECORD_LISTS, records.values()):
             setattr(trace, name, recs)
-        if fmt == 1:
-            trace.closest = _closest_approaches(trace.safety_samples)
-            trace.safety_samples = [s for s in trace.safety_samples if s.level != "safe"]
         return trace
 
 
@@ -231,19 +227,6 @@ _RECORD_LISTS = ("spans", "frames", "reactions", "safety_samples", "closest")
 _TRACE_SCHEMA = {RunTrace: dict.fromkeys(_RECORD_LISTS)}     # a jsonio field table
 # the RunTrace fields a summary record holds, besides "type" and "format"
 _SUMMARY_FIELDS = tuple(f.name for f in fields(RunTrace) if f.name not in _TRACE_SCHEMA[RunTrace])
-
-
-def _closest_approaches(samples) -> list[ClosestApproach]:
-    """Per agent, in order of first appearance, the first sample with the
-    smallest lon_gap_m >= 0; agents with no such gap are left out."""
-    best: dict[str, ClosestApproach] = {}
-    for s in samples:
-        gap = s.lon_gap_m
-        c = best.get(s.agent_id)
-        if 0 <= gap and (c is None or gap < c.lon_gap_m):
-            best[s.agent_id] = ClosestApproach(s.agent_id, s.t_us, gap)
-    first_seen = dict.fromkeys(s.agent_id for s in samples)
-    return [best[aid] for aid in first_seen if aid in best]
 
 
 # every trace field is a primitive, so records encode from vars() directly
@@ -455,12 +438,10 @@ class Simulation:
         cap = self.config.mitigation.deadline_cap_us
         objects = []
         for j, i in enumerate(seen):
-            st = AgentState(s_m=s[j], l_m=world.l_list[i], v_mps=v[j], a_mps2=a[j],
-                            lane_index=world.lane_index[i])
             dl, capped = (t + cap, True) if clear[j] else object_deadline(
-                t, ego, st, self.scenario.d_buffer_m, rss, deadline_cap_us=cap)
-            objects.append(ObjectTrack(agent_id=world.ids[i], kind=world.kinds[i], state=st,
-                                       deadline_us=dl, deadline_capped=capped))
+                t, ego, AgentState(s[j], world.l_list[i], v[j], a[j]),
+                self.scenario.d_buffer_m, rss, deadline_cap_us=cap)
+            objects.append(ObjectTrack(world.ids[i], world.kinds[i], s[j], dl, capped))
         seq = len(self._capture_index)
         self._capture_index.append((t, tuple(o.agent_id for o in objects)))
         msg = FrameMessage(created_ts=t, objects=tuple(objects), lineage={seq: (t, 0)})
@@ -667,7 +648,7 @@ class Simulation:
         e2e = msg.created_ts - cap_ts
         ego = self.ego_state(msg.created_ts)
         radius = self.config.mitigation.criticality_radius_m
-        has_critical = any(abs(o.state.s_m - ego.s_m) <= radius for o in msg.objects)
+        has_critical = any(abs(o.s_m - ego.s_m) <= radius for o in msg.objects)
         self.trace.frames.append(FrameRecord(
             seq=origin, sensor_ts=cap_ts, done_ts=msg.created_ts, e2e_us=e2e,
             module_us=module, bubble_us=e2e - module, terminal=span.node,

@@ -72,8 +72,8 @@ def partial_update(objects: tuple[ObjectTrack, ...], ego: AgentState,
     Critical objects are within radius, sorted by ascending deadline;
     the union of the two halves is exactly the input set.
     """
-    critical = [o for o in objects if abs(o.state.s_m - ego.s_m) <= radius_m]
-    residual = [o for o in objects if abs(o.state.s_m - ego.s_m) > radius_m]
+    critical = [o for o in objects if abs(o.s_m - ego.s_m) <= radius_m]
+    residual = [o for o in objects if abs(o.s_m - ego.s_m) > radius_m]
     critical.sort(key=lambda o: (o.deadline_us, o.agent_id))
     return tuple(critical), tuple(residual)
 

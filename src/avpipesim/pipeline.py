@@ -13,7 +13,7 @@ from enum import Enum
 from typing import Optional
 
 from .jsonio import InputError, Key, check_min, from_json, load_json, save_json, to_json
-from .scenario import AgentKind, AgentState
+from .scenario import AgentKind
 from .simkernel import RandomStream
 
 PIPELINE_FORMAT = 1
@@ -211,7 +211,7 @@ def fusion_update(f: FusionSpec, history: dict[str, list[bool]],
 class ObjectTrack:
     agent_id: str
     kind: AgentKind
-    state: AgentState
+    s_m: float                     # longitudinal position at capture
     deadline_us: int
     deadline_capped: bool = True   # True when the budget was unbounded and the cap applied
 

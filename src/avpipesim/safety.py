@@ -69,9 +69,6 @@ class ReactionBudget:
     """
 
     budget_us: Optional[int]
-    ego: AgentState
-    obstacle: AgentState
-    d_buffer_m: float
 
     @property
     def unbounded(self) -> bool:
@@ -118,8 +115,8 @@ def closure_distance(ego: AgentState, obstacle: AgentState, t_us: int) -> float:
 
 
 def reaction_budget(ego: AgentState, obstacle: AgentState, d_buffer_m: float,
-                    p: RssParams, horizon_us: int = DEFAULT_HORIZON_US) -> ReactionBudget:
-    """Largest t <= horizon with closure_distance(t) < d_buffer.
+                    p: RssParams) -> ReactionBudget:
+    """Largest t <= DEFAULT_HORIZON_US with closure_distance(t) < d_buffer.
 
     Closure is monotone non-decreasing in t whenever the obstacle is not
     outrunning the ego, so bisection is sound; if the condition still
@@ -132,12 +129,12 @@ def reaction_budget(ego: AgentState, obstacle: AgentState, d_buffer_m: float,
         return closure_distance(ego, obstacle, t_us) < d_buffer_m
 
     budget: Optional[int]
-    if ok(horizon_us):
+    if ok(DEFAULT_HORIZON_US):
         budget = None
     elif not ok(0):
         budget = 0
     else:
-        lo, hi = 0, horizon_us
+        lo, hi = 0, DEFAULT_HORIZON_US
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if ok(mid):
@@ -145,14 +142,12 @@ def reaction_budget(ego: AgentState, obstacle: AgentState, d_buffer_m: float,
             else:
                 hi = mid
         budget = round(lo / BUDGET_RESOLUTION_US) * BUDGET_RESOLUTION_US
-    return ReactionBudget(budget_us=budget, ego=ego, obstacle=obstacle,
-                          d_buffer_m=d_buffer_m)
+    return ReactionBudget(budget)
 
 
 def object_deadline(now_us: int, ego: AgentState, obstacle: AgentState,
                     d_buffer_m: float, p: RssParams,
-                    deadline_cap_us: int = DEFAULT_DEADLINE_CAP_US,
-                    horizon_us: int = DEFAULT_HORIZON_US) -> tuple[int, bool]:
+                    deadline_cap_us: int = DEFAULT_DEADLINE_CAP_US) -> tuple[int, bool]:
     """Absolute deadline for reacting to one obstacle.
 
     Returns (deadline_us, capped): capped is True when the budget was
@@ -162,7 +157,7 @@ def object_deadline(now_us: int, ego: AgentState, obstacle: AgentState,
     # longitudinal closure imposes no reaction requirement
     if abs(obstacle.l_m - ego.l_m) - p.lateral_mu_m > 0:
         return now_us + deadline_cap_us, True
-    rb = reaction_budget(ego, obstacle, d_buffer_m, p, horizon_us=horizon_us)
+    rb = reaction_budget(ego, obstacle, d_buffer_m, p)
     if rb.unbounded or rb.budget_us >= deadline_cap_us:
         return now_us + deadline_cap_us, True
     return now_us + rb.budget_us, False

@@ -31,6 +31,7 @@ class AgentKind(str, Enum):
 
 
 MAX_MAGNITUDE = 1e12    # of a state's fields and segment accelerations (README)
+MAX_TIME_US = 2**63 - 1     # of a duration and of agents' times: engine instants are int64
 
 
 def _check_magnitude(name: str, value: float):
@@ -72,8 +73,11 @@ class TrajectorySpec:
         times = [t for t, _ in self.segments]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ScenarioError(f"segment start times must be strictly increasing: {times}")
-        if times and times[0] < 0:
-            raise ScenarioError(f"segment start time must be >= 0: {times[0]}")
+        if times and not (0 <= times[0] and times[-1] <= MAX_TIME_US):
+            raise ScenarioError(f"segment start times must be in [0, 2**63 - 1]: {times}")
+        if not abs(self.visible_from_us) <= MAX_TIME_US:
+            raise ScenarioError(f"visible_from_us: expected magnitude <= 2**63 - 1, "
+                                f"got {self.visible_from_us}")
         for k, (_, a) in enumerate(self.segments):
             _check_magnitude(f"segments[{k}].a_mps2", a)
 
@@ -87,8 +91,9 @@ class Scenario:
     d_buffer_m: float = 3.0
 
     def __post_init__(self):
-        if self.duration_us <= 0:
-            raise ScenarioError(f"duration must be > 0, got {self.duration_us}")
+        if not 0 < self.duration_us <= MAX_TIME_US:
+            raise ScenarioError(f"duration_us: expected > 0 and <= 2**63 - 1, "
+                                f"got {self.duration_us}")
         if not self.d_buffer_m > 0:
             raise ScenarioError(f"d_buffer_m: expected > 0, got {self.d_buffer_m}")
         ids = [a[0] for a in self.agents]
@@ -212,7 +217,6 @@ class AgentArrays:
         self.ids = [aid for aid, _, _ in agents]
         self.kinds = [kind for _, kind, _ in agents]
         self.l_list = [c.l_m for c in compiled]
-        self.lane_index = [c.lane_index for c in compiled]
         self.l_m = np.array(self.l_list, dtype=float)
         self.visible_from_us = np.array([traj.visible_from_us for _, _, traj in agents],
                                         dtype=np.int64)

@@ -4,8 +4,7 @@ import random
 
 import pytest
 
-from avpipesim.analysis import (AnalysisError, compare_runs, compute_stats,
-                                density_correlation, export_cdf)
+from avpipesim.analysis import AnalysisError, compare_runs, compute_stats, export_cdf
 from avpipesim.engine import FrameRecord, RunTrace, Span
 
 
@@ -40,22 +39,6 @@ class TestComputeStats:
             assert st.max_us == s[-1]
             assert s[0] <= st.mean_us <= s[-1]
             assert st.p50_us <= st.p95_us <= st.p99_us <= st.max_us
-
-
-class TestDensityCorrelation:
-    def test_monotone_increasing_is_one(self):
-        assert density_correlation([(0, 10), (2, 20), (4, 30)]) == pytest.approx(1.0)
-
-    def test_reversed_is_minus_one(self):
-        assert density_correlation([(0, 30), (2, 20), (4, 10)]) == pytest.approx(-1.0)
-
-    def test_hand_ranked_dataset(self):
-        # ranks x: 1,2,3; ranks y: 1,3,2 -> rho = 1 - 6*2/(3*8) = 0.5
-        assert density_correlation([(1, 10), (2, 30), (3, 20)]) == pytest.approx(0.5)
-
-    def test_too_few_points(self):
-        with pytest.raises(AnalysisError):
-            density_correlation([(1, 10), (2, 20)])
 
 
 def make_trace(e2es, digest="d"):

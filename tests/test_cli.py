@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import avpipesim
 from avpipesim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from avpipesim.pipeline import (Channel, ChannelPolicy, ExecutionPattern,
                                 LatencyModel, NodeRole, NodeSpec, NoiseKind,
@@ -122,10 +125,17 @@ BOUND_CASES = [
      "ego: s_m: expected magnitude <= 1e+12, got -2000000000000.0"),
     ("scenario.json", _set(("agents", 0, "segments"), [{"start_us": 0, "a_mps2": -1e300}]),
      "agents[0]: segments[0].a_mps2: expected magnitude <= 1e+12, got -1e+300"),
+    # once accepted: run ended in an OverflowError, as engine instants are int64
+    ("scenario.json", _set(("duration_us",), 2**64),
+     "scenario: duration_us: expected > 0 and <= 2**63 - 1, got 18446744073709551616"),
+    ("scenario.json", _set(("agents", 0, "segments"), [{"start_us": 2**63, "a_mps2": -6.0}]),
+     "agents[0]: segment start times must be in [0, 2**63 - 1]: [9223372036854775808]"),
+    ("scenario.json", _set(("agents", 0, "visible_from_us"), -2**63 - 1),
+     "agents[0]: visible_from_us: expected magnitude <= 2**63 - 1, got -9223372036854775809"),
 ]
 BOUND_IDS = ["dbuffer-zero", "dbuffer-negative", "sigma-negative", "jitter-negative",
              "inputs-twice", "outputs-twice", "speed-huge", "ego-position-huge",
-             "segment-accel-huge"]
+             "segment-accel-huge", "duration-huge", "segment-start-huge", "visible-from-huge"]
 
 
 @pytest.mark.parametrize("name, mutate, expect", BOUND_CASES, ids=BOUND_IDS)
@@ -212,6 +222,8 @@ def test_validate_bad_input_exits_1_with_message(workdir, capsys, name, mutate, 
      "group main pins unknown node 'ghost'"),
     ("config.json", _set(("groups", 0, "pinned_nodes"), ["sensor", "detect"]),
      "node act is not pinned to any group"),
+    ("config.json", _set(("brake_level_mps2",), 1e308),
+     "config: brake_level_mps2: expected in [-1e+12, 0], got 1e+308"),
     *BOUND_CASES,
 ], ids=["pattern", "role", "node-name", "group-name", "groups-int", "seed-str",
         "rss-key", "duration-nan", "range-nan", "fastpath-str", "cancel-int",
@@ -222,7 +234,7 @@ def test_validate_bad_input_exits_1_with_message(workdir, capsys, name, mutate, 
         "capacity-negative", "actuation-negative", "config-format-bool",
         "scenario-format-bool", "pipeline-format-bool", "budget-negative",
         "range-negative", "margin-negative", "lookahead-negative", "cap-negative",
-        "pin-unknown", "pin-missing", *BOUND_IDS])
+        "pin-unknown", "pin-missing", "brake-huge", *BOUND_IDS])
 def test_run_bad_input_exits_1_with_message(workdir, capsys, name, mutate, expect):
     path = workdir / name
     obj = json.loads(path.read_text())
@@ -527,3 +539,25 @@ def test_paired_traces_compare_to_the_paired_report(workdir):
                  "--out", str(workdir / "compare.json")]) == EXIT_OK
     assert ((workdir / "compare.json").read_bytes()
             == (out / "compare.json").read_bytes())
+
+
+NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None     # every import of scipy now raises ImportError
+from avpipesim.cli import main
+w = sys.argv[1]
+print([main(["validate", "--scenario", w + "/scenario.json", "--pipeline", w + "/pipeline.json"]),
+       main(["run", "--config", w + "/config.json", "--fastpath", "on", "--paired"]),
+       main(["compare", w + "/out/trace_baseline.ndjson", w + "/out/trace.ndjson",
+             "--out", w + "/compare.json"])])
+"""
+
+
+def test_commands_need_no_scipy(workdir):
+    """numpy is the only run-time dependency; scipy serves the tests and a demo."""
+    src = os.path.dirname(os.path.dirname(avpipesim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY, str(workdir)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0]", done.stderr

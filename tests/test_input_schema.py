@@ -24,7 +24,7 @@ from avpipesim.simkernel import ms, sec
 
 import fixtures
 import test_pipeline
-from conftest import chain_pipeline
+from conftest import chain_pipeline, one_group
 from test_scheduler_incremental import layered_runs
 from test_trace_format import agent_specs, finite
 
@@ -143,11 +143,18 @@ def empty_road(d_buffer_m):
      "a_mps2: expected magnitude <= 1e+12, got -inf"),
     (lambda: TrajectorySpec(AgentState(0.0, 0.0, 1.0, 0.0), segments=((5, 2.0), (9, 1e13))),
      "segments[1].a_mps2: expected magnitude <= 1e+12, got 10000000000000.0"),
+    # once accepted: the ego's position then left the magnitude bound mid-run
+    (lambda: EngineConfig(brake_level_mps2=1e308),
+     "brake_level_mps2: expected in [-1e+12, 0], got 1e+308"),
+    (lambda: EngineConfig(brake_level_mps2=0.5),
+     "brake_level_mps2: expected in [-1e+12, 0], got 0.5"),
+    (lambda: EngineConfig(brake_level_mps2=math.nan),
+     "brake_level_mps2: expected in [-1e+12, 0], got nan"),
 ], ids=["budget", "actuation", "range", "margin", "lookahead", "cap", "capacity",
         "negative-budget-run", "dbuffer-zero", "dbuffer-negative", "dbuffer-nan",
         "sigma-negative", "jitter-negative", "inputs-twice", "outputs-twice",
         "range-nan", "sigma-nan", "lookahead-nan", "speed-huge", "lateral-nan",
-        "accel-infinite", "segment-accel-huge"])
+        "accel-infinite", "segment-accel-huge", "brake-huge", "brake-positive", "brake-nan"])
 def test_bounds_hold_for_library_calls(build, expect):
     with pytest.raises(InputError, match=f"^{re.escape(expect)}$"):
         build()
@@ -160,3 +167,20 @@ def test_bounds_admit_their_limits():
     assert Channel("c", ChannelPolicy.FIFO, capacity=1).capacity == 1
     assert NoiseSpec(NoiseKind.UNIFORM, sigma=0.0, jitter_us=0).sigma == 0.0
     assert AgentState(s_m=-1e12, l_m=1e12, v_mps=1e12, a_mps2=-1e12).s_m == -1e12
+    assert EngineConfig(brake_level_mps2=0.0) and EngineConfig(brake_level_mps2=-1e12)
+
+
+def test_a_run_reaches_the_largest_instant():
+    """Every time a scenario may hold is an int64 instant of the engine."""
+    last = 2**63 - 1
+    agents = (("a", AgentKind.VEHICLE, TrajectorySpec(AgentState(0.0, 0.0, 0.0, 0.0),
+                                                      segments=((last, -1.0),),
+                                                      visible_from_us=-last)),
+              ("b", AgentKind.VEHICLE, TrajectorySpec(AgentState(5.0, 0.0, 0.0, 0.0),
+                                                      visible_from_us=last)))
+    scenario = Scenario(AgentState(0.0, 0.0, 0.0, 0.0), agents, duration_us=last,
+                        hazard_events=((0, "a", "h"),))
+    graph = chain_pipeline({"act": (ms(10), NodeRole.CONTROL)}, sensor_period_us=2**62)
+    trace = run_simulation(scenario, graph, one_group(graph),
+                           EngineConfig(tick_us=2**62), seed=0)
+    assert [(c.agent_id, c.t_us) for c in trace.closest] == [("a", 0), ("b", 0)]

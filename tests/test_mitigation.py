@@ -12,8 +12,7 @@ V = AgentKind.VEHICLE
 
 
 def track(aid, s_m, deadline_us, capped=False):
-    return ObjectTrack(agent_id=aid, kind=V,
-                       state=AgentState(s_m=s_m, l_m=0, v_mps=5, a_mps2=0),
+    return ObjectTrack(agent_id=aid, kind=V, s_m=s_m,
                        deadline_us=deadline_us, deadline_capped=capped)
 
 

@@ -199,10 +199,9 @@ def test_memoized_scheduler_matches_uncached_reference(run):
 
 
 def message(ids, created_ts):
-    state = AgentState(s_m=0.0, l_m=0.0, v_mps=0.0, a_mps2=0.0)
     return FrameMessage(created_ts=created_ts,
                         objects=tuple(ObjectTrack(agent_id=aid, kind=(V, P)[i % 2],
-                                                  state=state, deadline_us=i)
+                                                  s_m=0.0, deadline_us=i)
                                       for i, aid in enumerate(ids)))
 
 

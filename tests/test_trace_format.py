@@ -1,8 +1,8 @@
-"""Trace format 2 against format 1.
+"""Trace format 2 against format 1, and the trace reader.
 
 Format 1 recorded every safety sample; format 2 records only the
 non-safe ones plus each agent's closest approach. The report must come
-out the same from either, and the reader must read both.
+out the same from either. The reader reads format 2 only.
 """
 
 import json
@@ -25,7 +25,6 @@ from conftest import assert_same_lines, chain_pipeline, one_group
 from fixtures import av_groups, av_pipeline, safety_mix_scenario
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-FORMAT1_TRACE = os.path.join(HERE, "data", "format1_safety_mix.ndjson")
 
 
 class EverySampleSimulation(Simulation):
@@ -74,16 +73,6 @@ def format1_closest(samples, agent_ids):
     return out
 
 
-def format1_ndjson(trace: RunTrace, every_sample) -> str:
-    """The trace as format 1 wrote it: every sample, no closest records
-    and no "format" in the summary."""
-    old = RunTrace(**{**vars(trace), "safety_samples": every_sample, "closest": []})
-    lines = old.to_ndjson().splitlines(keepends=True)
-    summary = json.loads(lines[-1])
-    del summary["format"]
-    return "".join(lines[:-1]) + json.dumps(summary, sort_keys=True) + "\n"
-
-
 def finite(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
@@ -108,8 +97,7 @@ agent_specs = st.builds(
        ego_v=st.sampled_from([0.0, 10.0]) | finite(0, 20))
 def test_format2_report_equals_format1(agents, duration_us, tick_us, ego_v):
     """Stops, collisions, agents behind and late-visible agents: the
-    non-safe samples plus the closest approaches give format 1's report,
-    and the reader turns the format-1 trace into the format-2 one."""
+    non-safe samples plus the closest approaches give format 1's report."""
     sc = Scenario(ego_initial=AgentState(s_m=0.0, l_m=0.0, v_mps=ego_v, a_mps2=0.0),
                   agents=tuple((f"a{i}", AgentKind.VEHICLE, traj)
                                for i, traj in enumerate(agents)),
@@ -125,12 +113,7 @@ def test_format2_report_equals_format1(agents, duration_us, tick_us, ego_v):
     assert ([(c.agent_id, c.t_us, repr(c.lon_gap_m)) for c in trace.closest]
             == [(c.agent_id, c.t_us, repr(c.lon_gap_m))
                 for c in format1_closest(every, [aid for aid, _, _ in sc.agents])])
-    expected = format1_report(every, trace.reactions)
-    assert json.dumps(asdict(safety_report(trace))) == expected
-    text = format1_ndjson(trace, every)
-    read = RunTrace.from_ndjson(text)
-    assert json.dumps(asdict(safety_report(read))) == expected
-    assert_same_lines(read.to_ndjson(), trace.to_ndjson())
+    assert json.dumps(asdict(safety_report(trace))) == format1_report(every, trace.reactions)
 
 
 def test_report_keeps_the_first_of_equal_zero_gaps():
@@ -147,24 +130,6 @@ def test_report_keeps_the_first_of_equal_zero_gaps():
 def run_safety_mix():
     return run_simulation(safety_mix_scenario(), av_pipeline(), av_groups(workers=2),
                           EngineConfig(), seed=3)
-
-
-def test_checked_in_format1_trace_reads_as_the_format2_run():
-    """The file was written by the format-1 writer from this very run."""
-    with open(FORMAT1_TRACE, encoding="utf-8") as f:
-        old_records = [json.loads(line) for line in f]
-    assert "format" not in old_records[-1]
-    samples = [SafetySample(**{k: v for k, v in r.items() if k != "type"})
-               for r in old_records if r["type"] == "safety"]
-    assert {s.level for s in samples} == {"safe", "violation", "collision"}
-    with open(FORMAT1_TRACE, encoding="utf-8") as f:
-        read = RunTrace.from_ndjson(f)
-    trace = run_safety_mix()
-    assert json.dumps(asdict(safety_report(read))) == format1_report(
-        samples, trace.reactions)
-    assert_same_lines(read.to_ndjson(), trace.to_ndjson())
-    # scenario order, though the tailgater's gap turns >= 0 only at 0.9 s
-    assert [c.agent_id for c in read.closest] == ["lead", "tailgater", "parked", "late"]
 
 
 def test_format2_round_trip():
@@ -188,6 +153,9 @@ def test_reader_takes_integral_floats_for_integers():
         RunTrace.from_ndjson(lines)
 
 
+MISSING = object()      # as a value in a summary change: delete the key
+
+
 @pytest.mark.parametrize("change, expect", [
     ({"format": 1}, "unsupported trace format 1"),
     ({"format": "2"}, "unsupported trace format '2'"),
@@ -205,10 +173,13 @@ def test_reader_takes_integral_floats_for_integers():
     pytest.param({"ego_segments": [[0]]},
                  r"summary.ego_segments\[0\]: expected a list of 2 items, got \[0\]",
                  id="segment-short"),
+    pytest.param({"format": MISSING}, "unsupported trace format None", id="format-missing"),
 ])
 def test_reader_refuses_bad_summaries(change, expect):
+    """A summary without "format", as format 1 wrote it, is refused too."""
     lines = run_safety_mix().to_ndjson().splitlines()
-    lines[-1] = json.dumps({**json.loads(lines[-1]), **change})
+    summary = {**json.loads(lines[-1]), **change}
+    lines[-1] = json.dumps({k: v for k, v in summary.items() if v is not MISSING})
     with pytest.raises(TraceError, match=expect) as info:
         RunTrace.from_ndjson(lines)
     assert info.value.lineno == len(lines)
@@ -228,12 +199,8 @@ def test_reader_refuses_a_record_missing_a_defaulted_field(record):
     assert info.value.lineno == i + 1
 
 
-def test_reader_refuses_closest_records_in_format1_and_a_second_summary():
-    with open(FORMAT1_TRACE, encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    closest = '{"agent_id": "a", "lon_gap_m": 1.0, "t_us": 0, "type": "closest"}'
-    with pytest.raises(TraceError, match="format-1 trace holds closest records"):
-        RunTrace.from_ndjson([closest] + lines)
+def test_reader_refuses_a_second_summary():
+    lines = run_safety_mix().to_ndjson().splitlines()
     with pytest.raises(TraceError, match="second summary record") as info:
         RunTrace.from_ndjson(lines + lines[-1:])
     assert info.value.lineno == len(lines) + 1

@@ -105,7 +105,7 @@ class CaptureProbe(Simulation):
 
 
 def track_bits(tracks) -> list:
-    return [(o.agent_id, o.kind, state_bits(o.state), o.deadline_us, o.deadline_capped)
+    return [(o.agent_id, o.kind, bits(o.s_m), o.deadline_us, o.deadline_capped)
             for o in tracks]
 
 
@@ -115,7 +115,7 @@ def scalar_tracks(scenario, t, ego, config) -> list:
     for aid, kind, x in visible_agents(scenario, t, config.sensor_range_m, ego_state=ego):
         dl, capped = object_deadline(t, ego, x, scenario.d_buffer_m, config.rss,
                                      deadline_cap_us=config.mitigation.deadline_cap_us)
-        out.append((aid, kind, state_bits(x), dl, capped))
+        out.append((aid, kind, bits(x.s_m), dl, capped))
     return out
 
 
