@@ -13,6 +13,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Iterator, Optional
 
 import numpy as np
@@ -20,13 +21,13 @@ import numpy as np
 from . import mitigation as mit
 from .jsonio import InputError, check_min, read_record, refuse_constant
 from .mitigation import MitigationConfig, PathChoice
-from .pipeline import (Channel, CompiledGraph, ExecutionPattern, FrameMessage,
-                       LatencyModel, NodeRole, NodeSpec, ObjectTrack,
-                       PipelineGraph, downstream_estimate, fusion_update,
-                       kind_counts, predict_latency, sample_latency, validate_graph)
+from .pipeline import (Channel, CompiledGraph, ExecutionPattern, FrameMessage, NodeRole,
+                       NodeSpec, NoiseKind, ObjectTrack, PipelineGraph,
+                       downstream_estimate, fusion_update, kind_counts, predict_latency,
+                       sample_latency, validate_graph)
 from .safety import RssParams, SafetyLevel, check_safety_many, object_deadline
 from .scenario import (MAX_MAGNITUDE, AgentState, CompiledTrajectory, Scenario,
-                       TrajectorySpec, World)
+                       ScenarioError, TrajectorySpec, World)
 from .simkernel import EventQueue, StreamFactory
 
 
@@ -253,10 +254,35 @@ def _span_line(s: Span) -> str:
 _SAFE = SafetyLevel.SAFE.value
 
 
+class _Node:
+    """A node's run plan, built once per run. inputs and outputs hold, per
+    channel, the run's Channel and the plans of the consumers it feeds;
+    steal_hosts are the groups the node's work may be stolen into, in
+    trial order."""
+    __slots__ = ("spec", "name", "inputs", "outputs", "home", "steal_hosts", "stream",
+                 "interrupt", "fastpath", "proactive", "terminal", "control", "fusion",
+                 "zero_latency")
+
+    def __init__(self, spec: NodeSpec, home: "_GroupState", steal_hosts: tuple,
+                 stream, cfg: MitigationConfig, terminal: bool):
+        self.spec, self.name, self.stream = spec, spec.name, stream
+        self.home, self.steal_hosts = home, steal_hosts
+        self.interrupt = spec.pattern == ExecutionPattern.INTERRUPT
+        self.fastpath = cfg.fastpath and spec.supports_fastpath
+        self.proactive = cfg.proactive and spec.proactive_cost_us > 0
+        self.terminal = terminal
+        self.control = spec.role == NodeRole.CONTROL
+        self.fusion = spec.role == NodeRole.FUSION and spec.fusion is not None
+        m = spec.latency
+        self.zero_latency = (m.offset_us == 0 and not m.per_kind_cost_us
+                             and m.noise.kind == NoiseKind.NONE and m.contention is None
+                             and m.lookahead_cost_us_per_m == 0.0)
+
+
 class _Task:
     __slots__ = ("node", "ready_us", "inputs", "residual_objects")
 
-    def __init__(self, node: str, ready_us: int, inputs=None, residual_objects=None):
+    def __init__(self, node: _Node, ready_us: int, inputs=None, residual_objects=None):
         self.node = node
         self.ready_us = ready_us
         self.inputs = inputs            # pre-bound messages, or None to pull
@@ -291,10 +317,7 @@ class Simulation:
                  groups: list[ProcessorGroup], config: EngineConfig, seed: int):
         validate_graph(graph)
         self.scenario = scenario
-        self.graph = graph
-        self._net = CompiledGraph(graph)
-        self._channels = {cid: Channel(cid, ch.policy, ch.capacity)
-                          for cid, ch in graph.channels.items()}
+        self._net = net = CompiledGraph(graph)
         self.config = config
         self.seed = seed
         self.queue = EventQueue()
@@ -312,18 +335,26 @@ class Simulation:
             if n not in pinned:
                 raise EngineError(f"node {n} is not pinned to any group")
         self.groups = {g.name: _GroupState(g) for g in groups}
-        self._home = {n: self.groups[g] for n, g in pinned.items()}
-        # per node, the groups its work may be stolen into, in trial order
-        self._steal_hosts = {n: tuple(grp for name, grp in sorted(self.groups.items())
-                                      if name != g)
-                             for n, g in pinned.items()}
+        hosts = sorted(self.groups.items())
+        terminals = ({n for n, s in graph.nodes.items() if s.role == NodeRole.CONTROL}
+                     or {n for n in graph.nodes if not net.successors(n)})
         # each stream is seeded by (seed, crc32(its name)), so making them
         # all up front leaves every draw as it was
-        self._latency_streams = {n: self.streams.stream(f"latency/{n}")
-                                 for n in graph.nodes}
+        self._nodes = {n: _Node(spec, self.groups[pinned[n]],
+                                tuple(grp for name, grp in hosts if name != pinned[n]),
+                                self.streams.stream(f"latency/{n}"), config.mitigation,
+                                n in terminals)
+                       for n, spec in graph.nodes.items()}
+        # the run's own queue per channel, with the plans of its consumers
+        ports = {cid: (Channel(cid, ch.policy, ch.capacity),
+                       tuple(self._nodes[m] for m in net.consumers[cid]))
+                 for cid, ch in graph.channels.items()}
+        for node in self._nodes.values():
+            node.inputs = tuple(ports[c] for c in node.spec.inputs)
+            node.outputs = tuple(ports[c] for c in node.spec.outputs)
         # node -> _predict_next's result; an entry is dropped whenever one
         # of the node's input channels is offered to or taken from
-        self._predicted: dict[str, int] = {}
+        self._predicted: dict[_Node, int] = {}
 
         self._ego = CompiledTrajectory(TrajectorySpec(initial=scenario.ego_initial))
         periods = [n.period_us for n in graph.nodes.values()
@@ -333,8 +364,8 @@ class Simulation:
         self._closest_gap = np.full(len(scenario.agents), math.inf)
         self._closest_t = np.zeros(len(scenario.agents), dtype=np.int64)
         # per fusion node: its a-of-n history and the newest track of each id in it
-        self._fusion: dict[str, tuple[dict[str, list[bool]], dict[str, ObjectTrack]]] = {}
-        self._proactive_arrival: dict[str, Optional[int]] = {}
+        self._fusion: dict[_Node, tuple[dict[str, list[bool]], dict[str, ObjectTrack]]] = {}
+        self._proactive_arrival: dict[_Node, Optional[int]] = {}
         # per sensor frame seq: its capture time and object ids
         self._capture_index: list[tuple[int, tuple[str, ...]]] = []
         # per trace.frames entry: the output's lineage and object ids; not
@@ -350,14 +381,13 @@ class Simulation:
             worker_count_by_group={g.name: g.worker_count for g in groups})
         self.ego_segments = self.trace.ego_segments
 
-        terminals = [n for n, s in graph.nodes.items() if s.role == NodeRole.CONTROL]
-        self._terminal_nodes = set(
-            terminals or [n for n in graph.nodes if not self._net.successors(n)])
-
     # -- ego kinematics ----------------------------------------------------
 
     def ego_state(self, t_us: int) -> AgentState:
-        return self._ego.state_at(t_us)
+        try:
+            return self._ego.state_at(t_us)
+        except ScenarioError as e:      # derived past MAX_MAGNITUDE
+            raise InputError(f"ego at t={t_us} us: {e}") from None
 
     def apply_control(self, decision: str, level: float, decided_us: int):
         """Append an acceleration segment at decision time + actuation delay."""
@@ -373,10 +403,9 @@ class Simulation:
     # -- run loop ----------------------------------------------------------
 
     def run(self) -> RunTrace:
-        for name in sorted(self.graph.nodes):
-            spec = self.graph.nodes[name]
-            if spec.pattern == ExecutionPattern.TIMING:
-                self._at(0, self._on_tick, name)
+        for _, node in sorted(self._nodes.items()):
+            if not node.interrupt:
+                self._at(0, self._on_tick, node)
         self._at(0, self._on_safety_tick)
         self.queue.run_until(self.scenario.duration_us)
         found = np.flatnonzero(self._closest_gap < math.inf)
@@ -396,22 +425,29 @@ class Simulation:
         if t <= self.scenario.duration_us:
             self.queue.schedule(t, lambda: handler(*args, t))
 
-    def _on_tick(self, node: str, t: int):
-        spec = self.graph.nodes[node]
-        if spec.role == NodeRole.SENSOR:
+    def _on_tick(self, node: _Node, t: int):
+        if node.spec.role == NodeRole.SENSOR:
             self._capture(node, t)
         else:
-            grp = self._home[node]
-            grp.ready.append(_Task(node, ready_us=t))
-            self._dispatch(grp)
-        self._at(t + spec.period_us, self._on_tick, node)
+            node.home.ready.append(_Task(node, ready_us=t))
+            self._dispatch(node.home)
+        self._at(t + node.spec.period_us, self._on_tick, node)
 
     def _on_safety_tick(self, t: int):
         ego = self.ego_state(t)
         world = self._world.agents
         s, v, a = self._world.at(t)
-        levels, lon, lat = check_safety_many(ego, s, world.l_m, v, a, self.config.rss,
-                                             self.scenario.d_buffer_m)
+        rows, rss, d_buffer = (s, world.l_m, v, a), self.config.rss, self.scenario.d_buffer_m
+        try:
+            levels, lon, lat = check_safety_many(ego, *rows, rss, d_buffer)
+        except ScenarioError as e:      # a state derived past MAX_MAGNITUDE
+            # states are built in agent order: the first agent that fails alone raised it
+            for i, agent_id in enumerate(world.ids):
+                try:
+                    check_safety_many(ego, *(x[i:i + 1] for x in rows), rss, d_buffer)
+                except ScenarioError:
+                    raise InputError(f"agent {agent_id!r} at t={t} us: {e}") from None
+            raise
         gaps = _round6(lon)
         closer = (gaps >= 0) & (gaps < self._closest_gap)
         self._closest_gap[closer] = gaps[closer]
@@ -426,8 +462,7 @@ class Simulation:
 
     # -- sensing -----------------------------------------------------------
 
-    def _capture(self, node: str, t: int):
-        spec = self.graph.nodes[node]
+    def _capture(self, node: _Node, t: int):
         ego, world, rss = self.ego_state(t), self._world.agents, self.config.rss
         # visible_agents plus object_deadline; a laterally clear agent's deadline is the cap
         s, v, a = self._world.at(t)
@@ -438,19 +473,21 @@ class Simulation:
         cap = self.config.mitigation.deadline_cap_us
         objects = []
         for j, i in enumerate(seen):
-            dl, capped = (t + cap, True) if clear[j] else object_deadline(
-                t, ego, AgentState(s[j], world.l_list[i], v[j], a[j]),
-                self.scenario.d_buffer_m, rss, deadline_cap_us=cap)
+            try:
+                dl, capped = (t + cap, True) if clear[j] else object_deadline(
+                    t, ego, AgentState(s[j], world.l_list[i], v[j], a[j]),
+                    self.scenario.d_buffer_m, rss, deadline_cap_us=cap)
+            except ScenarioError as e:      # a state derived past MAX_MAGNITUDE
+                raise InputError(f"agent {world.ids[i]!r} at t={t} us: {e}") from None
             objects.append(ObjectTrack(world.ids[i], world.kinds[i], s[j], dl, capped))
         seq = len(self._capture_index)
         self._capture_index.append((t, tuple(o.agent_id for o in objects)))
         msg = FrameMessage(created_ts=t, objects=tuple(objects), lineage={seq: (t, 0)})
-        if _model_is_zero(spec.latency):
+        if node.zero_latency:
             self._emit(node, msg)
         else:
-            grp = self._home[node]
-            grp.ready.append(_Task(node, ready_us=t, inputs=[msg]))
-            self._dispatch(grp)
+            node.home.ready.append(_Task(node, ready_us=t, inputs=[msg]))
+            self._dispatch(node.home)
 
     # -- scheduling --------------------------------------------------------
 
@@ -462,23 +499,19 @@ class Simulation:
                 return
             self._start_task(ready.popleft(), grp, widx)
 
-    def _pull_inputs(self, spec: NodeSpec) -> list[FrameMessage]:
-        msgs = []
-        for ch_id in spec.inputs:
-            m = self._channels[ch_id].take()
-            if m is not None:
-                msgs.append(m)
-                for consumer in self._net.consumers[ch_id]:
-                    self._predicted.pop(consumer, None)
-        return msgs
-
     def _start_task(self, task: _Task, grp: _GroupState, widx: int):
         now = self.queue.clock
         node, inputs = task.node, task.inputs
-        spec = self.graph.nodes[node]
+        spec = node.spec
         if inputs is None:
-            inputs = task.inputs = self._pull_inputs(spec)
-            if not inputs and spec.inputs:
+            inputs = task.inputs = []
+            for channel, consumers in node.inputs:
+                m = channel.take()
+                if m is not None:
+                    inputs.append(m)
+                    for consumer in consumers:
+                        self._predicted.pop(consumer, None)
+            if not inputs and node.inputs:
                 return    # data was superseded (latest-only) or drained
 
         cfg = self.config.mitigation
@@ -491,8 +524,8 @@ class Simulation:
             objects = _merge_objects(inputs)
 
         counts = kind_counts(objects)
-        if (not is_residual and cfg.fastpath and spec.supports_fastpath):
-            est = downstream_estimate(self._net, node, counts)
+        if node.fastpath and not is_residual:
+            est = downstream_estimate(self._net, node.name, counts)
             deadline = mit.message_deadline(objects, now, cfg.deadline_cap_us)
             path = mit.choose_path(spec, counts, deadline, now, est)
             if path == PathChoice.FASTPATH:
@@ -508,10 +541,9 @@ class Simulation:
         else:
             model = spec.latency
             lookahead = spec.lookahead_m
-        duration = sample_latency(model, counts, lookahead, len(objects),
-                                  self._latency_streams[node])
+        duration = sample_latency(model, counts, lookahead, len(objects), node.stream)
 
-        if cfg.proactive and spec.proactive_cost_us > 0 and not is_residual:
+        if node.proactive and not is_residual:
             arrival = self._proactive_arrival.get(node)
             if arrival is not None:
                 credit = mit.proactive_credit(spec.proactive_cost_us, arrival, now,
@@ -522,8 +554,9 @@ class Simulation:
         end = grp.ends[widx] = now + duration
         # busy time within the run: a span may end after the horizon
         grp.busy_us += min(end, self.scenario.duration_us) - now
-        guest = self._home[node] is not grp
-        span = Span(node=node, frame_seq=max((m.seq for m in inputs), default=-1),
+        guest = node.home is not grp
+        lineage = _advance_lineage(inputs, duration)
+        span = Span(node=node.name, frame_seq=max(lineage, default=-1),
                     start_us=now, end_us=end,
                     worker=grp.worker_names[widx], ready_us=task.ready_us,
                     path=path.value, guest=guest, residual=is_residual)
@@ -532,65 +565,60 @@ class Simulation:
             self.trace.budget_violations += 1
 
         self.queue.schedule(end, lambda: self._finish_task(
-            task, grp, widx, span, objects, residual, duration))
+            task, grp, widx, span, objects, residual, lineage))
 
     def _finish_task(self, task: _Task, grp: _GroupState, widx: int, span: Span,
-                     objects, residual, duration: int):
+                     objects, residual, lineage: dict):
         now = self.queue.clock
         grp.ends[widx] = None
-        node, inputs = task.node, task.inputs
-        spec = self.graph.nodes[node]
-        out_objects = self._transform_objects(spec, objects)
+        node = task.node
         msg = FrameMessage(
-            created_ts=now, objects=out_objects,
+            created_ts=now, objects=self._transform_objects(node, objects),
             partial=(span.path == PathChoice.FASTPATH or span.residual),
-            lineage=_advance_lineage(inputs, duration))
+            lineage=lineage)
 
         deliver = True
         if span.residual and not mit.residual_needs_downstream(objects):
             deliver = False
-        if spec.role == NodeRole.CONTROL:
+        if node.control:
             self._decide(msg, now)
-        if node in self._terminal_nodes:
+        if node.terminal:
             self._record_terminal(msg, span)
         if deliver:
             self._emit(node, msg)
 
         if residual:
-            self._home[node].ready.append(_Task(
-                node, ready_us=now, inputs=inputs, residual_objects=tuple(residual)))
+            node.home.ready.append(_Task(
+                node, ready_us=now, inputs=task.inputs, residual_objects=tuple(residual)))
 
         for g in self.groups.values():
             if g.ready:
                 self._dispatch(g)
 
-    def _transform_objects(self, spec: NodeSpec, objects):
-        if spec.role != NodeRole.FUSION or spec.fusion is None:
+    def _transform_objects(self, node: _Node, objects):
+        if not node.fusion:
             return tuple(objects)
-        hist, tracks = self._fusion.get(spec.name, ({}, {}))
+        hist, tracks = self._fusion.get(node, ({}, {}))
         seen = {o.agent_id: o for o in objects}
-        published, hist = fusion_update(spec.fusion, hist, set(seen))
+        published, hist = fusion_update(node.spec.fusion, hist, set(seen))
         # an id stays in the history only while it was detected in the window
         tracks = {oid: seen[oid] if oid in seen else tracks[oid] for oid in hist}
-        self._fusion[spec.name] = hist, tracks
+        self._fusion[node] = hist, tracks
         return tuple(tracks[oid] for oid in sorted(published))
 
-    def _emit(self, node: str, msg: FrameMessage):
-        nodes, predicted = self.graph.nodes, self._predicted
-        proactive = self.config.mitigation.proactive
-        for ch_id in nodes[node].outputs:
-            self._channels[ch_id].offer(msg)
-            for consumer in self._net.consumers[ch_id]:
+    def _emit(self, node: _Node, msg: FrameMessage):
+        predicted, arrivals = self._predicted, self._proactive_arrival
+        for channel, consumers in node.outputs:
+            channel.offer(msg)
+            for consumer in consumers:
                 predicted.pop(consumer, None)
-                cspec = nodes[consumer]
-                if (proactive and cspec.proactive_cost_us > 0
-                        and self._proactive_arrival.get(consumer) is None):
-                    self._proactive_arrival[consumer] = self.queue.clock
-                if cspec.pattern == ExecutionPattern.INTERRUPT:
+                if consumer.proactive and arrivals.get(consumer) is None:
+                    arrivals[consumer] = self.queue.clock
+                if consumer.interrupt:
                     self._trigger_interrupt(consumer)
 
-    def _trigger_interrupt(self, node: str):
-        grp = self._home[node]
+    def _trigger_interrupt(self, node: _Node):
+        grp = node.home
         task = _Task(node, ready_us=self.queue.clock)
         if grp.free_worker() is not None:
             grp.ready.append(task)
@@ -600,23 +628,23 @@ class Simulation:
             return
         grp.ready.append(task)
 
-    def _predict_next(self, node: str) -> int:
+    def _predict_next(self, node: _Node) -> int:
         """Predicted cost of node's next run, from the message its next
         take() pops from each input: the head, which on a latest-only
         channel is the only message. Memoized until one of those inputs
         changes."""
         cost = self._predicted.get(node)
         if cost is None:
-            spec = self.graph.nodes[node]
-            preview = [q[0] for q in (self._channels[c].queued for c in spec.inputs) if q]
+            spec = node.spec
+            preview = [q[0] for q in (channel.queued for channel, _ in node.inputs) if q]
             cost = self._predicted[node] = predict_latency(
                 spec.latency, kind_counts(_merge_objects(preview)), spec.lookahead_m)
         return cost
 
-    def _try_steal(self, node: str, task: _Task) -> bool:
+    def _try_steal(self, node: _Node, task: _Task) -> bool:
         now = self.queue.clock
         cost = None
-        for host in self._steal_hosts[node]:
+        for host in node.steal_hosts:
             widx = host.free_worker()
             if widx is None:
                 continue
@@ -705,21 +733,22 @@ def _round6(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _model_is_zero(m: LatencyModel) -> bool:
-    return (m.offset_us == 0 and not m.per_kind_cost_us
-            and m.noise.kind.value == "none" and m.contention is None
-            and m.lookahead_cost_us_per_m == 0.0)
+_BY_AGE, _BY_ID = attrgetter("created_ts"), attrgetter("agent_id")
 
 
 def _merge_objects(msgs) -> tuple[ObjectTrack, ...]:
     """Union of input objects, newest message wins per agent id, sorted
     by agent id."""
+    if len(msgs) == 1:      # most tasks: one input, no agent id twice in it
+        objects = msgs[0].objects
+        if len(set(map(_BY_ID, objects))) == len(objects):
+            return tuple(sorted(objects, key=_BY_ID))
     best: dict[str, ObjectTrack] = {}
     # a stable sort by age, so on equal created_ts the later input wins
-    for m in sorted(msgs, key=lambda m: m.created_ts):
+    for m in sorted(msgs, key=_BY_AGE):
         for o in m.objects:
             best[o.agent_id] = o
-    return tuple(best[aid] for aid in sorted(best))
+    return tuple(sorted(best.values(), key=_BY_ID))
 
 
 def _advance_lineage(msgs, duration: int) -> dict:

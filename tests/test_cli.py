@@ -246,6 +246,36 @@ def test_run_bad_input_exits_1_with_message(workdir, capsys, name, mutate, expec
     assert err.startswith("error:") and expect in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("ego, agent, period_us, duration_us, expect", [
+    ((0, 0), (10, 10), 2**62, 2**63 - 1,
+     "agent 'a' at t=4611686018427387904 us: s_m: expected magnitude <= 1e+12, "
+     "got 46116860184283.875"),
+    ((0, 10), (10, 10), 2**62, 2**63 - 1,
+     "ego at t=4611686018427387904 us: s_m: expected magnitude <= 1e+12, "
+     "got 46116860184273.875"),
+    ((1e12 - 30, 0), (1e12 - 190, 200), sec(1), sec(1),
+     "agent 'a' at t=1000000 us: s_m: expected magnitude <= 1e+12, got 1000000000010.0"),
+], ids=["safety-tick", "ego", "capture"])
+def test_run_state_derived_past_bound_names_agent_and_instant(tmp_path, capsys, ego, agent,
+                                                               period_us, duration_us, expect):
+    """Every input is inside its bound, but a state derived mid-run is
+    not. ego and agent are (s_m, v_mps); the sensor period is the tick."""
+    def state(s_m, v_mps):
+        return AgentState(s_m=s_m, l_m=0, v_mps=v_mps, a_mps2=0)
+
+    sc = Scenario(ego_initial=state(*ego), duration_us=duration_us,
+                  agents=(("a", AgentKind.VEHICLE, TrajectorySpec(initial=state(*agent))),))
+    save_scenario(sc, tmp_path / "scenario.json")
+    save_pipeline(chain_pipeline({"ctl": (1000, NodeRole.CONTROL)}, sensor_period_us=period_us),
+                  tmp_path / "pipeline.json")
+    (tmp_path / "config.json").write_text(json.dumps({
+        "format": 1, "scenario": "scenario.json", "pipeline": "pipeline.json",
+        "groups": [{"name": "main", "workers": 1, "pinned_nodes": ["sensor", "ctl"]}],
+        "tick_us": period_us, "seed": 0, "out": str(tmp_path / "out")}))
+    assert main(["run", "--config", str(tmp_path / "config.json")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {expect}\n"
+
+
 def test_run_negative_deadline_cap_flag_exits_1(workdir, capsys):
     rc = main(["run", "--config", str(workdir / "config.json"), "--deadline-cap-us", "-7"])
     assert rc == EXIT_VALIDATION

@@ -14,7 +14,9 @@ import pytest
 
 from avpipesim.cli import _write_run_outputs
 from avpipesim.engine import ProcessorGroup, run_simulation
-from avpipesim.pipeline import ChannelPolicy, FusionSpec, NodeRole, PipelineGraph
+from avpipesim.pipeline import (Channel, ChannelPolicy, ExecutionPattern, FusionSpec,
+                                LatencyModel, NodeRole, NodeSpec, PipelineGraph)
+from avpipesim.scenario import AgentKind
 from avpipesim.simkernel import ms
 
 import fixtures
@@ -50,12 +52,67 @@ def fusion_latest_only():
     return graph, fixtures.av_groups(workers=1), fixtures.baseline_config()
 
 
+def two_sensor_diamond():
+    """Two sensors, one of them with a latency of its own, feed a diamond
+    layer whose nodes each merge both on one FIFO and one latest-only
+    input; prediction joins the diamond's two outputs. Three one-worker
+    groups with tight budgets: fastpath, residual passes, proactive
+    precomputation, and steals between all three groups, both admitted
+    and rejected."""
+    fifo, latest = ChannelPolicy.FIFO, ChannelPolicy.LATEST_ONLY
+    interrupt, timing = ExecutionPattern.INTERRUPT, ExecutionPattern.TIMING
+    channels = {}
+
+    def ch(src, dst, policy=fifo):
+        cid = f"{src}>{dst}"
+        channels[cid] = Channel(cid, policy, 4)
+        return cid
+
+    def cost(offset_us, per_object_us):
+        return LatencyModel(per_kind_cost_us=dict.fromkeys(AgentKind, per_object_us),
+                            offset_us=offset_us)
+
+    nodes = [
+        NodeSpec("cam", timing, (), (ch("cam", "det_cam"),), LatencyModel(),
+                 role=NodeRole.SENSOR, period_us=ms(30)),
+        NodeSpec("lidar", timing, (), (ch("lidar", "det_lidar", latest),),
+                 LatencyModel(offset_us=800), role=NodeRole.SENSOR, period_us=ms(50)),
+        NodeSpec("det_cam", interrupt, ("cam>det_cam",),
+                 (ch("det_cam", "mid_a"), ch("det_cam", "mid_b", latest)), cost(4000, 600),
+                 role=NodeRole.PERCEPTION),
+        NodeSpec("det_lidar", interrupt, ("lidar>det_lidar",),
+                 (ch("det_lidar", "mid_a", latest), ch("det_lidar", "mid_b")), cost(5000, 500),
+                 role=NodeRole.PERCEPTION),
+        NodeSpec("mid_a", interrupt, ("det_cam>mid_a", "det_lidar>mid_a"),
+                 (ch("mid_a", "prediction"),), cost(3000, 300)),
+        NodeSpec("mid_b", interrupt, ("det_cam>mid_b", "det_lidar>mid_b"),
+                 (ch("mid_b", "prediction", latest),), cost(3500, 250)),
+        NodeSpec("prediction", interrupt, ("mid_a>prediction", "mid_b>prediction"),
+                 (ch("prediction", "planning"),), cost(8000, 3000), role=NodeRole.PREDICTION,
+                 fast_latency=cost(3000, 600), proactive_cost_us=3000),
+        NodeSpec("planning", interrupt, ("prediction>planning",), (ch("planning", "control"),),
+                 LatencyModel(offset_us=6000, lookahead_cost_us_per_m=100.0),
+                 role=NodeRole.PLANNING, lookahead_m=60.0,
+                 fast_latency=LatencyModel(offset_us=3000, lookahead_cost_us_per_m=100.0)),
+        NodeSpec("control", interrupt, ("planning>control",), (ch("control", "cmd"),),
+                 LatencyModel(offset_us=1000), role=NodeRole.CONTROL),
+    ]
+    groups = [ProcessorGroup("sense", 1, ("cam", "lidar", "det_cam", "det_lidar"),
+                             budget_us=ms(25)),
+              ProcessorGroup("mid", 1, ("mid_a", "mid_b"), budget_us=ms(20)),
+              ProcessorGroup("plan", 1, ("prediction", "planning", "control"), budget_us=ms(60))]
+    return (PipelineGraph(nodes={n.name: n for n in nodes}, channels=channels), groups,
+            fixtures.mitigated_config(deadline_cap_us=ms(80)))
+
+
 @pytest.mark.parametrize("build, seed, trace_sha, report_sha", [
     (every_mitigation, 3, "f5c12479a376f7b48f12b2eb6b642826dd8ca346f1565689eeadfc8c961581c4",
      "1182797726fddd5021bde98ad533e521da467f4de77811f6b6ea36b5bbeebf6a"),
     (fusion_latest_only, 5, "bd5b1d800ee00a299f618cc368d6fd65a74bcc2955fd4ff3fe5e7823017c6986",
      "a7a2552176bc778724a6c5307ee16858c1061002305c92c92b7b883d1e2990d4"),
-], ids=["every-mitigation", "fusion-latest-only"])
+    (two_sensor_diamond, 0, "60fd63f645731931469a0914ea9737cf2de32e08fe3be2a9c9aab6027e14c60a",
+     "bebd587b24c91eb8ea9e51e42bf105fd6e5e2257b8758e0482fcd9a8ee4fca32"),
+], ids=["every-mitigation", "fusion-latest-only", "two-sensor-diamond"])
 def test_outputs_match_pinned_digests(tmp_path, build, seed, trace_sha, report_sha):
     graph, groups, config = build()
     trace = run_simulation(fixtures.safety_mix_scenario(), graph, groups, config, seed)

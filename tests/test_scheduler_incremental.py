@@ -44,8 +44,8 @@ class UncachedSimulation(Simulation):
     """Predictions recomputed on every call, merges by the reference."""
 
     def _predict_next(self, node):
-        spec = self.graph.nodes[node]
-        preview = [self._channels[c].queued[0] for c in spec.inputs if self._channels[c].queued]
+        spec = node.spec
+        preview = [channel.queued[0] for channel, _ in node.inputs if channel.queued]
         counts = kind_counts(reference_merge(preview))
         return predict_latency(spec.latency, counts, spec.lookahead_m)
 
@@ -54,7 +54,7 @@ class UncachedSimulation(Simulation):
         cost = self._predict_next(node)
         for name in sorted(self.groups):
             host = self.groups[name]
-            if host is self._home[node]:
+            if host is node.home:
                 continue
             widx = next((i for i, end in enumerate(host.ends) if end is None), None)
             if widx is None:
@@ -226,12 +226,13 @@ def test_prediction_prices_the_head_that_take_pops():
         scenario = Scenario(ego_initial=AgentState(s_m=0.0, l_m=0.0, v_mps=10.0, a_mps2=0.0),
                             agents=(), duration_us=sec(1))
         sim = Simulation(scenario, graph, one_group(graph), EngineConfig(), seed=0)
-        channel = sim._channels["ch_sensor"]
+        node = sim._nodes["proc"]
+        (channel, _), = node.inputs
         head, tail = message("a", 0), message("bcd", 1)
         channel.offer(head)
         channel.offer(tail)
         first = head if policy == ChannelPolicy.FIFO else tail
         spec = graph.nodes["proc"]
-        assert sim._predict_next("proc") == predict_latency(
+        assert sim._predict_next(node) == predict_latency(
             spec.latency, kind_counts(first.objects), None) == ms(1) + len(first.objects) * ms(2)
         assert channel.take() is first

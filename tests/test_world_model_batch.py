@@ -94,7 +94,7 @@ class CaptureProbe(Simulation):
     def tracks(self, t: int, ego: AgentState):
         """The tracks the sensor emits at t."""
         self.probe_ego = ego
-        self._capture("sensor", t)
+        self._capture(self._nodes["sensor"], t)
         return self.emitted
 
     def ego_state(self, t_us):
