@@ -25,8 +25,8 @@ from .pipeline import (Channel, CompiledGraph, ExecutionPattern, FrameMessage, N
                        NodeSpec, NoiseKind, ObjectTrack, PipelineGraph,
                        downstream_estimate, fusion_update, kind_counts, predict_latency,
                        sample_latency, validate_graph)
-from .safety import RssParams, SafetyLevel, check_safety_many, object_deadline
-from .scenario import (MAX_MAGNITUDE, AgentState, CompiledTrajectory, Scenario,
+from .safety import RssParams, SafetyLevel, check_safety, object_deadline
+from .scenario import (MAX_MAGNITUDE, WORLD_BLOCK, AgentState, CompiledTrajectory, Scenario,
                        ScenarioError, TrajectorySpec, World)
 from .simkernel import EventQueue, StreamFactory
 
@@ -251,9 +251,6 @@ def _span_line(s: Span) -> str:
             f'"type": "span", "worker": {encode_basestring_ascii(worker)}}}\n')
 
 
-_SAFE = SafetyLevel.SAFE.value
-
-
 class _Node:
     """A node's run plan, built once per run. inputs and outputs hold, per
     channel, the run's Channel and the plans of the consumers it feeds;
@@ -360,9 +357,17 @@ class Simulation:
         periods = [n.period_us for n in graph.nodes.values()
                    if n.pattern == ExecutionPattern.TIMING and n.role == NodeRole.SENSOR]
         self._world = World(scenario.agents, [config.tick_us, *periods], scenario.duration_us)
+        # neither the ego nor any agent moves laterally (apply_control adds
+        # longitudinal segments only), so lateral clearance is a run constant
+        world = self._world.agents
+        self._clear = np.abs(world.l_m - scenario.ego_initial.l_m) - config.rss.lateral_mu_m > 0
+        self._in_lane = np.flatnonzero(~self._clear)
+        self._in_lane_l = world.l_m[self._in_lane].tolist()
         # per agent, the smallest rounded lon_gap_m >= 0 so far and its first time
         self._closest_gap = np.full(len(scenario.agents), math.inf)
         self._closest_t = np.zeros(len(scenario.agents), dtype=np.int64)
+        # the safety ticks not yet folded into those: instants, ego s_m, agent s_m rows
+        self._pending: tuple[list, list, list] = ([], [], [])
         # per fusion node: its a-of-n history and the newest track of each id in it
         self._fusion: dict[_Node, tuple[dict[str, list[bool]], dict[str, ObjectTrack]]] = {}
         self._proactive_arrival: dict[_Node, Optional[int]] = {}
@@ -408,6 +413,7 @@ class Simulation:
                 self._at(0, self._on_tick, node)
         self._at(0, self._on_safety_tick)
         self.queue.run_until(self.scenario.duration_us)
+        self._flush_closest()
         found = np.flatnonzero(self._closest_gap < math.inf)
         ids = self._world.agents.ids
         self.trace.closest = [
@@ -434,31 +440,46 @@ class Simulation:
         self._at(t + node.spec.period_us, self._on_tick, node)
 
     def _on_safety_tick(self, t: int):
-        ego = self.ego_state(t)
-        world = self._world.agents
+        ego, world = self.ego_state(t), self._world.agents
         s, v, a = self._world.at(t)
-        rows, rss, d_buffer = (s, world.l_m, v, a), self.config.rss, self.scenario.d_buffer_m
-        try:
-            levels, lon, lat = check_safety_many(ego, *rows, rss, d_buffer)
-        except ScenarioError as e:      # a state derived past MAX_MAGNITUDE
-            # states are built in agent order: the first agent that fails alone raised it
-            for i, agent_id in enumerate(world.ids):
-                try:
-                    check_safety_many(ego, *(x[i:i + 1] for x in rows), rss, d_buffer)
-                except ScenarioError:
-                    raise InputError(f"agent {agent_id!r} at t={t} us: {e}") from None
-            raise
-        gaps = _round6(lon)
-        closer = (gaps >= 0) & (gaps < self._closest_gap)
-        self._closest_gap[closer] = gaps[closer]
-        self._closest_t[closer] = t
-        if levels.count(_SAFE) < len(levels):
-            unsafe = [i for i, level in enumerate(levels) if level != _SAFE]
-            self.trace.safety_samples.extend(
-                SafetySample(t, world.ids[i], levels[i], lon_gap, lat_gap)
-                for i, lon_gap, lat_gap in zip(unsafe, gaps[unsafe].tolist(),
-                                               _round6(lat[unsafe]).tolist()))
+        times, ego_s, rows = self._pending
+        times.append(t)
+        ego_s.append(ego.s_m)
+        rows.append(s)
+        if len(times) == WORLD_BLOCK:
+            self._flush_closest()
+        # a laterally clear agent is safe outright
+        rss, d_buffer, in_lane = self.config.rss, self.scenario.d_buffer_m, self._in_lane
+        for i, l_m, s_m, v_mps, a_mps2 in zip(in_lane.tolist(), self._in_lane_l,
+                                              s[in_lane].tolist(), v[in_lane].tolist(),
+                                              a[in_lane].tolist()):
+            try:
+                status = check_safety(ego, AgentState(s_m, l_m, v_mps, a_mps2), rss, d_buffer)
+            except ScenarioError as e:      # a state derived past MAX_MAGNITUDE
+                raise InputError(f"agent {world.ids[i]!r} at t={t} us: {e}") from None
+            if status.level is not SafetyLevel.SAFE:
+                self.trace.safety_samples.append(SafetySample(
+                    t, world.ids[i], status.level.value, round(status.longitudinal_gap_m, 6),
+                    round(status.lateral_gap_m, 6)))
         self._at(t + self.config.tick_us, self._on_safety_tick)
+
+    def _flush_closest(self):
+        """Fold the pending safety ticks into each agent's closest approach.
+        Per agent, the block's first smallest rounded gap >= 0 replaces the
+        one so far only if smaller: tick by tick, the first time wins."""
+        times, ego_s, rows = self._pending
+        if not times:
+            return
+        lon = np.array(rows) - np.array(ego_s, dtype=float)[:, None]
+        gaps = _round6(lon.ravel()).reshape(lon.shape)
+        gaps[~(gaps >= 0)] = math.inf       # NaN too
+        first = gaps.argmin(axis=0)
+        best = gaps[first, np.arange(gaps.shape[1])]
+        closer = best < self._closest_gap
+        self._closest_gap[closer] = best[closer]
+        self._closest_t[closer] = np.array(times, dtype=np.int64)[first[closer]]
+        for pending in self._pending:
+            pending.clear()
 
     # -- sensing -----------------------------------------------------------
 
@@ -468,7 +489,7 @@ class Simulation:
         s, v, a = self._world.at(t)
         seen = np.flatnonzero((world.visible_from_us <= t)
                               & (np.abs(s - ego.s_m) <= self.config.sensor_range_m))
-        clear = (np.abs(world.l_m[seen] - ego.l_m) - rss.lateral_mu_m > 0).tolist()
+        clear = self._clear[seen].tolist()
         s, v, a, seen = s[seen].tolist(), v[seen].tolist(), a[seen].tolist(), seen.tolist()
         cap = self.config.mitigation.deadline_cap_us
         objects = []
@@ -592,7 +613,7 @@ class Simulation:
                 node, ready_us=now, inputs=task.inputs, residual_objects=tuple(residual)))
 
         for g in self.groups.values():
-            if g.ready:
+            if g.ready and None in g.ends:
                 self._dispatch(g)
 
     def _transform_objects(self, node: _Node, objects):

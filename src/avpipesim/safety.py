@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-import numpy as np
-
 from .scenario import AgentState
 from .simkernel import US_PER_S
 
@@ -184,23 +182,3 @@ def check_safety(ego: AgentState, obstacle: AgentState, p: RssParams,
         return SafetyStatus(SafetyLevel.VIOLATION, lon_gap, lat_gap)
     return SafetyStatus(SafetyLevel.SAFE, lon_gap, lat_gap)
 
-
-def check_safety_many(ego: AgentState, s_m, l_m, v_mps, a_mps2, p: RssParams,
-                      d_buffer_m: float):
-    """check_safety for many obstacles given as numpy arrays.
-
-    Returns (level values, longitudinal gaps, lateral gaps) in input
-    order: a list of SafetyLevel values and two float64 arrays, equal
-    element for element to what check_safety gives per obstacle.
-    Laterally clear obstacles are safe outright; only the rest go
-    through check_safety.
-    """
-    lon = s_m - ego.s_m
-    lat = np.abs(l_m - ego.l_m) - p.lateral_mu_m
-    levels = [SafetyLevel.SAFE.value] * len(lon)
-    in_lane = np.flatnonzero(~(lat > 0)).tolist()
-    s, l, v, a = (x[in_lane].tolist() for x in (s_m, l_m, v_mps, a_mps2))
-    for j, i in enumerate(in_lane):
-        obstacle = AgentState(s_m=s[j], l_m=l[j], v_mps=v[j], a_mps2=a[j])
-        levels[i] = check_safety(ego, obstacle, p, d_buffer_m).level.value
-    return levels, lon, lat

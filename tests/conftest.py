@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from avpipesim.engine import EngineConfig, ProcessorGroup
@@ -5,6 +6,7 @@ from avpipesim.mitigation import MitigationConfig
 from avpipesim.pipeline import (Channel, ChannelPolicy, ExecutionPattern,
                                 FusionSpec, LatencyModel, NodeRole, NodeSpec,
                                 NoiseKind, NoiseSpec, PipelineGraph)
+from avpipesim.safety import SafetyLevel, check_safety
 from avpipesim.scenario import (AgentKind, AgentState, Scenario, TrajectorySpec)
 
 ZERO_SENSOR = LatencyModel(offset_us=0)
@@ -78,3 +80,24 @@ def assert_same_lines(got: str, expected: str):
         assert g == e, f"line {i} differs:\n  got      {g}\n  expected {e}"
     assert len(got_lines) == len(expected_lines), (
         f"{len(got_lines)} lines, expected {len(expected_lines)}")
+
+
+def check_safety_many(ego, s_m, l_m, v_mps, a_mps2, p, d_buffer_m):
+    """check_safety for every agent of one instant, from numpy rows.
+
+    Returns (level values, longitudinal gaps, lateral gaps) in input
+    order: a list of SafetyLevel values and two float64 arrays, equal
+    element for element to what check_safety gives per obstacle. The
+    lateral test takes the ego's lateral offset at this instant. The
+    reference for the engine's safety tick, which prices only the agents
+    in lane at the run's start.
+    """
+    lon = s_m - ego.s_m
+    lat = np.abs(l_m - ego.l_m) - p.lateral_mu_m
+    levels = [SafetyLevel.SAFE.value] * len(lon)
+    in_lane = np.flatnonzero(~(lat > 0)).tolist()
+    s, l, v, a = (x[in_lane].tolist() for x in (s_m, l_m, v_mps, a_mps2))
+    for j, i in enumerate(in_lane):
+        obstacle = AgentState(s_m=s[j], l_m=l[j], v_mps=v[j], a_mps2=a[j])
+        levels[i] = check_safety(ego, obstacle, p, d_buffer_m).level.value
+    return levels, lon, lat

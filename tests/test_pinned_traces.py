@@ -13,7 +13,7 @@ import hashlib
 import pytest
 
 from avpipesim.cli import _write_run_outputs
-from avpipesim.engine import ProcessorGroup, run_simulation
+from avpipesim.engine import EngineConfig, ProcessorGroup, run_simulation
 from avpipesim.pipeline import (Channel, ChannelPolicy, ExecutionPattern, FusionSpec,
                                 LatencyModel, NodeRole, NodeSpec, PipelineGraph)
 from avpipesim.scenario import AgentKind
@@ -105,6 +105,14 @@ def two_sensor_diamond():
             fixtures.mitigated_config(deadline_cap_us=ms(80)))
 
 
+def fine_safety_ticks():
+    """The AV pipeline on latest-only channels with a 10 ms safety tick:
+    201 ticks over the two seconds, not a whole number of 32-tick
+    blocks, with violations, collisions, ego braking, a laterally clear
+    agent and a late-visible one."""
+    return fixtures.av_pipeline(), fixtures.av_groups(workers=2), EngineConfig(tick_us=ms(10))
+
+
 @pytest.mark.parametrize("build, seed, trace_sha, report_sha", [
     (every_mitigation, 3, "f5c12479a376f7b48f12b2eb6b642826dd8ca346f1565689eeadfc8c961581c4",
      "1182797726fddd5021bde98ad533e521da467f4de77811f6b6ea36b5bbeebf6a"),
@@ -112,7 +120,9 @@ def two_sensor_diamond():
      "a7a2552176bc778724a6c5307ee16858c1061002305c92c92b7b883d1e2990d4"),
     (two_sensor_diamond, 0, "60fd63f645731931469a0914ea9737cf2de32e08fe3be2a9c9aab6027e14c60a",
      "bebd587b24c91eb8ea9e51e42bf105fd6e5e2257b8758e0482fcd9a8ee4fca32"),
-], ids=["every-mitigation", "fusion-latest-only", "two-sensor-diamond"])
+    (fine_safety_ticks, 1, "5ba5c55c7345cdcd71f8df2c1baf5f747d4077639292748ced0674e974857cc0",
+     "a063d1da267619e8039067f3af14b1674651c7d7b4fca1b16b523aedba89acc2"),
+], ids=["every-mitigation", "fusion-latest-only", "two-sensor-diamond", "fine-safety-ticks"])
 def test_outputs_match_pinned_digests(tmp_path, build, seed, trace_sha, report_sha):
     graph, groups, config = build()
     trace = run_simulation(fixtures.safety_mix_scenario(), graph, groups, config, seed)

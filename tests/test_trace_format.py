@@ -17,11 +17,10 @@ from avpipesim.analysis import safety_report
 from avpipesim.engine import (ClosestApproach, EngineConfig, RunTrace, SafetySample,
                               Simulation, TraceError, _round6, run_simulation)
 from avpipesim.pipeline import NodeRole
-from avpipesim.safety import check_safety_many
 from avpipesim.scenario import AgentKind, AgentState, Scenario, TrajectorySpec
 from avpipesim.simkernel import ms, sec
 
-from conftest import assert_same_lines, chain_pipeline, one_group
+from conftest import assert_same_lines, chain_pipeline, check_safety_many, one_group
 from fixtures import av_groups, av_pipeline, safety_mix_scenario
 
 HERE = os.path.dirname(os.path.abspath(__file__))

@@ -10,18 +10,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from avpipesim import scenario as scenario_module
 from avpipesim.engine import EngineConfig, Simulation, _round6
 from avpipesim.pipeline import NodeRole
-from avpipesim.safety import RssParams, check_safety, check_safety_many, object_deadline
+from avpipesim.safety import RssParams, check_safety, object_deadline
 from avpipesim.scenario import (WORLD_BLOCK, AgentArrays, AgentKind, AgentState,
                                 CompiledTrajectory, Scenario, TrajectorySpec,
                                 agent_arrays_at, agent_state_at, visible_agents)
 from avpipesim.simkernel import US_PER_S, ms, sec
 
-from conftest import chain_pipeline, one_group
+from conftest import chain_pipeline, check_safety_many, one_group
 
 HORIZON_US = sec(6)
 
@@ -89,13 +89,21 @@ def sim_of(scenario: Scenario, config=EngineConfig(), sensor_period_us=100_000,
 
 
 class CaptureProbe(Simulation):
-    """The engine's capture at any t, for an ego given per call."""
+    """The engine's capture and safety tick at any t, for an ego given per
+    call."""
 
     def tracks(self, t: int, ego: AgentState):
         """The tracks the sensor emits at t."""
         self.probe_ego = ego
         self._capture(self._nodes["sensor"], t)
         return self.emitted
+
+    def samples(self, t: int, ego: AgentState):
+        """The safety samples the safety tick records at t."""
+        self.probe_ego = ego
+        self.trace.safety_samples.clear()
+        self._on_safety_tick(t)
+        return self.trace.safety_samples
 
     def ego_state(self, t_us):
         return self.probe_ego
@@ -148,6 +156,11 @@ def test_compiled_world_equals_scalar_references(case, sensor_range_m, mu):
             [bits(x.longitudinal_gap_m) for x in statuses]
         assert [bits(g) for g in lat.tolist()] == \
             [bits(x.lateral_gap_m) for x in statuses]
+        assert [(x.agent_id, x.level, bits(x.lon_gap_m, x.lat_gap_m))
+                for x in sim.samples(t, ego)] == \
+            [(aid, level, bits(round(g, 6), round(l, 6)))
+             for aid, level, g, l in zip(world.ids, levels, lon.tolist(), lat.tolist())
+             if level != "safe"]
 
         assert track_bits(sim.tracks(t, ego)) == scalar_tracks(scenario, t, ego, config)
 
@@ -236,6 +249,79 @@ def test_incremental_ego_equals_fresh_rebuild(ego0, decisions, extra_times):
             times.update((start - 1, start, start + 1))
         for t in sorted(times):
             assert state_bits(sim.ego_state(t)) == state_bits(agent_state_at(rebuilt, t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(states, controls, st.lists(st.integers(0, sec(8)), max_size=5))
+def test_ego_never_moves_laterally(ego0, decisions, extra_times):
+    """The engine tests each agent's lateral clearance once per run, against
+    the ego's initial offset; that holds only while braking leaves the
+    ego's lateral offset as it was."""
+    sc = Scenario(ego_initial=ego0, agents=(), duration_us=sec(8))
+    sim = sim_of(sc)
+    for decision, decided_us, level in decisions:
+        sim.apply_control(decision, level, decided_us)
+    for t in {0, *extra_times, *(start for start, _ in sim.ego_segments)}:
+        assert bits(sim.ego_state(t).l_m) == bits(ego0.l_m)
+
+
+# -- closest approaches, folded a block of safety ticks at a time -------------
+
+def near_half_way(k: int) -> list[float]:
+    half = (k + 0.5) / 1e6
+    return [half, math.nextafter(half, math.inf), math.nextafter(half, -math.inf)]
+
+
+gap_values = (st.sampled_from([0.0, -0.0, 1.0, 2.5e-6, -1.0, math.inf, -math.inf, math.nan])
+              | st.integers(-10 ** 7, 10 ** 7).map(near_half_way).flatmap(st.sampled_from)
+              | st.floats())
+
+
+@st.composite
+def gap_rows(draw):
+    """Per safety tick, every agent's longitudinal gap; the ticks after
+    which the engine folds its pending ticks."""
+    n = draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(gap_values, min_size=n, max_size=n), max_size=70))
+    return rows, draw(st.sets(st.integers(1, len(rows) or 1)))
+
+
+def per_tick_closest(rows) -> dict:
+    """Per agent, the smallest round(gap, 6) >= 0 and the first tick it
+    occurred at, updated tick by tick."""
+    best = {}
+    for k, row in enumerate(rows):
+        for i, gap in enumerate(row):
+            g = round(gap, 6)
+            if 0 <= g < best.get(i, (math.inf,))[0]:
+                best[i] = (g, k)
+    return best
+
+
+@settings(max_examples=300, deadline=None)
+@given(gap_rows())
+@example(([[1.0], [1.0]], {1}))             # a tie across a block boundary
+@example(([[0.0], [-0.0], [0.0]], {1}))     # equal zeros of either sign
+@example(([[], []], {1}))                   # no agents
+def test_block_closest_equals_the_per_tick_rule(case):
+    rows, flushes = case
+    n = len(rows[0]) if rows else 0
+    agent = TrajectorySpec(initial=AgentState(0.0, 0.0, 0.0, 0.0))
+    sim = sim_of(Scenario(ego_initial=AgentState(0.0, 0.0, 0.0, 0.0),
+                          agents=tuple((f"a{i}", AgentKind.VEHICLE, agent) for i in range(n)),
+                          duration_us=sec(1)))
+    times, ego_s, s_rows = sim._pending
+    for k, row in enumerate(rows):      # tick k at t = k us, the ego at s_m 0.0
+        times.append(k)
+        ego_s.append(0.0)
+        s_rows.append(np.array(row, dtype=float))
+        if k + 1 in flushes:
+            sim._flush_closest()
+    sim._flush_closest()
+    got = {i: (repr(g), t) for i, (g, t) in enumerate(zip(sim._closest_gap.tolist(),
+                                                          sim._closest_t.tolist()))
+           if g < math.inf}
+    assert got == {i: (repr(g), k) for i, (g, k) in per_tick_closest(rows).items()}
 
 
 # -- rounding of recorded gaps -----------------------------------------------
