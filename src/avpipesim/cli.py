@@ -210,6 +210,12 @@ def _sweep_point(payload) -> tuple[float, dict]:
     return value, {**stats, **dataclasses.asdict(analysis.safety_report(trace))}
 
 
+def _sweep_workers(threads: int, points: int) -> int:
+    """Sweep processes for COLA_SIM_THREADS = threads: no more than the
+    sweep's points or the machine's cores."""
+    return min(threads, points, os.cpu_count() or 1)
+
+
 def cmd_sweep(args) -> int:
     cfg, scenario, graph = _load_run(args)
     payloads = [(*point, graph) for point in _sweep_points(cfg, scenario, args.axis, args.values)]
@@ -217,8 +223,9 @@ def cmd_sweep(args) -> int:
         threads = as_scalar(int, float(os.environ.get("COLA_SIM_THREADS", "1")))
     except ValueError as e:
         raise ConfigError(f"COLA_SIM_THREADS: {e}") from None
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = _sweep_workers(threads, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, payloads))     # in payload order
     else:
         results = [_sweep_point(p) for p in payloads]

@@ -8,15 +8,13 @@ reaction-time decomposition T1 - T0 = t_sensor + t_module + t_bubble.
 
 from __future__ import annotations
 
+import hashlib
 import json
-import math
 from collections import deque
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Iterator, Optional
-
-import numpy as np
 
 from . import mitigation as mit
 from .jsonio import InputError, check_min, read_record, refuse_constant
@@ -25,10 +23,11 @@ from .pipeline import (Channel, CompiledGraph, ExecutionPattern, FrameMessage, N
                        NodeSpec, NoiseKind, ObjectTrack, PipelineGraph,
                        downstream_estimate, fusion_update, kind_counts, predict_latency,
                        sample_latency, validate_graph)
-from .safety import RssParams, SafetyLevel, check_safety, object_deadline
-from .scenario import (MAX_MAGNITUDE, WORLD_BLOCK, AgentState, CompiledTrajectory, Scenario,
-                       ScenarioError, TrajectorySpec, World)
+from .safety import RssParams
+from .scenario import (MAX_MAGNITUDE, AgentState, CompiledTrajectory, Scenario, ScenarioError,
+                       TrajectorySpec, scenario_to_json)
 from .simkernel import EventQueue, StreamFactory
+from .world import ClosestApproach, SafetySample, World
 
 
 class EngineError(InputError):
@@ -104,23 +103,6 @@ class ReactionRecord:
     t_module_us: int = 0
     t_bubble_us: int = 0
     path: str = "normal"
-
-
-@dataclass
-class SafetySample:
-    t_us: int
-    agent_id: str
-    level: str
-    lon_gap_m: float
-    lat_gap_m: float
-
-
-@dataclass
-class ClosestApproach:
-    """An agent's smallest longitudinal gap >= 0 and when it first occurred."""
-    agent_id: str
-    t_us: int
-    lon_gap_m: float
 
 
 class TraceError(ValueError):
@@ -356,18 +338,8 @@ class Simulation:
         self._ego = CompiledTrajectory(TrajectorySpec(initial=scenario.ego_initial))
         periods = [n.period_us for n in graph.nodes.values()
                    if n.pattern == ExecutionPattern.TIMING and n.role == NodeRole.SENSOR]
-        self._world = World(scenario.agents, [config.tick_us, *periods], scenario.duration_us)
-        # neither the ego nor any agent moves laterally (apply_control adds
-        # longitudinal segments only), so lateral clearance is a run constant
-        world = self._world.agents
-        self._clear = np.abs(world.l_m - scenario.ego_initial.l_m) - config.rss.lateral_mu_m > 0
-        self._in_lane = np.flatnonzero(~self._clear)
-        self._in_lane_l = world.l_m[self._in_lane].tolist()
-        # per agent, the smallest rounded lon_gap_m >= 0 so far and its first time
-        self._closest_gap = np.full(len(scenario.agents), math.inf)
-        self._closest_t = np.zeros(len(scenario.agents), dtype=np.int64)
-        # the safety ticks not yet folded into those: instants, ego s_m, agent s_m rows
-        self._pending: tuple[list, list, list] = ([], [], [])
+        self._world = World(scenario, [config.tick_us, *periods], config.sensor_range_m,
+                            config.rss)
         # per fusion node: its a-of-n history and the newest track of each id in it
         self._fusion: dict[_Node, tuple[dict[str, list[bool]], dict[str, ObjectTrack]]] = {}
         self._proactive_arrival: dict[_Node, Optional[int]] = {}
@@ -377,14 +349,12 @@ class Simulation:
         # the message, whose objects would then all stay alive
         self._frame_lineage: list[tuple[dict, tuple[str, ...]]] = []
 
-        from .scenario import scenario_to_json
         digest_src = json.dumps(scenario_to_json(scenario), sort_keys=True)
-        import hashlib
         self.trace = RunTrace(
             scenario_digest=hashlib.sha256(digest_src.encode()).hexdigest()[:16],
-            seed=seed, duration_us=scenario.duration_us,
+            seed=seed, duration_us=scenario.duration_us, ego_segments=self._ego.segments,
             worker_count_by_group={g.name: g.worker_count for g in groups})
-        self.ego_segments = self.trace.ego_segments
+        self.ego_segments = self._ego.segments
 
     # -- ego kinematics ----------------------------------------------------
 
@@ -402,7 +372,6 @@ class Simulation:
         if self.ego_segments and t_eff <= self.ego_segments[-1][0]:
             t_eff = self.ego_segments[-1][0] + 1
         if decision == "brake":
-            self.ego_segments.append((t_eff, level))
             self._ego.append(t_eff, level)
 
     # -- run loop ----------------------------------------------------------
@@ -413,13 +382,7 @@ class Simulation:
                 self._at(0, self._on_tick, node)
         self._at(0, self._on_safety_tick)
         self.queue.run_until(self.scenario.duration_us)
-        self._flush_closest()
-        found = np.flatnonzero(self._closest_gap < math.inf)
-        ids = self._world.agents.ids
-        self.trace.closest = [
-            ClosestApproach(ids[i], t, gap)
-            for i, t, gap in zip(found.tolist(), self._closest_t[found].tolist(),
-                                 self._closest_gap[found].tolist())]
+        self.trace.closest = self._world.closest()
         for g in self.groups.values():
             self.trace.busy_us_by_group[g.spec.name] = g.busy_us
         for t0, agent_id, label in self.scenario.hazard_events:
@@ -440,70 +403,16 @@ class Simulation:
         self._at(t + node.spec.period_us, self._on_tick, node)
 
     def _on_safety_tick(self, t: int):
-        ego, world = self.ego_state(t), self._world.agents
-        s, v, a = self._world.at(t)
-        times, ego_s, rows = self._pending
-        times.append(t)
-        ego_s.append(ego.s_m)
-        rows.append(s)
-        if len(times) == WORLD_BLOCK:
-            self._flush_closest()
-        # a laterally clear agent is safe outright
-        rss, d_buffer, in_lane = self.config.rss, self.scenario.d_buffer_m, self._in_lane
-        for i, l_m, s_m, v_mps, a_mps2 in zip(in_lane.tolist(), self._in_lane_l,
-                                              s[in_lane].tolist(), v[in_lane].tolist(),
-                                              a[in_lane].tolist()):
-            try:
-                status = check_safety(ego, AgentState(s_m, l_m, v_mps, a_mps2), rss, d_buffer)
-            except ScenarioError as e:      # a state derived past MAX_MAGNITUDE
-                raise InputError(f"agent {world.ids[i]!r} at t={t} us: {e}") from None
-            if status.level is not SafetyLevel.SAFE:
-                self.trace.safety_samples.append(SafetySample(
-                    t, world.ids[i], status.level.value, round(status.longitudinal_gap_m, 6),
-                    round(status.lateral_gap_m, 6)))
+        self.trace.safety_samples += self._world.safety_tick(t, self.ego_state(t))
         self._at(t + self.config.tick_us, self._on_safety_tick)
-
-    def _flush_closest(self):
-        """Fold the pending safety ticks into each agent's closest approach.
-        Per agent, the block's first smallest rounded gap >= 0 replaces the
-        one so far only if smaller: tick by tick, the first time wins."""
-        times, ego_s, rows = self._pending
-        if not times:
-            return
-        lon = np.array(rows) - np.array(ego_s, dtype=float)[:, None]
-        gaps = _round6(lon.ravel()).reshape(lon.shape)
-        gaps[~(gaps >= 0)] = math.inf       # NaN too
-        first = gaps.argmin(axis=0)
-        best = gaps[first, np.arange(gaps.shape[1])]
-        closer = best < self._closest_gap
-        self._closest_gap[closer] = best[closer]
-        self._closest_t[closer] = np.array(times, dtype=np.int64)[first[closer]]
-        for pending in self._pending:
-            pending.clear()
 
     # -- sensing -----------------------------------------------------------
 
     def _capture(self, node: _Node, t: int):
-        ego, world, rss = self.ego_state(t), self._world.agents, self.config.rss
-        # visible_agents plus object_deadline; a laterally clear agent's deadline is the cap
-        s, v, a = self._world.at(t)
-        seen = np.flatnonzero((world.visible_from_us <= t)
-                              & (np.abs(s - ego.s_m) <= self.config.sensor_range_m))
-        clear = self._clear[seen].tolist()
-        s, v, a, seen = s[seen].tolist(), v[seen].tolist(), a[seen].tolist(), seen.tolist()
-        cap = self.config.mitigation.deadline_cap_us
-        objects = []
-        for j, i in enumerate(seen):
-            try:
-                dl, capped = (t + cap, True) if clear[j] else object_deadline(
-                    t, ego, AgentState(s[j], world.l_list[i], v[j], a[j]),
-                    self.scenario.d_buffer_m, rss, deadline_cap_us=cap)
-            except ScenarioError as e:      # a state derived past MAX_MAGNITUDE
-                raise InputError(f"agent {world.ids[i]!r} at t={t} us: {e}") from None
-            objects.append(ObjectTrack(world.ids[i], world.kinds[i], s[j], dl, capped))
+        objects = self._world.capture(t, self.ego_state(t), self.config.mitigation.deadline_cap_us)
         seq = len(self._capture_index)
         self._capture_index.append((t, tuple(o.agent_id for o in objects)))
-        msg = FrameMessage(created_ts=t, objects=tuple(objects), lineage={seq: (t, 0)})
+        msg = FrameMessage(created_ts=t, objects=objects, lineage={seq: (t, 0)})
         if node.zero_latency:
             self._emit(node, msg)
         else:
@@ -731,27 +640,6 @@ class Simulation:
                                   t_bubble_us=t_bubble, path=frame.path)
         return ReactionRecord(hazard_ts=t0, agent_id=agent_id, label=label,
                               reacted=False)
-
-
-def _round6(x: np.ndarray) -> np.ndarray:
-    """round(v, 6) of every element of x, mostly computed in numpy.
-
-    round() is correctly rounded: the integer nearest x * 10**6, ties to
-    even, divided by 10**6. rint(x * 1e6) / 1e6 gives the same float
-    whenever the product's rounding error (below 2**-14 for |x| < 2**20)
-    cannot carry it across a half-way point, and IEEE division of two
-    exact doubles is correctly rounded. The few values near a half-way
-    point, and huge or non-finite ones, go through round() itself.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = x * 1e6
-        exact = (np.abs(x) < 2.0 ** 20) & (np.abs(scaled - np.floor(scaled) - 0.5) > 2.0 ** -12)
-        out = np.rint(scaled) / 1e6
-    if not exact.all():
-        raw = x.tolist()
-        for i in np.flatnonzero(~exact).tolist():
-            out[i] = round(raw[i], 6)
-    return out
 
 
 _BY_AGE, _BY_ID = attrgetter("created_ts"), attrgetter("agent_id")

@@ -114,11 +114,16 @@ def closure_distance(ego: AgentState, obstacle: AgentState, t_us: int) -> float:
 
 def reaction_budget(ego: AgentState, obstacle: AgentState, d_buffer_m: float,
                     p: RssParams) -> ReactionBudget:
-    """Largest t <= DEFAULT_HORIZON_US with closure_distance(t) < d_buffer.
+    """The last instant before the first t <= DEFAULT_HORIZON_US with
+    closure_distance(t) >= d_buffer, rounded to BUDGET_RESOLUTION_US.
 
-    Closure is monotone non-decreasing in t whenever the obstacle is not
-    outrunning the ego, so bisection is sound; if the condition still
-    holds at the horizon the budget is unbounded.
+    Behind an obstacle that brakes or holds its speed, the closure falls
+    while the obstacle outruns the ego and then only grows, so it crosses
+    d_buffer at most once and bisection finds the crossing. An obstacle
+    slower than the ego but accelerating closes in only until it matches
+    the ego's speed, so there the bisection ends at that peak. The budget
+    is unbounded if the closure stays below d_buffer up to the horizon or
+    the peak.
     """
     if d_buffer_m <= 0:
         raise ValueError(f"d_buffer must be > 0, got {d_buffer_m}")
@@ -126,13 +131,18 @@ def reaction_budget(ego: AgentState, obstacle: AgentState, d_buffer_m: float,
     def ok(t_us: int) -> bool:
         return closure_distance(ego, obstacle, t_us) < d_buffer_m
 
+    hi = DEFAULT_HORIZON_US
+    if obstacle.a_mps2 > 0 and ego.v_mps > obstacle.v_mps:
+        peak_us = (ego.v_mps - obstacle.v_mps) / obstacle.a_mps2 * US_PER_S
+        if peak_us < hi:
+            hi = round(peak_us)     # the whole microsecond of largest closure
     budget: Optional[int]
-    if ok(DEFAULT_HORIZON_US):
+    if ok(hi):
         budget = None
     elif not ok(0):
         budget = 0
     else:
-        lo, hi = 0, DEFAULT_HORIZON_US
+        lo = 0
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if ok(mid):

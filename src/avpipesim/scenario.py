@@ -163,8 +163,8 @@ def visible_agents(scenario: Scenario, t_us: int, sensor_range_m: float,
 
 
 # ---------------------------------------------------------------------------
-# compiled trajectories: the engine's path; agent_state_at and
-# visible_agents above are the scalar references it must equal exactly
+# compiled trajectories: the engine's path (with world.World); agent_state_at
+# and visible_agents above are the scalar references it must equal exactly
 
 class CompiledTrajectory:
     """A trajectory integrated once: (s, v, a) at every segment start.
@@ -178,106 +178,29 @@ class CompiledTrajectory:
     def __init__(self, traj: TrajectorySpec):
         init = traj.initial
         self.l_m, self.lane_index = init.l_m, init.lane_index
-        self.seg_starts: list[int] = []
-        self.starts = [0]
-        self.states = [(init.s_m, init.v_mps, init.a_mps2)]
+        self.segments: list[tuple[int, float]] = []      # (start_us, a_mps2), as in traj
+        self.states = [(init.s_m, init.v_mps, init.a_mps2)]     # from 0, then per segment
         for t, a in traj.segments:
             self.append(t, a)
 
     def append(self, start_us: int, a_mps2: float):
-        if self.seg_starts and start_us <= self.seg_starts[-1]:
-            raise ScenarioError(f"segment start {start_us} not after {self.seg_starts[-1]}")
+        last = self.segments[-1][0] if self.segments else 0
+        if self.segments and start_us <= last:
+            raise ScenarioError(f"segment start {start_us} not after {last}")
         s, v, a = self.states[-1]
-        s, v = _advance(s, v, a, (start_us - self.starts[-1]) / US_PER_S)
-        self.seg_starts.append(start_us)
-        self.starts.append(start_us)
+        s, v = _advance(s, v, a, (start_us - last) / US_PER_S)
+        self.segments.append((start_us, a_mps2))
         self.states.append((s, v, a_mps2))
 
     def state_at(self, t_us: int) -> AgentState:
         if t_us < 0:
             raise ValueError(f"t must be >= 0, got {t_us}")
-        k = bisect_left(self.seg_starts, t_us)
+        k = bisect_left(self.segments, (t_us,))     # the segments starting before t
         s, v, a = self.states[k]
-        s, v = _advance(s, v, a, (t_us - self.starts[k]) / US_PER_S)
+        s, v = _advance(s, v, a, (t_us - (self.segments[k - 1][0] if k else 0)) / US_PER_S)
         eff_a = a if not (v == 0.0 and a < 0) else 0.0
         return AgentState(s_m=s, l_m=self.l_m, v_mps=v, a_mps2=eff_a,
                           lane_index=self.lane_index)
-
-
-class AgentArrays:
-    """Every agent of a scenario compiled for evaluation in one numpy pass.
-
-    The breakpoints of all agents sit in flat arrays; agent i's start at
-    index first[i]. Values are float64, so a field given as a Python int
-    comes back as a float.
-    """
-
-    def __init__(self, agents):
-        compiled = [CompiledTrajectory(traj) for _, _, traj in agents]
-        self.ids = [aid for aid, _, _ in agents]
-        self.kinds = [kind for _, kind, _ in agents]
-        self.l_list = [c.l_m for c in compiled]
-        self.l_m = np.array(self.l_list, dtype=float)
-        self.visible_from_us = np.array([traj.visible_from_us for _, _, traj in agents],
-                                        dtype=np.int64)
-        counts = np.array([len(c.starts) for c in compiled], dtype=np.int64)
-        self.first = np.cumsum(counts) - counts
-        self.start_us = np.array([t for c in compiled for t in c.starts], dtype=np.int64)
-        self.s, self.v, self.a = np.array(
-            [st for c in compiled for st in c.states], dtype=float).reshape(-1, 3).T
-        self.segmented = [(i, c.seg_starts) for i, c in enumerate(compiled) if c.seg_starts]
-
-
-def agent_arrays_at(world: AgentArrays, times_us) -> tuple[np.ndarray, ...]:
-    """(s, v, a) of every agent at each of times_us, as (T, N) arrays.
-
-    Element [k, i] equals agent_state_at(agent i, times_us[k]) field for
-    field: the same breakpoint, then _advance's branches and expression
-    order elementwise. One instant is the case T = 1.
-    """
-    t = np.array(times_us, dtype=np.int64)[:, None]
-    idx = world.first + np.zeros_like(t)
-    for i, seg_starts in world.segmented:
-        idx[:, i] += np.searchsorted(seg_starts, t[:, 0])     # bisect_left
-    s, v, a = world.s[idx], world.v[idx], world.a[idx]
-    dt = (t - world.start_us[idx]) / US_PER_S
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t_stop = v / -a
-        s_stop = s + v * t_stop + 0.5 * a * t_stop * t_stop
-    braking = a < 0
-    stops = braking & (v > 0) & (dt >= t_stop)
-    halted = braking & (v == 0)
-    moving = dt > 0
-    s_out = np.where(moving & stops, s_stop,
-                     np.where(moving & ~halted, s + v * dt + 0.5 * a * dt * dt, s))
-    v_out = np.where(moving & (stops | halted), 0.0,
-                     np.where(moving, v + a * dt, v))
-    a_out = np.where((v_out == 0.0) & braking, 0.0, a)
-    return s_out, v_out, a_out
-
-
-# instants per numpy pass; 128 buys ~2% speed for ~5% more peak RSS (README)
-WORLD_BLOCK = 32
-
-
-class World:
-    """A scenario's agents at the engine's instants: the multiples of periods_us up
-    to horizon_us. at(t) returns t's (s, v, a) rows. Unless t is in the last block,
-    it first evaluates t and the next WORLD_BLOCK - 1 instants in one numpy pass,
-    so a capture and a safety tick at the same t share one evaluation."""
-
-    def __init__(self, agents, periods_us, horizon_us: int):
-        self.agents = AgentArrays(agents)
-        self.periods_us, self.horizon_us = set(periods_us), horizon_us
-        self._rows: dict = {}       # instant -> its (s, v, a) rows of the last block
-
-    def at(self, t_us: int):
-        if t_us not in self._rows:
-            after = (range(t_us // p * p + p, self.horizon_us + 1, p)[:WORLD_BLOCK]
-                     for p in self.periods_us)        # the next multiples of each period
-            times = sorted({t_us}.union(*after))[:WORLD_BLOCK]
-            self._rows = dict(zip(times, zip(*agent_arrays_at(self.agents, times))))
-        return self._rows[t_us]
 
 
 # ---------------------------------------------------------------------------

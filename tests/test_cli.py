@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import avpipesim
-from avpipesim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
+from avpipesim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, _sweep_workers, main
 from avpipesim.pipeline import (Channel, ChannelPolicy, ExecutionPattern,
                                 LatencyModel, NodeRole, NodeSpec, NoiseKind,
                                 NoiseSpec, PipelineGraph, save_pipeline)
@@ -435,6 +435,16 @@ def test_sweep_bad_thread_count_exits_1(workdir, capsys, monkeypatch, threads, e
     assert rc == EXIT_VALIDATION
     assert err == f"error: COLA_SIM_THREADS: {expect}\n"
     assert not (workdir / "out").exists()
+
+
+def test_sweep_workers_bounded_by_points_and_cores(monkeypatch):
+    """Computed only: no pool is started."""
+    cores = os.cpu_count() or 1
+    assert _sweep_workers(10 ** 9, 3) == min(3, cores)
+    assert _sweep_workers(10 ** 9, 10 ** 9) == cores
+    assert _sweep_workers(1, 50) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _sweep_workers(10 ** 9, 10 ** 9) == 1
 
 
 @pytest.mark.parametrize("command", [

@@ -3,6 +3,7 @@ import pytest
 from avpipesim import engine
 from avpipesim.engine import (EngineConfig, EngineError, ProcessorGroup,
                               RunTrace, Simulation, run_simulation)
+from avpipesim.mitigation import MitigationConfig
 from avpipesim.pipeline import (Channel, ChannelPolicy, ExecutionPattern, FrameMessage,
                                 LatencyModel, NodeRole, NodeSpec, PipelineGraph)
 from avpipesim.scenario import AgentKind, AgentState, Scenario, TrajectorySpec
@@ -163,6 +164,18 @@ class TestControlApplication:
         sim.apply_control("hold", 0.0, sec(1))
         assert sim.ego_segments == []
 
+    def test_accelerating_slower_agent_in_lane_triggers_a_brake(self):
+        """Its closure peaks before the 2 s horizon and falls back, yet it
+        reaches the buffer after ~225 ms: the deadline is real, not the cap."""
+        agent = TrajectorySpec(initial=AgentState(s_m=30.0, l_m=0.0, v_mps=10.0, a_mps2=10.0))
+        sc = Scenario(ego_initial=AgentState(s_m=0.0, l_m=0.0, v_mps=20.0, a_mps2=0.0),
+                      agents=(("merging", AgentKind.VEHICLE, agent),), duration_us=sec(1),
+                      d_buffer_m=2.0)
+        g = chain_pipeline({"proc": (ms(10), NodeRole.CONTROL)})
+        trace = run_simulation(sc, g, one_group(g), EngineConfig(), seed=1)
+        # the first capture's output, decided at 10 ms, plus the actuation delay
+        assert trace.ego_segments[0] == (ms(10) + ms(20), -6.0)
+
     def test_later_decision_overrides(self):
         sim = self.make_sim(simple_scenario())
         sim.apply_control("brake", -2.0, sec(1))
@@ -171,6 +184,32 @@ class TestControlApplication:
         st = sim.ego_state(sec(1) + ms(120) + sec(1))
         expected_v = 10.0 - 2.0 * 0.1 - 6.0 * 1.0
         assert st.v_mps == pytest.approx(expected_v)
+
+
+class TestFastpath:
+    def test_residual_pass_carries_a_far_object_to_the_terminal(self):
+        """Every frame takes the fastpath: the near obstacle's deadline
+        (300 ms) leaves less than plan's 400 ms normal cost. The far
+        obstacle, beyond the 20 m criticality radius, goes to the residual
+        pass; its deadline is real (also 300 ms, under the 2 s cap), so the
+        residual output is delivered, and only through it does the far
+        obstacle reach the terminal."""
+        def still(s_m):
+            return TrajectorySpec(initial=AgentState(s_m=s_m, l_m=0.0, v_mps=0.0, a_mps2=0.0))
+        sc = Scenario(ego_initial=AgentState(s_m=0.0, l_m=0.0, v_mps=10.0, a_mps2=0.0),
+                      agents=(("near", AgentKind.VEHICLE, still(10.0)),
+                              ("far", AgentKind.VEHICLE, still(45.0))),
+                      duration_us=sec(1), hazard_events=((0, "far", "far-ahead"),))
+        g = chain_pipeline({"plan": (ms(400), NodeRole.PLANNING), "sink": (ms(5), NodeRole.OTHER)},
+                           fast={"plan": LatencyModel(offset_us=ms(10))})
+        cfg = EngineConfig(mitigation=MitigationConfig(fastpath=True))
+        trace = run_simulation(sc, g, one_group(g, workers=8), cfg, seed=1)    # no queueing
+        plan = [s for s in trace.spans if s.node == "plan"]
+        assert {s.path for s in plan if not s.residual} == {"fastpath"}
+        assert any(s.residual for s in plan)
+        (reaction,) = trace.reactions
+        # capture 0's residual pass ends at 10 + 400 ms; sink then takes 5 ms
+        assert (reaction.reacted, reaction.decision_ts) == (True, ms(415))
 
 
 class TestDeterminism:

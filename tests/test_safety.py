@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from avpipesim.safety import (RssParams, SafetyLevel, check_safety,
+from avpipesim.safety import (DEFAULT_HORIZON_US, RssParams, SafetyLevel, check_safety,
                               closure_distance, object_deadline, reaction_budget,
                               rss_longitudinal_min_distance)
 from avpipesim.scenario import AgentState
@@ -81,6 +82,32 @@ class TestReactionBudget:
             else:
                 assert not rb.unbounded
                 assert abs(rb.budget_us - oracle) <= 1000
+
+    def test_accelerating_slower_obstacle_priced_to_its_first_unsafe_instant(self):
+        # closure 10 t - 5 t^2 peaks at 5 m after 1 s and falls back to 0 at
+        # the 2 s horizon; it first reaches 2 m at t = 1 - sqrt(0.6) s
+        rb = reaction_budget(state(v=20.0), state(s=10.0, v=10.0, a=10.0), 2.0, self.P)
+        assert rb.budget_us == pytest.approx(ms(225), abs=ms(1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(v_ego=st.sampled_from([0.0, 10.0, 20.0]) | st.floats(0, 40),
+           v_obs=st.sampled_from([0.0, 10.0]) | st.floats(0, 40),
+           a_obs=st.sampled_from([0.0, -8.0, 10.0]) | st.floats(-12, 12),
+           buf=st.sampled_from([2.0, 3.0]) | st.floats(0.01, 20))
+    def test_budget_against_the_first_unsafe_ms_step(self, v_ego, v_obs, a_obs, buf):
+        """The budget is the last safe microsecond rounded to the nearest ms,
+        so it is at most 1 ms before the first unsafe 1 ms step and never
+        after it, whatever the sign of the obstacle's acceleration."""
+        ego, obs = state(v=v_ego), state(s=20.0, v=v_obs, a=a_obs)
+        budget = reaction_budget(ego, obs, buf, self.P).budget_us
+        first_unsafe = next((t for t in range(0, DEFAULT_HORIZON_US + 1, ms(1))
+                             if closure_distance(ego, obs, t) >= buf), None)
+        if first_unsafe is not None:
+            assert budget is not None and 0 <= first_unsafe - budget <= ms(1)
+        elif budget is not None:
+            # unsafe only between two 1 ms steps, at an accelerating obstacle's peak
+            assert a_obs > 0 and any(closure_distance(ego, obs, t) >= buf
+                                     for t in range(max(0, budget - ms(1)), budget + ms(1)))
 
     def test_monotone_in_ego_speed(self):
         budgets = []

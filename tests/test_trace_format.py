@@ -10,15 +10,17 @@ import os
 import runpy
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from avpipesim.analysis import safety_report
 from avpipesim.engine import (ClosestApproach, EngineConfig, RunTrace, SafetySample,
-                              Simulation, TraceError, _round6, run_simulation)
+                              Simulation, TraceError, run_simulation)
 from avpipesim.pipeline import NodeRole
 from avpipesim.scenario import AgentKind, AgentState, Scenario, TrajectorySpec
 from avpipesim.simkernel import ms, sec
+from avpipesim.world import World, _round6
 
 from conftest import assert_same_lines, chain_pipeline, check_safety_many, one_group
 from fixtures import av_groups, av_pipeline, safety_mix_scenario
@@ -26,21 +28,20 @@ from fixtures import av_groups, av_pipeline, safety_mix_scenario
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
-class EverySampleSimulation(Simulation):
-    """Also keeps every safety sample, as format 1 recorded them."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.every_sample = []
-
-    def _on_safety_tick(self, t):
-        ego, world = self.ego_state(t), self._world.agents
-        s, v, a = self._world.at(t)
-        levels, lon, lat = check_safety_many(ego, s, world.l_m, v, a, self.config.rss,
-                                             self.scenario.d_buffer_m)
-        self.every_sample += [SafetySample(t, *rec) for rec in zip(
+def every_sample(sim: Simulation) -> list[SafetySample]:
+    """Every safety sample of sim's finished run, as format 1 recorded them.
+    A braking segment starts after its decision, so the ego's state at
+    each safety tick is the same after the run as it was during it."""
+    sc, cfg = sim.scenario, sim.config
+    world = World(sc, [cfg.tick_us], cfg.sensor_range_m, cfg.rss)
+    out = []
+    for t in range(0, sc.duration_us + 1, cfg.tick_us):
+        s, v, a = world.at(t)
+        levels, lon, lat = check_safety_many(sim.ego_state(t), s, np.array(world.l_m), v, a,
+                                             cfg.rss, sc.d_buffer_m)
+        out += [SafetySample(t, *rec) for rec in zip(
             world.ids, levels, _round6(lon).tolist(), _round6(lat).tolist())]
-        super()._on_safety_tick(t)
+    return out
 
 
 def format1_report(samples, reactions) -> str:
@@ -105,9 +106,9 @@ def test_format2_report_equals_format1(agents, duration_us, tick_us, ego_v):
     g = chain_pipeline({"detect": (ms(20), NodeRole.PERCEPTION),
                         "act": (ms(5), NodeRole.CONTROL)})
     cfg = EngineConfig(tick_us=tick_us, response_margin_us=sec(3))    # brakes often
-    sim = EverySampleSimulation(sc, g, one_group(g), cfg, 1)
+    sim = Simulation(sc, g, one_group(g), cfg, 1)
     trace = sim.run()
-    every = sim.every_sample
+    every = every_sample(sim)
     assert trace.safety_samples == [s for s in every if s.level != "safe"]
     assert ([(c.agent_id, c.t_us, repr(c.lon_gap_m)) for c in trace.closest]
             == [(c.agent_id, c.t_us, repr(c.lon_gap_m))

@@ -7,19 +7,20 @@ instead, a block of instants per pass. Every comparison here is exact
 """
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from avpipesim import scenario as scenario_module
-from avpipesim.engine import EngineConfig, Simulation, _round6
+from avpipesim import world as world_module
+from avpipesim.engine import EngineConfig, Simulation
 from avpipesim.pipeline import NodeRole
 from avpipesim.safety import RssParams, check_safety, object_deadline
-from avpipesim.scenario import (WORLD_BLOCK, AgentArrays, AgentKind, AgentState,
-                                CompiledTrajectory, Scenario, TrajectorySpec,
-                                agent_arrays_at, agent_state_at, visible_agents)
+from avpipesim.scenario import (AgentKind, AgentState, CompiledTrajectory, Scenario,
+                                TrajectorySpec, agent_state_at, visible_agents)
 from avpipesim.simkernel import US_PER_S, ms, sec
+from avpipesim.world import WORLD_BLOCK, World, _round6, agent_arrays_at
 
 from conftest import chain_pipeline, check_safety_many, one_group
 
@@ -50,7 +51,7 @@ def critical_times(traj: TrajectorySpec) -> set[int]:
     """Segment starts and stop instants, each with its neighbours."""
     out = set()
     c = CompiledTrajectory(traj)
-    for start, (_, v, a) in zip(c.starts, c.states):
+    for start, (_, v, a) in zip([0] + [t for t, _ in c.segments], c.states):
         points = [start, traj.visible_from_us]
         t_stop_us = v / -a * US_PER_S if a < 0 < v else math.inf
         if t_stop_us < 2 * HORIZON_US:
@@ -82,34 +83,15 @@ def state_bits(st_: AgentState) -> tuple:
     return bits(st_.s_m, st_.l_m, st_.v_mps, st_.a_mps2) + (st_.lane_index,)
 
 
-def sim_of(scenario: Scenario, config=EngineConfig(), sensor_period_us=100_000,
-           cls=Simulation) -> Simulation:
+def sim_of(scenario: Scenario, config=EngineConfig(), sensor_period_us=100_000) -> Simulation:
     g = chain_pipeline({"proc": (ms(10), NodeRole.CONTROL)}, sensor_period_us=sensor_period_us)
-    return cls(scenario, g, one_group(g), config, seed=1)
+    return Simulation(scenario, g, one_group(g), config, seed=1)
 
 
-class CaptureProbe(Simulation):
-    """The engine's capture and safety tick at any t, for an ego given per
-    call."""
-
-    def tracks(self, t: int, ego: AgentState):
-        """The tracks the sensor emits at t."""
-        self.probe_ego = ego
-        self._capture(self._nodes["sensor"], t)
-        return self.emitted
-
-    def samples(self, t: int, ego: AgentState):
-        """The safety samples the safety tick records at t."""
-        self.probe_ego = ego
-        self.trace.safety_samples.clear()
-        self._on_safety_tick(t)
-        return self.trace.safety_samples
-
-    def ego_state(self, t_us):
-        return self.probe_ego
-
-    def _emit(self, node, msg):
-        self.emitted = msg.objects
+def world_of(scenario: Scenario, config=EngineConfig(), sensor_period_us=100_000) -> World:
+    """The world model sim_of's run uses."""
+    return World(scenario, [config.tick_us, sensor_period_us], config.sensor_range_m,
+                 config.rss)
 
 
 def track_bits(tracks) -> list:
@@ -133,9 +115,8 @@ def test_compiled_world_equals_scalar_references(case, sensor_range_m, mu):
     scenario, ego_traj, times = case
     config = EngineConfig(sensor_range_m=sensor_range_m, rss=RssParams(lateral_mu_m=mu))
     rss = config.rss
-    world = AgentArrays(scenario.agents)
+    world = world_of(scenario, config)
     compiled = [CompiledTrajectory(traj) for _, _, traj in scenario.agents]
-    sim = sim_of(scenario, config, cls=CaptureProbe)
     block = agent_arrays_at(world, times)       # every instant in one pass
     for k, t in enumerate(times):
         ego = agent_state_at(ego_traj, t)
@@ -143,12 +124,12 @@ def test_compiled_world_equals_scalar_references(case, sensor_range_m, mu):
         scalar = [agent_state_at(traj, t) for _, _, traj in scenario.agents]
         expect = [bits(x.s_m, x.v_mps, x.a_mps2) for x in scalar]
         for s, v, a in ([x[k] for x in block], [x[0] for x in agent_arrays_at(world, [t])],
-                        sim._world.at(t)):
+                        world.at(t)):
             assert [bits(*x) for x in zip(s.tolist(), v.tolist(), a.tolist())] == expect
         assert [state_bits(c.state_at(t)) for c in compiled] == \
             [state_bits(x) for x in scalar]
 
-        levels, lon, lat = check_safety_many(ego, s, world.l_m, v, a, rss,
+        levels, lon, lat = check_safety_many(ego, s, np.array(world.l_m), v, a, rss,
                                              scenario.d_buffer_m)
         statuses = [check_safety(ego, x, rss, scenario.d_buffer_m) for x in scalar]
         assert levels == [x.level.value for x in statuses]
@@ -157,12 +138,13 @@ def test_compiled_world_equals_scalar_references(case, sensor_range_m, mu):
         assert [bits(g) for g in lat.tolist()] == \
             [bits(x.lateral_gap_m) for x in statuses]
         assert [(x.agent_id, x.level, bits(x.lon_gap_m, x.lat_gap_m))
-                for x in sim.samples(t, ego)] == \
+                for x in world.safety_tick(t, ego)] == \
             [(aid, level, bits(round(g, 6), round(l, 6)))
              for aid, level, g, l in zip(world.ids, levels, lon.tolist(), lat.tolist())
              if level != "safe"]
 
-        assert track_bits(sim.tracks(t, ego)) == scalar_tracks(scenario, t, ego, config)
+        cap = config.mitigation.deadline_cap_us
+        assert track_bits(world.capture(t, ego, cap)) == scalar_tracks(scenario, t, ego, config)
 
 
 def test_capture_at_the_lateral_margin_prices_the_agent():
@@ -176,7 +158,7 @@ def test_capture_at_the_lateral_margin_prices_the_agent():
                     TrajectorySpec(initial=AgentState(s_m=25.0, l_m=l, v_mps=5.0, a_mps2=0.0)))
                    for i, l in enumerate(lateral))
     scenario = Scenario(ego_initial=ego, agents=agents, duration_us=sec(2))
-    tracks = sim_of(scenario, config, cls=CaptureProbe).tracks(0, ego)
+    tracks = world_of(scenario, config).capture(0, ego, config.mitigation.deadline_cap_us)
     assert track_bits(tracks) == scalar_tracks(scenario, 0, ego, config)
     assert [o.deadline_capped for o in tracks] == [False, False, True, True, False]
 
@@ -194,11 +176,11 @@ def test_world_blocks_over_a_whole_run(case, sensor_period_us, extra_ticks):
     duration_us = sec(1) + extra_ticks * 10_000
     scenario = Scenario(ego_initial=scenario.ego_initial, agents=scenario.agents,
                         duration_us=duration_us)
-    sim = sim_of(scenario, sensor_period_us=sensor_period_us)
+    world = world_of(scenario, sensor_period_us=sensor_period_us)
     instants = run_instants(duration_us, (100_000, sensor_period_us))
     assert len(instants) % WORLD_BLOCK != 0
     for t in instants:
-        s, v, a = sim._world.at(t)
+        s, v, a = world.at(t)
         assert [bits(*x) for x in zip(s.tolist(), v.tolist(), a.tolist())] == \
             [bits(x.s_m, x.v_mps, x.a_mps2)
              for x in (agent_state_at(traj, t) for _, _, traj in scenario.agents)]
@@ -212,7 +194,7 @@ def test_a_run_evaluates_each_instant_once(monkeypatch, following_scenario, sens
         evaluated.extend(times_us)
         return agent_arrays_at(world, times_us)
 
-    monkeypatch.setattr(scenario_module, "agent_arrays_at", recording)
+    monkeypatch.setattr(world_module, "agent_arrays_at", recording)
     sim_of(following_scenario, sensor_period_us=sensor_period_us).run()
     assert evaluated == run_instants(following_scenario.duration_us,
                                      (EngineConfig().tick_us, sensor_period_us))
@@ -221,11 +203,11 @@ def test_a_run_evaluates_each_instant_once(monkeypatch, following_scenario, sens
 def test_scenario_without_agents():
     scenario = Scenario(ego_initial=AgentState(0.0, 0.0, 10.0, 0.0), agents=(),
                         duration_us=sec(2))
-    block = agent_arrays_at(AgentArrays(()), [0, sec(1)])
+    world = world_of(scenario)
+    block = agent_arrays_at(world, [0, sec(1)])
     assert [x.shape for x in block] == [(2, 0)] * 3
-    sim = sim_of(scenario, cls=CaptureProbe)
-    assert [x.shape for x in sim._world.at(sec(1))] == [(0,)] * 3
-    assert sim.tracks(sec(1), scenario.ego_initial) == ()
+    assert [x.shape for x in world.at(sec(1))] == [(0,)] * 3
+    assert world.capture(sec(1), scenario.ego_initial, sec(2)) == ()
     assert sim_of(scenario).run().closest == []
 
 
@@ -306,21 +288,23 @@ def per_tick_closest(rows) -> dict:
 def test_block_closest_equals_the_per_tick_rule(case):
     rows, flushes = case
     n = len(rows[0]) if rows else 0
-    agent = TrajectorySpec(initial=AgentState(0.0, 0.0, 0.0, 0.0))
-    sim = sim_of(Scenario(ego_initial=AgentState(0.0, 0.0, 0.0, 0.0),
-                          agents=tuple((f"a{i}", AgentKind.VEHICLE, agent) for i in range(n)),
-                          duration_us=sec(1)))
-    times, ego_s, s_rows = sim._pending
-    for k, row in enumerate(rows):      # tick k at t = k us, the ego at s_m 0.0
-        times.append(k)
-        ego_s.append(0.0)
-        s_rows.append(np.array(row, dtype=float))
-        if k + 1 in flushes:
-            sim._flush_closest()
-    sim._flush_closest()
-    got = {i: (repr(g), t) for i, (g, t) in enumerate(zip(sim._closest_gap.tolist(),
-                                                          sim._closest_t.tolist()))
-           if g < math.inf}
+
+    def gap_rows_at(world, times_us):       # tick k at t = k us: row k as the agents' s_m
+        s = np.array([rows[t] if t < len(rows) else [0.0] * n for t in times_us],
+                     dtype=float).reshape(len(times_us), n)
+        return s, np.zeros_like(s), np.zeros_like(s)
+
+    agent = TrajectorySpec(initial=AgentState(0.0, 3.5, 0.0, 0.0))     # laterally clear
+    ego = AgentState(0.0, 0.0, 0.0, 0.0)
+    world = World(Scenario(ego_initial=ego, duration_us=sec(1),
+                           agents=tuple((f"a{i}", AgentKind.VEHICLE, agent) for i in range(n))),
+                  [1], 60.0, RssParams())
+    with patch.object(world_module, "agent_arrays_at", gap_rows_at):
+        for k in range(len(rows)):
+            assert world.safety_tick(k, ego) == []
+            if k + 1 in flushes:
+                world.closest()     # folds the ticks so far, as every WORLD_BLOCK ticks do
+        got = {int(c.agent_id[1:]): (repr(c.lon_gap_m), c.t_us) for c in world.closest()}
     assert got == {i: (repr(g), k) for i, (g, k) in per_tick_closest(rows).items()}
 
 
