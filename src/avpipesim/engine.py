@@ -519,7 +519,7 @@ class Simulation:
 
         if residual:
             node.home.ready.append(_Task(
-                node, ready_us=now, inputs=task.inputs, residual_objects=tuple(residual)))
+                node, ready_us=now, inputs=task.inputs, residual_objects=residual))
 
         for g in self.groups.values():
             if g.ready and None in g.ends:
@@ -527,7 +527,7 @@ class Simulation:
 
     def _transform_objects(self, node: _Node, objects):
         if not node.fusion:
-            return tuple(objects)
+            return objects
         hist, tracks = self._fusion.get(node, ({}, {}))
         seen = {o.agent_id: o for o in objects}
         published, hist = fusion_update(node.spec.fusion, hist, set(seen))
@@ -642,22 +642,15 @@ class Simulation:
                               reacted=False)
 
 
-_BY_AGE, _BY_ID = attrgetter("created_ts"), attrgetter("agent_id")
+_BY_AGE = attrgetter("created_ts")
 
 
 def _merge_objects(msgs) -> tuple[ObjectTrack, ...]:
-    """Union of input objects, newest message wins per agent id, sorted
-    by agent id."""
-    if len(msgs) == 1:      # most tasks: one input, no agent id twice in it
-        objects = msgs[0].objects
-        if len(set(map(_BY_ID, objects))) == len(objects):
-            return tuple(sorted(objects, key=_BY_ID))
-    best: dict[str, ObjectTrack] = {}
+    """Union of input objects, newest message wins per agent id."""
+    if len(msgs) == 1:      # most tasks: one input is its own union
+        return msgs[0].objects
     # a stable sort by age, so on equal created_ts the later input wins
-    for m in sorted(msgs, key=_BY_AGE):
-        for o in m.objects:
-            best[o.agent_id] = o
-    return tuple(sorted(best.values(), key=_BY_ID))
+    return tuple({o.agent_id: o for m in sorted(msgs, key=_BY_AGE) for o in m.objects}.values())
 
 
 def _advance_lineage(msgs, duration: int) -> dict:

@@ -218,6 +218,9 @@ class ObjectTrack:
 
 @dataclass
 class FrameMessage:
+    """A module's output. Its objects are distinct agents, in an order that
+    carries no meaning: a capture emits one track per scenario agent, a merge
+    and fusion key their output by agent id, a partial update splits a set."""
     created_ts: int
     objects: tuple[ObjectTrack, ...]
     partial: bool = False

@@ -10,7 +10,7 @@ import pytest
 
 import avpipesim
 from avpipesim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, _sweep_workers, main
-from avpipesim.pipeline import (Channel, ChannelPolicy, ExecutionPattern,
+from avpipesim.pipeline import (Channel, ChannelPolicy, ExecutionPattern, FusionSpec,
                                 LatencyModel, NodeRole, NodeSpec, NoiseKind,
                                 NoiseSpec, PipelineGraph, save_pipeline)
 from avpipesim.scenario import (AgentKind, AgentState, Scenario,
@@ -341,6 +341,62 @@ def test_run_byte_identical_across_invocations(workdir):
                  "--out", str(out_b)]) == EXIT_OK
     for name in ("trace.ndjson", "report.json", "cdf.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_run_byte_identical_across_hash_seeds(tmp_path):
+    """Criterion 8 across processes: str hashes, and so the iteration
+    order of sets of agent ids, change with PYTHONHASHSEED. A run through
+    a fusion node, which confirms tracks from such sets, and a two-input
+    join, which merges its inputs by agent id, must still write the same
+    bytes under two hash seeds."""
+    def agent(s_m, v_mps, **kw):
+        return TrajectorySpec(initial=AgentState(s_m=s_m, l_m=0.0, v_mps=v_mps, a_mps2=0.0),
+                              **kw)
+    kinds = (AgentKind.VEHICLE, AgentKind.PEDESTRIAN, AgentKind.CYCLIST)
+    agents = tuple((f"agent {i}", kinds[i % 3],
+                    agent(8.0 + 6.0 * i, 4.0 + i % 4, visible_from_us=ms(150) * (i % 4)))
+                   for i in range(8))
+    save_scenario(Scenario(ego_initial=AgentState(s_m=0.0, l_m=0.0, v_mps=10.0, a_mps2=0.0),
+                           agents=agents, duration_us=sec(3),
+                           hazard_events=((sec(1), "agent 2", "h"),)),
+                  tmp_path / "scenario.json")
+    noisy = LatencyModel(per_kind_cost_us={kind: 900 for kind in kinds}, offset_us=ms(4),
+                         noise=NoiseSpec(NoiseKind.LOGNORMAL, sigma=0.3))
+    T, I = ExecutionPattern.TIMING, ExecutionPattern.INTERRUPT
+    nodes = {
+        "cam": NodeSpec("cam", T, (), ("raw_c",), LatencyModel(), role=NodeRole.SENSOR,
+                        period_us=ms(100)),
+        "lidar": NodeSpec("lidar", T, (), ("raw_l",), LatencyModel(), role=NodeRole.SENSOR,
+                          period_us=ms(50)),
+        "det_c": NodeSpec("det_c", I, ("raw_c",), ("c",), noisy, role=NodeRole.PERCEPTION),
+        "det_l": NodeSpec("det_l", I, ("raw_l",), ("l", "l2"), noisy,
+                          role=NodeRole.PERCEPTION),
+        "fusion": NodeSpec("fusion", I, ("c", "l"), ("f",), noisy, role=NodeRole.FUSION,
+                           fusion=FusionSpec(a=2, n=3)),
+        "plan": NodeSpec("plan", I, ("f", "l2"), ("cmd",), noisy, role=NodeRole.CONTROL),
+    }
+    save_pipeline(PipelineGraph(nodes=nodes, channels={
+        c: Channel(c, ChannelPolicy.FIFO, 4) for c in ("raw_c", "raw_l", "c", "l", "l2", "f",
+                                                         "cmd")}), tmp_path / "pipeline.json")
+    (tmp_path / "config.json").write_text(json.dumps({
+        "format": 1, "scenario": "scenario.json", "pipeline": "pipeline.json",
+        "groups": [{"name": "main", "workers": 2, "pinned_nodes": list(nodes)}], "seed": 5}))
+    src = os.path.dirname(os.path.dirname(avpipesim.__file__))
+    outs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"out{hash_seed}"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-m", "avpipesim.cli", "run", "--config",
+                               str(tmp_path / "config.json"), "--out", str(out),
+                               "--fastpath", "on", "--proactive", "on", "--stealing", "on"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outs.append(out)
+    trace = (outs[0] / "trace.ndjson").read_text()
+    assert '"fusion"' in trace and '"plan"' in trace
+    for name in ("trace.ndjson", "report.json", "cdf.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_run_seed_required_for_stochastic_pipeline(workdir, capsys):

@@ -212,6 +212,39 @@ class TestFastpath:
         assert (reaction.reacted, reaction.decision_ts) == (True, ms(415))
 
 
+class TestStealing:
+    def test_steal_counts_the_hosts_queued_work(self):
+        """Every 100 ms, host's one worker runs `a` (10 ms) while its own
+        `tick` (15 ms) waits in its queue. When `a` ends, `c` cannot run
+        at home, where `busy` holds the only worker for 50 ms, so it asks
+        host, whose worker was just freed. The guest alone (12 ms × 1.25)
+        fits host's 25 ms budget, but after the queued tick it would not:
+        the steal must be rejected, or tick ends at 37 ms, past its budget."""
+        def node(name, pattern, inputs, outputs, cost_ms, **kw):
+            return NodeSpec(name, pattern, inputs, outputs, LatencyModel(offset_us=ms(cost_ms)),
+                            **kw)
+        timing, interrupt = ExecutionPattern.TIMING, ExecutionPattern.INTERRUPT
+        nodes = {
+            "sensor": NodeSpec("sensor", timing, (), ("s",), ZERO_SENSOR,
+                               role=NodeRole.SENSOR, period_us=ms(100)),
+            "a": node("a", interrupt, ("s",), ("x",), 10),
+            "tick": node("tick", timing, (), ("t",), 15, period_us=ms(100)),
+            "busy": node("busy", timing, (), ("u",), 50, period_us=ms(100)),
+            "c": node("c", interrupt, ("x",), ("cmd",), 12, role=NodeRole.CONTROL),
+        }
+        g = PipelineGraph(nodes=nodes, channels={
+            c: Channel(c, ChannelPolicy.FIFO, 4) for c in ("s", "x", "t", "u", "cmd")})
+        groups = [ProcessorGroup("host", 1, ("sensor", "a", "tick"), budget_us=ms(25)),
+                  ProcessorGroup("home", 1, ("busy", "c"))]
+        cfg = EngineConfig(mitigation=MitigationConfig(stealing=True))
+        sc = Scenario(ego_initial=AgentState(s_m=0.0, l_m=0.0, v_mps=10.0, a_mps2=0.0),
+                      agents=(), duration_us=sec(1))
+        trace = run_simulation(sc, g, groups, cfg, seed=1)
+        assert trace.budget_violations == 0
+        assert (trace.steals_admitted, trace.steals_rejected) == (0, 10)
+        assert {s.end_us - s.ready_us for s in trace.spans if s.node == "tick"} == {ms(25)}
+
+
 class TestDeterminism:
     def test_same_seed_byte_identical_traces(self, following_scenario):
         g = chain_pipeline({"a": (ms(20), NodeRole.PERCEPTION),

@@ -6,13 +6,15 @@ on a host with a free worker. UncachedSimulation below recomputes every
 prediction on every call and merges inputs with a reference; both must
 write the same trace, byte for byte, on random layered DAGs with every
 mitigation on and tight budgets, so that steal admission both admits
-and rejects.
+and rejects. The reference merge sorts by id and the engine's does not,
+so the equal traces also show that no trace reads an object order. The
+memoized run checks that every message it emits holds distinct ids.
 """
 
 from collections import defaultdict
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from avpipesim import engine
 from avpipesim.engine import EngineConfig, ProcessorGroup, Simulation
@@ -71,6 +73,19 @@ class UncachedSimulation(Simulation):
     def run(self):
         with mock.patch.object(engine, "_merge_objects", reference_merge):
             return super().run()
+
+
+class CheckedSimulation(Simulation):
+    """The memoized run, asserting that every emitted message holds
+    distinct agents: the merge's one-input shortcut relies on it."""
+
+    emitted = 0
+
+    def _emit(self, node, msg):
+        ids = [o.agent_id for o in msg.objects]
+        assert len(set(ids)) == len(ids), (node.name, ids)
+        self.emitted += 1
+        super()._emit(node, msg)
 
 
 @st.composite
@@ -182,7 +197,9 @@ SCENARIO = traffic()
 @given(layered_runs())
 def test_memoized_scheduler_matches_uncached_reference(run):
     graph, groups, config, seed = run
-    fast = Simulation(SCENARIO, graph, groups, config, seed).run()
+    checked = CheckedSimulation(SCENARIO, graph, groups, config, seed)
+    fast = checked.run()
+    assert checked.emitted
     slow = UncachedSimulation(SCENARIO, graph, groups, config, seed).run()
     lines, expected = list(fast.ndjson_lines()), list(slow.ndjson_lines())
     # a plain == on the whole traces would make pytest diff megabytes
@@ -205,15 +222,20 @@ def message(ids, created_ts):
                                       for i, aid in enumerate(ids)))
 
 
-@given(st.lists(st.tuples(st.lists(st.sampled_from("abcd")), st.integers(0, 2)),
-                max_size=3))
+@given(st.lists(st.tuples(st.lists(st.sampled_from("abcd"), unique=True),
+                          st.integers(0, 2)), max_size=3))
+@example([("ab", 1), ("ba", 1)])
 def test_merge_matches_reference(inputs):
-    """Unsorted, duplicate and equal-age inputs included: the same object
-    must win for every agent id."""
+    """Unsorted and equal-age inputs included, each holding distinct ids
+    as every engine message does: the same object must win for every
+    agent id, and no id may appear twice. The order is not compared; it
+    carries no meaning."""
     msgs = [message(ids, ts) for ids, ts in inputs]
     merged, expected = engine._merge_objects(msgs), reference_merge(msgs)
-    assert len(merged) == len(expected)
-    assert all(a is b for a, b in zip(merged, expected))
+    by_id = {o.agent_id: o for o in merged}
+    assert len(by_id) == len(merged)
+    assert by_id.keys() == {o.agent_id for o in expected}
+    assert all(by_id[o.agent_id] is o for o in expected)
 
 
 def test_prediction_prices_the_head_that_take_pops():
