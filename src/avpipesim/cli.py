@@ -13,7 +13,6 @@ import csv
 import dataclasses
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
 from . import analysis
@@ -225,6 +224,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"COLA_SIM_THREADS: {e}") from None
     workers = _sweep_workers(threads, len(payloads))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor    # ~20 ms to import; sweep only
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, payloads))     # in payload order
     else:

@@ -297,7 +297,7 @@ class Simulation:
         validate_graph(graph)
         self.scenario = scenario
         self._net = net = CompiledGraph(graph)
-        self.config = config
+        self.config, self._mit, self._horizon = config, config.mitigation, scenario.duration_us
         self.seed = seed
         self.queue = EventQueue()
         self.streams = StreamFactory(seed)
@@ -355,14 +355,19 @@ class Simulation:
             seed=seed, duration_us=scenario.duration_us, ego_segments=self._ego.segments,
             worker_count_by_group={g.name: g.worker_count for g in groups})
         self.ego_segments = self._ego.segments
+        self._ego_now = (-1, None)      # the last (instant, ego state) read
 
     # -- ego kinematics ----------------------------------------------------
 
     def ego_state(self, t_us: int) -> AgentState:
-        try:
-            return self._ego.state_at(t_us)
-        except ScenarioError as e:      # derived past MAX_MAGNITUDE
-            raise InputError(f"ego at t={t_us} us: {e}") from None
+        t, state = self._ego_now
+        if t != t_us:
+            try:
+                state = self._ego.state_at(t_us)
+            except ScenarioError as e:      # derived past MAX_MAGNITUDE
+                raise InputError(f"ego at t={t_us} us: {e}") from None
+            self._ego_now = (t_us, state)
+        return state
 
     def apply_control(self, decision: str, level: float, decided_us: int):
         """Append an acceleration segment at decision time + actuation delay."""
@@ -373,6 +378,7 @@ class Simulation:
             t_eff = self.ego_segments[-1][0] + 1
         if decision == "brake":
             self._ego.append(t_eff, level)
+            self._ego_now = (-1, None)      # exact for any caller, whatever instant it kept
 
     # -- run loop ----------------------------------------------------------
 
@@ -381,7 +387,7 @@ class Simulation:
             if not node.interrupt:
                 self._at(0, self._on_tick, node)
         self._at(0, self._on_safety_tick)
-        self.queue.run_until(self.scenario.duration_us)
+        self.queue.run_until(self._horizon)
         self.trace.closest = self._world.closest()
         for g in self.groups.values():
             self.trace.busy_us_by_group[g.spec.name] = g.busy_us
@@ -391,7 +397,7 @@ class Simulation:
 
     def _at(self, t: int, handler, *args):
         """Schedule handler(*args, t) at t, unless t is past the horizon."""
-        if t <= self.scenario.duration_us:
+        if t <= self._horizon:
             self.queue.schedule(t, lambda: handler(*args, t))
 
     def _on_tick(self, node: _Node, t: int):
@@ -409,9 +415,9 @@ class Simulation:
     # -- sensing -----------------------------------------------------------
 
     def _capture(self, node: _Node, t: int):
-        objects = self._world.capture(t, self.ego_state(t), self.config.mitigation.deadline_cap_us)
+        objects = self._world.capture(t, self.ego_state(t), self._mit.deadline_cap_us)
         seq = len(self._capture_index)
-        self._capture_index.append((t, tuple(o.agent_id for o in objects)))
+        self._capture_index.append((t, tuple(map(_AGENT_ID, objects))))
         msg = FrameMessage(created_ts=t, objects=objects, lineage={seq: (t, 0)})
         if node.zero_latency:
             self._emit(node, msg)
@@ -444,16 +450,13 @@ class Simulation:
             if not inputs and node.inputs:
                 return    # data was superseded (latest-only) or drained
 
-        cfg = self.config.mitigation
+        cfg = self._mit
         path = PathChoice.NORMAL
         critical = residual = ()
         is_residual = task.residual_objects is not None
-        if is_residual:
-            objects = task.residual_objects
-        else:
-            objects = _merge_objects(inputs)
-
-        counts = kind_counts(objects)
+        objects = task.residual_objects if is_residual else _merge_objects(inputs)
+        counts = (inputs[0].object_counts() if len(inputs) == 1 and not is_residual
+                  else kind_counts(objects))
         if node.fastpath and not is_residual:
             est = downstream_estimate(self._net, node.name, counts)
             deadline = mit.message_deadline(objects, now, cfg.deadline_cap_us)
@@ -483,29 +486,27 @@ class Simulation:
 
         end = grp.ends[widx] = now + duration
         # busy time within the run: a span may end after the horizon
-        grp.busy_us += min(end, self.scenario.duration_us) - now
+        grp.busy_us += min(end, self._horizon) - now
         guest = node.home is not grp
         lineage = _advance_lineage(inputs, duration)
-        span = Span(node=node.name, frame_seq=max(lineage, default=-1),
-                    start_us=now, end_us=end,
-                    worker=grp.worker_names[widx], ready_us=task.ready_us,
-                    path=path.value, guest=guest, residual=is_residual)
+        span = Span(node.name, max(lineage, default=-1), now, end, grp.worker_names[widx],
+                    task.ready_us, path.value, guest, is_residual)
         self.trace.spans.append(span)
         if not guest and end - task.ready_us > grp.spec.budget_us:
             self.trace.budget_violations += 1
 
         self.queue.schedule(end, lambda: self._finish_task(
-            task, grp, widx, span, objects, residual, lineage))
+            task, grp, widx, span, objects, counts, residual, lineage))
 
     def _finish_task(self, task: _Task, grp: _GroupState, widx: int, span: Span,
-                     objects, residual, lineage: dict):
+                     objects, counts: dict, residual, lineage: dict):
         now = self.queue.clock
         grp.ends[widx] = None
         node = task.node
-        msg = FrameMessage(
-            created_ts=now, objects=self._transform_objects(node, objects),
-            partial=(span.path == PathChoice.FASTPATH or span.residual),
-            lineage=lineage)
+        # a non-fusion node's output objects are its objects, so it passes their counts on
+        msg = FrameMessage(now, self._transform_objects(node, objects),
+                           span.path == PathChoice.FASTPATH or span.residual, lineage,
+                           None if node.fusion else counts)
 
         deliver = True
         if span.residual and not mit.residual_needs_downstream(objects):
@@ -554,7 +555,7 @@ class Simulation:
             grp.ready.append(task)
             self._dispatch(grp)
             return
-        if self.config.mitigation.stealing and self._try_steal(node, task):
+        if self._mit.stealing and self._try_steal(node, task):
             return
         grp.ready.append(task)
 
@@ -567,8 +568,9 @@ class Simulation:
         if cost is None:
             spec = node.spec
             preview = [q[0] for q in (channel.queued for channel, _ in node.inputs) if q]
-            cost = self._predicted[node] = predict_latency(
-                spec.latency, kind_counts(_merge_objects(preview)), spec.lookahead_m)
+            counts = (preview[0].object_counts() if len(preview) == 1
+                      else kind_counts(_merge_objects(preview)))
+            cost = self._predicted[node] = predict_latency(spec.latency, counts, spec.lookahead_m)
         return cost
 
     def _try_steal(self, node: _Node, task: _Task) -> bool:
@@ -583,7 +585,7 @@ class Simulation:
             pending = [self._predict_next(t.node) for t in host.ready]
             if mit.steal_admission(cost, host.worker_loads(now), pending,
                                    host.spec.budget_us,
-                                   self.config.mitigation.steal_safety_factor):
+                                   self._mit.steal_safety_factor):
                 self.trace.steals_admitted += 1
                 self._start_task(task, host, widx)
                 return True
@@ -605,13 +607,13 @@ class Simulation:
         cap_ts, module = msg.lineage[origin]
         e2e = msg.created_ts - cap_ts
         ego = self.ego_state(msg.created_ts)
-        radius = self.config.mitigation.criticality_radius_m
+        radius = self._mit.criticality_radius_m
         has_critical = any(abs(o.s_m - ego.s_m) <= radius for o in msg.objects)
         self.trace.frames.append(FrameRecord(
             seq=origin, sensor_ts=cap_ts, done_ts=msg.created_ts, e2e_us=e2e,
             module_us=module, bubble_us=e2e - module, terminal=span.node,
             path=span.path, has_critical=has_critical, partial=msg.partial))
-        self._frame_lineage.append((msg.lineage, tuple(o.agent_id for o in msg.objects)))
+        self._frame_lineage.append((msg.lineage, tuple(map(_AGENT_ID, msg.objects))))
 
     def _measure_reaction(self, t0: int, agent_id: str, label: str) -> ReactionRecord:
         # captures are indexed in seq order, which is time order
@@ -642,7 +644,7 @@ class Simulation:
                               reacted=False)
 
 
-_BY_AGE = attrgetter("created_ts")
+_BY_AGE, _AGENT_ID = attrgetter("created_ts"), attrgetter("agent_id")
 
 
 def _merge_objects(msgs) -> tuple[ObjectTrack, ...]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .jsonio import InputError, Key, check_min, from_json, load_json, save_json, to_json
 from .scenario import AgentKind
@@ -207,8 +207,8 @@ def fusion_update(f: FusionSpec, history: dict[str, list[bool]],
     return published, new_history
 
 
-@dataclass(frozen=True)
-class ObjectTrack:
+class ObjectTrack(NamedTuple):
+    """A tuple, so it equals a plain tuple of the same fields."""
     agent_id: str
     kind: AgentKind
     s_m: float                     # longitudinal position at capture
@@ -216,7 +216,7 @@ class ObjectTrack:
     deadline_capped: bool = True   # True when the budget was unbounded and the cap applied
 
 
-@dataclass
+@dataclass(slots=True)
 class FrameMessage:
     """A module's output. Its objects are distinct agents, in an order that
     carries no meaning: a capture emits one track per scenario agent, a merge
@@ -227,11 +227,18 @@ class FrameMessage:
     # the message's only provenance: origin sensor frame seq ->
     # (capture_ts, accumulated module time); drives reaction attribution
     lineage: dict[int, tuple[int, int]] = field(default_factory=dict)
+    # kind_counts(objects), given by the producer or computed on first read
+    counts: Optional[dict[AgentKind, int]] = None
 
     @property
     def seq(self) -> int:
         """The newest sensor frame feeding this message; -1 for none."""
         return max(self.lineage, default=-1)
+
+    def object_counts(self) -> dict[AgentKind, int]:
+        if self.counts is None:
+            self.counts = kind_counts(self.objects)
+        return self.counts
 
 
 def kind_counts(objects) -> dict[AgentKind, int]:

@@ -503,6 +503,18 @@ def test_sweep_workers_bounded_by_points_and_cores(monkeypatch):
     assert _sweep_workers(10 ** 9, 10 ** 9) == 1
 
 
+def test_importing_the_cli_leaves_out_the_process_pool():
+    """Only a parallel sweep imports concurrent.futures, so no other
+    command pays for it."""
+    src = os.path.dirname(os.path.dirname(avpipesim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", "import sys, avpipesim.cli; "
+                           "print('concurrent.futures' in sys.modules)"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
+
+
 @pytest.mark.parametrize("command", [
     ["run"], ["sweep", "--axis", "seed", "--values", "1,2"]], ids=["run", "sweep"])
 def test_out_naming_a_file_exits_1(workdir, capsys, command):

@@ -6,7 +6,8 @@ from avpipesim.engine import (EngineConfig, EngineError, ProcessorGroup,
 from avpipesim.mitigation import MitigationConfig
 from avpipesim.pipeline import (Channel, ChannelPolicy, ExecutionPattern, FrameMessage,
                                 LatencyModel, NodeRole, NodeSpec, PipelineGraph)
-from avpipesim.scenario import AgentKind, AgentState, Scenario, TrajectorySpec
+from avpipesim.scenario import (AgentKind, AgentState, CompiledTrajectory, Scenario,
+                                TrajectorySpec)
 from avpipesim.simkernel import ms, sec
 
 from conftest import ZERO_SENSOR, chain_pipeline, one_group
@@ -175,6 +176,30 @@ class TestControlApplication:
         trace = run_simulation(sc, g, one_group(g), EngineConfig(), seed=1)
         # the first capture's output, decided at 10 ms, plus the actuation delay
         assert trace.ego_segments[0] == (ms(10) + ms(20), -6.0)
+
+    def test_ego_state_kept_for_an_instant_stays_exact_across_a_brake(self):
+        """With no actuation delay a brake decided at t starts at t. The
+        state at t reads only the segments starting before t, so the state
+        kept from before the decision is still exact; t + 1 shows the brake.
+        A segment starting before the kept instant replaces it."""
+        g = chain_pipeline({"proc": (ms(10), NodeRole.CONTROL)})
+        sc = simple_scenario()
+        sim = Simulation(sc, g, one_group(g), EngineConfig(actuation_delay_us=0), seed=1)
+        t = sec(1)
+        before = sim.ego_state(t)
+        sim.apply_control("brake", -6.0, t)
+        assert sim.ego_segments == [(t, -6.0)]
+        after, braking = sim.ego_state(t), sim.ego_state(t + 1)
+        fresh = CompiledTrajectory(TrajectorySpec(initial=sc.ego_initial,
+                                                  segments=tuple(sim.ego_segments)))
+        assert before == after == fresh.state_at(t)
+        assert braking == fresh.state_at(t + 1)
+        assert (before.a_mps2, braking.a_mps2) == (0.0, -6.0)
+
+        sim = Simulation(sc, g, one_group(g), EngineConfig(actuation_delay_us=0), seed=1)
+        assert sim.ego_state(t).a_mps2 == 0.0
+        sim.apply_control("brake", -6.0, t - ms(100))
+        assert sim.ego_state(t).a_mps2 == -6.0
 
     def test_later_decision_overrides(self):
         sim = self.make_sim(simple_scenario())

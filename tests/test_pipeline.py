@@ -4,11 +4,12 @@ import pytest
 
 from avpipesim import pipeline
 from avpipesim.pipeline import (Channel, ChannelPolicy, CompiledGraph, ContentionSpec,
-                                ExecutionPattern, FusionSpec, LatencyModel,
-                                NodeRole, NodeSpec, NoiseKind, NoiseSpec,
+                                ExecutionPattern, FrameMessage, FusionSpec, LatencyModel,
+                                NodeRole, NodeSpec, NoiseKind, NoiseSpec, ObjectTrack,
                                 PipelineError, PipelineGraph, downstream_estimate,
-                                fusion_update, pipeline_from_json, pipeline_to_json,
-                                predict_latency, sample_latency, validate_graph)
+                                fusion_update, kind_counts, pipeline_from_json,
+                                pipeline_to_json, predict_latency, sample_latency,
+                                validate_graph)
 from avpipesim.scenario import AgentKind
 from avpipesim.simkernel import RandomStream, ms
 
@@ -105,6 +106,23 @@ class TestPredictLatency:
             cur = predict_latency(m, {V: n, P: n, C: n}, lookahead_m=10.0 * n)
             assert cur >= prev
             prev = cur
+
+
+class TestKindCounts:
+    def test_a_message_without_counts_counts_its_objects_once(self):
+        objects = tuple(ObjectTrack(aid, kind, 0.0, 0)
+                        for aid, kind in (("a", V), ("b", P), ("c", V), ("d", C)))
+        msg = FrameMessage(created_ts=0, objects=objects)
+        assert msg.counts is None
+        counts = msg.object_counts()
+        assert counts == kind_counts(objects) == {V: 2, P: 1, C: 1}
+        assert msg.object_counts() is counts is msg.counts
+        assert FrameMessage(created_ts=0, objects=()).object_counts() == {}
+
+    def test_a_track_is_a_tuple_of_its_fields(self):
+        track = ObjectTrack("a", V, 1.5, 7)
+        assert track == ("a", V, 1.5, 7, True)
+        assert track.deadline_capped is True
 
 
 class TestSampleLatency:

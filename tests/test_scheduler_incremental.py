@@ -8,7 +8,8 @@ write the same trace, byte for byte, on random layered DAGs with every
 mitigation on and tight budgets, so that steal admission both admits
 and rejects. The reference merge sorts by id and the engine's does not,
 so the equal traces also show that no trace reads an object order. The
-memoized run checks that every message it emits holds distinct ids.
+memoized run checks that every message it emits holds distinct ids and
+carries its objects' kind counts.
 """
 
 from collections import defaultdict
@@ -77,13 +78,15 @@ class UncachedSimulation(Simulation):
 
 class CheckedSimulation(Simulation):
     """The memoized run, asserting that every emitted message holds
-    distinct agents: the merge's one-input shortcut relies on it."""
+    distinct agents, which the merge's one-input shortcut relies on, and
+    that the kind counts it carries are its objects' counts."""
 
     emitted = 0
 
     def _emit(self, node, msg):
         ids = [o.agent_id for o in msg.objects]
         assert len(set(ids)) == len(ids), (node.name, ids)
+        assert msg.object_counts() == kind_counts(msg.objects), (node.name, msg.counts)
         self.emitted += 1
         super()._emit(node, msg)
 

@@ -10,10 +10,15 @@ checkout, alternating which side goes first. Each side's pass imports
 the `src/` of its own checkout; the two `perfbench/` trees must be
 byte-identical, so both sides are measured by the same harness.
 
-Prints, per workload and seed, each side's median `wall_s` with its
-quartiles and interquartile range, and in how many pairs the change was
-faster (ties count for neither). `--out` writes every run, the two
-commits and the machine to a JSON file.
+Prints, per workload and seed, one line for `wall_s` and one for
+`sim_s`: each side's median with its quartiles and interquartile range,
+and in how many pairs the change was faster (ties count for neither).
+`wall_s` is the pass's timed work (for `mixed100_cli` and `dag_stress`,
+`avpipesim run` with its trace and report writing); `sim_s` is the
+pass's `run_simulation` host time summed over its runs, the divisor of
+perfbench's `sim_speed`, so a `sim_speed` claim is sized on `sim_s`.
+`--out` writes every run (each with both), the `wall_s` summaries, the
+two commits and the machine to a JSON file.
 
 Exit status: 0; 1 if a pass failed or the two sides' trace or
 report.json digests differ on any pass; 2 if the perfbench trees differ.
@@ -98,28 +103,34 @@ def summary(values: list) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def report(workload: str, seed: int, runs: list) -> dict:
-    """Print and return one workload and seed's summary, with its runs."""
-    wall = {side: [r["wall_s"] for r in runs if r["side"] == side]
-            for side in ("base", "change")}
+def compared(runs: list, metric: str) -> dict:
+    """Each side's summary of metric, the complete pairs and how many of
+    them the change won."""
     by_pair = {}
     for r in runs:
-        by_pair.setdefault(r["pair"], {})[r["side"]] = r["wall_s"]
+        by_pair.setdefault(r["pair"], {})[r["side"]] = r[metric]
     pairs = [p for p in by_pair.values() if len(p) == 2]
-    faster = sum(p["change"] < p["base"] for p in pairs)
-    case = {"workload": workload, "seed": seed, "pairs": len(pairs), "change_faster": faster,
-            **{side: summary(v) for side, v in wall.items() if v}, "runs": runs}
-    line = f"{workload} seed {seed}:"
-    for side in ("base", "change"):
-        if side in case:
-            s = case[side]
-            line += (f"  {side} median {s['median']:.3f} s"
-                     f" (q1 {s['q1']:.3f}, q3 {s['q3']:.3f}, IQR {s['iqr']:.3f})")
-    if "base" in case and "change" in case:
-        line += (f"  change {case['change']['median'] / case['base']['median'] - 1:+.1%},"
-                 f" faster in {faster}/{len(pairs)} pairs")
-    print(line, flush=True)
-    return case
+    sides = {side: [r[metric] for r in runs if r["side"] == side] for side in ("base", "change")}
+    return {"pairs": len(pairs), "change_faster": sum(p["change"] < p["base"] for p in pairs),
+            **{side: summary(v) for side, v in sides.items() if v}}
+
+
+def report(workload: str, seed: int, runs: list) -> dict:
+    """Print one workload and seed's wall_s and sim_s; return its wall_s
+    summary, with its runs."""
+    for metric in ("wall_s", "sim_s"):
+        c = compared(runs, metric)
+        line = f"{workload} seed {seed} {metric}:"
+        for side in ("base", "change"):
+            if side in c:
+                s = c[side]
+                line += (f"  {side} median {s['median']:.3f} s"
+                         f" (q1 {s['q1']:.3f}, q3 {s['q3']:.3f}, IQR {s['iqr']:.3f})")
+        if "base" in c and "change" in c:
+            line += (f"  change {c['change']['median'] / c['base']['median'] - 1:+.1%},"
+                     f" faster in {c['change_faster']}/{c['pairs']} pairs")
+        print(line, flush=True)
+    return {"workload": workload, "seed": seed, **compared(runs, "wall_s"), "runs": runs}
 
 
 def main(argv=None) -> int:
