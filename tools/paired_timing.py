@@ -118,8 +118,8 @@ def compared(runs: list, metric: str) -> dict:
 def report(workload: str, seed: int, runs: list) -> dict:
     """Print one workload and seed's wall_s and sim_s; return its wall_s
     summary, with its runs."""
-    for metric in ("wall_s", "sim_s"):
-        c = compared(runs, metric)
+    summaries = {metric: compared(runs, metric) for metric in ("wall_s", "sim_s")}
+    for metric, c in summaries.items():
         line = f"{workload} seed {seed} {metric}:"
         for side in ("base", "change"):
             if side in c:
@@ -130,7 +130,7 @@ def report(workload: str, seed: int, runs: list) -> dict:
             line += (f"  change {c['change']['median'] / c['base']['median'] - 1:+.1%},"
                      f" faster in {c['change_faster']}/{c['pairs']} pairs")
         print(line, flush=True)
-    return {"workload": workload, "seed": seed, **compared(runs, "wall_s"), "runs": runs}
+    return {"workload": workload, "seed": seed, **summaries["wall_s"], "runs": runs}
 
 
 def main(argv=None) -> int:
