@@ -24,8 +24,8 @@ from .pipeline import (Channel, CompiledGraph, ExecutionPattern, FrameMessage, N
                        downstream_estimate, fusion_update, kind_counts, predict_latency,
                        sample_latency, validate_graph)
 from .safety import RssParams
-from .scenario import (MAX_MAGNITUDE, AgentState, CompiledTrajectory, Scenario, ScenarioError,
-                       TrajectorySpec, scenario_to_json)
+from .scenario import (MAX_MAGNITUDE, AgentState, CompiledTrajectory, Scenario, TrajectorySpec,
+                       scenario_to_json)
 from .simkernel import EventQueue, StreamFactory
 from .world import ClosestApproach, SafetySample, World
 
@@ -362,10 +362,7 @@ class Simulation:
     def ego_state(self, t_us: int) -> AgentState:
         t, state = self._ego_now
         if t != t_us:
-            try:
-                state = self._ego.state_at(t_us)
-            except ScenarioError as e:      # derived past MAX_MAGNITUDE
-                raise InputError(f"ego at t={t_us} us: {e}") from None
+            state = self._ego.state_at(t_us)
             self._ego_now = (t_us, state)
         return state
 
@@ -551,13 +548,10 @@ class Simulation:
     def _trigger_interrupt(self, node: _Node):
         grp = node.home
         task = _Task(node, ready_us=self.queue.clock)
-        if grp.free_worker() is not None:
+        # a steal never frees a home worker, so after a refused one this dispatch starts nothing
+        if None in grp.ends or not (self._mit.stealing and self._try_steal(node, task)):
             grp.ready.append(task)
             self._dispatch(grp)
-            return
-        if self._mit.stealing and self._try_steal(node, task):
-            return
-        grp.ready.append(task)
 
     def _predict_next(self, node: _Node) -> int:
         """Predicted cost of node's next run, from the message its next

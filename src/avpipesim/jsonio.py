@@ -210,13 +210,13 @@ def to_json(rec, version: int, table) -> dict:
     return _write_record(type(rec), rec, table, {"format": version})
 
 
-def check_min(rec, low, *names, error=InputError):
+def check_min(rec, low, *names, error=InputError, strict=False):
     """Raise error naming the first attribute in names whose value on rec is
-    below low, or NaN. Records check their bounds so, in __post_init__."""
+    below low (with strict, at or below it), or NaN; records call it in __post_init__."""
     for name in names:
         value = getattr(rec, name)
-        if not value >= low:
-            raise error(f"{name}: expected >= {low}, got {value}")
+        if not (value > low if strict else value >= low):
+            raise error(f"{name}: expected {'>' if strict else '>='} {low}, got {value}")
 
 
 def refuse_constant(name: str):

@@ -30,10 +30,8 @@ class MitigationConfig:
     cancel_proactive_every_frame: bool = False
 
     def __post_init__(self):
-        if self.criticality_radius_m <= 0:
-            raise ValueError("criticality radius must be > 0")
-        if self.steal_safety_factor < 1.0:
-            raise ValueError("steal safety factor must be >= 1")
+        check_min(self, 0, "criticality_radius_m", strict=True)
+        check_min(self, 1, "steal_safety_factor")
         check_min(self, 0, "fast_lookahead_m", "deadline_cap_us")
 
 
@@ -69,12 +67,11 @@ def partial_update(objects: tuple[ObjectTrack, ...], ego: AgentState,
                                              tuple[ObjectTrack, ...]]:
     """Split objects into (critical, residual) by distance from the ego.
 
-    Critical objects are within radius, sorted by ascending deadline;
-    the union of the two halves is exactly the input set.
+    Critical objects are within radius; the union of the two halves is
+    exactly the input set.
     """
     critical = [o for o in objects if abs(o.s_m - ego.s_m) <= radius_m]
     residual = [o for o in objects if abs(o.s_m - ego.s_m) > radius_m]
-    critical.sort(key=lambda o: (o.deadline_us, o.agent_id))
     return tuple(critical), tuple(residual)
 
 

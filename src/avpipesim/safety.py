@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+from .jsonio import InputError, check_min
 from .scenario import AgentState
 from .simkernel import US_PER_S
 
@@ -38,11 +39,11 @@ class RssParams:
     lateral_mu_m: float = 0.5
 
     def __post_init__(self):
-        if min(self.response_time_us, self.a_max_accel, self.a_min_brake,
-               self.a_max_brake, self.lateral_mu_m) <= 0:
-            raise ValueError("all RSS parameters must be positive")
+        check_min(self, 0, "response_time_us", "a_max_accel", "a_min_brake", "a_max_brake",
+                  "lateral_mu_m", strict=True)
         if self.a_min_brake > self.a_max_brake:
-            raise ValueError("a_min_brake must be <= a_max_brake")
+            raise InputError(f"a_min_brake: expected <= a_max_brake ({self.a_max_brake}), "
+                             f"got {self.a_min_brake}")
 
 
 class SafetyLevel(str, Enum):

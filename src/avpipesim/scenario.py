@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .jsonio import InputError, Key, from_json, load_json, save_json, to_json
+from .jsonio import InputError, Key, check_min, from_json, load_json, save_json, to_json
 from .simkernel import US_PER_S, RandomStream
 
 SCENARIO_FORMAT = 1
@@ -48,7 +48,7 @@ class AgentState:
     lane_index: int = 0
 
     def __post_init__(self):
-        if self.v_mps < -1e-12:
+        if self.v_mps < 0:
             raise ScenarioError(f"velocity must be >= 0, got {self.v_mps}")
         if not abs(self.s_m) + abs(self.l_m) + abs(self.v_mps) + abs(self.a_mps2) <= MAX_MAGNITUDE:
             for name in ("s_m", "l_m", "v_mps", "a_mps2"):      # or only their sum is over
@@ -94,19 +94,27 @@ class Scenario:
         if not 0 < self.duration_us <= MAX_TIME_US:
             raise ScenarioError(f"duration_us: expected > 0 and <= 2**63 - 1, "
                                 f"got {self.duration_us}")
-        if not self.d_buffer_m > 0:
-            raise ScenarioError(f"d_buffer_m: expected > 0, got {self.d_buffer_m}")
-        ids = [a[0] for a in self.agents]
+        check_min(self, 0, "d_buffer_m", error=ScenarioError, strict=True)
         seen = set()
-        for i in ids:
-            if i in seen:
-                raise ScenarioError(f"duplicate agent id: {i!r}")
-            seen.add(i)
+        for aid, _, _ in self.agents:
+            if aid in seen:
+                raise ScenarioError(f"duplicate agent id: {aid!r}")
+            seen.add(aid)
         for t, aid, _ in self.hazard_events:
             if t >= self.duration_us:
                 raise ScenarioError(f"hazard time {t} not before duration {self.duration_us}")
             if aid not in seen:
                 raise ScenarioError(f"hazard references unknown agent id: {aid!r}")
+        # bound every state a run may derive, which then goes unchecked: speeds
+        # are >= 0, so |s| peaks at 0 or at duration_us; a brake sets the ego's
+        # acceleration to a level <= 0, so held at max(a, 0) it goes furthest
+        ego = self.ego_initial
+        bound = _state(ego.s_m, ego.l_m, ego.v_mps, max(ego.a_mps2, 0.0))
+        for who, traj in [("ego", TrajectorySpec(bound)),
+                          *((f"agent {aid!r}", traj) for aid, _, traj in self.agents)]:
+            s, _, _, v_peak = _integrate(traj, self.duration_us)
+            for name, value in (("s_m", s), ("v_mps", v_peak)):
+                _check_magnitude(f"{who}: {name} within duration_us {self.duration_us}", value)
 
 
 def _advance(s: float, v: float, a: float, dt_s: float) -> tuple[float, float]:
@@ -122,22 +130,34 @@ def _advance(s: float, v: float, a: float, dt_s: float) -> tuple[float, float]:
     return s + v * dt_s + 0.5 * a * dt_s * dt_s, v + a * dt_s
 
 
-def agent_state_at(traj: TrajectorySpec, t_us: int) -> AgentState:
-    """State at time t by closed-form piecewise integration."""
-    if t_us < 0:
-        raise ValueError(f"t must be >= 0, got {t_us}")
-    s, v = traj.initial.s_m, traj.initial.v_mps
-    a = traj.initial.a_mps2
-    now = 0
+def _state(s_m: float, l_m: float, v_mps: float, a_mps2: float, lane_index: int = 0):
+    """An AgentState built without __post_init__: a state that Scenario bounded at load."""
+    st = object.__new__(AgentState)
+    st.__dict__.update(s_m=s_m, l_m=l_m, v_mps=v_mps, a_mps2=a_mps2, lane_index=lane_index)
+    return st
+
+
+def _integrate(traj: TrajectorySpec, t_us: int) -> tuple[float, float, float, float]:
+    """(s, v, a) at time t by closed-form piecewise integration, and the peak speed
+    over [0, t]: a is constant between segment starts, so v peaks at one or at t."""
+    s, v, a = traj.initial.s_m, traj.initial.v_mps, traj.initial.a_mps2
+    now, v_peak = 0, v
     for seg_start, seg_a in traj.segments:
         if seg_start >= t_us:
             break
         s, v = _advance(s, v, a, (seg_start - now) / US_PER_S)
-        a = seg_a
-        now = seg_start
+        now, a, v_peak = seg_start, seg_a, max(v_peak, v)
     s, v = _advance(s, v, a, (t_us - now) / US_PER_S)
-    eff_a = a if not (v == 0.0 and a < 0) else 0.0
-    return AgentState(s_m=s, l_m=traj.initial.l_m, v_mps=v, a_mps2=eff_a,
+    return s, v, a, max(v_peak, v)
+
+
+def agent_state_at(traj: TrajectorySpec, t_us: int) -> AgentState:
+    """State at time t by closed-form piecewise integration."""
+    if t_us < 0:
+        raise ValueError(f"t must be >= 0, got {t_us}")
+    s, v, a, _ = _integrate(traj, t_us)
+    return AgentState(s_m=s, l_m=traj.initial.l_m, v_mps=v,
+                      a_mps2=a if not (v == 0.0 and a < 0) else 0.0,
                       lane_index=traj.initial.lane_index)
 
 
@@ -171,8 +191,9 @@ class CompiledTrajectory:
 
     state_at(t) is one bisect plus one _advance and equals
     agent_state_at bit for bit, because the breakpoints come from the
-    same _advance calls in the same order. append() adds a segment, as a
-    control decision does for the ego.
+    same _advance calls in the same order. append() adds a segment after
+    the last one, as a control decision does for the ego. Its states go
+    unchecked: Scenario bounds them at load.
     """
 
     def __init__(self, traj: TrajectorySpec):
@@ -185,22 +206,16 @@ class CompiledTrajectory:
 
     def append(self, start_us: int, a_mps2: float):
         last = self.segments[-1][0] if self.segments else 0
-        if self.segments and start_us <= last:
-            raise ScenarioError(f"segment start {start_us} not after {last}")
         s, v, a = self.states[-1]
         s, v = _advance(s, v, a, (start_us - last) / US_PER_S)
         self.segments.append((start_us, a_mps2))
         self.states.append((s, v, a_mps2))
 
     def state_at(self, t_us: int) -> AgentState:
-        if t_us < 0:
-            raise ValueError(f"t must be >= 0, got {t_us}")
         k = bisect_left(self.segments, (t_us,))     # the segments starting before t
         s, v, a = self.states[k]
         s, v = _advance(s, v, a, (t_us - (self.segments[k - 1][0] if k else 0)) / US_PER_S)
-        eff_a = a if not (v == 0.0 and a < 0) else 0.0
-        return AgentState(s_m=s, l_m=self.l_m, v_mps=v, a_mps2=eff_a,
-                          lane_index=self.lane_index)
+        return _state(s, self.l_m, v, a if not (v == 0.0 and a < 0) else 0.0, self.lane_index)
 
 
 # ---------------------------------------------------------------------------

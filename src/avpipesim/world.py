@@ -12,10 +12,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .jsonio import InputError
 from .pipeline import ObjectTrack
 from .safety import RssParams, SafetyLevel, check_safety, object_deadline
-from .scenario import AgentState, CompiledTrajectory, Scenario, ScenarioError
+from .scenario import AgentState, CompiledTrajectory, Scenario, _state
 from .simkernel import US_PER_S
 
 _new_track = partial(tuple.__new__, ObjectTrack)     # an ObjectTrack from one field tuple, in C
@@ -97,12 +96,9 @@ class World:
                                            repeat(t + deadline_cap_us), repeat(True))))
         pos = (~self._clear[seen]).nonzero()[0]         # the laterally in-lane tracks
         for j, i in zip(pos.tolist(), seen[pos].tolist()):
-            try:
-                dl, capped = object_deadline(
-                    t, ego, AgentState(objects[j].s_m, self.l_m[i], float(v[i]), float(a[i])),
-                    self.d_buffer_m, self.rss, deadline_cap_us=deadline_cap_us)
-            except ScenarioError as e:      # a state derived past MAX_MAGNITUDE
-                raise InputError(f"agent {self.ids[i]!r} at t={t} us: {e}") from None
+            dl, capped = object_deadline(
+                t, ego, _state(objects[j].s_m, self.l_m[i], float(v[i]), float(a[i])),
+                self.d_buffer_m, self.rss, deadline_cap_us=deadline_cap_us)
             objects[j] = objects[j]._replace(deadline_us=dl, deadline_capped=capped)
         return tuple(objects)
 
@@ -116,11 +112,8 @@ class World:
         samples, in_lane = [], self._in_lane
         for i, s_m, v_mps, a_mps2 in zip(in_lane.tolist(), s[in_lane].tolist(),
                                          v[in_lane].tolist(), a[in_lane].tolist()):
-            try:
-                status = check_safety(ego, AgentState(s_m, self.l_m[i], v_mps, a_mps2),
-                                      self.rss, self.d_buffer_m)
-            except ScenarioError as e:      # a state derived past MAX_MAGNITUDE
-                raise InputError(f"agent {self.ids[i]!r} at t={t} us: {e}") from None
+            status = check_safety(ego, _state(s_m, self.l_m[i], v_mps, a_mps2),
+                                  self.rss, self.d_buffer_m)
             if status.level is not SafetyLevel.SAFE:
                 samples.append(SafetySample(
                     t, self.ids[i], status.level.value, round(status.longitudinal_gap_m, 6),

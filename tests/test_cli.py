@@ -224,6 +224,14 @@ def test_validate_bad_input_exits_1_with_message(workdir, capsys, name, mutate, 
      "node act is not pinned to any group"),
     ("config.json", _set(("brake_level_mps2",), 1e308),
      "config: brake_level_mps2: expected in [-1e+12, 0], got 1e+308"),
+    ("config.json", _set(("mitigation",), {"radius_m": 0.0}),
+     "mitigation: criticality_radius_m: expected > 0, got 0.0"),
+    ("config.json", _set(("mitigation",), {"safety_factor": 0.5}),
+     "mitigation: steal_safety_factor: expected >= 1, got 0.5"),
+    ("config.json", _set(("rss",), {"a_max_accel_mps2": -2.0}),
+     "rss: a_max_accel: expected > 0, got -2.0"),
+    ("config.json", _set(("rss",), {"a_min_brake_mps2": 9.0}),
+     "rss: a_min_brake: expected <= a_max_brake (8.0), got 9.0"),
     *BOUND_CASES,
 ], ids=["pattern", "role", "node-name", "group-name", "groups-int", "seed-str",
         "rss-key", "duration-nan", "range-nan", "fastpath-str", "cancel-int",
@@ -234,7 +242,8 @@ def test_validate_bad_input_exits_1_with_message(workdir, capsys, name, mutate, 
         "capacity-negative", "actuation-negative", "config-format-bool",
         "scenario-format-bool", "pipeline-format-bool", "budget-negative",
         "range-negative", "margin-negative", "lookahead-negative", "cap-negative",
-        "pin-unknown", "pin-missing", "brake-huge", *BOUND_IDS])
+        "pin-unknown", "pin-missing", "brake-huge", "radius-zero", "safety-factor-low",
+        "rss-accel-negative", "rss-brakes-crossed", *BOUND_IDS])
 def test_run_bad_input_exits_1_with_message(workdir, capsys, name, mutate, expect):
     path = workdir / name
     obj = json.loads(path.read_text())
@@ -248,32 +257,44 @@ def test_run_bad_input_exits_1_with_message(workdir, capsys, name, mutate, expec
 
 @pytest.mark.parametrize("ego, agent, period_us, duration_us, expect", [
     ((0, 0), (10, 10), 2**62, 2**63 - 1,
-     "agent 'a' at t=4611686018427387904 us: s_m: expected magnitude <= 1e+12, "
-     "got 46116860184283.875"),
+     "agent 'a': s_m within duration_us 9223372036854775807: expected magnitude <= 1e+12, "
+     "got 92233720368557.75"),
     ((0, 10), (10, 10), 2**62, 2**63 - 1,
-     "ego at t=4611686018427387904 us: s_m: expected magnitude <= 1e+12, "
-     "got 46116860184273.875"),
+     "ego: s_m within duration_us 9223372036854775807: expected magnitude <= 1e+12, "
+     "got 92233720368547.75"),
     ((1e12 - 30, 0), (1e12 - 190, 200), sec(1), sec(1),
-     "agent 'a' at t=1000000 us: s_m: expected magnitude <= 1e+12, got 1000000000010.0"),
+     "agent 'a': s_m within duration_us 1000000: expected magnitude <= 1e+12, "
+     "got 1000000000010.0"),
 ], ids=["safety-tick", "ego", "capture"])
 def test_run_state_derived_past_bound_names_agent_and_instant(tmp_path, capsys, ego, agent,
                                                                period_us, duration_us, expect):
-    """Every input is inside its bound, but a state derived mid-run is
-    not. ego and agent are (s_m, v_mps); the sensor period is the tick."""
+    """Every input state is inside its bound, but the agent (or the ego)
+    leaves it before duration_us: validate and run both refuse the file,
+    naming the agent and duration_us. ego and agent are (s_m, v_mps); the
+    sensor period is the tick. The first case once passed validate, and
+    the three once failed only mid-run, at a safety tick, an ego state
+    and a capture."""
     def state(s_m, v_mps):
         return AgentState(s_m=s_m, l_m=0, v_mps=v_mps, a_mps2=0)
 
-    sc = Scenario(ego_initial=state(*ego), duration_us=duration_us,
+    sc = Scenario(ego_initial=state(*ego), duration_us=1,
                   agents=(("a", AgentKind.VEHICLE, TrajectorySpec(initial=state(*agent))),))
     save_scenario(sc, tmp_path / "scenario.json")
+    obj = json.loads((tmp_path / "scenario.json").read_text())
+    obj["duration_us"] = duration_us
+    (tmp_path / "scenario.json").write_text(json.dumps(obj))
     save_pipeline(chain_pipeline({"ctl": (1000, NodeRole.CONTROL)}, sensor_period_us=period_us),
                   tmp_path / "pipeline.json")
     (tmp_path / "config.json").write_text(json.dumps({
         "format": 1, "scenario": "scenario.json", "pipeline": "pipeline.json",
         "groups": [{"name": "main", "workers": 1, "pinned_nodes": ["sensor", "ctl"]}],
         "tick_us": period_us, "seed": 0, "out": str(tmp_path / "out")}))
+    assert main(["validate", "--scenario", str(tmp_path / "scenario.json"),
+                 "--pipeline", str(tmp_path / "pipeline.json")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: scenario: {expect}\n"
     assert main(["run", "--config", str(tmp_path / "config.json")]) == EXIT_VALIDATION
-    assert capsys.readouterr().err == f"error: {expect}\n"
+    assert capsys.readouterr().err == f"error: scenario: {expect}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_negative_deadline_cap_flag_exits_1(workdir, capsys):

@@ -237,6 +237,35 @@ class TestFastpath:
         assert (reaction.reacted, reaction.decision_ts) == (True, ms(415))
 
 
+class TestDerivedStates:
+    def test_a_run_checks_no_state(self, monkeypatch):
+        """Scenario bounds every state a run derives, so none goes through
+        AgentState's checks: not the ego's, braked here, nor those of the
+        in-lane agents that captures price and safety ticks classify, on
+        the normal, fastpath and residual passes."""
+        def agent(s_m, l_m=0.0):
+            return TrajectorySpec(initial=AgentState(s_m=s_m, l_m=l_m, v_mps=0.0, a_mps2=0.0))
+        sc = Scenario(ego_initial=AgentState(s_m=0.0, l_m=0.0, v_mps=10.0, a_mps2=0.0),
+                      agents=(("near", AgentKind.VEHICLE, agent(10.0)),
+                              ("far", AgentKind.VEHICLE, agent(45.0)),
+                              ("beside", AgentKind.VEHICLE, agent(5.0, l_m=3.5))),
+                      duration_us=sec(2))
+        g = chain_pipeline({"plan": (ms(400), NodeRole.PLANNING),
+                            "ctl": (ms(5), NodeRole.CONTROL)},
+                           fast={"plan": LatencyModel(offset_us=ms(10))})
+        sim = Simulation(sc, g, one_group(g, workers=8),
+                         EngineConfig(mitigation=MitigationConfig(fastpath=True)), seed=1)
+        calls = []
+        check = AgentState.__post_init__
+        monkeypatch.setattr(AgentState, "__post_init__",
+                            lambda state: calls.append(state) or check(state))
+        trace = sim.run()
+        assert calls == []
+        assert sim.ego_segments and trace.safety_samples
+        assert {(s.path, s.residual) for s in trace.spans if s.node == "plan"} >= {
+            ("fastpath", False), ("normal", True)}
+
+
 class TestStealing:
     def test_steal_counts_the_hosts_queued_work(self):
         """Every 100 ms, host's one worker runs `a` (10 ms) while its own

@@ -150,11 +150,27 @@ def empty_road(d_buffer_m):
      "brake_level_mps2: expected in [-1e+12, 0], got 0.5"),
     (lambda: EngineConfig(brake_level_mps2=math.nan),
      "brake_level_mps2: expected in [-1e+12, 0], got nan"),
+    # once accepted (NaN), or refused without naming the field
+    (lambda: MitigationConfig(criticality_radius_m=math.nan),
+     "criticality_radius_m: expected > 0, got nan"),
+    (lambda: MitigationConfig(criticality_radius_m=0.0),
+     "criticality_radius_m: expected > 0, got 0.0"),
+    (lambda: MitigationConfig(steal_safety_factor=math.nan),
+     "steal_safety_factor: expected >= 1, got nan"),
+    (lambda: MitigationConfig(steal_safety_factor=0.5),
+     "steal_safety_factor: expected >= 1, got 0.5"),
+    (lambda: RssParams(a_max_accel=math.nan), "a_max_accel: expected > 0, got nan"),
+    (lambda: RssParams(response_time_us=0), "response_time_us: expected > 0, got 0"),
+    (lambda: RssParams(lateral_mu_m=-0.5), "lateral_mu_m: expected > 0, got -0.5"),
+    (lambda: RssParams(a_min_brake=9.0, a_max_brake=4.0),
+     "a_min_brake: expected <= a_max_brake (4.0), got 9.0"),
 ], ids=["budget", "actuation", "range", "margin", "lookahead", "cap", "capacity",
         "negative-budget-run", "dbuffer-zero", "dbuffer-negative", "dbuffer-nan",
         "sigma-negative", "jitter-negative", "inputs-twice", "outputs-twice",
         "range-nan", "sigma-nan", "lookahead-nan", "speed-huge", "lateral-nan",
-        "accel-infinite", "segment-accel-huge", "brake-huge", "brake-positive", "brake-nan"])
+        "accel-infinite", "segment-accel-huge", "brake-huge", "brake-positive", "brake-nan",
+        "radius-nan", "radius-zero", "safety-factor-nan", "safety-factor-low",
+        "rss-accel-nan", "rss-response-zero", "rss-mu-negative", "rss-brakes-crossed"])
 def test_bounds_hold_for_library_calls(build, expect):
     with pytest.raises(InputError, match=f"^{re.escape(expect)}$"):
         build()

@@ -82,11 +82,14 @@ class TestPartialUpdate:
         crit, resid = partial_update(objs, self.EGO, 20.0)
         assert len(crit) == 2 and resid == ()
 
-    def test_critical_sorted_by_deadline(self):
-        objs = (track("late", 5, ms(900)), track("soon", 8, ms(100)),
-                track("mid", 3, ms(400)))
-        crit, _ = partial_update(objs, self.EGO, 20.0)
-        assert [o.agent_id for o in crit] == ["soon", "mid", "late"]
+    def test_critical_holds_exactly_the_objects_within_radius(self):
+        """The halves are sets: a message's object order means nothing."""
+        objs = (track("late", 5, ms(900)), track("far", 25, ms(50)), track("soon", 8, ms(100)),
+                track("edge", -20, ms(300)), track("mid", 3, ms(400)))
+        crit, resid = partial_update(objs, self.EGO, 20.0)
+        assert {o.agent_id for o in crit} == {"late", "soon", "edge", "mid"}
+        assert {o.agent_id for o in resid} == {"far"}
+        assert len(crit) + len(resid) == len(objs) and set(crit) | set(resid) == set(objs)
 
     def test_conservation_and_disjointness(self):
         objs = tuple(track(f"o{i}", i * 7.0, ms(100 * (i + 1))) for i in range(10))

@@ -1,13 +1,15 @@
 import json
 import math
+import re
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from avpipesim.scenario import (AgentKind, AgentState, RoadSpec, Scenario,
-                                ScenarioError, TrajectorySpec, agent_state_at,
-                                generate_traffic, load_scenario, save_scenario,
-                                scenario_from_json, scenario_to_json,
-                                visible_agents)
+from avpipesim.scenario import (MAX_MAGNITUDE, MAX_TIME_US, AgentKind, AgentState,
+                                CompiledTrajectory, RoadSpec, Scenario, ScenarioError,
+                                TrajectorySpec, agent_state_at, generate_traffic,
+                                load_scenario, save_scenario, scenario_from_json,
+                                scenario_to_json, visible_agents)
 from avpipesim.simkernel import sec
 
 
@@ -187,3 +189,80 @@ class TestInvariants:
                      agents=(("a", AgentKind.VEHICLE, traj()),),
                      duration_us=sec(1),
                      hazard_events=((sec(2), "a", "late"),))
+
+
+# magnitudes and times anywhere up to their bounds, of every scale
+scales = st.sampled_from([0.0, 1e-6, 1.0, 1e3, 1e6, 1e9, MAX_MAGNITUDE])
+signed = st.builds(lambda k, x: k * x, st.floats(-1.0, 1.0), scales)
+speeds = signed.map(abs) | signed       # a negative one is refused
+spans = st.sampled_from([*(10**k for k in range(19)), MAX_TIME_US])
+instants = st.builds(min, st.integers(0, MAX_TIME_US), spans)
+
+
+def checked(state: AgentState) -> AgentState:
+    """state through AgentState's own checks."""
+    return AgentState(state.s_m, state.l_m, state.v_mps, state.a_mps2, state.lane_index)
+
+
+class TestReachBound:
+    """Scenario bounds every state a run derives: each agent's over
+    [0, duration_us], and the ego's under any brake decisions."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(ego=st.tuples(signed, signed, speeds, signed),
+           initial=st.tuples(signed, signed, speeds, signed),
+           segments=st.lists(st.tuples(instants, signed), max_size=4,
+                             unique_by=lambda seg: seg[0]).map(sorted),
+           brakes=st.lists(st.tuples(instants, signed.map(lambda a: -abs(a))), max_size=3,
+                           unique_by=lambda seg: seg[0]).map(sorted),
+           duration_us=st.builds(min, st.integers(1, MAX_TIME_US), spans), data=st.data())
+    def test_derived_states_pass_the_input_checks(self, ego, initial, segments, brakes,
+                                                  duration_us, data):
+        """brakes are the ego's, at levels in [-MAX_MAGNITUDE, 0]."""
+        try:
+            ego = AgentState(*ego)
+            traj = TrajectorySpec(AgentState(*initial), tuple(segments))
+            Scenario(ego, (("a", AgentKind.VEHICLE, traj),), duration_us)
+        except ScenarioError:
+            assume(False)
+        braked = CompiledTrajectory(TrajectorySpec(ego))
+        for t, level in brakes:         # as Simulation.apply_control appends them
+            braked.append(t, level)
+        edges = {t + d for t, _ in segments + brakes for d in (-1, 0, 1)}
+        times = data.draw(st.lists(st.integers(0, duration_us), max_size=6))
+        times += [0, duration_us, *(t for t in edges if 0 <= t <= duration_us)]
+        for c in (CompiledTrajectory(traj), braked):
+            for t in times:
+                checked(c.state_at(t))
+
+    def test_agent_past_the_bound_is_refused(self):
+        agent = TrajectorySpec(AgentState(10.0, 0.0, 10.0, 0.0))
+        with pytest.raises(ScenarioError, match=re.escape(
+                "agent 'a': s_m within duration_us 9223372036854775807: expected magnitude "
+                "<= 1e+12, got 92233720368557.75")):
+            Scenario(AgentState(0.0, 0.0, 0.0, 0.0), (("a", AgentKind.VEHICLE, agent),),
+                     duration_us=MAX_TIME_US)
+
+    def test_peak_speed_at_a_segment_start_is_refused(self):
+        """The speed peaks mid-run, where braking starts; at the end the
+        agent has stopped, at s = 4.4e11 m."""
+        agent = TrajectorySpec(AgentState(-1e12, 0.0, 0.0, 1e12), segments=((sec(1.2), -1e12),))
+        with pytest.raises(ScenarioError, match=re.escape(
+                "agent 'a': v_mps within duration_us 3000000: expected magnitude "
+                "<= 1e+12, got 1200000000000.0")):
+            Scenario(AgentState(0.0, 0.0, 0.0, 0.0), (("a", AgentKind.VEHICLE, agent),),
+                     duration_us=sec(3))
+
+    def test_the_bound_itself_is_admitted(self):
+        agent = TrajectorySpec(AgentState(1e12 - 10.0, 0.0, 10.0, 0.0))
+        assert Scenario(AgentState(0.0, 0.0, 0.0, 0.0), (("a", AgentKind.VEHICLE, agent),),
+                        duration_us=sec(1))
+
+    def test_a_decelerating_ego_is_bounded_as_if_coasting(self):
+        """A brake level above the ego's own deceleration (0 at most) eases
+        it, so the ego is bounded at max(a, 0), here 0: 1 m/s for 2e12 s."""
+        ego = AgentState(0.0, 0.0, 1.0, -1.0)
+        with pytest.raises(ScenarioError, match=re.escape(
+                "ego: s_m within duration_us 2000000000000000000: expected magnitude "
+                "<= 1e+12, got 2000000000000.0")):
+            Scenario(ego, (), duration_us=sec(2e12))
