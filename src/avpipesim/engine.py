@@ -12,6 +12,7 @@ import hashlib
 import json
 from collections import deque
 from dataclasses import dataclass, field, fields
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Iterator, Optional
@@ -239,8 +240,8 @@ class _Node:
     steal_hosts are the groups the node's work may be stolen into, in
     trial order."""
     __slots__ = ("spec", "name", "inputs", "outputs", "home", "steal_hosts", "stream",
-                 "interrupt", "fastpath", "proactive", "terminal", "control", "fusion",
-                 "zero_latency")
+                 "interrupt", "fastpath", "fast_lookahead", "proactive", "terminal", "control",
+                 "fusion", "zero_latency")
 
     def __init__(self, spec: NodeSpec, home: "_GroupState", steal_hosts: tuple,
                  stream, cfg: MitigationConfig, terminal: bool):
@@ -248,6 +249,7 @@ class _Node:
         self.home, self.steal_hosts = home, steal_hosts
         self.interrupt = spec.pattern == ExecutionPattern.INTERRUPT
         self.fastpath = cfg.fastpath and spec.supports_fastpath
+        self.fast_lookahead = cfg.fast_lookahead_m if spec.lookahead_m is not None else None
         self.proactive = cfg.proactive and spec.proactive_cost_us > 0
         self.terminal = terminal
         self.control = spec.role == NodeRole.CONTROL
@@ -258,31 +260,20 @@ class _Node:
                              and m.lookahead_cost_us_per_m == 0.0)
 
 
-class _Task:
-    __slots__ = ("node", "ready_us", "inputs", "residual_objects")
-
-    def __init__(self, node: _Node, ready_us: int, inputs=None, residual_objects=None):
-        self.node = node
-        self.ready_us = ready_us
-        self.inputs = inputs            # pre-bound messages, or None to pull
-        self.residual_objects = residual_objects
+# a task: (its node's plan, ready_us, its pre-bound input messages or None
+# to pull them, and for a residual pass the objects left over, else None)
+_Task = tuple
 
 
 class _GroupState:
     def __init__(self, spec: ProcessorGroup):
-        self.spec = spec
+        self.spec, self.budget_us = spec, spec.budget_us
         self.worker_names = tuple(f"{spec.name}/{i}" for i in range(spec.worker_count))
-        # per worker, the end of its running task; None while it is free
+        # per worker, the end of its running task; None while it is free.
+        # Between events a group with a free worker has no ready task.
         self.ends: list[Optional[int]] = [None] * spec.worker_count
         self.ready: deque[_Task] = deque()
-        self.busy_us = 0
-
-    def free_worker(self) -> Optional[int]:
-        ends = self.ends
-        return ends.index(None) if None in ends else None
-
-    def worker_loads(self, now: int) -> list[int]:
-        return [0 if end is None else end - now for end in self.ends]
+        self.busy_us = 0       # summed durations of the tasks started
 
 
 class Simulation:
@@ -334,13 +325,16 @@ class Simulation:
         # node -> _predict_next's result; an entry is dropped whenever one
         # of the node's input channels is offered to or taken from
         self._predicted: dict[_Node, int] = {}
+        # node -> the merged objects and counts behind its last prediction
+        # from several heads, for the task that then takes those heads
+        self._merged: dict[_Node, tuple] = {}
 
         self._ego = CompiledTrajectory(TrajectorySpec(initial=scenario.ego_initial))
         periods = [n.period_us for n in graph.nodes.values()
                    if n.pattern == ExecutionPattern.TIMING and n.role == NodeRole.SENSOR]
         self._world = World(scenario, [config.tick_us, *periods], config.sensor_range_m,
                             config.rss)
-        # per fusion node: its a-of-n history and the newest track of each id in it
+        # per fusion node: its a-of-n history and the newest track of each id it saw
         self._fusion: dict[_Node, tuple[dict[str, list[bool]], dict[str, ObjectTrack]]] = {}
         self._proactive_arrival: dict[_Node, Optional[int]] = {}
         # per sensor frame seq: its capture time and object ids
@@ -367,14 +361,15 @@ class Simulation:
         return state
 
     def apply_control(self, decision: str, level: float, decided_us: int):
-        """Append an acceleration segment at decision time + actuation delay."""
+        """Append an acceleration segment at decision time + actuation delay.
+        A brake never eases a harder deceleration already under way."""
         if decision == "hold":
             return
         t_eff = decided_us + self.config.actuation_delay_us
         if self.ego_segments and t_eff <= self.ego_segments[-1][0]:
             t_eff = self.ego_segments[-1][0] + 1
         if decision == "brake":
-            self._ego.append(t_eff, level)
+            self._ego.append(t_eff, min(level, self._ego.states[-1][2]))
             self._ego_now = (-1, None)      # exact for any caller, whatever instant it kept
 
     # -- run loop ----------------------------------------------------------
@@ -387,7 +382,9 @@ class Simulation:
         self.queue.run_until(self._horizon)
         self.trace.closest = self._world.closest()
         for g in self.groups.values():
-            self.trace.busy_us_by_group[g.spec.name] = g.busy_us
+            # busy time within the run: a task still running ends after the horizon
+            self.trace.busy_us_by_group[g.spec.name] = g.busy_us - sum(
+                end - self._horizon for end in g.ends if end is not None)
         for t0, agent_id, label in self.scenario.hazard_events:
             self.trace.reactions.append(self._measure_reaction(t0, agent_id, label))
         return self.trace
@@ -401,7 +398,7 @@ class Simulation:
         if node.spec.role == NodeRole.SENSOR:
             self._capture(node, t)
         else:
-            node.home.ready.append(_Task(node, ready_us=t))
+            node.home.ready.append((node, t, None, None))
             self._dispatch(node.home)
         self._at(t + node.spec.period_us, self._on_tick, node)
 
@@ -419,95 +416,93 @@ class Simulation:
         if node.zero_latency:
             self._emit(node, msg)
         else:
-            node.home.ready.append(_Task(node, ready_us=t, inputs=[msg]))
+            node.home.ready.append((node, t, [msg], None))
             self._dispatch(node.home)
 
     # -- scheduling --------------------------------------------------------
 
     def _dispatch(self, grp: _GroupState):
-        ready = grp.ready
-        while ready:
-            widx = grp.free_worker()
-            if widx is None:
-                return
-            self._start_task(ready.popleft(), grp, widx)
+        ready, ends = grp.ready, grp.ends
+        while ready and None in ends:
+            self._start_task(ready.popleft(), grp, ends.index(None))
 
     def _start_task(self, task: _Task, grp: _GroupState, widx: int):
         now = self.queue.clock
-        node, inputs = task.node, task.inputs
-        spec = node.spec
+        node, ready_us, inputs, residual_objects = task
+        previewed = False
         if inputs is None:
-            inputs = task.inputs = []
+            predicted, inputs = self._predicted, []
+            # a prediction still held was made from the very heads taken below
+            previewed = node in predicted
             for channel, consumers in node.inputs:
                 m = channel.take()
                 if m is not None:
                     inputs.append(m)
                     for consumer in consumers:
-                        self._predicted.pop(consumer, None)
+                        predicted.pop(consumer, None)
             if not inputs and node.inputs:
                 return    # data was superseded (latest-only) or drained
 
-        cfg = self._mit
-        path = PathChoice.NORMAL
-        critical = residual = ()
-        is_residual = task.residual_objects is not None
-        objects = task.residual_objects if is_residual else _merge_objects(inputs)
-        counts = (inputs[0].object_counts() if len(inputs) == 1 and not is_residual
-                  else kind_counts(objects))
-        if node.fastpath and not is_residual:
+        spec = node.spec
+        single = len(inputs) == 1
+        if residual_objects is not None:
+            objects, counts = residual_objects, kind_counts(residual_objects)
+        elif single:        # most tasks: one input is its own union, with its counts
+            objects, counts = inputs[0].objects, inputs[0].counts or inputs[0].object_counts()
+        elif previewed:
+            objects, counts = self._merged[node]
+        else:
+            objects = _merge_objects(inputs)
+            counts = kind_counts(objects)
+        path, residual = "normal", ()
+        model, lookahead = spec.latency, spec.lookahead_m
+        if node.fastpath and residual_objects is None:
+            cfg = self._mit
             est = downstream_estimate(self._net, node.name, counts)
             deadline = mit.message_deadline(objects, now, cfg.deadline_cap_us)
-            path = mit.choose_path(spec, counts, deadline, now, est)
-            if path == PathChoice.FASTPATH:
-                ego = self.ego_state(now)
-                critical, residual = mit.partial_update(objects, ego,
-                                                        cfg.criticality_radius_m)
-                objects = critical
+            if mit.choose_path(spec, counts, deadline, now, est) == PathChoice.FASTPATH:
+                path, model, lookahead = "fastpath", spec.fast_latency, node.fast_lookahead
+                objects, residual = mit.partial_update(objects, self.ego_state(now),
+                                                       cfg.criticality_radius_m)
                 counts = kind_counts(objects)
-
-        if path == PathChoice.FASTPATH:
-            model = spec.fast_latency
-            lookahead = cfg.fast_lookahead_m if spec.lookahead_m is not None else None
-        else:
-            model = spec.latency
-            lookahead = spec.lookahead_m
         duration = sample_latency(model, counts, lookahead, len(objects), node.stream)
 
-        if node.proactive and not is_residual:
+        if node.proactive and residual_objects is None:
             arrival = self._proactive_arrival.get(node)
             if arrival is not None:
                 credit = mit.proactive_credit(spec.proactive_cost_us, arrival, now,
-                                              cancelled=cfg.cancel_proactive_every_frame)
+                                              cancelled=self._mit.cancel_proactive_every_frame)
                 duration = max(1, duration - credit)
             self._proactive_arrival[node] = None
 
         end = grp.ends[widx] = now + duration
-        # busy time within the run: a span may end after the horizon
-        grp.busy_us += min(end, self._horizon) - now
+        grp.busy_us += duration
         guest = node.home is not grp
-        lineage = _advance_lineage(inputs, duration)
+        if single:
+            lineage = {}
+            for origin, (cap_ts, module) in inputs[0].lineage.items():
+                lineage[origin] = (cap_ts, module + duration)
+        else:
+            lineage = _advance_lineage(inputs, duration)
         span = Span(node.name, max(lineage, default=-1), now, end, grp.worker_names[widx],
-                    task.ready_us, path.value, guest, is_residual)
+                    ready_us, path, guest, residual_objects is not None)
         self.trace.spans.append(span)
-        if not guest and end - task.ready_us > grp.spec.budget_us:
+        if not guest and end - ready_us > grp.budget_us:
             self.trace.budget_violations += 1
 
-        self.queue.schedule(end, lambda: self._finish_task(
-            task, grp, widx, span, objects, counts, residual, lineage))
+        self.queue.schedule(end, partial(self._finish_task, node, inputs, grp, widx, span,
+                                         objects, counts, residual, lineage))
 
-    def _finish_task(self, task: _Task, grp: _GroupState, widx: int, span: Span,
+    def _finish_task(self, node: _Node, inputs: list, grp: _GroupState, widx: int, span: Span,
                      objects, counts: dict, residual, lineage: dict):
         now = self.queue.clock
         grp.ends[widx] = None
-        node = task.node
         # a non-fusion node's output objects are its objects, so it passes their counts on
-        msg = FrameMessage(now, self._transform_objects(node, objects),
-                           span.path == PathChoice.FASTPATH or span.residual, lineage,
+        msg = FrameMessage(now, self._fuse(node, objects) if node.fusion else objects,
+                           span.path == "fastpath" or span.residual, lineage,
                            None if node.fusion else counts)
 
-        deliver = True
-        if span.residual and not mit.residual_needs_downstream(objects):
-            deliver = False
+        deliver = not span.residual or mit.residual_needs_downstream(objects)
         if node.control:
             self._decide(msg, now)
         if node.terminal:
@@ -515,43 +510,49 @@ class Simulation:
         if deliver:
             self._emit(node, msg)
 
+        # only this group, and the home of a residual pass, can now hold
+        # ready work beside a free worker; groups dispatch in config order
         if residual:
-            node.home.ready.append(_Task(
-                node, ready_us=now, inputs=task.inputs, residual_objects=residual))
-
-        for g in self.groups.values():
-            if g.ready and None in g.ends:
+            node.home.ready.append((node, now, inputs, residual))
+            for g in self.groups.values():
                 self._dispatch(g)
+        elif grp.ready:
+            self._dispatch(grp)
 
-    def _transform_objects(self, node: _Node, objects):
-        if not node.fusion:
-            return objects
+    def _fuse(self, node: _Node, objects):
         hist, tracks = self._fusion.get(node, ({}, {}))
         seen = {o.agent_id: o for o in objects}
         published, hist = fusion_update(node.spec.fusion, hist, set(seen))
-        # an id stays in the history only while it was detected in the window
-        tracks = {oid: seen[oid] if oid in seen else tracks[oid] for oid in hist}
+        # a published id was detected within the window, and its newest
+        # detection is its track; ids are scenario agents, so tracks stays small
+        tracks.update(seen)
         self._fusion[node] = hist, tracks
-        return tuple(tracks[oid] for oid in sorted(published))
+        return tuple(map(tracks.__getitem__, sorted(published)))
 
     def _emit(self, node: _Node, msg: FrameMessage):
-        predicted, arrivals = self._predicted, self._proactive_arrival
+        """Offer msg on node's outputs and trigger each interrupt consumer.
+        A triggered task starts at once on a free home worker, after any
+        older ready task; with no free home worker it may be stolen, or
+        waits in the home queue for a task to finish."""
+        predicted, arrivals, now = self._predicted, self._proactive_arrival, self.queue.clock
         for channel, consumers in node.outputs:
             channel.offer(msg)
             for consumer in consumers:
                 predicted.pop(consumer, None)
                 if consumer.proactive and arrivals.get(consumer) is None:
-                    arrivals[consumer] = self.queue.clock
-                if consumer.interrupt:
-                    self._trigger_interrupt(consumer)
-
-    def _trigger_interrupt(self, node: _Node):
-        grp = node.home
-        task = _Task(node, ready_us=self.queue.clock)
-        # a steal never frees a home worker, so after a refused one this dispatch starts nothing
-        if None in grp.ends or not (self._mit.stealing and self._try_steal(node, task)):
-            grp.ready.append(task)
-            self._dispatch(grp)
+                    arrivals[consumer] = now
+                if not consumer.interrupt:
+                    continue
+                grp = consumer.home
+                task, ends, ready = (consumer, now, None, None), grp.ends, grp.ready
+                if None not in ends:
+                    if not (self._mit.stealing and self._try_steal(consumer, task)):
+                        ready.append(task)
+                elif ready:         # _finish_task freed this worker before its dispatch
+                    ready.append(task)
+                    self._dispatch(grp)
+                else:
+                    self._start_task(task, grp, ends.index(None))
 
     def _predict_next(self, node: _Node) -> int:
         """Predicted cost of node's next run, from the message its next
@@ -561,27 +562,32 @@ class Simulation:
         cost = self._predicted.get(node)
         if cost is None:
             spec = node.spec
-            preview = [q[0] for q in (channel.queued for channel, _ in node.inputs) if q]
-            counts = (preview[0].object_counts() if len(preview) == 1
-                      else kind_counts(_merge_objects(preview)))
+            preview = [channel.queued[0] for channel, _ in node.inputs if channel.queued]
+            if len(preview) == 1:
+                counts = preview[0].counts or preview[0].object_counts()
+            else:
+                objects = _merge_objects(preview)
+                counts = kind_counts(objects)
+                self._merged[node] = objects, counts
             cost = self._predicted[node] = predict_latency(spec.latency, counts, spec.lookahead_m)
         return cost
 
     def _try_steal(self, node: _Node, task: _Task) -> bool:
-        now = self.queue.clock
+        now, predicted = self.queue.clock, self._predicted
         cost = None
         for host in node.steal_hosts:
-            widx = host.free_worker()
-            if widx is None:
+            ends = host.ends
+            if None not in ends:
                 continue
-            if cost is None:
-                cost = self._predict_next(node)
-            pending = [self._predict_next(t.node) for t in host.ready]
-            if mit.steal_admission(cost, host.worker_loads(now), pending,
-                                   host.spec.budget_us,
-                                   self._mit.steal_safety_factor):
+            if cost is None:    # a held prediction is read without the call
+                cost = predicted.get(node) or self._predict_next(node)
+            ready = host.ready
+            pending = ([predicted.get(t[0]) or self._predict_next(t[0]) for t in ready]
+                       if ready else [])
+            if mit.steal_admission(cost, [0 if end is None else end - now for end in ends],
+                                   pending, host.budget_us, self._mit.steal_safety_factor):
                 self.trace.steals_admitted += 1
-                self._start_task(task, host, widx)
+                self._start_task(task, host, ends.index(None))
                 return True
             self.trace.steals_rejected += 1
         return False
@@ -643,8 +649,6 @@ _BY_AGE, _AGENT_ID = attrgetter("created_ts"), attrgetter("agent_id")
 
 def _merge_objects(msgs) -> tuple[ObjectTrack, ...]:
     """Union of input objects, newest message wins per agent id."""
-    if len(msgs) == 1:      # most tasks: one input is its own union
-        return msgs[0].objects
     # a stable sort by age, so on equal created_ts the later input wins
     return tuple({o.agent_id: o for m in sorted(msgs, key=_BY_AGE) for o in m.objects}.values())
 

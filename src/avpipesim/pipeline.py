@@ -94,6 +94,8 @@ def sample_latency(m: LatencyModel, counts: dict[AgentKind, int],
                    stream: RandomStream) -> int:
     """One stochastic latency draw: prediction plus noise and contention."""
     base = predict_latency(m, counts, lookahead_m)
+    if m.noise.kind == NoiseKind.NONE and m.contention is None:
+        return max(m.offset_floor_us, round(base))      # an int stays exact
     value = float(base)
     if m.noise.kind == NoiseKind.LOGNORMAL:
         value *= stream.lognormal(m.noise.sigma)
@@ -193,17 +195,15 @@ def fusion_update(f: FusionSpec, history: dict[str, list[bool]],
     (newest last). An object is published when it has >= a detections in
     the window; objects absent from the whole window are dropped.
     """
+    n, a = f.n, f.a
     new_history: dict[str, list[bool]] = {}
     published: set[str] = set()
-    for oid in set(history) | frame_detections:
-        bits = list(history.get(oid, []))
-        bits.append(oid in frame_detections)
-        bits = bits[-f.n:]
-        if not any(bits):
-            continue      # stale track, drop
-        new_history[oid] = bits
-        if sum(bits) >= f.a:
-            published.add(oid)
+    for oid in history.keys() | frame_detections:
+        bits = [*history.get(oid, ()), oid in frame_detections][-n:]
+        if any(bits):       # else a stale track, dropped
+            new_history[oid] = bits
+            if sum(bits) >= a:
+                published.add(oid)
     return published, new_history
 
 

@@ -48,8 +48,7 @@ class AgentState:
     lane_index: int = 0
 
     def __post_init__(self):
-        if self.v_mps < 0:
-            raise ScenarioError(f"velocity must be >= 0, got {self.v_mps}")
+        check_min(self, 0, "v_mps", error=ScenarioError)
         if not abs(self.s_m) + abs(self.l_m) + abs(self.v_mps) + abs(self.a_mps2) <= MAX_MAGNITUDE:
             for name in ("s_m", "l_m", "v_mps", "a_mps2"):      # or only their sum is over
                 _check_magnitude(name, getattr(self, name))
@@ -70,16 +69,16 @@ class TrajectorySpec:
     visible_from_us: int = 0
 
     def __post_init__(self):
-        times = [t for t, _ in self.segments]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ScenarioError(f"segment start times must be strictly increasing: {times}")
-        if times and not (0 <= times[0] and times[-1] <= MAX_TIME_US):
-            raise ScenarioError(f"segment start times must be in [0, 2**63 - 1]: {times}")
+        for k, (t, a) in enumerate(self.segments):
+            if not 0 <= t <= MAX_TIME_US:
+                raise ScenarioError(f"segments[{k}].start_us: expected in [0, 2**63 - 1], got {t}")
+            if k and t <= self.segments[k - 1][0]:
+                raise ScenarioError(f"segments[{k}].start_us: expected > segments[{k - 1}]"
+                                    f".start_us ({self.segments[k - 1][0]}), got {t}")
+            _check_magnitude(f"segments[{k}].a_mps2", a)
         if not abs(self.visible_from_us) <= MAX_TIME_US:
             raise ScenarioError(f"visible_from_us: expected magnitude <= 2**63 - 1, "
                                 f"got {self.visible_from_us}")
-        for k, (_, a) in enumerate(self.segments):
-            _check_magnitude(f"segments[{k}].a_mps2", a)
 
 
 @dataclass(frozen=True)

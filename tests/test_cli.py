@@ -129,13 +129,21 @@ BOUND_CASES = [
     ("scenario.json", _set(("duration_us",), 2**64),
      "scenario: duration_us: expected > 0 and <= 2**63 - 1, got 18446744073709551616"),
     ("scenario.json", _set(("agents", 0, "segments"), [{"start_us": 2**63, "a_mps2": -6.0}]),
-     "agents[0]: segment start times must be in [0, 2**63 - 1]: [9223372036854775808]"),
+     "agents[0]: segments[0].start_us: expected in [0, 2**63 - 1], got 9223372036854775808"),
     ("scenario.json", _set(("agents", 0, "visible_from_us"), -2**63 - 1),
      "agents[0]: visible_from_us: expected magnitude <= 2**63 - 1, got -9223372036854775809"),
+    # once refused without naming the field
+    ("scenario.json", _set(("ego", "v_mps"), -1.0), "ego: v_mps: expected >= 0, got -1.0"),
+    ("scenario.json", _set(("agents", 0, "segments"), [{"start_us": 5, "a_mps2": -1.0},
+                                                       {"start_us": 5, "a_mps2": 1.0}]),
+     "agents[0]: segments[1].start_us: expected > segments[0].start_us (5), got 5"),
+    ("scenario.json", _set(("agents", 0, "segments"), [{"start_us": -1, "a_mps2": -1.0}]),
+     "agents[0]: segments[0].start_us: expected in [0, 2**63 - 1], got -1"),
 ]
 BOUND_IDS = ["dbuffer-zero", "dbuffer-negative", "sigma-negative", "jitter-negative",
              "inputs-twice", "outputs-twice", "speed-huge", "ego-position-huge",
-             "segment-accel-huge", "duration-huge", "segment-start-huge", "visible-from-huge"]
+             "segment-accel-huge", "duration-huge", "segment-start-huge", "visible-from-huge",
+             "ego-speed-negative", "segment-starts-unordered", "segment-start-negative"]
 
 
 @pytest.mark.parametrize("name, mutate, expect", BOUND_CASES, ids=BOUND_IDS)

@@ -201,6 +201,21 @@ class TestControlApplication:
         sim.apply_control("brake", -6.0, t - ms(100))
         assert sim.ego_state(t).a_mps2 == -6.0
 
+    def test_a_brake_never_eases_a_harder_deceleration(self):
+        """An ego at 20 m/s decelerating at 8 m/s^2 stops within 25 m; the
+        default -6 m/s^2 brake decided on each frame must not stretch that.
+        It once set the brake level as it was and ended the run at 32.82 m."""
+        lead = TrajectorySpec(initial=AgentState(s_m=15.0, l_m=0.0, v_mps=0.0, a_mps2=0.0))
+        sc = Scenario(ego_initial=AgentState(s_m=0.0, l_m=0.0, v_mps=20.0, a_mps2=-8.0),
+                      agents=(("stopped", AgentKind.VEHICLE, lead),), duration_us=sec(3),
+                      d_buffer_m=2.0)
+        g = chain_pipeline({"proc": (ms(10), NodeRole.CONTROL)})
+        sim = Simulation(sc, g, one_group(g), EngineConfig(), seed=1)
+        trace = sim.run()
+        assert len(trace.ego_segments) > 20
+        assert {a for _, a in trace.ego_segments} == {-8.0}
+        assert sim.ego_state(sec(3)).s_m == pytest.approx(25.0)
+
     def test_later_decision_overrides(self):
         sim = self.make_sim(simple_scenario())
         sim.apply_control("brake", -2.0, sec(1))
@@ -297,6 +312,33 @@ class TestStealing:
         assert trace.budget_violations == 0
         assert (trace.steals_admitted, trace.steals_rejected) == (0, 10)
         assert {s.end_us - s.ready_us for s in trace.spans if s.node == "tick"} == {ms(25)}
+
+    def test_a_stolen_fastpath_pass_leaves_its_residual_pass_at_home(self):
+        """At 0 `busy` holds home's one worker for 5 ms, so `plan` is
+        stolen into host and takes the fastpath there (10 ms, as in
+        TestFastpath). Its residual pass is queued at home when the guest
+        pass ends; home's worker is free by then, so the residual pass
+        starts at once, not at busy's next tick at 100 ms."""
+        def still(s_m):
+            return TrajectorySpec(initial=AgentState(s_m=s_m, l_m=0.0, v_mps=0.0, a_mps2=0.0))
+        sc = Scenario(ego_initial=AgentState(s_m=0.0, l_m=0.0, v_mps=10.0, a_mps2=0.0),
+                      agents=(("near", AgentKind.VEHICLE, still(10.0)),
+                              ("far", AgentKind.VEHICLE, still(45.0))),
+                      duration_us=ms(50))
+        g = chain_pipeline({"plan": (ms(400), NodeRole.PLANNING), "sink": (ms(5), NodeRole.OTHER)},
+                           fast={"plan": LatencyModel(offset_us=ms(10))})
+        nodes = dict(g.nodes, busy=NodeSpec("busy", ExecutionPattern.TIMING, (), ("u",),
+                                            LatencyModel(offset_us=ms(5)), period_us=ms(100)))
+        g = PipelineGraph(nodes=nodes,
+                          channels=dict(g.channels, u=Channel("u", ChannelPolicy.FIFO)))
+        groups = [ProcessorGroup("home", 1, ("busy", "plan")),
+                  ProcessorGroup("host", 1, ("sensor", "sink"))]
+        cfg = EngineConfig(mitigation=MitigationConfig(fastpath=True, stealing=True))
+        trace = run_simulation(sc, g, groups, cfg, seed=1)
+        plan = [(s.worker, s.path, s.residual, s.ready_us, s.start_us) for s in trace.spans
+                if s.node == "plan"]
+        assert plan == [("host/0", "fastpath", False, 0, 0),
+                        ("home/0", "normal", True, ms(10), ms(10))]
 
 
 class TestDeterminism:

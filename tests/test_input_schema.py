@@ -143,6 +143,14 @@ def empty_road(d_buffer_m):
      "a_mps2: expected magnitude <= 1e+12, got -inf"),
     (lambda: TrajectorySpec(AgentState(0.0, 0.0, 1.0, 0.0), segments=((5, 2.0), (9, 1e13))),
      "segments[1].a_mps2: expected magnitude <= 1e+12, got 10000000000000.0"),
+    # once refused without naming the field
+    (lambda: AgentState(s_m=0.0, l_m=0.0, v_mps=-1.0, a_mps2=0.0), "v_mps: expected >= 0, got -1.0"),
+    (lambda: AgentState(s_m=0.0, l_m=0.0, v_mps=math.nan, a_mps2=0.0),
+     "v_mps: expected >= 0, got nan"),
+    (lambda: TrajectorySpec(AgentState(0.0, 0.0, 1.0, 0.0), segments=((9, 2.0), (5, 1.0))),
+     "segments[1].start_us: expected > segments[0].start_us (9), got 5"),
+    (lambda: TrajectorySpec(AgentState(0.0, 0.0, 1.0, 0.0), segments=((5, 2.0), (2**63, 1.0))),
+     "segments[1].start_us: expected in [0, 2**63 - 1], got 9223372036854775808"),
     # once accepted: the ego's position then left the magnitude bound mid-run
     (lambda: EngineConfig(brake_level_mps2=1e308),
      "brake_level_mps2: expected in [-1e+12, 0], got 1e+308"),
@@ -168,7 +176,8 @@ def empty_road(d_buffer_m):
         "negative-budget-run", "dbuffer-zero", "dbuffer-negative", "dbuffer-nan",
         "sigma-negative", "jitter-negative", "inputs-twice", "outputs-twice",
         "range-nan", "sigma-nan", "lookahead-nan", "speed-huge", "lateral-nan",
-        "accel-infinite", "segment-accel-huge", "brake-huge", "brake-positive", "brake-nan",
+        "accel-infinite", "segment-accel-huge", "speed-negative", "speed-nan",
+        "segment-starts-unordered", "segment-start-huge", "brake-huge", "brake-positive", "brake-nan",
         "radius-nan", "radius-zero", "safety-factor-nan", "safety-factor-low",
         "rss-accel-nan", "rss-response-zero", "rss-mu-negative", "rss-brakes-crossed"])
 def test_bounds_hold_for_library_calls(build, expect):

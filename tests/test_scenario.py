@@ -175,7 +175,8 @@ class TestSerialization:
 
 class TestInvariants:
     def test_non_monotone_segments_rejected(self):
-        with pytest.raises(ScenarioError, match="increasing"):
+        with pytest.raises(ScenarioError, match=re.escape(
+                "segments[1].start_us: expected > segments[0].start_us (2000000), got 1000000")):
             TrajectorySpec(initial=AgentState(0, 0, 5, 0),
                            segments=((sec(2), -1.0), (sec(1), 0.0)))
 

@@ -1,15 +1,20 @@
 """The scheduler's memoized hot path against a from-scratch reference.
 
 Simulation memoizes each node's predicted next cost (dropped when one of
-its input channels is offered to or taken from) and prices a steal only
-on a host with a free worker. UncachedSimulation below recomputes every
-prediction on every call and merges inputs with a reference; both must
-write the same trace, byte for byte, on random layered DAGs with every
-mitigation on and tight budgets, so that steal admission both admits
-and rejects. The reference merge sorts by id and the engine's does not,
-so the equal traces also show that no trace reads an object order. The
-memoized run checks that every message it emits holds distinct ids and
-carries its objects' kind counts.
+its input channels is offered to or taken from) and the merge behind it,
+prices a steal only on a host with a free worker, starts a triggered
+task at once when its home group has a free worker and nothing older
+waits, and after a task ends dispatches only the groups that can have
+gained work. UncachedSimulation below recomputes every prediction on
+every call, merges inputs with a reference, triggers a task from scratch
+(a steal if no home worker is free, else queue it and dispatch) and
+dispatches every group after each task; both must write the same trace,
+byte for byte, on random layered DAGs with every mitigation on and tight
+budgets, so that steal admission both admits and rejects. The reference
+merge sorts by id and the engine's does not, so the equal traces also
+show that no trace reads an object order. The memoized run checks that
+every message it emits holds distinct ids and carries its objects' kind
+counts.
 """
 
 from collections import defaultdict
@@ -44,7 +49,8 @@ def reference_merge(msgs):
 
 
 class UncachedSimulation(Simulation):
-    """Predictions recomputed on every call, merges by the reference."""
+    """Predictions recomputed on every call, merges by the reference, and
+    its own trigger and end-of-task dispatch."""
 
     def _predict_next(self, node):
         spec = node.spec
@@ -62,14 +68,34 @@ class UncachedSimulation(Simulation):
             widx = next((i for i, end in enumerate(host.ends) if end is None), None)
             if widx is None:
                 continue
-            pending = [self._predict_next(t.node) for t in host.ready]
-            if steal_admission(cost, host.worker_loads(now), pending, host.spec.budget_us,
+            pending = [self._predict_next(node) for node, *_ in host.ready]
+            loads = [0 if end is None else end - now for end in host.ends]
+            if steal_admission(cost, loads, pending, host.spec.budget_us,
                                self.config.mitigation.steal_safety_factor):
                 self.trace.steals_admitted += 1
                 self._start_task(task, host, widx)
                 return True
             self.trace.steals_rejected += 1
         return False
+
+    def _emit(self, node, msg):
+        now = self.queue.clock
+        for channel, consumers in node.outputs:
+            channel.offer(msg)
+            for consumer in consumers:
+                if consumer.proactive and self._proactive_arrival.get(consumer) is None:
+                    self._proactive_arrival[consumer] = now
+                if consumer.interrupt:
+                    task, home = (consumer, now, None, None), consumer.home
+                    if (None in home.ends or not self.config.mitigation.stealing
+                            or not self._try_steal(consumer, task)):
+                        home.ready.append(task)
+                        self._dispatch(home)
+
+    def _finish_task(self, *args):
+        super()._finish_task(*args)
+        for grp in self.groups.values():
+            self._dispatch(grp)
 
     def run(self):
         with mock.patch.object(engine, "_merge_objects", reference_merge):
