@@ -16,8 +16,7 @@ from .mitigation import (MitigationConfig, PathChoice, choose_path, message_dead
 from .pipeline import (Channel, ChannelPolicy, ExecutionPattern, FrameMessage,
                        FusionSpec, LatencyModel, NodeRole, NodeSpec, ObjectTrack,
                        PipelineGraph, fusion_update, load_pipeline,
-                       predict_latency, sample_latency, save_pipeline,
-                       validate_graph)
+                       predict_latency, sample_latency, save_pipeline)
 from .safety import (ReactionBudget, RssParams, SafetyLevel, SafetyStatus,
                      check_safety, closure_distance, object_deadline,
                      reaction_budget, rss_longitudinal_min_distance)

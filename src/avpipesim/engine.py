@@ -20,10 +20,9 @@ from typing import Iterator, Optional
 from . import mitigation as mit
 from .jsonio import InputError, check_min, read_record, refuse_constant
 from .mitigation import MitigationConfig, PathChoice
-from .pipeline import (Channel, CompiledGraph, ExecutionPattern, FrameMessage, NodeRole,
-                       NodeSpec, NoiseKind, ObjectTrack, PipelineGraph,
-                       downstream_estimate, fusion_update, kind_counts, predict_latency,
-                       sample_latency, validate_graph)
+from .pipeline import (Channel, ExecutionPattern, FrameMessage, NodeRole, NodeSpec,
+                       NoiseKind, ObjectTrack, PipelineGraph, downstream_estimate,
+                       fusion_update, kind_counts, predict_latency, sample_latency)
 from .safety import RssParams
 from .scenario import (MAX_MAGNITUDE, AgentState, CompiledTrajectory, Scenario, TrajectorySpec,
                        scenario_to_json)
@@ -285,9 +284,7 @@ class Simulation:
 
     def __init__(self, scenario: Scenario, graph: PipelineGraph,
                  groups: list[ProcessorGroup], config: EngineConfig, seed: int):
-        validate_graph(graph)
-        self.scenario = scenario
-        self._net = net = CompiledGraph(graph)
+        self.scenario, self._graph = scenario, graph
         self.config, self._mit, self._horizon = config, config.mitigation, scenario.duration_us
         self.seed = seed
         self.queue = EventQueue()
@@ -307,7 +304,7 @@ class Simulation:
         self.groups = {g.name: _GroupState(g) for g in groups}
         hosts = sorted(self.groups.items())
         terminals = ({n for n, s in graph.nodes.items() if s.role == NodeRole.CONTROL}
-                     or {n for n in graph.nodes if not net.successors(n)})
+                     or {n for n in graph.nodes if not graph.successors(n)})
         # each stream is seeded by (seed, crc32(its name)), so making them
         # all up front leaves every draw as it was
         self._nodes = {n: _Node(spec, self.groups[pinned[n]],
@@ -317,7 +314,7 @@ class Simulation:
                        for n, spec in graph.nodes.items()}
         # the run's own queue per channel, with the plans of its consumers
         ports = {cid: (Channel(cid, ch.policy, ch.capacity),
-                       tuple(self._nodes[m] for m in net.consumers[cid]))
+                       tuple(self._nodes[m] for m in graph.consumers_of(cid)))
                  for cid, ch in graph.channels.items()}
         for node in self._nodes.values():
             node.inputs = tuple(ports[c] for c in node.spec.inputs)
@@ -458,7 +455,7 @@ class Simulation:
         model, lookahead = spec.latency, spec.lookahead_m
         if node.fastpath and residual_objects is None:
             cfg = self._mit
-            est = downstream_estimate(self._net, node.name, counts)
+            est = downstream_estimate(self._graph, node.name, counts)
             deadline = mit.message_deadline(objects, now, cfg.deadline_cap_us)
             if mit.choose_path(spec, counts, deadline, now, est) == PathChoice.FASTPATH:
                 path, model, lookahead = "fastpath", spec.fast_latency, node.fast_lookahead
@@ -490,8 +487,11 @@ class Simulation:
         if not guest and end - ready_us > grp.budget_us:
             self.trace.budget_violations += 1
 
-        self.queue.schedule(end, partial(self._finish_task, node, inputs, grp, widx, span,
-                                         objects, counts, residual, lineage))
+        # a finish past the horizon would never fire; left out, it leaves the
+        # queue empty when run() ends, so nothing in it holds the run
+        if end <= self._horizon:
+            self.queue.schedule(end, partial(self._finish_task, node, inputs, grp, widx, span,
+                                             objects, counts, residual, lineage))
 
     def _finish_task(self, node: _Node, inputs: list, grp: _GroupState, widx: int, span: Span,
                      objects, counts: dict, residual, lineage: dict):
@@ -579,8 +579,8 @@ class Simulation:
             ends = host.ends
             if None not in ends:
                 continue
-            if cost is None:    # a held prediction is read without the call
-                cost = predicted.get(node) or self._predict_next(node)
+            if cost is None:    # _emit has just dropped this node's prediction
+                cost = self._predict_next(node)
             ready = host.ready
             pending = ([predicted.get(t[0]) or self._predict_next(t[0]) for t in ready]
                        if ready else [])

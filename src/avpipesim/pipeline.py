@@ -251,72 +251,62 @@ def kind_counts(objects) -> dict[AgentKind, int]:
 
 @dataclass(frozen=True)
 class PipelineGraph:
+    """A dataflow DAG, checked and indexed once, when it is built: every
+    channel a node names exists, each channel has at most one producer,
+    and there is no cycle. Its nodes and channels dicts must not be
+    changed afterwards."""
     nodes: dict[str, NodeSpec]
     channels: dict[str, Channel]
 
-    def consumers_of(self, channel_id: str) -> list[str]:
-        return [n for n, spec in self.nodes.items() if channel_id in spec.inputs]
+    def __post_init__(self):
+        producers: dict[str, list[str]] = {}
+        for name, node in self.nodes.items():
+            for ch in node.inputs:
+                if ch not in self.channels:
+                    raise PipelineError(f"node {name}: unknown input channel {ch!r}")
+            for ch in node.outputs:
+                if ch not in self.channels:
+                    raise PipelineError(f"node {name}: unknown output channel {ch!r}")
+                producers.setdefault(ch, []).append(name)
+        for ch, prods in producers.items():
+            if len(prods) > 1:
+                raise PipelineError(f"channel {ch!r} has multiple producers: {sorted(prods)}")
+        # the adjacency: plain attributes, not fields, so saving and == ignore them
+        consumers = {c: tuple(sorted(n for n, spec in self.nodes.items() if c in spec.inputs))
+                     for c in self.channels}
+        successors = {n: tuple(m for ch in spec.outputs for m in consumers[ch])
+                      for n, spec in self.nodes.items()}
+        object.__setattr__(self, "_consumers", consumers)
+        object.__setattr__(self, "_successors", successors)
+        # cycle detection, reporting the offending path
+        WHITE, GRAY, BLACK = 0, 1, 2
+        color = {n: WHITE for n in self.nodes}
+        stack: list[str] = []
 
-    def successors(self, node: str) -> list[str]:
-        out = []
-        for ch in self.nodes[node].outputs:
-            out.extend(self.consumers_of(ch))
-        return out
+        def visit(n: str):
+            color[n] = GRAY
+            stack.append(n)
+            for m in sorted(successors[n]):
+                if color[m] == GRAY:
+                    path = stack[stack.index(m):] + [m]
+                    raise PipelineError(f"cycle: {'->'.join(path)}")
+                if color[m] == WHITE:
+                    visit(m)
+            stack.pop()
+            color[n] = BLACK
 
+        for n in sorted(self.nodes):
+            if color[n] == WHITE:
+                visit(n)
 
-def validate_graph(g: PipelineGraph) -> None:
-    """Check structural invariants; raises PipelineError with specifics."""
-    producers: dict[str, list[str]] = {}
-    for name, node in g.nodes.items():
-        for ch in node.inputs:
-            if ch not in g.channels:
-                raise PipelineError(f"node {name}: unknown input channel {ch!r}")
-        for ch in node.outputs:
-            if ch not in g.channels:
-                raise PipelineError(f"node {name}: unknown output channel {ch!r}")
-            producers.setdefault(ch, []).append(name)
-    for ch, prods in producers.items():
-        if len(prods) > 1:
-            raise PipelineError(
-                f"channel {ch!r} has multiple producers: {sorted(prods)}")
-    # cycle detection, reporting the offending path
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in g.nodes}
-    stack: list[str] = []
-
-    def visit(n: str):
-        color[n] = GRAY
-        stack.append(n)
-        for m in sorted(g.successors(n)):
-            if color[m] == GRAY:
-                path = stack[stack.index(m):] + [m]
-                raise PipelineError(f"cycle: {'->'.join(path)}")
-            if color[m] == WHITE:
-                visit(m)
-        stack.pop()
-        color[n] = BLACK
-
-    for n in sorted(g.nodes):
-        if color[n] == WHITE:
-            visit(n)
-
-
-class CompiledGraph:
-    """A graph's adjacency, computed once: the sorted consumers of each
-    channel and the successors of each node. Like PipelineGraph it has
-    nodes and successors(), so downstream_estimate takes either."""
-
-    def __init__(self, g: PipelineGraph):
-        self.nodes = g.nodes
-        self.consumers = {c: tuple(sorted(g.consumers_of(c))) for c in g.channels}
-        self._successors = {n: tuple(m for ch in spec.outputs for m in self.consumers[ch])
-                            for n, spec in g.nodes.items()}
+    def consumers_of(self, channel_id: str) -> tuple[str, ...]:
+        return self._consumers[channel_id]
 
     def successors(self, node: str) -> tuple[str, ...]:
         return self._successors[node]
 
 
-def downstream_estimate(g: PipelineGraph | CompiledGraph, node: str,
+def downstream_estimate(g: PipelineGraph, node: str,
                         counts: dict[AgentKind, int]) -> int:
     """Predicted remaining latency along the longest path after node.
 
@@ -357,9 +347,7 @@ _SCHEMA = {
 
 
 def pipeline_from_json(obj: dict) -> PipelineGraph:
-    g = from_json(PipelineGraph, obj, "pipeline", PIPELINE_FORMAT, PipelineError, _SCHEMA)
-    validate_graph(g)
-    return g
+    return from_json(PipelineGraph, obj, "pipeline", PIPELINE_FORMAT, PipelineError, _SCHEMA)
 
 
 def pipeline_to_json(g: PipelineGraph) -> dict:

@@ -13,7 +13,7 @@ from enum import Enum
 from typing import Optional
 
 from .jsonio import InputError, check_min
-from .scenario import AgentState
+from .scenario import AgentState, _advance
 from .simkernel import US_PER_S
 
 # Calibration for the corner-case reaction windows: the buffer the ego
@@ -87,17 +87,6 @@ def rss_longitudinal_min_distance(v_rear: float, v_front: float, p: RssParams) -
     return max(0.0, d)
 
 
-def _displacement(v0: float, a: float, t_s: float) -> float:
-    """Forward displacement with velocity clamped at zero."""
-    if a < 0 and v0 > 0:
-        t_stop = v0 / -a
-        if t_s >= t_stop:
-            return v0 * t_stop + 0.5 * a * t_stop * t_stop
-    elif a < 0 and v0 <= 0:
-        return 0.0
-    return v0 * t_s + 0.5 * a * t_s * t_s
-
-
 def closure_distance(ego: AgentState, obstacle: AgentState, t_us: int) -> float:
     """Gap reduction after t with no ego reaction.
 
@@ -109,7 +98,7 @@ def closure_distance(ego: AgentState, obstacle: AgentState, t_us: int) -> float:
         raise ValueError(f"t must be >= 0, got {t_us}")
     t_s = t_us / US_PER_S
     ego_disp = ego.v_mps * t_s
-    obs_disp = _displacement(obstacle.v_mps, obstacle.a_mps2, t_s)
+    obs_disp = _advance(0.0, obstacle.v_mps, obstacle.a_mps2, t_s)[0]
     return ego_disp - obs_disp
 
 

@@ -105,11 +105,9 @@ class Scenario:
             if aid not in seen:
                 raise ScenarioError(f"hazard references unknown agent id: {aid!r}")
         # bound every state a run may derive, which then goes unchecked: speeds
-        # are >= 0, so |s| peaks at 0 or at duration_us; a brake sets the ego's
-        # acceleration to a level <= 0, so held at max(a, 0) it goes furthest
-        ego = self.ego_initial
-        bound = _state(ego.s_m, ego.l_m, ego.v_mps, max(ego.a_mps2, 0.0))
-        for who, traj in [("ego", TrajectorySpec(bound)),
+        # are >= 0, so |s| peaks at 0 or at duration_us; a brake never raises the
+        # ego's acceleration, so held as given it goes furthest
+        for who, traj in [("ego", TrajectorySpec(self.ego_initial)),
                           *((f"agent {aid!r}", traj) for aid, _, traj in self.agents)]:
             s, _, _, v_peak = _integrate(traj, self.duration_us)
             for name, value in (("s_m", s), ("v_mps", v_peak)):

@@ -34,44 +34,42 @@ class EventQueue:
     """Priority queue of timed events, popped in (fire_at, seq) order.
 
     seq is assigned at schedule time, so simultaneous events fire in the
-    order they were scheduled. A heap entry [fire_at, seq, action] is the
-    handle schedule() returns; its action becomes None once the event
-    fires or is cancelled, and a cancelled entry is skipped on pop.
+    order they were scheduled. A heap entry is the tuple (fire_at, seq,
+    action), which schedule() returns as the event's handle; cancel()
+    takes the entry out of the heap.
     """
 
     def __init__(self):
-        self._heap: list[list] = []
+        self._heap: list[tuple] = []
         self._seq = 0
         self.clock = 0
 
-    def schedule(self, fire_at: int, action: Callable[[], None]) -> list:
+    def schedule(self, fire_at: int, action: Callable[[], None]) -> tuple:
         if fire_at < 0:
             raise SchedulingError(f"negative fire time {fire_at}")
         if fire_at < self.clock:
             raise SchedulingError(
                 f"cannot schedule at {fire_at} us: clock is already {self.clock} us"
             )
-        entry = [fire_at, self._seq, action]
+        entry = (fire_at, self._seq, action)
         self._seq += 1
         heapq.heappush(self._heap, entry)
         return entry
 
-    def cancel(self, entry: list) -> bool:
+    def cancel(self, entry: tuple) -> bool:
         """Cancel a pending event; False if it already fired or was cancelled."""
-        pending = entry[2] is not None
-        entry[2] = None
-        return pending
+        try:
+            self._heap.remove(entry)    # seq is unique, so only this entry equals it
+        except ValueError:
+            return False
+        heapq.heapify(self._heap)
+        return True
 
     def run_until(self, horizon: int) -> int:
         """Execute all events with fire_at <= horizon; returns the final clock."""
-        heap = self._heap
+        heap, pop = self._heap, heapq.heappop
         while heap and heap[0][0] <= horizon:
-            entry = heapq.heappop(heap)
-            action = entry[2]
-            if action is None:
-                continue
-            entry[2] = None
-            self.clock = entry[0]
+            self.clock, _, action = pop(heap)
             action()
         if horizon > self.clock:
             self.clock = horizon

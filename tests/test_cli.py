@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, file outputs, overrides."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -65,15 +66,14 @@ def test_validate_missing_file(workdir, capsys):
 
 
 def test_validate_reports_cycle(workdir, capsys):
-    nodes = {
-        "a": NodeSpec("a", ExecutionPattern.INTERRUPT, ("y",), ("x",),
-                      LatencyModel(offset_us=ms(1))),
-        "b": NodeSpec("b", ExecutionPattern.INTERRUPT, ("x",), ("y",),
-                      LatencyModel(offset_us=ms(1))),
-    }
-    chans = {c: Channel(c, ChannelPolicy.FIFO) for c in ("x", "y")}
+    # a cyclic PipelineGraph cannot be built, so its file is written by hand
+    nodes = [{"name": "a", "pattern": "interrupt", "inputs": ["y"], "outputs": ["x"],
+              "latency": {"offset_us": ms(1)}},
+             {"name": "b", "pattern": "interrupt", "inputs": ["x"], "outputs": ["y"],
+              "latency": {"offset_us": ms(1)}}]
     bad = workdir / "cyclic.json"
-    save_pipeline(PipelineGraph(nodes=nodes, channels=chans), bad)
+    bad.write_text(json.dumps({"format": 1, "nodes": nodes,
+                               "channels": [{"id": "x"}, {"id": "y"}]}))
     rc = main(["validate", "--scenario", str(workdir / "scenario.json"),
                "--pipeline", str(bad)])
     assert rc == EXIT_VALIDATION
@@ -433,11 +433,9 @@ def test_run_seed_required_for_stochastic_pipeline(workdir, capsys):
                             "act": (ms(5), NodeRole.CONTROL)})
     noisy = LatencyModel(offset_us=ms(20),
                         noise=NoiseSpec(kind=NoiseKind.LOGNORMAL, sigma=0.2))
-    graph.nodes["detect"] = NodeSpec("detect", ExecutionPattern.INTERRUPT,
-                                     graph.nodes["detect"].inputs,
-                                     graph.nodes["detect"].outputs,
-                                     noisy, role=NodeRole.PERCEPTION)
-    save_pipeline(graph, workdir / "pipeline.json")
+    detect = dataclasses.replace(graph.nodes["detect"], latency=noisy)
+    save_pipeline(PipelineGraph({**graph.nodes, "detect": detect}, graph.channels),
+                  workdir / "pipeline.json")
     cfg = json.loads((workdir / "config.json").read_text())
     del cfg["seed"]
     (workdir / "config.json").write_text(json.dumps(cfg))

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from avpipesim import engine
@@ -359,6 +362,21 @@ class TestDeterminism:
                   for _ in range(2)]
         assert traces[0] == traces[1]
         assert all(not ch.queued for ch in g.channels.values())
+
+    def test_a_finished_run_is_freed_without_the_cycle_collector(self):
+        """The task running at the horizon (the 2 s capture's, 150 ms long)
+        never finishes, and no event of it is left behind to hold the run."""
+        g = chain_pipeline({"proc": (ms(150), NodeRole.CONTROL)})
+        sim = Simulation(simple_scenario(sec(2)), g, one_group(g, workers=1),
+                         EngineConfig(), seed=1)
+        trace, run = sim.run(), weakref.ref(sim)
+        assert trace.spans[-1].end_us > sec(2)
+        gc.disable()
+        try:
+            del sim
+            assert run() is None
+        finally:
+            gc.enable()
 
     def test_trace_ndjson_roundtrip(self, following_scenario):
         g = chain_pipeline({"a": (ms(20), NodeRole.PERCEPTION),

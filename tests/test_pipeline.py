@@ -1,15 +1,15 @@
 import math
+import pickle
 
 import pytest
 
 from avpipesim import pipeline
-from avpipesim.pipeline import (Channel, ChannelPolicy, CompiledGraph, ContentionSpec,
-                                ExecutionPattern, FrameMessage, FusionSpec, LatencyModel,
-                                NodeRole, NodeSpec, NoiseKind, NoiseSpec, ObjectTrack,
-                                PipelineError, PipelineGraph, downstream_estimate,
-                                fusion_update, kind_counts, pipeline_from_json,
-                                pipeline_to_json, predict_latency, sample_latency,
-                                validate_graph)
+from avpipesim.pipeline import (Channel, ChannelPolicy, ContentionSpec, ExecutionPattern,
+                                FrameMessage, FusionSpec, LatencyModel, NodeRole, NodeSpec,
+                                NoiseKind, NoiseSpec, ObjectTrack, PipelineError,
+                                PipelineGraph, downstream_estimate, fusion_update,
+                                kind_counts, pipeline_from_json, pipeline_to_json,
+                                predict_latency, sample_latency)
 from avpipesim.scenario import AgentKind
 from avpipesim.simkernel import RandomStream, ms
 
@@ -31,30 +31,55 @@ def graph(nodes, channel_ids):
 
 
 class TestValidateGraph:
+    """A graph is checked when it is built."""
+
     def test_linear_chain_ok(self):
         g = graph([node("s", (), ("a",), role=NodeRole.SENSOR,
                         pattern=ExecutionPattern.TIMING),
                    node("p", ("a",), ("b",)),
                    node("q", ("b",), ("c",))], ["a", "b", "c"])
-        validate_graph(g)
+        assert g.consumers_of("a") == ("p",) and g.consumers_of("c") == ()
+        assert g.successors("s") == ("p",) and g.successors("q") == ()
 
     def test_cycle_reported_with_path(self):
-        g = graph([node("A", ("cb",), ("ca",)), node("B", ("ca",), ("cb",))],
-                  ["ca", "cb"])
         with pytest.raises(PipelineError, match="cycle: A->B->A"):
-            validate_graph(g)
+            graph([node("A", ("cb",), ("ca",)), node("B", ("ca",), ("cb",))],
+                  ["ca", "cb"])
 
     def test_multi_producer_rejected(self):
-        g = graph([node("A", (), ("shared",)), node("B", (), ("shared",))],
-                  ["shared"])
         with pytest.raises(PipelineError) as e:
-            validate_graph(g)
+            graph([node("A", (), ("shared",)), node("B", (), ("shared",))],
+                  ["shared"])
         assert "A" in str(e.value) and "B" in str(e.value)
 
     def test_dangling_channel_rejected(self):
-        g = graph([node("A", ("missing",), ("out",))], ["out"])
         with pytest.raises(PipelineError, match="missing"):
-            validate_graph(g)
+            graph([node("A", ("missing",), ("out",))], ["out"])
+
+    @pytest.mark.parametrize("nodes, channels, message", [
+        ([node("A", ("missing",), ("out",))], ["out"],
+         "node A: unknown input channel 'missing'"),
+        ([node("A", (), ("out", "gone"))], ["out"], "node A: unknown output channel 'gone'"),
+        ([node("B", (), ("shared",)), node("A", (), ("shared",))], ["shared"],
+         "channel 'shared' has multiple producers: ['A', 'B']"),
+        ([node("s", (), ("a",)), node("A", ("a", "cb"), ("ca",)), node("B", ("ca",), ("cb",))],
+         ["a", "ca", "cb"], "cycle: A->B->A"),
+    ], ids=["unknown-input", "unknown-output", "two-producers", "cycle"])
+    def test_construction_refuses_with_the_full_message(self, nodes, channels, message):
+        with pytest.raises(PipelineError) as e:
+            graph(nodes, channels)
+        assert str(e.value) == message
+
+    def test_adjacency_is_not_a_field(self):
+        g = self.fork()
+        assert g == self.fork() and set(pipeline_to_json(g)) == {"format", "nodes", "channels"}
+        clone = pickle.loads(pickle.dumps(g))
+        assert clone == g and clone.consumers_of("a") == ("p", "q")
+        assert g.successors("s") == ("p", "q")
+
+    def fork(self):
+        return graph([node("s", (), ("a",)), node("q", ("a",), ("c",)),
+                      node("p", ("a",), ("b",))], ["a", "b", "c"])
 
 
 class TestDownstreamEstimate:
@@ -77,12 +102,10 @@ class TestDownstreamEstimate:
             return predict_latency(m, counts, lookahead_m)
 
         monkeypatch.setattr(pipeline, "predict_latency", counted)
-        for graph_view in (g, CompiledGraph(g)):
-            calls.clear()
-            # 11 layers below n0_0, each costing at most 1001
-            assert downstream_estimate(graph_view, "n0_0", {}) == 11 * 1001
-            assert len(calls) <= len(g.nodes)
-        assert downstream_estimate(CompiledGraph(g), "n11_0", {}) == 0
+        # 11 layers below n0_0, each costing at most 1001
+        assert downstream_estimate(g, "n0_0", {}) == 11 * 1001
+        assert len(calls) <= len(g.nodes)
+        assert downstream_estimate(g, "n11_0", {}) == 0
 
 
 class TestPredictLatency:
@@ -271,8 +294,10 @@ class TestSerialization:
                          {"name": "B", "pattern": "interrupt", "inputs": ["ca"],
                           "outputs": ["cb"], "latency": {"offset_us": 10}}],
                "channels": [{"id": "ca"}, {"id": "cb"}]}
-        with pytest.raises(PipelineError, match="cycle"):
+        with pytest.raises(PipelineError) as e:
             pipeline_from_json(obj)
+        # a graph error carries the prefix of every other pipeline record's error
+        assert str(e.value) == "pipeline: cycle: A->B->A"
 
 
 class TestNodeSpecInvariants:

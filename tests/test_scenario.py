@@ -228,7 +228,7 @@ class TestReachBound:
             assume(False)
         braked = CompiledTrajectory(TrajectorySpec(ego))
         for t, level in brakes:         # as Simulation.apply_control appends them
-            braked.append(t, level)
+            braked.append(t, min(level, braked.states[-1][2]))
         edges = {t + d for t, _ in segments + brakes for d in (-1, 0, 1)}
         times = data.draw(st.lists(st.integers(0, duration_us), max_size=6))
         times += [0, duration_us, *(t for t in edges if 0 <= t <= duration_us)]
@@ -259,11 +259,13 @@ class TestReachBound:
         assert Scenario(AgentState(0.0, 0.0, 0.0, 0.0), (("a", AgentKind.VEHICLE, agent),),
                         duration_us=sec(1))
 
-    def test_a_decelerating_ego_is_bounded_as_if_coasting(self):
-        """A brake level above the ego's own deceleration (0 at most) eases
-        it, so the ego is bounded at max(a, 0), here 0: 1 m/s for 2e12 s."""
-        ego = AgentState(0.0, 0.0, 1.0, -1.0)
+    def test_a_braking_ego_is_bounded_as_given(self):
+        """A brake never raises the ego's acceleration, so the ego is bounded
+        as given: from 20 m/s at -8 m/s**2 it stops after 25 m, however long
+        the run. Bounded at max(a, 0), it was refused."""
+        assert Scenario(AgentState(0.0, 0.0, 20.0, -8.0), (), duration_us=MAX_TIME_US)
+        assert Scenario(AgentState(0.0, 0.0, 1.0, -1.0), (), duration_us=sec(2e12))
         with pytest.raises(ScenarioError, match=re.escape(
                 "ego: s_m within duration_us 2000000000000000000: expected magnitude "
                 "<= 1e+12, got 2000000000000.0")):
-            Scenario(ego, (), duration_us=sec(2e12))
+            Scenario(AgentState(0.0, 0.0, 1.0, 0.0), (), duration_us=sec(2e12))
