@@ -8,13 +8,12 @@ reaction-time decomposition T1 - T0 = t_sensor + t_module + t_bubble.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import deque
 from dataclasses import dataclass, field, fields
 from functools import partial
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterator, Optional
 
 from . import mitigation as mit
@@ -24,8 +23,7 @@ from .pipeline import (Channel, ExecutionPattern, FrameMessage, NodeRole, NodeSp
                        NoiseKind, ObjectTrack, PipelineGraph, downstream_estimate,
                        fusion_update, kind_counts, predict_latency, sample_latency)
 from .safety import RssParams
-from .scenario import (MAX_MAGNITUDE, AgentState, CompiledTrajectory, Scenario, TrajectorySpec,
-                       scenario_to_json)
+from .scenario import MAX_MAGNITUDE, AgentState, CompiledTrajectory, Scenario, TrajectorySpec
 from .simkernel import EventQueue, StreamFactory
 from .world import ClosestApproach, SafetySample, World
 
@@ -234,13 +232,13 @@ def _span_line(s: Span) -> str:
 
 
 class _Node:
-    """A node's run plan, built once per run. inputs and outputs hold, per
-    channel, the run's Channel and the plans of the consumers it feeds;
-    steal_hosts are the groups the node's work may be stolen into, in
-    trial order."""
+    """A node's run plan and run state, built once per run. inputs holds
+    the run's Channel per input; outputs holds, per output, the run's
+    Channel and the plans of the consumers it feeds. steal_hosts are the
+    groups the node's work may be stolen into, in trial order."""
     __slots__ = ("spec", "name", "inputs", "outputs", "home", "steal_hosts", "stream",
                  "interrupt", "fastpath", "fast_lookahead", "proactive", "terminal", "control",
-                 "fusion", "zero_latency")
+                 "fusion", "zero_latency", "predicted", "arrival", "history", "tracks")
 
     def __init__(self, spec: NodeSpec, home: "_GroupState", steal_hosts: tuple,
                  stream, cfg: MitigationConfig, terminal: bool):
@@ -257,6 +255,10 @@ class _Node:
         self.zero_latency = (m.offset_us == 0 and not m.per_kind_cost_us
                              and m.noise.kind == NoiseKind.NONE and m.contention is None
                              and m.lookahead_cost_us_per_m == 0.0)
+        self.predicted = None   # (heads, cost, merge or None): see _predict_next
+        self.arrival: Optional[int] = None      # the proactive precompute's start
+        # a fusion node's a-of-n history and the newest track of each id it saw
+        self.history, self.tracks = {}, {}
 
 
 # a task: (its node's plan, ready_us, its pre-bound input messages or None
@@ -291,7 +293,11 @@ class Simulation:
         self.streams = StreamFactory(seed)
 
         pinned: dict[str, str] = {}
+        self.groups: dict[str, _GroupState] = {}
         for g in groups:
+            if g.name in self.groups:
+                raise EngineError(f"duplicate group name: {g.name!r}")
+            self.groups[g.name] = _GroupState(g)
             for n in g.pinned_nodes:
                 if n in pinned:
                     raise EngineError(f"node {n} pinned to both {pinned[n]} and {g.name}")
@@ -301,7 +307,6 @@ class Simulation:
         for n in graph.nodes:
             if n not in pinned:
                 raise EngineError(f"node {n} is not pinned to any group")
-        self.groups = {g.name: _GroupState(g) for g in groups}
         hosts = sorted(self.groups.items())
         terminals = ({n for n, s in graph.nodes.items() if s.role == NodeRole.CONTROL}
                      or {n for n in graph.nodes if not graph.successors(n)})
@@ -317,33 +322,23 @@ class Simulation:
                        tuple(self._nodes[m] for m in graph.consumers_of(cid)))
                  for cid, ch in graph.channels.items()}
         for node in self._nodes.values():
-            node.inputs = tuple(ports[c] for c in node.spec.inputs)
+            node.inputs = tuple(ports[c][0] for c in node.spec.inputs)
             node.outputs = tuple(ports[c] for c in node.spec.outputs)
-        # node -> _predict_next's result; an entry is dropped whenever one
-        # of the node's input channels is offered to or taken from
-        self._predicted: dict[_Node, int] = {}
-        # node -> the merged objects and counts behind its last prediction
-        # from several heads, for the task that then takes those heads
-        self._merged: dict[_Node, tuple] = {}
 
         self._ego = CompiledTrajectory(TrajectorySpec(initial=scenario.ego_initial))
         periods = [n.period_us for n in graph.nodes.values()
                    if n.pattern == ExecutionPattern.TIMING and n.role == NodeRole.SENSOR]
         self._world = World(scenario, [config.tick_us, *periods], config.sensor_range_m,
                             config.rss)
-        # per fusion node: its a-of-n history and the newest track of each id it saw
-        self._fusion: dict[_Node, tuple[dict[str, list[bool]], dict[str, ObjectTrack]]] = {}
-        self._proactive_arrival: dict[_Node, Optional[int]] = {}
         # per sensor frame seq: its capture time and object ids
         self._capture_index: list[tuple[int, tuple[str, ...]]] = []
         # per trace.frames entry: the output's lineage and object ids; not
         # the message, whose objects would then all stay alive
         self._frame_lineage: list[tuple[dict, tuple[str, ...]]] = []
 
-        digest_src = json.dumps(scenario_to_json(scenario), sort_keys=True)
         self.trace = RunTrace(
-            scenario_digest=hashlib.sha256(digest_src.encode()).hexdigest()[:16],
-            seed=seed, duration_us=scenario.duration_us, ego_segments=self._ego.segments,
+            scenario_digest=scenario.digest, seed=seed, duration_us=scenario.duration_us,
+            ego_segments=self._ego.segments,
             worker_count_by_group={g.name: g.worker_count for g in groups})
         self.ego_segments = self._ego.segments
         self._ego_now = (-1, None)      # the last (instant, ego state) read
@@ -382,6 +377,9 @@ class Simulation:
             # busy time within the run: a task still running ends after the horizon
             self.trace.busy_us_by_group[g.spec.name] = g.busy_us - sum(
                 end - self._horizon for end in g.ends if end is not None)
+            # a task still queued never starts; kept, it and its plan's home
+            # group would hold each other, and the run's channels, in a cycle
+            g.ready.clear()
         for t0, agent_id, label in self.scenario.hazard_events:
             self.trace.reactions.append(self._measure_reaction(t0, agent_id, label))
         return self.trace
@@ -426,19 +424,16 @@ class Simulation:
     def _start_task(self, task: _Task, grp: _GroupState, widx: int):
         now = self.queue.clock
         node, ready_us, inputs, residual_objects = task
-        previewed = False
+        held = node.predicted
         if inputs is None:
-            predicted, inputs = self._predicted, []
-            # a prediction still held was made from the very heads taken below
-            previewed = node in predicted
-            for channel, consumers in node.inputs:
+            inputs = []
+            for channel in node.inputs:
                 m = channel.take()
                 if m is not None:
                     inputs.append(m)
-                    for consumer in consumers:
-                        predicted.pop(consumer, None)
             if not inputs and node.inputs:
                 return    # data was superseded (latest-only) or drained
+            node.predicted = None
 
         spec = node.spec
         single = len(inputs) == 1
@@ -446,8 +441,8 @@ class Simulation:
             objects, counts = residual_objects, kind_counts(residual_objects)
         elif single:        # most tasks: one input is its own union, with its counts
             objects, counts = inputs[0].objects, inputs[0].counts or inputs[0].object_counts()
-        elif previewed:
-            objects, counts = self._merged[node]
+        elif held is not None and held[0] == inputs:
+            objects, counts = held[2]     # merged from these very messages
         else:
             objects = _merge_objects(inputs)
             counts = kind_counts(objects)
@@ -465,12 +460,11 @@ class Simulation:
         duration = sample_latency(model, counts, lookahead, len(objects), node.stream)
 
         if node.proactive and residual_objects is None:
-            arrival = self._proactive_arrival.get(node)
-            if arrival is not None:
-                credit = mit.proactive_credit(spec.proactive_cost_us, arrival, now,
+            if node.arrival is not None:
+                credit = mit.proactive_credit(spec.proactive_cost_us, node.arrival, now,
                                               cancelled=self._mit.cancel_proactive_every_frame)
                 duration = max(1, duration - credit)
-            self._proactive_arrival[node] = None
+            node.arrival = None
 
         end = grp.ends[widx] = now + duration
         grp.busy_us += duration
@@ -520,13 +514,12 @@ class Simulation:
             self._dispatch(grp)
 
     def _fuse(self, node: _Node, objects):
-        hist, tracks = self._fusion.get(node, ({}, {}))
-        seen = {o.agent_id: o for o in objects}
-        published, hist = fusion_update(node.spec.fusion, hist, set(seen))
+        seen = dict(zip(map(_AGENT_ID, objects), objects))
+        published, node.history = fusion_update(node.spec.fusion, node.history, set(seen))
         # a published id was detected within the window, and its newest
         # detection is its track; ids are scenario agents, so tracks stays small
+        tracks = node.tracks
         tracks.update(seen)
-        self._fusion[node] = hist, tracks
         return tuple(map(tracks.__getitem__, sorted(published)))
 
     def _emit(self, node: _Node, msg: FrameMessage):
@@ -534,13 +527,12 @@ class Simulation:
         A triggered task starts at once on a free home worker, after any
         older ready task; with no free home worker it may be stolen, or
         waits in the home queue for a task to finish."""
-        predicted, arrivals, now = self._predicted, self._proactive_arrival, self.queue.clock
+        now = self.queue.clock
         for channel, consumers in node.outputs:
             channel.offer(msg)
             for consumer in consumers:
-                predicted.pop(consumer, None)
-                if consumer.proactive and arrivals.get(consumer) is None:
-                    arrivals[consumer] = now
+                if consumer.proactive and consumer.arrival is None:
+                    consumer.arrival = now
                 if not consumer.interrupt:
                     continue
                 grp = consumer.home
@@ -557,33 +549,37 @@ class Simulation:
     def _predict_next(self, node: _Node) -> int:
         """Predicted cost of node's next run, from the message its next
         take() pops from each input: the head, which on a latest-only
-        channel is the only message. Memoized until one of those inputs
-        changes."""
-        cost = self._predicted.get(node)
-        if cost is None:
-            spec = node.spec
-            preview = [channel.queued[0] for channel, _ in node.inputs if channel.queued]
-            if len(preview) == 1:
-                counts = preview[0].counts or preview[0].object_counts()
-            else:
-                objects = _merge_objects(preview)
-                counts = kind_counts(objects)
-                self._merged[node] = objects, counts
-            cost = self._predicted[node] = predict_latency(spec.latency, counts, spec.lookahead_m)
+        channel is the only message. The cost is a function of the heads
+        alone, so a held prediction stands while they are the same
+        messages (FrameMessage compares by identity)."""
+        # [channel.queued[0] for channel in node.inputs if channel.queued],
+        # without a comprehension's Python-level call
+        heads = list(map(_FIRST, filter(None, map(_QUEUED, node.inputs))))
+        held = node.predicted
+        if held is not None and held[0] == heads:
+            return held[1]
+        merge = None
+        if len(heads) == 1:
+            counts = heads[0].counts or heads[0].object_counts()
+        else:
+            objects = _merge_objects(heads)
+            counts = kind_counts(objects)
+            merge = objects, counts
+        spec = node.spec
+        cost = predict_latency(spec.latency, counts, spec.lookahead_m)
+        node.predicted = heads, cost, merge
         return cost
 
     def _try_steal(self, node: _Node, task: _Task) -> bool:
-        now, predicted = self.queue.clock, self._predicted
-        cost = None
+        now, cost = self.queue.clock, None
         for host in node.steal_hosts:
             ends = host.ends
             if None not in ends:
                 continue
-            if cost is None:    # _emit has just dropped this node's prediction
+            if cost is None:
                 cost = self._predict_next(node)
             ready = host.ready
-            pending = ([predicted.get(t[0]) or self._predict_next(t[0]) for t in ready]
-                       if ready else [])
+            pending = list(map(self._predict_next, map(_FIRST, ready))) if ready else []
             if mit.steal_admission(cost, [0 if end is None else end - now for end in ends],
                                    pending, host.budget_us, self._mit.steal_safety_factor):
                 self.trace.steals_admitted += 1
@@ -645,6 +641,7 @@ class Simulation:
 
 
 _BY_AGE, _AGENT_ID = attrgetter("created_ts"), attrgetter("agent_id")
+_QUEUED, _FIRST = attrgetter("queued"), itemgetter(0)
 
 
 def _merge_objects(msgs) -> tuple[ObjectTrack, ...]:

@@ -39,6 +39,10 @@ class NoiseKind(str, Enum):
     UNIFORM = "uniform"       # additive, +/- jitter_us
 
 
+# module constants: a read through the enum class costs more than the test
+_NOISE_NONE, _LOGNORMAL, _UNIFORM = NoiseKind.NONE, NoiseKind.LOGNORMAL, NoiseKind.UNIFORM
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     kind: NoiseKind = NoiseKind.NONE
@@ -94,12 +98,12 @@ def sample_latency(m: LatencyModel, counts: dict[AgentKind, int],
                    stream: RandomStream) -> int:
     """One stochastic latency draw: prediction plus noise and contention."""
     base = predict_latency(m, counts, lookahead_m)
-    if m.noise.kind == NoiseKind.NONE and m.contention is None:
+    if m.noise.kind == _NOISE_NONE and m.contention is None:
         return max(m.offset_floor_us, round(base))      # an int stays exact
     value = float(base)
-    if m.noise.kind == NoiseKind.LOGNORMAL:
+    if m.noise.kind == _LOGNORMAL:
         value *= stream.lognormal(m.noise.sigma)
-    elif m.noise.kind == NoiseKind.UNIFORM:
+    elif m.noise.kind == _UNIFORM:
         value += stream.uniform(-m.noise.jitter_us, m.noise.jitter_us)
     if m.contention is not None:
         misses = m.contention.base_misses + m.contention.misses_per_unit * payload_size
@@ -149,6 +153,9 @@ class ChannelPolicy(str, Enum):
     LATEST_ONLY = "latest"
 
 
+_LATEST_ONLY = ChannelPolicy.LATEST_ONLY
+
+
 @dataclass
 class Channel:
     id: str
@@ -160,7 +167,7 @@ class Channel:
         check_min(self, 1, "capacity", error=PipelineError)
 
     def offer(self, msg) -> None:
-        if self.policy == ChannelPolicy.LATEST_ONLY:
+        if self.policy == _LATEST_ONLY:
             self.queued = [msg]
         else:
             self.queued.append(msg)
@@ -216,11 +223,13 @@ class ObjectTrack(NamedTuple):
     deadline_capped: bool = True   # True when the budget was unbounded and the cap applied
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class FrameMessage:
     """A module's output. Its objects are distinct agents, in an order that
     carries no meaning: a capture emits one track per scenario agent, a merge
-    and fusion key their output by agent id, a partial update splits a set."""
+    and fusion key their output by agent id, a partial update splits a set.
+    A message equals only itself, so comparing lists of messages is a C-level
+    identity test."""
     created_ts: int
     objects: tuple[ObjectTrack, ...]
     partial: bool = False

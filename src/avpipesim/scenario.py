@@ -7,9 +7,12 @@ Velocity clamps at zero: a braking agent stops and stays stopped.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -99,9 +102,10 @@ class Scenario:
             if aid in seen:
                 raise ScenarioError(f"duplicate agent id: {aid!r}")
             seen.add(aid)
-        for t, aid, _ in self.hazard_events:
-            if t >= self.duration_us:
-                raise ScenarioError(f"hazard time {t} not before duration {self.duration_us}")
+        for k, (t, aid, _) in enumerate(self.hazard_events):
+            if not 0 <= t < self.duration_us:
+                raise ScenarioError(f"hazards[{k}].time_us: expected in [0, duration_us "
+                                    f"({self.duration_us})), got {t}")
             if aid not in seen:
                 raise ScenarioError(f"hazard references unknown agent id: {aid!r}")
         # bound every state a run may derive, which then goes unchecked: speeds
@@ -112,6 +116,13 @@ class Scenario:
             s, _, _, v_peak = _integrate(traj, self.duration_us)
             for name, value in (("s_m", s), ("v_mps", v_peak)):
                 _check_magnitude(f"{who}: {name} within duration_us {self.duration_us}", value)
+
+    @cached_property
+    def digest(self) -> str:
+        """The first 16 hex digits of the sha256 of the scenario's JSON,
+        keys sorted; a run's trace names its scenario by it."""
+        src = json.dumps(scenario_to_json(self), sort_keys=True)
+        return hashlib.sha256(src.encode()).hexdigest()[:16]
 
 
 def _advance(s: float, v: float, a: float, dt_s: float) -> tuple[float, float]:

@@ -240,6 +240,12 @@ def test_validate_bad_input_exits_1_with_message(workdir, capsys, name, mutate, 
      "rss: a_max_accel: expected > 0, got -2.0"),
     ("config.json", _set(("rss",), {"a_min_brake_mps2": 9.0}),
      "rss: a_min_brake: expected <= a_max_brake (8.0), got 9.0"),
+    ("config.json", _set(("groups",), [{"name": "main", "pinned_nodes": ["sensor"]},
+                                        {"name": "main", "workers": 3,
+                                         "pinned_nodes": ["detect", "act"]}]),
+     "error: duplicate group name: 'main'"),
+    ("scenario.json", _set(("hazards", 0, "time_us"), -5),
+     "error: scenario: hazards[0].time_us: expected in [0, duration_us (5000000)), got -5"),
     *BOUND_CASES,
 ], ids=["pattern", "role", "node-name", "group-name", "groups-int", "seed-str",
         "rss-key", "duration-nan", "range-nan", "fastpath-str", "cancel-int",
@@ -251,7 +257,8 @@ def test_validate_bad_input_exits_1_with_message(workdir, capsys, name, mutate, 
         "scenario-format-bool", "pipeline-format-bool", "budget-negative",
         "range-negative", "margin-negative", "lookahead-negative", "cap-negative",
         "pin-unknown", "pin-missing", "brake-huge", "radius-zero", "safety-factor-low",
-        "rss-accel-negative", "rss-brakes-crossed", *BOUND_IDS])
+        "rss-accel-negative", "rss-brakes-crossed", "group-name-twice", "hazard-negative",
+        *BOUND_IDS])
 def test_run_bad_input_exits_1_with_message(workdir, capsys, name, mutate, expect):
     path = workdir / name
     obj = json.loads(path.read_text())

@@ -378,6 +378,23 @@ class TestDeterminism:
         finally:
             gc.enable()
 
+    def test_a_finished_run_frees_its_channels_without_the_cycle_collector(self):
+        """The saturated stage leaves messages on the run's channels and
+        tasks in its group's queue; no plan's inputs, and no queued task,
+        may hold them in a cycle once the run is dropped."""
+        g = chain_pipeline({"proc": (ms(150), NodeRole.CONTROL)})
+        sim = Simulation(simple_scenario(sec(2)), g, one_group(g, workers=1),
+                         EngineConfig(), seed=1)
+        sim.run()
+        channel = weakref.ref(sim._nodes["sensor"].outputs[0][0])
+        assert channel().queued
+        gc.disable()
+        try:
+            del sim
+            assert channel() is None
+        finally:
+            gc.enable()
+
     def test_trace_ndjson_roundtrip(self, following_scenario):
         g = chain_pipeline({"a": (ms(20), NodeRole.PERCEPTION),
                             "b": (ms(40), NodeRole.CONTROL)})
@@ -420,6 +437,15 @@ class TestValidationErrors:
         with pytest.raises(EngineError, match="not pinned"):
             Simulation(simple_scenario(), g,
                        [ProcessorGroup("g", 1, ("sensor",))], EngineConfig(), 1)
+
+    def test_duplicate_group_name_rejected(self):
+        """A second group of one name once replaced the first, so every
+        node ran on the second group's workers."""
+        g = chain_pipeline({"proc": (ms(10), NodeRole.CONTROL)})
+        with pytest.raises(EngineError, match="duplicate group name: 'g'"):
+            Simulation(simple_scenario(), g, [ProcessorGroup("g", 1, ("sensor",)),
+                                              ProcessorGroup("g", 3, ("proc",))],
+                       EngineConfig(), 1)
 
     def test_bad_tick_rejected(self):
         with pytest.raises(EngineError, match="tick"):

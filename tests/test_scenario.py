@@ -191,6 +191,16 @@ class TestInvariants:
                      duration_us=sec(1),
                      hazard_events=((sec(2), "a", "late"),))
 
+    def test_negative_hazard_time_rejected(self):
+        """A hazard before the run starts was once reported as a reaction
+        with t_sensor_us = 5."""
+        with pytest.raises(ScenarioError, match=r"^hazards\[1\]\.time_us: expected in "
+                                                r"\[0, duration_us \(1000000\)\), got -5$"):
+            Scenario(ego_initial=AgentState(0, 0, 5, 0),
+                     agents=(("a", AgentKind.VEHICLE, traj()),),
+                     duration_us=sec(1),
+                     hazard_events=((0, "a", "start"), (-5, "a", "early")))
+
 
 # magnitudes and times anywhere up to their bounds, of every scale
 scales = st.sampled_from([0.0, 1e-6, 1.0, 1e3, 1e6, 1e9, MAX_MAGNITUDE])

@@ -1,20 +1,22 @@
 """The scheduler's memoized hot path against a from-scratch reference.
 
-Simulation memoizes each node's predicted next cost (dropped when one of
-its input channels is offered to or taken from) and the merge behind it,
-prices a steal only on a host with a free worker, starts a triggered
-task at once when its home group has a free worker and nothing older
-waits, and after a task ends dispatches only the groups that can have
-gained work. UncachedSimulation below recomputes every prediction on
-every call, merges inputs with a reference, triggers a task from scratch
-(a steal if no home worker is free, else queue it and dispatch) and
+Simulation holds each node's last prediction on its plan, with the input
+heads it priced and the merge behind it, and reuses it while the heads
+are the same messages; it prices a steal only on a host with a free
+worker, starts a triggered task at once when its home group has a free
+worker and nothing older waits, and after a task ends dispatches only
+the groups that can have gained work. UncachedSimulation below
+recomputes every prediction on every call, never reading the plan's held
+one, merges inputs with a reference, triggers a task from scratch (a
+steal if no home worker is free, else queue it and dispatch) and
 dispatches every group after each task; both must write the same trace,
 byte for byte, on random layered DAGs with every mitigation on and tight
-budgets, so that steal admission both admits and rejects. The reference
-merge sorts by id and the engine's does not, so the equal traces also
-show that no trace reads an object order. The memoized run checks that
-every message it emits holds distinct ids and carries its objects' kind
-counts.
+budgets, so that steal admission both admits and rejects. Some drawn
+DAGs share one channel between two consumers, where a sibling's take
+changes the head a held prediction priced. The reference merge sorts by
+id and the engine's does not, so the equal traces also show that no
+trace reads an object order. The memoized run checks that every message
+it emits holds distinct ids and carries its objects' kind counts.
 """
 
 from collections import defaultdict
@@ -54,7 +56,7 @@ class UncachedSimulation(Simulation):
 
     def _predict_next(self, node):
         spec = node.spec
-        preview = [channel.queued[0] for channel, _ in node.inputs if channel.queued]
+        preview = [channel.queued[0] for channel in node.inputs if channel.queued]
         counts = kind_counts(reference_merge(preview))
         return predict_latency(spec.latency, counts, spec.lookahead_m)
 
@@ -83,8 +85,8 @@ class UncachedSimulation(Simulation):
         for channel, consumers in node.outputs:
             channel.offer(msg)
             for consumer in consumers:
-                if consumer.proactive and self._proactive_arrival.get(consumer) is None:
-                    self._proactive_arrival[consumer] = now
+                if consumer.proactive and consumer.arrival is None:
+                    consumer.arrival = now
                 if consumer.interrupt:
                     task, home = (consumer, now, None, None), consumer.home
                     if (None in home.ends or not self.config.mitigation.stealing
@@ -119,7 +121,8 @@ class CheckedSimulation(Simulation):
 
 @st.composite
 def layered_runs(draw):
-    """A random layered DAG with diamonds, its groups, and a run config."""
+    """A random layered DAG with diamonds, its groups, and a run config.
+    In some, two nodes of a layer share one input channel."""
     specs, inputs, outputs, channels = {}, defaultdict(list), defaultdict(list), {}
 
     def edge(src, dst):
@@ -146,13 +149,19 @@ def layered_runs(draw):
                                  noise=NoiseSpec(NoiseKind.LOGNORMAL, sigma=0.3)))
         edge(sensor, percep)
         prev.append(percep)
+    share = draw(st.booleans())
     for layer in range(draw(st.integers(2, 4))):
         cur = [f"L{layer}_{j}" for j in range(draw(st.integers(1, 3)))]
         for j, node in enumerate(cur):
             specs[node] = dict(pattern=ExecutionPattern.INTERRUPT, latency=costs())
             # diamonds: each node joins two neighbours of the layer above
             for src in dict.fromkeys((prev[j % len(prev)], prev[(j + 1) % len(prev)])):
-                edge(src, node)
+                sibling = f"{src}>{cur[j - 1]}"
+                if share and j and sibling in channels:
+                    inputs[node].append(sibling)    # the first such channel, consumed twice
+                    share = False
+                else:
+                    edge(src, node)
         for src in prev:
             if not outputs[src]:
                 edge(src, cur[0])
@@ -270,7 +279,9 @@ def test_merge_matches_reference(inputs):
 def test_prediction_prices_the_head_that_take_pops():
     """Steal admission prices a node's next run. On a FIFO input holding a
     head and a tail of different object counts that run takes the head,
-    so the head is priced; a latest-only input holds one message."""
+    so the head is priced; a latest-only input holds one message. A take
+    the node does not make, as another consumer of a shared channel
+    makes, moves the price to the new head."""
     for policy in ChannelPolicy:
         graph = chain_pipeline({"proc": (ms(1), NodeRole.CONTROL)}, channel_policy=policy,
                                per_vehicle_us=ms(2))
@@ -278,7 +289,7 @@ def test_prediction_prices_the_head_that_take_pops():
                             agents=(), duration_us=sec(1))
         sim = Simulation(scenario, graph, one_group(graph), EngineConfig(), seed=0)
         node = sim._nodes["proc"]
-        (channel, _), = node.inputs
+        channel, = node.inputs
         head, tail = message("a", 0), message("bcd", 1)
         channel.offer(head)
         channel.offer(tail)
@@ -287,3 +298,5 @@ def test_prediction_prices_the_head_that_take_pops():
         assert sim._predict_next(node) == predict_latency(
             spec.latency, kind_counts(first.objects), None) == ms(1) + len(first.objects) * ms(2)
         assert channel.take() is first
+        left = channel.queued[0].objects if channel.queued else ()
+        assert sim._predict_next(node) == ms(1) + len(left) * ms(2)
