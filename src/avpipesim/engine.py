@@ -17,13 +17,14 @@ from operator import attrgetter, itemgetter
 from typing import Iterator, Optional
 
 from . import mitigation as mit
-from .jsonio import InputError, check_min, read_record, refuse_constant
+from .jsonio import InputError, check_min, read_record
 from .mitigation import MitigationConfig, PathChoice
 from .pipeline import (Channel, ExecutionPattern, FrameMessage, NodeRole, NodeSpec,
                        NoiseKind, ObjectTrack, PipelineGraph, downstream_estimate,
                        fusion_update, kind_counts, predict_latency, sample_latency)
 from .safety import RssParams
-from .scenario import MAX_MAGNITUDE, AgentState, CompiledTrajectory, Scenario, TrajectorySpec
+from .scenario import (MAX_MAGNITUDE, MAX_TIME_US, AgentState, CompiledTrajectory, Scenario,
+                       TrajectorySpec)
 from .simkernel import EventQueue, StreamFactory
 from .world import ClosestApproach, SafetySample, World
 
@@ -56,8 +57,8 @@ class EngineConfig:
 
     def __post_init__(self):
         check_min(self, 1, "tick_us", error=EngineError)
-        check_min(self, 0, "actuation_delay_us", "sensor_range_m", "response_margin_us",
-                  error=EngineError)
+        check_min(self, 0, "actuation_delay_us", error=EngineError, high=MAX_TIME_US)
+        check_min(self, 0, "sensor_range_m", "response_margin_us", error=EngineError)
         if not -MAX_MAGNITUDE <= self.brake_level_mps2 <= 0:    # NaN fails too
             raise EngineError(f"brake_level_mps2: expected in [-{MAX_MAGNITUDE:g}, 0], "
                               f"got {self.brake_level_mps2}")
@@ -176,7 +177,7 @@ class RunTrace:
             if not line.strip():
                 continue
             try:
-                obj = _DECODER.decode(line)
+                obj = json.loads(line)
             except ValueError as e:     # json.JSONDecodeError is a ValueError
                 raise TraceError(lineno, f"malformed JSON: {e}") from None
             kind = obj.pop("type", None) if isinstance(obj, dict) else None
@@ -212,7 +213,6 @@ _SUMMARY_FIELDS = tuple(f.name for f in fields(RunTrace) if f.name not in _TRACE
 
 # every trace field is a primitive, so records encode from vars() directly
 _ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
-_DECODER = json.JSONDecoder(parse_constant=refuse_constant)
 
 
 def _span_line(s: Span) -> str:
@@ -326,8 +326,7 @@ class Simulation:
             node.outputs = tuple(ports[c] for c in node.spec.outputs)
 
         self._ego = CompiledTrajectory(TrajectorySpec(initial=scenario.ego_initial))
-        periods = [n.period_us for n in graph.nodes.values()
-                   if n.pattern == ExecutionPattern.TIMING and n.role == NodeRole.SENSOR]
+        periods = [n.period_us for n in graph.nodes.values() if n.role == NodeRole.SENSOR]
         self._world = World(scenario, [config.tick_us, *periods], config.sensor_range_m,
                             config.rss)
         # per sensor frame seq: its capture time and object ids
@@ -597,7 +596,7 @@ class Simulation:
             self.apply_control("brake", self.config.brake_level_mps2, now)
 
     def _record_terminal(self, msg: FrameMessage, span: Span):
-        origin = msg.seq
+        origin = span.frame_seq
         if origin < 0:
             return
         cap_ts, module = msg.lineage[origin]

@@ -5,20 +5,23 @@ A record of an input file is a dataclass, or a tuple whose items sit
 under named keys. An attribute's JSON key, type and default come from
 dataclasses.fields() and the annotations; each module keeps a field
 table next to its dataclasses, {class: {attribute: Key}}, for the
-exceptions only. The reader refuses NaN and Infinity, which json.load
-accepts by default, unknown and missing keys and values of the wrong
-type, and each message names the field. Value bounds sit in no table:
-each record checks its own in __post_init__, with check_min.
+exceptions only. The reader refuses unknown and missing keys, values of
+the wrong type and numbers no float holds finitely (NaN, Infinity, 1e999,
+10**400, all of which json.load parses), and each message names the
+field. Value bounds sit in no table: each record checks its own in
+__post_init__, with check_min.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 import typing
 from enum import Enum
 
 MISSING = dataclasses.MISSING
+_FLOAT_MAX = sys.float_info.max
 
 
 class InputError(ValueError):
@@ -40,7 +43,7 @@ class Key(typing.NamedTuple):
 _SCALARS = {
     int: (lambda v: type(v) is int or type(v) is float and v.is_integer()
           and abs(v) <= 2 ** 53, "an integer"),
-    float: (lambda v: type(v) in (int, float), "a number"),
+    float: (lambda v: type(v) in (int, float) and -_FLOAT_MAX <= v <= _FLOAT_MAX, "a number"),
     str: (lambda v: type(v) is str, "a string"),
     bool: (lambda v: type(v) is bool, "true or false"),
     tuple[str, ...]: (lambda v: type(v) is list and all(type(s) is str for s in v),
@@ -51,7 +54,7 @@ _SCALARS = {
 def as_scalar(tp, value):
     """value as tp, a key of _SCALARS. An integer may be given as a float
     with an integral value up to 2**53 (2.0, not 2.9 or 1e30), and a
-    number as an integer; anything else raises ValueError."""
+    number as an integer that a float holds; anything else raises ValueError."""
     is_tp, what = _SCALARS[tp]
     if not is_tp(value):
         raise ValueError(f"expected {what}, got {value!r}")
@@ -210,25 +213,24 @@ def to_json(rec, version: int, table) -> dict:
     return _write_record(type(rec), rec, table, {"format": version})
 
 
-def check_min(rec, low, *names, error=InputError, strict=False):
+def check_min(rec, low, *names, error=InputError, strict=False, high=None):
     """Raise error naming the first attribute in names whose value on rec is
-    below low (with strict, at or below it), or NaN; records call it in __post_init__."""
+    below low (with strict, at or below it), above high if given, or NaN;
+    records call it in __post_init__."""
     for name in names:
         value = getattr(rec, name)
         if not (value > low if strict else value >= low):
             raise error(f"{name}: expected {'>' if strict else '>='} {low}, got {value}")
-
-
-def refuse_constant(name: str):
-    """parse_constant for json.load(s): refuses NaN and Infinity."""
-    raise ValueError(f"non-finite number {name}")
+        if high is not None and not value <= high:
+            top = f"{high:g}" if type(high) is float else high     # 1e+12; an int in full
+            raise error(f"{name}: expected <= {top}, got {value}")
 
 
 def load_json(path, convert, error):
     """convert(the parsed file); malformed JSON is raised as error."""
     with open(path, "r", encoding="utf-8") as f:
         try:
-            obj = json.load(f, parse_constant=refuse_constant)
+            obj = json.load(f)
         except ValueError as e:     # json.JSONDecodeError is a ValueError
             raise error(f"{path}: malformed JSON: {e}") from None
     return convert(obj)

@@ -13,10 +13,12 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .jsonio import InputError, Key, check_min, from_json, load_json, save_json, to_json
-from .scenario import AgentKind
+from .scenario import MAX_MAGNITUDE, MAX_TIME_US, AgentKind
 from .simkernel import RandomStream
 
 PIPELINE_FORMAT = 1
+# a lognormal draw exp(sigma * z) overflows a float only where |z| > 709 / sigma
+MAX_SIGMA = 10.0
 
 
 class PipelineError(InputError):
@@ -50,7 +52,8 @@ class NoiseSpec:
     jitter_us: int = 0        # uniform half-width
 
     def __post_init__(self):
-        check_min(self, 0, "sigma", "jitter_us", error=PipelineError)
+        check_min(self, 0, "sigma", error=PipelineError, high=MAX_SIGMA)
+        check_min(self, 0, "jitter_us", error=PipelineError, high=MAX_TIME_US)
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,10 @@ class ContentionSpec:
     slope_us_per_miss: float
     misses_per_unit: float
     base_misses: float = 0.0
+
+    def __post_init__(self):
+        check_min(self, 0, "slope_us_per_miss", "misses_per_unit", "base_misses",
+                  error=PipelineError, high=MAX_MAGNITUDE)
 
 
 @dataclass(frozen=True)
@@ -72,12 +79,13 @@ class LatencyModel:
     offset_floor_us: int = 1
 
     def __post_init__(self):
-        if self.offset_us < 0 or any(c < 0 for c in self.per_kind_cost_us.values()):
-            raise PipelineError("latency coefficients must be >= 0")
-        if self.lookahead_cost_us_per_m < 0:
-            raise PipelineError("lookahead cost must be >= 0")
-        if self.offset_floor_us <= 0:
-            raise PipelineError("offset floor must be > 0")
+        check_min(self, 0, "offset_us", error=PipelineError, high=MAX_TIME_US)
+        check_min(self, 0, "lookahead_cost_us_per_m", error=PipelineError, high=MAX_MAGNITUDE)
+        check_min(self, 1, "offset_floor_us", error=PipelineError)
+        for kind, cost in self.per_kind_cost_us.items():
+            if not 0 <= cost <= MAX_TIME_US:
+                raise PipelineError(f"per_kind_cost_us.{AgentKind(kind).value}: "
+                                    f"expected in [0, {MAX_TIME_US}], got {cost}")
 
 
 def predict_latency(m: LatencyModel, counts: dict[AgentKind, int],
@@ -137,6 +145,10 @@ class NodeSpec:
             raise PipelineError(f"node {self.name}: at least one output required")
         if self.role == NodeRole.SENSOR and self.inputs:
             raise PipelineError(f"node {self.name}: sensor nodes have no inputs")
+        if self.role == NodeRole.SENSOR and self.pattern != ExecutionPattern.TIMING:
+            raise PipelineError(f"node {self.name}: sensor nodes use the timing pattern")
+        if self.lookahead_m is not None:
+            check_min(self, 0, "lookahead_m", error=PipelineError, high=MAX_MAGNITUDE)
         for side, chans in (("inputs", self.inputs), ("outputs", self.outputs)):
             for i, ch in enumerate(chans):
                 if ch in chans[:i]:
@@ -238,11 +250,6 @@ class FrameMessage:
     lineage: dict[int, tuple[int, int]] = field(default_factory=dict)
     # kind_counts(objects), given by the producer or computed on first read
     counts: Optional[dict[AgentKind, int]] = None
-
-    @property
-    def seq(self) -> int:
-        """The newest sensor frame feeding this message; -1 for none."""
-        return max(self.lineage, default=-1)
 
     def object_counts(self) -> dict[AgentKind, int]:
         if self.counts is None:

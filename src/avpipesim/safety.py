@@ -13,7 +13,7 @@ from enum import Enum
 from typing import Optional
 
 from .jsonio import InputError, check_min
-from .scenario import AgentState, _advance
+from .scenario import MAX_TIME_US, AgentState, _advance
 from .simkernel import US_PER_S
 
 # Calibration for the corner-case reaction windows: the buffer the ego
@@ -39,8 +39,9 @@ class RssParams:
     lateral_mu_m: float = 0.5
 
     def __post_init__(self):
-        check_min(self, 0, "response_time_us", "a_max_accel", "a_min_brake", "a_max_brake",
-                  "lateral_mu_m", strict=True)
+        check_min(self, 0, "response_time_us", strict=True, high=MAX_TIME_US)
+        check_min(self, 0, "a_max_accel", "a_min_brake", "a_max_brake", "lateral_mu_m",
+                  strict=True)
         if self.a_min_brake > self.a_max_brake:
             raise InputError(f"a_min_brake: expected <= a_max_brake ({self.a_max_brake}), "
                              f"got {self.a_min_brake}")

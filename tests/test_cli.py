@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -106,6 +107,12 @@ def _set(path, value):
     return apply
 
 
+def _dump(obj) -> str:
+    """obj as JSON text: NaN as the bare constant, an infinity as 1e999,
+    which json parses to it too."""
+    return json.dumps(obj).replace("Infinity", "1e999")
+
+
 # files that loaded, and then ended run in a traceback or ran wrong
 BOUND_CASES = [
     ("scenario.json", _set(("d_buffer_m",), 0.0), "scenario: d_buffer_m: expected > 0, got 0.0"),
@@ -139,11 +146,52 @@ BOUND_CASES = [
      "agents[0]: segments[1].start_us: expected > segments[0].start_us (5), got 5"),
     ("scenario.json", _set(("agents", 0, "segments"), [{"start_us": -1, "a_mps2": -1.0}]),
      "agents[0]: segments[0].start_us: expected in [0, 2**63 - 1], got -1"),
+    # once refused as malformed JSON (NaN), accepted (1e999), or an OverflowError (10**400)
+    ("scenario.json", _set(("d_buffer_m",), math.nan),
+     "scenario.d_buffer_m: expected a number, got nan"),
+    ("scenario.json", _set(("d_buffer_m",), math.inf),
+     "scenario.d_buffer_m: expected a number, got inf"),
+    ("scenario.json", _set(("d_buffer_m",), 10**400),
+     f"scenario.d_buffer_m: expected a number, got {10**400}"),
+    ("pipeline.json", _set(("nodes", 0, "latency", "lookahead_cost_us_per_m"), math.nan),
+     "nodes[0].latency.lookahead_cost_us_per_m: expected a number, got nan"),
+    ("pipeline.json", _set(("nodes", 0, "latency", "lookahead_cost_us_per_m"), math.inf),
+     "nodes[0].latency.lookahead_cost_us_per_m: expected a number, got inf"),
+    ("pipeline.json", _set(("nodes", 0, "latency", "lookahead_cost_us_per_m"), 10**400),
+     f"nodes[0].latency.lookahead_cost_us_per_m: expected a number, got {10**400}"),
+    # once accepted, and then run ended in an OverflowError
+    ("pipeline.json", _set(("nodes", 0, "lookahead_m"), 1e308),
+     "nodes[0]: lookahead_m: expected <= 1e+12, got 1e+308"),
+    ("pipeline.json", _set(("nodes", 0, "latency", "noise"),
+                           {"kind": "lognormal", "sigma": 1000.0}),
+     "nodes[0].latency.noise: sigma: expected <= 10, got 1000.0"),
+    ("pipeline.json", _set(("nodes", 0, "latency", "contention"),
+                           {"slope_us_per_miss": 1e300, "misses_per_unit": 1e300}),
+     "nodes[0].latency.contention: slope_us_per_miss: expected <= 1e+12, got 1e+300"),
+    ("pipeline.json", _set(("nodes", 0, "latency", "noise"),
+                           {"kind": "uniform", "jitter_us": 10**400}),
+     f"nodes[0].latency.noise: jitter_us: expected <= 9223372036854775807, got {10**400}"),
+    ("pipeline.json", _set(("nodes", 0, "latency"),
+                           {"offset_us": 10**400, "noise": {"kind": "lognormal", "sigma": 0.1}}),
+     f"nodes[0].latency: offset_us: expected <= 9223372036854775807, got {10**400}"),
+    # once accepted: a negative lookahead lowered the node's latency, a huge
+    # cost left no frame finished, an interrupt sensor never ran
+    ("pipeline.json", _set(("nodes", 0, "lookahead_m"), -50),
+     "nodes[0]: lookahead_m: expected >= 0, got -50.0"),
+    ("pipeline.json", _set(("nodes", 0, "latency"), {"per_kind_cost_us": {"vehicle": 10**400}}),
+     f"nodes[0].latency: per_kind_cost_us.vehicle: expected in [0, 9223372036854775807], "
+     f"got {10**400}"),
+    ("pipeline.json", _set(("nodes", 2, "pattern"), "interrupt"),
+     "nodes[2]: node sensor: sensor nodes use the timing pattern"),
 ]
 BOUND_IDS = ["dbuffer-zero", "dbuffer-negative", "sigma-negative", "jitter-negative",
              "inputs-twice", "outputs-twice", "speed-huge", "ego-position-huge",
              "segment-accel-huge", "duration-huge", "segment-start-huge", "visible-from-huge",
-             "ego-speed-negative", "segment-starts-unordered", "segment-start-negative"]
+             "ego-speed-negative", "segment-starts-unordered", "segment-start-negative",
+             "dbuffer-nan", "dbuffer-inf", "dbuffer-int-huge", "lookahead-cost-nan",
+             "lookahead-cost-inf", "lookahead-cost-int-huge", "node-lookahead-huge",
+             "sigma-huge", "contention-huge", "jitter-huge", "offset-huge",
+             "node-lookahead-negative", "kind-cost-huge", "sensor-interrupt"]
 
 
 @pytest.mark.parametrize("name, mutate, expect", BOUND_CASES, ids=BOUND_IDS)
@@ -151,7 +199,7 @@ def test_validate_bad_input_exits_1_with_message(workdir, capsys, name, mutate, 
     path = workdir / name
     obj = json.loads(path.read_text())
     mutate(obj)
-    path.write_text(json.dumps(obj))
+    path.write_text(_dump(obj))
     rc = main(["validate", "--scenario", str(workdir / "scenario.json"),
                "--pipeline", str(workdir / "pipeline.json")])
     err = capsys.readouterr().err
@@ -167,8 +215,10 @@ def test_validate_bad_input_exits_1_with_message(workdir, capsys, name, mutate, 
     ("config.json", _set(("groups",), 5), "groups:"),
     ("config.json", _set(("seed",), "abc"), "'abc'"),
     ("config.json", _set(("rss",), {"reaction_s": 0.5}), "rss: unknown fields"),
-    ("scenario.json", _set(("duration_us",), float("nan")), "scenario.json: malformed"),
-    ("config.json", _set(("sensor_range_m",), float("nan")), "config.json: malformed"),
+    ("scenario.json", _set(("duration_us",), math.nan),
+     "error: scenario.duration_us: expected an integer, got nan"),
+    ("config.json", _set(("sensor_range_m",), math.nan),
+     "error: config.sensor_range_m: expected a number, got nan"),
     ("config.json", _set(("mitigation",), {"fastpath": "off"}),
      "mitigation.fastpath: expected true or false, got 'off'"),
     ("config.json", _set(("mitigation",), {"cancel_proactive_every_frame": 1}),
@@ -246,6 +296,15 @@ def test_validate_bad_input_exits_1_with_message(workdir, capsys, name, mutate, 
      "error: duplicate group name: 'main'"),
     ("scenario.json", _set(("hazards", 0, "time_us"), -5),
      "error: scenario: hazards[0].time_us: expected in [0, duration_us (5000000)), got -5"),
+    # once accepted (1e999), or an OverflowError (10**400)
+    ("config.json", _set(("sensor_range_m",), math.inf),
+     "error: config.sensor_range_m: expected a number, got inf"),
+    ("config.json", _set(("sensor_range_m",), 10**400),
+     f"error: config.sensor_range_m: expected a number, got {10**400}"),
+    ("config.json", _set(("rss",), {"response_time_us": 10**400}),
+     f"error: rss: response_time_us: expected <= 9223372036854775807, got {10**400}"),
+    ("config.json", _set(("actuation_delay_us",), 10**400),
+     f"error: config: actuation_delay_us: expected <= 9223372036854775807, got {10**400}"),
     *BOUND_CASES,
 ], ids=["pattern", "role", "node-name", "group-name", "groups-int", "seed-str",
         "rss-key", "duration-nan", "range-nan", "fastpath-str", "cancel-int",
@@ -258,12 +317,12 @@ def test_validate_bad_input_exits_1_with_message(workdir, capsys, name, mutate, 
         "range-negative", "margin-negative", "lookahead-negative", "cap-negative",
         "pin-unknown", "pin-missing", "brake-huge", "radius-zero", "safety-factor-low",
         "rss-accel-negative", "rss-brakes-crossed", "group-name-twice", "hazard-negative",
-        *BOUND_IDS])
+        "range-inf", "range-int-huge", "rss-response-huge", "actuation-huge", *BOUND_IDS])
 def test_run_bad_input_exits_1_with_message(workdir, capsys, name, mutate, expect):
     path = workdir / name
     obj = json.loads(path.read_text())
     mutate(obj)
-    path.write_text(json.dumps(obj))    # writes NaN as the bare constant
+    path.write_text(_dump(obj))
     rc = main(["run", "--config", str(workdir / "config.json")])
     err = capsys.readouterr().err
     assert rc == EXIT_VALIDATION
@@ -645,7 +704,13 @@ def test_compare_rejects_mismatched_scenarios(workdir, tmp_path, capsys):
     ('{"type": "weird"}\n', ":1: unknown trace record type 'weird'"),
     ("[1, 2]\n", ":1: unknown trace record type None"),
     ('{"type": "closest", "agent_id": "a", "t_us": 0, "lon_gap_m": NaN}\n',
-     ":1: malformed JSON: non-finite number NaN"),
+     ":1: closest.lon_gap_m: expected a number, got nan"),
+    ('{"type": "closest", "agent_id": "a", "t_us": 0, "lon_gap_m": 1e999}\n',
+     ":1: closest.lon_gap_m: expected a number, got inf"),
+    ('{"type": "closest", "agent_id": "a", "t_us": 0, "lon_gap_m": -Infinity}\n',
+     ":1: closest.lon_gap_m: expected a number, got -inf"),
+    (f'{{"type": "closest", "agent_id": "a", "t_us": 0, "lon_gap_m": {10**400}}}\n',
+     f":1: closest.lon_gap_m: expected a number, got {10**400}"),
     ('{"type": "safety", "t_us": 0}\n',
      ":1: safety: missing fields ['agent_id', 'lat_gap_m', 'level', 'lon_gap_m']"),
     ('\n{"type": "closest", "agent_id": "a", "t_us": true, "lon_gap_m": 1}\n',
@@ -653,7 +718,8 @@ def test_compare_rejects_mismatched_scenarios(workdir, tmp_path, capsys):
     ("\n", ":1: trace has no summary record"),
     (('"format": 2', '"format": 3'), "unsupported trace format 3"),
     (('"seed": 3', '"seed": "x"'), "summary.seed: expected an integer, got 'x'"),
-], ids=["truncated", "unknown-type", "not-an-object", "nan", "missing-fields",
+], ids=["truncated", "unknown-type", "not-an-object", "nan", "inf", "minus-infinity",
+        "int-huge", "missing-fields",
         "wrong-type", "no-summary", "format-3", "summary-seed-str"])
 def test_compare_bad_trace_exits_1_with_line(workdir, capsys, text, expect):
     good = workdir / "out" / "trace.ndjson"

@@ -142,13 +142,19 @@ class TestReactionMeasurement:
 
     def test_lineage_follows_the_newest_carrier(self):
         """Each origin's module time continues from the newest input that
-        carries it, from the first such input on a tie; seq is the newest
-        origin."""
+        carries it, from the first such input on a tie; a task's span
+        records the newest origin among its inputs, and -1 for none."""
         a = FrameMessage(created_ts=10, objects=(), lineage={0: (0, 5), 1: (3, 2)})
         b = FrameMessage(created_ts=20, objects=(), lineage={0: (0, 9)})
         c = FrameMessage(created_ts=20, objects=(), lineage={0: (0, 7), 1: (3, 4)})
         assert engine._advance_lineage([a, b, c], 100) == {0: (0, 109), 1: (3, 104)}
-        assert (a.seq, b.seq, FrameMessage(created_ts=0, objects=()).seq) == (1, 0, -1)
+        g = PipelineGraph(nodes={"tick": NodeSpec("tick", ExecutionPattern.TIMING, (), ("o",),
+                                                  LatencyModel(offset_us=10), period_us=ms(100))},
+                          channels={"o": Channel("o", ChannelPolicy.FIFO)})
+        sim = Simulation(simple_scenario(sec(1)), g, one_group(g), EngineConfig(), seed=1)
+        for inputs in ([a, b, c], [b], None):      # None: the input-less node takes nothing
+            sim._start_task((sim._nodes["tick"], 0, inputs, None), sim.groups["main"], 0)
+        assert [s.frame_seq for s in sim.trace.spans] == [1, 0, -1]
 
 
 class TestControlApplication:

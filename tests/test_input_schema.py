@@ -15,8 +15,8 @@ from avpipesim.config import load_config
 from avpipesim.engine import EngineConfig, ProcessorGroup, run_simulation
 from avpipesim.jsonio import InputError
 from avpipesim.mitigation import MitigationConfig
-from avpipesim.pipeline import (Channel, ChannelPolicy, LatencyModel, NodeRole, NoiseKind,
-                                NoiseSpec, load_pipeline, save_pipeline)
+from avpipesim.pipeline import (Channel, ChannelPolicy, ContentionSpec, LatencyModel, NodeRole,
+                                NoiseKind, NoiseSpec, load_pipeline, save_pipeline)
 from avpipesim.safety import RssParams
 from avpipesim.scenario import (AgentKind, AgentState, Scenario, TrajectorySpec, load_scenario,
                                 save_scenario)
@@ -172,6 +172,33 @@ def empty_road(d_buffer_m):
     (lambda: RssParams(lateral_mu_m=-0.5), "lateral_mu_m: expected > 0, got -0.5"),
     (lambda: RssParams(a_min_brake=9.0, a_max_brake=4.0),
      "a_min_brake: expected <= a_max_brake (4.0), got 9.0"),
+    # once refused without naming the field, or accepted (NaN)
+    (lambda: LatencyModel(offset_us=-1), "offset_us: expected >= 0, got -1"),
+    (lambda: LatencyModel(per_kind_cost_us={AgentKind.CYCLIST: -2}),
+     "per_kind_cost_us.cyclist: expected in [0, 9223372036854775807], got -2"),
+    (lambda: LatencyModel(lookahead_cost_us_per_m=math.nan),
+     "lookahead_cost_us_per_m: expected >= 0, got nan"),
+    (lambda: LatencyModel(offset_floor_us=0), "offset_floor_us: expected >= 1, got 0"),
+    # once accepted, and then a run ended in an OverflowError or ran wrong
+    (lambda: LatencyModel(offset_us=2**63), "offset_us: expected <= 9223372036854775807, "
+     "got 9223372036854775808"),
+    (lambda: LatencyModel(lookahead_cost_us_per_m=1e13),
+     "lookahead_cost_us_per_m: expected <= 1e+12, got 10000000000000.0"),
+    (lambda: NoiseSpec(NoiseKind.LOGNORMAL, sigma=10.5), "sigma: expected <= 10, got 10.5"),
+    (lambda: NoiseSpec(NoiseKind.UNIFORM, jitter_us=2**63),
+     "jitter_us: expected <= 9223372036854775807, got 9223372036854775808"),
+    (lambda: ContentionSpec(-1.0, 1.0), "slope_us_per_miss: expected >= 0, got -1.0"),
+    (lambda: ContentionSpec(1.0, 1e300), "misses_per_unit: expected <= 1e+12, got 1e+300"),
+    (lambda: ContentionSpec(1.0, 1.0, base_misses=math.nan),
+     "base_misses: expected >= 0, got nan"),
+    (lambda: test_pipeline.node("p", ("a",), ("b",), lookahead_m=-50.0),
+     "lookahead_m: expected >= 0, got -50.0"),
+    (lambda: test_pipeline.node("p", ("a",), ("b",), lookahead_m=math.inf),
+     "lookahead_m: expected <= 1e+12, got inf"),
+    (lambda: EngineConfig(actuation_delay_us=2**63),
+     "actuation_delay_us: expected <= 9223372036854775807, got 9223372036854775808"),
+    (lambda: RssParams(response_time_us=2**63),
+     "response_time_us: expected <= 9223372036854775807, got 9223372036854775808"),
 ], ids=["budget", "actuation", "range", "margin", "lookahead", "cap", "capacity",
         "negative-budget-run", "dbuffer-zero", "dbuffer-negative", "dbuffer-nan",
         "sigma-negative", "jitter-negative", "inputs-twice", "outputs-twice",
@@ -179,7 +206,11 @@ def empty_road(d_buffer_m):
         "accel-infinite", "segment-accel-huge", "speed-negative", "speed-nan",
         "segment-starts-unordered", "segment-start-huge", "brake-huge", "brake-positive", "brake-nan",
         "radius-nan", "radius-zero", "safety-factor-nan", "safety-factor-low",
-        "rss-accel-nan", "rss-response-zero", "rss-mu-negative", "rss-brakes-crossed"])
+        "rss-accel-nan", "rss-response-zero", "rss-mu-negative", "rss-brakes-crossed",
+        "offset-negative", "kind-cost-negative", "lookahead-cost-nan", "floor-zero",
+        "offset-huge", "lookahead-cost-huge", "sigma-huge", "jitter-huge",
+        "contention-negative", "contention-huge", "contention-nan", "node-lookahead-negative",
+        "node-lookahead-inf", "actuation-huge", "rss-response-huge"])
 def test_bounds_hold_for_library_calls(build, expect):
     with pytest.raises(InputError, match=f"^{re.escape(expect)}$"):
         build()
@@ -193,6 +224,13 @@ def test_bounds_admit_their_limits():
     assert NoiseSpec(NoiseKind.UNIFORM, sigma=0.0, jitter_us=0).sigma == 0.0
     assert AgentState(s_m=-1e12, l_m=1e12, v_mps=1e12, a_mps2=-1e12).s_m == -1e12
     assert EngineConfig(brake_level_mps2=0.0) and EngineConfig(brake_level_mps2=-1e12)
+    assert NoiseSpec(NoiseKind.LOGNORMAL, sigma=10.0, jitter_us=2**63 - 1).sigma == 10.0
+    assert ContentionSpec(0.0, 0.0) and ContentionSpec(1e12, 1e12, base_misses=1e12)
+    assert LatencyModel({AgentKind.VEHICLE: 0, AgentKind.CYCLIST: 2**63 - 1}, offset_us=2**63 - 1,
+                        lookahead_cost_us_per_m=1e12)
+    assert test_pipeline.node("p", ("a",), ("b",), lookahead_m=0.0).lookahead_m == 0.0
+    assert test_pipeline.node("p", ("a",), ("b",), lookahead_m=1e12).lookahead_m == 1e12
+    assert EngineConfig(actuation_delay_us=2**63 - 1) and RssParams(response_time_us=2**63 - 1)
 
 
 def test_a_run_reaches_the_largest_instant():

@@ -310,6 +310,11 @@ class TestNodeSpecInvariants:
         with pytest.raises(PipelineError, match="sensor"):
             node("s", ("x",), ("o",), role=NodeRole.SENSOR)
 
+    def test_sensor_with_interrupt_pattern_rejected(self):
+        """Nothing could trigger it: a run once went by without a frame."""
+        with pytest.raises(PipelineError, match="^node s: sensor nodes use the timing pattern$"):
+            node("s", (), ("o",), role=NodeRole.SENSOR)
+
     def test_fastpath_limited_to_prediction_planning(self):
         fast = LatencyModel(offset_us=100)
         perc = node("p", ("a",), ("b",), role=NodeRole.PERCEPTION, fast_latency=fast)

@@ -11,8 +11,8 @@ one, merges inputs with a reference, triggers a task from scratch (a
 steal if no home worker is free, else queue it and dispatch) and
 dispatches every group after each task; both must write the same trace,
 byte for byte, on random layered DAGs with every mitigation on and tight
-budgets, so that steal admission both admits and rejects. Some drawn
-DAGs share one channel between two consumers, where a sibling's take
+budgets, so that steal admission both admits and rejects. Most drawn
+DAGs share channels between sibling consumers, where a sibling's take
 changes the head a held prediction priced. The reference merge sorts by
 id and the engine's does not, so the equal traces also show that no
 trace reads an object order. The memoized run checks that every message
@@ -122,7 +122,12 @@ class CheckedSimulation(Simulation):
 @st.composite
 def layered_runs(draw):
     """A random layered DAG with diamonds, its groups, and a run config.
-    In some, two nodes of a layer share one input channel."""
+    Drawn to reach a stale prediction: in three DAGs of four, a node takes
+    from each channel that also feeds its left sibling in the layer, so a
+    take by one can change the head the other's held prediction priced.
+    Layers of 2 or 3 nodes, 3 or 4 deep, make that read likely, as pending
+    work priced for a steal, and per-object costs up to 3 ms make an
+    emptied channel move the price enough to change the steal."""
     specs, inputs, outputs, channels = {}, defaultdict(list), defaultdict(list), {}
 
     def edge(src, dst):
@@ -133,8 +138,8 @@ def layered_runs(draw):
         inputs[dst].append(cid)
 
     def costs():
-        return LatencyModel(per_kind_cost_us={V: draw(st.integers(0, 900)),
-                                              P: draw(st.integers(0, 900))},
+        return LatencyModel(per_kind_cost_us={V: draw(st.integers(0, 3000)),
+                                              P: draw(st.integers(0, 3000))},
                             offset_us=draw(st.integers(500, 4000)))
 
     prev = []
@@ -149,17 +154,16 @@ def layered_runs(draw):
                                  noise=NoiseSpec(NoiseKind.LOGNORMAL, sigma=0.3)))
         edge(sensor, percep)
         prev.append(percep)
-    share = draw(st.booleans())
-    for layer in range(draw(st.integers(2, 4))):
-        cur = [f"L{layer}_{j}" for j in range(draw(st.integers(1, 3)))]
+    share = draw(st.integers(0, 3)) > 0
+    for layer in range(draw(st.integers(3, 4))):
+        cur = [f"L{layer}_{j}" for j in range(draw(st.integers(2, 3)))]
         for j, node in enumerate(cur):
             specs[node] = dict(pattern=ExecutionPattern.INTERRUPT, latency=costs())
             # diamonds: each node joins two neighbours of the layer above
             for src in dict.fromkeys((prev[j % len(prev)], prev[(j + 1) % len(prev)])):
                 sibling = f"{src}>{cur[j - 1]}"
                 if share and j and sibling in channels:
-                    inputs[node].append(sibling)    # the first such channel, consumed twice
-                    share = False
+                    inputs[node].append(sibling)    # consumed by both siblings
                 else:
                     edge(src, node)
         for src in prev:
