@@ -17,7 +17,7 @@ from operator import attrgetter, itemgetter
 from typing import Iterator, Optional
 
 from . import mitigation as mit
-from .jsonio import InputError, check_min, read_record
+from .jsonio import InputError, check_min, loads, read_record
 from .mitigation import MitigationConfig, PathChoice
 from .pipeline import (Channel, ExecutionPattern, FrameMessage, NodeRole, NodeSpec,
                        NoiseKind, ObjectTrack, PipelineGraph, downstream_estimate,
@@ -177,7 +177,7 @@ class RunTrace:
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = loads(line)
             except ValueError as e:     # json.JSONDecodeError is a ValueError
                 raise TraceError(lineno, f"malformed JSON: {e}") from None
             kind = obj.pop("type", None) if isinstance(obj, dict) else None
@@ -189,10 +189,13 @@ class RunTrace:
                 fmt = obj.pop("format", None)
                 if type(fmt) is not int or fmt != TRACE_FORMAT:
                     raise TraceError(lineno, f"unsupported trace format {fmt!r}")
-            try:
-                records[kind].append(read_record(_RECORD_TYPES[kind], obj, kind, _TRACE_SCHEMA))
+            try:    # the engine writes int64 instants; a line read back may hold any integer
+                rec = read_record(_RECORD_TYPES[kind], obj, kind, _TRACE_SCHEMA)
+                check_min(rec, -MAX_TIME_US, *_TRACE_INTS[kind], high=MAX_TIME_US,
+                          error=lambda msg: InputError(f"{kind}: {msg}"))
             except InputError as e:
                 raise TraceError(lineno, str(e)) from None
+            records[kind].append(rec)
         if not records["summary"]:
             raise TraceError(lineno, "trace has no summary record")
         trace = records.pop("summary")[0]
@@ -207,6 +210,9 @@ _RECORD_TYPES = {"span": Span, "frame": FrameRecord, "reaction": ReactionRecord,
                  "safety": SafetySample, "closest": ClosestApproach, "summary": RunTrace}
 _RECORD_LISTS = ("spans", "frames", "reactions", "safety_samples", "closest")
 _TRACE_SCHEMA = {RunTrace: dict.fromkeys(_RECORD_LISTS)}     # a jsonio field table
+# each record type's int fields but the seed, which may be any integer
+_TRACE_INTS = {kind: tuple(f.name for f in fields(tp) if f.type == "int" and f.name != "seed")
+               for kind, tp in _RECORD_TYPES.items()}
 # the RunTrace fields a summary record holds, besides "type" and "format"
 _SUMMARY_FIELDS = tuple(f.name for f in fields(RunTrace) if f.name not in _TRACE_SCHEMA[RunTrace])
 
@@ -238,7 +244,7 @@ class _Node:
     groups the node's work may be stolen into, in trial order."""
     __slots__ = ("spec", "name", "inputs", "outputs", "home", "steal_hosts", "stream",
                  "interrupt", "fastpath", "fast_lookahead", "proactive", "terminal", "control",
-                 "fusion", "zero_latency", "predicted", "arrival", "history", "tracks")
+                 "fusion", "zero_latency", "arrival", "history", "tracks")
 
     def __init__(self, spec: NodeSpec, home: "_GroupState", steal_hosts: tuple,
                  stream, cfg: MitigationConfig, terminal: bool):
@@ -255,7 +261,6 @@ class _Node:
         self.zero_latency = (m.offset_us == 0 and not m.per_kind_cost_us
                              and m.noise.kind == NoiseKind.NONE and m.contention is None
                              and m.lookahead_cost_us_per_m == 0.0)
-        self.predicted = None   # (heads, cost, merge or None): see _predict_next
         self.arrival: Optional[int] = None      # the proactive precompute's start
         # a fusion node's a-of-n history and the newest track of each id it saw
         self.history, self.tracks = {}, {}
@@ -406,7 +411,7 @@ class Simulation:
         objects = self._world.capture(t, self.ego_state(t), self._mit.deadline_cap_us)
         seq = len(self._capture_index)
         self._capture_index.append((t, tuple(map(_AGENT_ID, objects))))
-        msg = FrameMessage(created_ts=t, objects=objects, lineage={seq: (t, 0)})
+        msg = FrameMessage(t, objects, kind_counts(objects), lineage={seq: (t, 0)})
         if node.zero_latency:
             self._emit(node, msg)
         else:
@@ -420,28 +425,21 @@ class Simulation:
         while ready and None in ends:
             self._start_task(ready.popleft(), grp, ends.index(None))
 
-    def _start_task(self, task: _Task, grp: _GroupState, widx: int):
+    def _start_task(self, task: _Task, grp: _GroupState, widx: int, price=None):
+        """price is a stolen task's _predict_next, read by its admission."""
         now = self.queue.clock
         node, ready_us, inputs, residual_objects = task
-        held = node.predicted
         if inputs is None:
-            inputs = []
-            for channel in node.inputs:
-                m = channel.take()
-                if m is not None:
-                    inputs.append(m)
+            inputs = list(map(_TAKE, filter(_QUEUED, node.inputs)))   # the non-empty ones
             if not inputs and node.inputs:
                 return    # data was superseded (latest-only) or drained
-            node.predicted = None
 
         spec = node.spec
         single = len(inputs) == 1
         if residual_objects is not None:
             objects, counts = residual_objects, kind_counts(residual_objects)
         elif single:        # most tasks: one input is its own union, with its counts
-            objects, counts = inputs[0].objects, inputs[0].counts or inputs[0].object_counts()
-        elif held is not None and held[0] == inputs:
-            objects, counts = held[2]     # merged from these very messages
+            objects, counts = inputs[0].objects, inputs[0].counts
         else:
             objects = _merge_objects(inputs)
             counts = kind_counts(objects)
@@ -456,7 +454,9 @@ class Simulation:
                 objects, residual = mit.partial_update(objects, self.ego_state(now),
                                                        cfg.criticality_radius_m)
                 counts = kind_counts(objects)
-        duration = sample_latency(model, counts, lookahead, len(objects), node.stream)
+        if price is None or path != "normal":
+            price = predict_latency(model, counts, lookahead)
+        duration = sample_latency(model, price, len(objects), node.stream)
 
         if node.proactive and residual_objects is None:
             if node.arrival is not None:
@@ -491,9 +491,9 @@ class Simulation:
         now = self.queue.clock
         grp.ends[widx] = None
         # a non-fusion node's output objects are its objects, so it passes their counts on
-        msg = FrameMessage(now, self._fuse(node, objects) if node.fusion else objects,
-                           span.path == "fastpath" or span.residual, lineage,
-                           None if node.fusion else counts)
+        out = self._fuse(node, objects) if node.fusion else objects
+        msg = FrameMessage(now, out, kind_counts(out) if node.fusion else counts,
+                           span.path == "fastpath" or span.residual, lineage)
 
         deliver = not span.residual or mit.residual_needs_downstream(objects)
         if node.control:
@@ -546,28 +546,14 @@ class Simulation:
                     self._start_task(task, grp, ends.index(None))
 
     def _predict_next(self, node: _Node) -> int:
-        """Predicted cost of node's next run, from the message its next
-        take() pops from each input: the head, which on a latest-only
-        channel is the only message. The cost is a function of the heads
-        alone, so a held prediction stands while they are the same
-        messages (FrameMessage compares by identity)."""
+        """Predicted cost of node's next normal run, from the message its
+        next take() pops from each input: the head, which on a latest-only
+        channel is the only message."""
         # [channel.queued[0] for channel in node.inputs if channel.queued],
         # without a comprehension's Python-level call
         heads = list(map(_FIRST, filter(None, map(_QUEUED, node.inputs))))
-        held = node.predicted
-        if held is not None and held[0] == heads:
-            return held[1]
-        merge = None
-        if len(heads) == 1:
-            counts = heads[0].counts or heads[0].object_counts()
-        else:
-            objects = _merge_objects(heads)
-            counts = kind_counts(objects)
-            merge = objects, counts
-        spec = node.spec
-        cost = predict_latency(spec.latency, counts, spec.lookahead_m)
-        node.predicted = heads, cost, merge
-        return cost
+        counts = heads[0].counts if len(heads) == 1 else kind_counts(_merge_objects(heads))
+        return predict_latency(node.spec.latency, counts, node.spec.lookahead_m)
 
     def _try_steal(self, node: _Node, task: _Task) -> bool:
         now, cost = self.queue.clock, None
@@ -582,7 +568,7 @@ class Simulation:
             if mit.steal_admission(cost, [0 if end is None else end - now for end in ends],
                                    pending, host.budget_us, self._mit.steal_safety_factor):
                 self.trace.steals_admitted += 1
-                self._start_task(task, host, ends.index(None))
+                self._start_task(task, host, ends.index(None), cost)
                 return True
             self.trace.steals_rejected += 1
         return False
@@ -640,7 +626,7 @@ class Simulation:
 
 
 _BY_AGE, _AGENT_ID = attrgetter("created_ts"), attrgetter("agent_id")
-_QUEUED, _FIRST = attrgetter("queued"), itemgetter(0)
+_QUEUED, _FIRST, _TAKE = attrgetter("queued"), itemgetter(0), Channel.take
 
 
 def _merge_objects(msgs) -> tuple[ObjectTrack, ...]:

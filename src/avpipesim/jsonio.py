@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import sys
 import typing
 from enum import Enum
@@ -26,6 +27,25 @@ _FLOAT_MAX = sys.float_info.max
 
 class InputError(ValueError):
     """An input file failed validation; the message names the field."""
+
+
+def loads(text: str):
+    """json.loads; an integer too long to read is named without Python's advice."""
+    try:
+        return json.loads(text)
+    except ValueError as e:     # "Exceeds the limit (4300 digits) ...: value has N digits; ..."
+        digits = re.search(r"value has (\d+) digits", str(e))
+        if digits is None:
+            raise
+        raise ValueError(f"an integer of {digits[1]} digits is too long") from None
+
+
+def shown(value) -> str:
+    """value as a message shows it: a string quoted, an integer of more
+    than 24 digits as its first 12 and its length."""
+    text = repr(value) if type(value) is str else str(value)
+    n = len(text) - (value < 0) if type(value) is int else 0
+    return f"{text[:12 + (value < 0)]}...({n} digits)" if n > 24 else text
 
 
 class Key(typing.NamedTuple):
@@ -57,7 +77,7 @@ def as_scalar(tp, value):
     number as an integer that a float holds; anything else raises ValueError."""
     is_tp, what = _SCALARS[tp]
     if not is_tp(value):
-        raise ValueError(f"expected {what}, got {value!r}")
+        raise ValueError(f"expected {what}, got {shown(value)}")
     return tp(value)
 
 
@@ -220,17 +240,17 @@ def check_min(rec, low, *names, error=InputError, strict=False, high=None):
     for name in names:
         value = getattr(rec, name)
         if not (value > low if strict else value >= low):
-            raise error(f"{name}: expected {'>' if strict else '>='} {low}, got {value}")
+            raise error(f"{name}: expected {'>' if strict else '>='} {low}, got {shown(value)}")
         if high is not None and not value <= high:
             top = f"{high:g}" if type(high) is float else high     # 1e+12; an int in full
-            raise error(f"{name}: expected <= {top}, got {value}")
+            raise error(f"{name}: expected <= {top}, got {shown(value)}")
 
 
 def load_json(path, convert, error):
     """convert(the parsed file); malformed JSON is raised as error."""
     with open(path, "r", encoding="utf-8") as f:
         try:
-            obj = json.load(f)
+            obj = loads(f.read())
         except ValueError as e:     # json.JSONDecodeError is a ValueError
             raise error(f"{path}: malformed JSON: {e}") from None
     return convert(obj)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .jsonio import InputError, Key, check_min, from_json, load_json, save_json, to_json
+from .jsonio import InputError, Key, check_min, from_json, load_json, save_json, shown, to_json
 from .scenario import MAX_MAGNITUDE, MAX_TIME_US, AgentKind
 from .simkernel import RandomStream
 
@@ -85,7 +85,7 @@ class LatencyModel:
         for kind, cost in self.per_kind_cost_us.items():
             if not 0 <= cost <= MAX_TIME_US:
                 raise PipelineError(f"per_kind_cost_us.{AgentKind(kind).value}: "
-                                    f"expected in [0, {MAX_TIME_US}], got {cost}")
+                                    f"expected in [0, {MAX_TIME_US}], got {shown(cost)}")
 
 
 def predict_latency(m: LatencyModel, counts: dict[AgentKind, int],
@@ -101,11 +101,9 @@ def predict_latency(m: LatencyModel, counts: dict[AgentKind, int],
     return total
 
 
-def sample_latency(m: LatencyModel, counts: dict[AgentKind, int],
-                   lookahead_m: Optional[float], payload_size: int,
-                   stream: RandomStream) -> int:
-    """One stochastic latency draw: prediction plus noise and contention."""
-    base = predict_latency(m, counts, lookahead_m)
+def sample_latency(m: LatencyModel, base: int, payload_size: int, stream: RandomStream) -> int:
+    """One stochastic latency draw: base, the model's predict_latency, plus
+    noise and contention."""
     if m.noise.kind == _NOISE_NONE and m.contention is None:
         return max(m.offset_floor_us, round(base))      # an int stays exact
     value = float(base)
@@ -240,21 +238,14 @@ class FrameMessage:
     """A module's output. Its objects are distinct agents, in an order that
     carries no meaning: a capture emits one track per scenario agent, a merge
     and fusion key their output by agent id, a partial update splits a set.
-    A message equals only itself, so comparing lists of messages is a C-level
-    identity test."""
+    A message equals only itself."""
     created_ts: int
     objects: tuple[ObjectTrack, ...]
+    counts: dict[AgentKind, int]    # kind_counts(objects), given by the producer
     partial: bool = False
     # the message's only provenance: origin sensor frame seq ->
     # (capture_ts, accumulated module time); drives reaction attribution
     lineage: dict[int, tuple[int, int]] = field(default_factory=dict)
-    # kind_counts(objects), given by the producer or computed on first read
-    counts: Optional[dict[AgentKind, int]] = None
-
-    def object_counts(self) -> dict[AgentKind, int]:
-        if self.counts is None:
-            self.counts = kind_counts(self.objects)
-        return self.counts
 
 
 def kind_counts(objects) -> dict[AgentKind, int]:

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .jsonio import InputError, Key, check_min, from_json, load_json, save_json, to_json
+from .jsonio import InputError, Key, check_min, from_json, load_json, save_json, shown, to_json
 from .simkernel import US_PER_S, RandomStream
 
 SCENARIO_FORMAT = 1
@@ -74,14 +74,15 @@ class TrajectorySpec:
     def __post_init__(self):
         for k, (t, a) in enumerate(self.segments):
             if not 0 <= t <= MAX_TIME_US:
-                raise ScenarioError(f"segments[{k}].start_us: expected in [0, 2**63 - 1], got {t}")
+                raise ScenarioError(f"segments[{k}].start_us: expected in [0, 2**63 - 1], "
+                                    f"got {shown(t)}")
             if k and t <= self.segments[k - 1][0]:
                 raise ScenarioError(f"segments[{k}].start_us: expected > segments[{k - 1}]"
                                     f".start_us ({self.segments[k - 1][0]}), got {t}")
             _check_magnitude(f"segments[{k}].a_mps2", a)
         if not abs(self.visible_from_us) <= MAX_TIME_US:
             raise ScenarioError(f"visible_from_us: expected magnitude <= 2**63 - 1, "
-                                f"got {self.visible_from_us}")
+                                f"got {shown(self.visible_from_us)}")
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ class Scenario:
     def __post_init__(self):
         if not 0 < self.duration_us <= MAX_TIME_US:
             raise ScenarioError(f"duration_us: expected > 0 and <= 2**63 - 1, "
-                                f"got {self.duration_us}")
+                                f"got {shown(self.duration_us)}")
         check_min(self, 0, "d_buffer_m", error=ScenarioError, strict=True)
         seen = set()
         for aid, _, _ in self.agents:

@@ -113,6 +113,9 @@ def _dump(obj) -> str:
     return json.dumps(obj).replace("Infinity", "1e999")
 
 
+# 10**400 as a message shows it: a run of more than 24 digits is cut short
+HUGE = "100000000000...(401 digits)"
+
 # files that loaded, and then ended run in a traceback or ran wrong
 BOUND_CASES = [
     ("scenario.json", _set(("d_buffer_m",), 0.0), "scenario: d_buffer_m: expected > 0, got 0.0"),
@@ -152,13 +155,13 @@ BOUND_CASES = [
     ("scenario.json", _set(("d_buffer_m",), math.inf),
      "scenario.d_buffer_m: expected a number, got inf"),
     ("scenario.json", _set(("d_buffer_m",), 10**400),
-     f"scenario.d_buffer_m: expected a number, got {10**400}"),
+     f"scenario.d_buffer_m: expected a number, got {HUGE}"),
     ("pipeline.json", _set(("nodes", 0, "latency", "lookahead_cost_us_per_m"), math.nan),
      "nodes[0].latency.lookahead_cost_us_per_m: expected a number, got nan"),
     ("pipeline.json", _set(("nodes", 0, "latency", "lookahead_cost_us_per_m"), math.inf),
      "nodes[0].latency.lookahead_cost_us_per_m: expected a number, got inf"),
     ("pipeline.json", _set(("nodes", 0, "latency", "lookahead_cost_us_per_m"), 10**400),
-     f"nodes[0].latency.lookahead_cost_us_per_m: expected a number, got {10**400}"),
+     f"nodes[0].latency.lookahead_cost_us_per_m: expected a number, got {HUGE}"),
     # once accepted, and then run ended in an OverflowError
     ("pipeline.json", _set(("nodes", 0, "lookahead_m"), 1e308),
      "nodes[0]: lookahead_m: expected <= 1e+12, got 1e+308"),
@@ -170,17 +173,17 @@ BOUND_CASES = [
      "nodes[0].latency.contention: slope_us_per_miss: expected <= 1e+12, got 1e+300"),
     ("pipeline.json", _set(("nodes", 0, "latency", "noise"),
                            {"kind": "uniform", "jitter_us": 10**400}),
-     f"nodes[0].latency.noise: jitter_us: expected <= 9223372036854775807, got {10**400}"),
+     f"nodes[0].latency.noise: jitter_us: expected <= 9223372036854775807, got {HUGE}"),
     ("pipeline.json", _set(("nodes", 0, "latency"),
                            {"offset_us": 10**400, "noise": {"kind": "lognormal", "sigma": 0.1}}),
-     f"nodes[0].latency: offset_us: expected <= 9223372036854775807, got {10**400}"),
+     f"nodes[0].latency: offset_us: expected <= 9223372036854775807, got {HUGE}"),
     # once accepted: a negative lookahead lowered the node's latency, a huge
     # cost left no frame finished, an interrupt sensor never ran
     ("pipeline.json", _set(("nodes", 0, "lookahead_m"), -50),
      "nodes[0]: lookahead_m: expected >= 0, got -50.0"),
     ("pipeline.json", _set(("nodes", 0, "latency"), {"per_kind_cost_us": {"vehicle": 10**400}}),
      f"nodes[0].latency: per_kind_cost_us.vehicle: expected in [0, 9223372036854775807], "
-     f"got {10**400}"),
+     f"got {HUGE}"),
     ("pipeline.json", _set(("nodes", 2, "pattern"), "interrupt"),
      "nodes[2]: node sensor: sensor nodes use the timing pattern"),
 ]
@@ -300,11 +303,11 @@ def test_validate_bad_input_exits_1_with_message(workdir, capsys, name, mutate, 
     ("config.json", _set(("sensor_range_m",), math.inf),
      "error: config.sensor_range_m: expected a number, got inf"),
     ("config.json", _set(("sensor_range_m",), 10**400),
-     f"error: config.sensor_range_m: expected a number, got {10**400}"),
+     f"error: config.sensor_range_m: expected a number, got {HUGE}"),
     ("config.json", _set(("rss",), {"response_time_us": 10**400}),
-     f"error: rss: response_time_us: expected <= 9223372036854775807, got {10**400}"),
+     f"error: rss: response_time_us: expected <= 9223372036854775807, got {HUGE}"),
     ("config.json", _set(("actuation_delay_us",), 10**400),
-     f"error: config: actuation_delay_us: expected <= 9223372036854775807, got {10**400}"),
+     f"error: config: actuation_delay_us: expected <= 9223372036854775807, got {HUGE}"),
     *BOUND_CASES,
 ], ids=["pattern", "role", "node-name", "group-name", "groups-int", "seed-str",
         "rss-key", "duration-nan", "range-nan", "fastpath-str", "cancel-int",
@@ -710,7 +713,18 @@ def test_compare_rejects_mismatched_scenarios(workdir, tmp_path, capsys):
     ('{"type": "closest", "agent_id": "a", "t_us": 0, "lon_gap_m": -Infinity}\n',
      ":1: closest.lon_gap_m: expected a number, got -inf"),
     (f'{{"type": "closest", "agent_id": "a", "t_us": 0, "lon_gap_m": {10**400}}}\n',
-     f":1: closest.lon_gap_m: expected a number, got {10**400}"),
+     f":1: closest.lon_gap_m: expected a number, got {HUGE}"),
+    (f'{{"type": "closest", "agent_id": "a", "t_us": {"1" * 5001}, "lon_gap_m": 1}}\n',
+     ":1: malformed JSON: an integer of 5001 digits is too long"),
+    ('{"type": "span", "node": "n", "frame_seq": 0, "start_us": 0, "worker": "w", "ready_us": 0, '
+     f'"end_us": {10**400}, "path": "normal", "guest": false, "residual": false}}\n',
+     f":1: span: end_us: expected <= 9223372036854775807, got {HUGE}"),
+    # in a whole trace, this frame once ended compare in an OverflowError
+    # traceback, from the mean of the frames' latencies
+    ('{"type": "frame", "seq": 0, "sensor_ts": 0, "done_ts": 0, "module_us": 0, "bubble_us": 0, '
+     '"terminal": "n", "path": "normal", "has_critical": false, "partial": false, '
+     f'"e2e_us": {10**400}}}\n',
+     f":1: frame: e2e_us: expected <= 9223372036854775807, got {HUGE}"),
     ('{"type": "safety", "t_us": 0}\n',
      ":1: safety: missing fields ['agent_id', 'lat_gap_m', 'level', 'lon_gap_m']"),
     ('\n{"type": "closest", "agent_id": "a", "t_us": true, "lon_gap_m": 1}\n',
@@ -719,7 +733,7 @@ def test_compare_rejects_mismatched_scenarios(workdir, tmp_path, capsys):
     (('"format": 2', '"format": 3'), "unsupported trace format 3"),
     (('"seed": 3', '"seed": "x"'), "summary.seed: expected an integer, got 'x'"),
 ], ids=["truncated", "unknown-type", "not-an-object", "nan", "inf", "minus-infinity",
-        "int-huge", "missing-fields",
+        "int-huge", "int-too-long", "span-int-huge", "frame-int-huge", "missing-fields",
         "wrong-type", "no-summary", "format-3", "summary-seed-str"])
 def test_compare_bad_trace_exits_1_with_line(workdir, capsys, text, expect):
     good = workdir / "out" / "trace.ndjson"
@@ -737,6 +751,16 @@ def test_compare_bad_trace_exits_1_with_line(workdir, capsys, text, expect):
         err = capsys.readouterr().err
         assert rc == EXIT_VALIDATION
         assert err.startswith(f"error: {bad}{expect}") and "Traceback" not in err
+
+
+def test_run_refuses_an_integer_too_long_to_read(workdir, capsys):
+    """One of more digits than Python reads by default (4,300) is malformed
+    JSON, named without Python's advice to raise the limit."""
+    path = workdir / "config.json"
+    path.write_text(path.read_text().replace('"seed": 3', '"seed": ' + "1" * 5001))
+    assert main(["run", "--config", str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: malformed JSON: an integer of 5001 digits is too long\n"
 
 
 def test_paired_traces_compare_to_the_paired_report(workdir):

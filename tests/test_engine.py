@@ -144,9 +144,9 @@ class TestReactionMeasurement:
         """Each origin's module time continues from the newest input that
         carries it, from the first such input on a tie; a task's span
         records the newest origin among its inputs, and -1 for none."""
-        a = FrameMessage(created_ts=10, objects=(), lineage={0: (0, 5), 1: (3, 2)})
-        b = FrameMessage(created_ts=20, objects=(), lineage={0: (0, 9)})
-        c = FrameMessage(created_ts=20, objects=(), lineage={0: (0, 7), 1: (3, 4)})
+        a = FrameMessage(created_ts=10, objects=(), counts={}, lineage={0: (0, 5), 1: (3, 2)})
+        b = FrameMessage(created_ts=20, objects=(), counts={}, lineage={0: (0, 9)})
+        c = FrameMessage(created_ts=20, objects=(), counts={}, lineage={0: (0, 7), 1: (3, 4)})
         assert engine._advance_lineage([a, b, c], 100) == {0: (0, 109), 1: (3, 104)}
         g = PipelineGraph(nodes={"tick": NodeSpec("tick", ExecutionPattern.TIMING, (), ("o",),
                                                   LatencyModel(offset_us=10), period_us=ms(100))},

@@ -11,15 +11,15 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from avpipesim.config import load_config
+from avpipesim.config import ConfigError, load_config
 from avpipesim.engine import EngineConfig, ProcessorGroup, run_simulation
-from avpipesim.jsonio import InputError
+from avpipesim.jsonio import InputError, shown
 from avpipesim.mitigation import MitigationConfig
 from avpipesim.pipeline import (Channel, ChannelPolicy, ContentionSpec, LatencyModel, NodeRole,
                                 NoiseKind, NoiseSpec, load_pipeline, save_pipeline)
 from avpipesim.safety import RssParams
-from avpipesim.scenario import (AgentKind, AgentState, Scenario, TrajectorySpec, load_scenario,
-                                save_scenario)
+from avpipesim.scenario import (AgentKind, AgentState, Scenario, ScenarioError, TrajectorySpec,
+                                load_scenario, save_scenario)
 from avpipesim.simkernel import ms, sec
 
 import fixtures
@@ -231,6 +231,25 @@ def test_bounds_admit_their_limits():
     assert test_pipeline.node("p", ("a",), ("b",), lookahead_m=0.0).lookahead_m == 0.0
     assert test_pipeline.node("p", ("a",), ("b",), lookahead_m=1e12).lookahead_m == 1e12
     assert EngineConfig(actuation_delay_us=2**63 - 1) and RssParams(response_time_us=2**63 - 1)
+
+
+def test_a_long_integer_is_cut_short_in_a_message(tmp_path):
+    """A value of more than 24 digits shows its first 12 and its length, so
+    a 401-digit number does not fill the message; 2**63 - 1 shows whole,
+    and so does a file path, whatever digits it holds."""
+    assert shown(-10**400) == "-100000000000...(401 digits)"
+    assert shown(10**24) == "100000000000...(25 digits)"
+    assert shown(10**23) == str(10**23) and shown(2**63 - 1) == str(2**63 - 1)
+    assert shown("1" * 30) == repr("1" * 30) and shown(1e308) == "1e+308"
+    with pytest.raises(ScenarioError) as e:
+        TrajectorySpec(AgentState(0.0, 0.0, 0.0, 0.0), segments=((10**400, 0.0),))
+    assert str(e.value).endswith("got 100000000000...(401 digits)")
+    path = tmp_path / ("1" * 30) / "config.json"
+    path.parent.mkdir()
+    path.write_text("{")
+    with pytest.raises(ConfigError) as e:
+        load_config(path)
+    assert str(e.value).startswith(f"{path}: malformed JSON: ")
 
 
 def test_a_run_reaches_the_largest_instant():

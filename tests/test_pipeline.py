@@ -5,7 +5,7 @@ import pytest
 
 from avpipesim import pipeline
 from avpipesim.pipeline import (Channel, ChannelPolicy, ContentionSpec, ExecutionPattern,
-                                FrameMessage, FusionSpec, LatencyModel, NodeRole, NodeSpec,
+                                FusionSpec, LatencyModel, NodeRole, NodeSpec,
                                 NoiseKind, NoiseSpec, ObjectTrack, PipelineError,
                                 PipelineGraph, downstream_estimate, fusion_update,
                                 kind_counts, pipeline_from_json, pipeline_to_json,
@@ -132,15 +132,11 @@ class TestPredictLatency:
 
 
 class TestKindCounts:
-    def test_a_message_without_counts_counts_its_objects_once(self):
+    def test_kind_counts_counts_each_kind(self):
         objects = tuple(ObjectTrack(aid, kind, 0.0, 0)
                         for aid, kind in (("a", V), ("b", P), ("c", V), ("d", C)))
-        msg = FrameMessage(created_ts=0, objects=objects)
-        assert msg.counts is None
-        counts = msg.object_counts()
-        assert counts == kind_counts(objects) == {V: 2, P: 1, C: 1}
-        assert msg.object_counts() is counts is msg.counts
-        assert FrameMessage(created_ts=0, objects=()).object_counts() == {}
+        assert kind_counts(objects) == {V: 2, P: 1, C: 1}
+        assert kind_counts(()) == {}
 
     def test_a_track_is_a_tuple_of_its_fields(self):
         track = ObjectTrack("a", V, 1.5, 7)
@@ -152,7 +148,8 @@ class TestSampleLatency:
     def test_no_noise_equals_prediction(self):
         m = LatencyModel(per_kind_cost_us={V: 2000}, offset_us=5000)
         s = RandomStream(1, "n")
-        assert sample_latency(m, {V: 4}, None, 4, s) == predict_latency(m, {V: 4})
+        base = predict_latency(m, {V: 4})
+        assert sample_latency(m, base, 4, s) == base
 
     def test_contention_arithmetic(self):
         # 100 misses at 85.36 us each adds 8536 us
@@ -160,14 +157,14 @@ class TestSampleLatency:
                          contention=ContentionSpec(slope_us_per_miss=85.36,
                                                    misses_per_unit=1.0))
         s = RandomStream(1, "n")
-        assert sample_latency(m, {}, None, 100, s) == 10_000 + 8536
+        assert sample_latency(m, 10_000, 100, s) == 10_000 + 8536
 
     def test_floor_always_respected(self):
         m = LatencyModel(offset_us=100, offset_floor_us=50,
                          noise=NoiseSpec(NoiseKind.UNIFORM, jitter_us=10_000))
         s = RandomStream(3, "n")
         for _ in range(200):
-            assert sample_latency(m, {}, None, 0, s) >= 50
+            assert sample_latency(m, 100, 0, s) >= 50
 
     def test_lognormal_tail_ratio_matches_analytic(self):
         # p99/median of lognormal(sigma) is exp(sigma * z_0.99)
@@ -175,7 +172,7 @@ class TestSampleLatency:
         m = LatencyModel(offset_us=100_000,
                          noise=NoiseSpec(NoiseKind.LOGNORMAL, sigma=sigma))
         s = RandomStream(11, "n")
-        draws = sorted(sample_latency(m, {}, None, 0, s) for _ in range(100_000))
+        draws = sorted(sample_latency(m, 100_000, 0, s) for _ in range(100_000))
         p99 = draws[math.ceil(0.99 * len(draws)) - 1]
         median = draws[len(draws) // 2]
         z99 = 2.3263478740408408
@@ -184,8 +181,8 @@ class TestSampleLatency:
 
     def test_deterministic_per_stream(self):
         m = LatencyModel(offset_us=1000, noise=NoiseSpec(NoiseKind.LOGNORMAL, 0.5))
-        a = [sample_latency(m, {}, None, 0, RandomStream(5, "x")) for _ in range(3)]
-        b = [sample_latency(m, {}, None, 0, RandomStream(5, "x")) for _ in range(3)]
+        a = [sample_latency(m, 1000, 0, RandomStream(5, "x")) for _ in range(3)]
+        b = [sample_latency(m, 1000, 0, RandomStream(5, "x")) for _ in range(3)]
         assert a == b
 
 

@@ -1,25 +1,26 @@
-"""The scheduler's memoized hot path against a from-scratch reference.
+"""The scheduler's hot path against a from-scratch reference.
 
-Simulation holds each node's last prediction on its plan, with the input
-heads it priced and the merge behind it, and reuses it while the heads
-are the same messages; it prices a steal only on a host with a free
-worker, starts a triggered task at once when its home group has a free
-worker and nothing older waits, and after a task ends dispatches only
-the groups that can have gained work. UncachedSimulation below
-recomputes every prediction on every call, never reading the plan's held
-one, merges inputs with a reference, triggers a task from scratch (a
-steal if no home worker is free, else queue it and dispatch) and
-dispatches every group after each task; both must write the same trace,
-byte for byte, on random layered DAGs with every mitigation on and tight
-budgets, so that steal admission both admits and rejects. Most drawn
-DAGs share channels between sibling consumers, where a sibling's take
-changes the head a held prediction priced. The reference merge sorts by
-id and the engine's does not, so the equal traces also show that no
-trace reads an object order. The memoized run checks that every message
-it emits holds distinct ids and carries its objects' kind counts.
+Simulation reads the kind counts each message's producer gave it,
+prices a steal only on a host with a free worker, draws an admitted
+guest's latency from the price admission read, starts a triggered task
+at once when its home group has a free worker and nothing older waits,
+and after a task ends dispatches only the groups that can have gained
+work. UncachedSimulation below counts and merges every node's heads
+with a reference, prices every guest again as any task, triggers a task
+from scratch (a steal if no home worker is free, else queue it and
+dispatch) and dispatches every group after each task. Both must write
+the same trace, byte for byte, on random layered DAGs with every
+mitigation on and tight budgets; over its examples the property test
+must see a steal admitted, a steal rejected, and an admission that
+priced queued host work. Most drawn DAGs share channels between sibling
+consumers, where a sibling's take changes the head the other is priced
+by. The reference merge sorts by id and the engine's does not, so the
+equal traces also show that no trace reads an object order. The run
+under test checks that every message it emits holds distinct ids and
+carries its objects' kind counts.
 """
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
@@ -51,8 +52,8 @@ def reference_merge(msgs):
 
 
 class UncachedSimulation(Simulation):
-    """Predictions recomputed on every call, merges by the reference, and
-    its own trigger and end-of-task dispatch."""
+    """Predictions counted from a reference merge, no price handed to a
+    stolen task, and its own trigger and end-of-task dispatch."""
 
     def _predict_next(self, node):
         spec = node.spec
@@ -105,29 +106,35 @@ class UncachedSimulation(Simulation):
 
 
 class CheckedSimulation(Simulation):
-    """The memoized run, asserting that every emitted message holds
+    """The run under test, asserting that every emitted message holds
     distinct agents, which the merge's one-input shortcut relies on, and
-    that the kind counts it carries are its objects' counts."""
+    that the kind counts it carries are its objects' counts. It also
+    counts the admitted steals that priced a non-empty host queue."""
 
-    emitted = 0
+    emitted = over_queue = 0
 
     def _emit(self, node, msg):
         ids = [o.agent_id for o in msg.objects]
         assert len(set(ids)) == len(ids), (node.name, ids)
-        assert msg.object_counts() == kind_counts(msg.objects), (node.name, msg.counts)
+        assert msg.counts == kind_counts(msg.objects), (node.name, msg.counts)
         self.emitted += 1
         super()._emit(node, msg)
+
+    def _start_task(self, task, grp, widx, price=None):
+        if price is not None and grp.ready:     # admitted over queued host work
+            self.over_queue += 1
+        super()._start_task(task, grp, widx, price)
 
 
 @st.composite
 def layered_runs(draw):
     """A random layered DAG with diamonds, its groups, and a run config.
-    Drawn to reach a stale prediction: in three DAGs of four, a node takes
-    from each channel that also feeds its left sibling in the layer, so a
-    take by one can change the head the other's held prediction priced.
-    Layers of 2 or 3 nodes, 3 or 4 deep, make that read likely, as pending
-    work priced for a steal, and per-object costs up to 3 ms make an
-    emptied channel move the price enough to change the steal."""
+    In three DAGs of four, a node takes from each channel that also feeds
+    its left sibling in the layer, so a take by one changes the heads the
+    other is priced by. Layers of 2 or 3 nodes, 3 or 4 deep, make that
+    price likely to be read, as pending work priced for a steal, and
+    per-object costs up to 3 ms make an emptied channel move the price
+    enough to change the steal."""
     specs, inputs, outputs, channels = {}, defaultdict(list), defaultdict(list), {}
 
     def edge(src, dst):
@@ -235,13 +242,15 @@ def traffic() -> Scenario:
 SCENARIO = traffic()
 
 
-@settings(max_examples=25, deadline=None)
-@given(layered_runs())
-def test_memoized_scheduler_matches_uncached_reference(run):
+def compare_with_reference(run, steals: Counter):
+    """The run under test against the reference, adding its steal counts
+    to steals."""
     graph, groups, config, seed = run
     checked = CheckedSimulation(SCENARIO, graph, groups, config, seed)
     fast = checked.run()
     assert checked.emitted
+    steals.update(admitted=fast.steals_admitted, rejected=fast.steals_rejected,
+                  over_queue=checked.over_queue)
     slow = UncachedSimulation(SCENARIO, graph, groups, config, seed).run()
     lines, expected = list(fast.ndjson_lines()), list(slow.ndjson_lines())
     # a plain == on the whole traces would make pytest diff megabytes
@@ -257,11 +266,22 @@ def test_memoized_scheduler_matches_uncached_reference(run):
         assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
 
 
+def test_memoized_scheduler_matches_uncached_reference():
+    steals = Counter()      # summed over the examples
+
+    @settings(max_examples=25, deadline=None)
+    @given(layered_runs())
+    def check(run):
+        compare_with_reference(run, steals)
+
+    check()
+    assert steals["admitted"] and steals["rejected"] and steals["over_queue"], steals
+
+
 def message(ids, created_ts):
-    return FrameMessage(created_ts=created_ts,
-                        objects=tuple(ObjectTrack(agent_id=aid, kind=(V, P)[i % 2],
-                                                  s_m=0.0, deadline_us=i)
-                                      for i, aid in enumerate(ids)))
+    objects = tuple(ObjectTrack(agent_id=aid, kind=(V, P)[i % 2], s_m=0.0, deadline_us=i)
+                    for i, aid in enumerate(ids))
+    return FrameMessage(created_ts=created_ts, objects=objects, counts=kind_counts(objects))
 
 
 @given(st.lists(st.tuples(st.lists(st.sampled_from("abcd"), unique=True),

@@ -1,6 +1,6 @@
 """Bytecode instructions and Python-level calls of one run, in two checkouts.
 
-    python3 tools/count_work.py BASE CHANGE [--workload W] [--seed N]
+    python3 tools/count_work.py BASE CHANGE [--workload W] [--seed N] [--by-function N]
 
 BASE and CHANGE are two checkouts of this repository, such as a clone
 of the parent commit and the working tree. For each, a fresh process
@@ -18,8 +18,12 @@ The counts do not depend on the machine's load, so they resolve a
 change of work that `wall_s` cannot. Tracing makes the run about ten
 times slower (`dag_stress` at seed 0 takes ~10 s a side on a 2-core VM).
 
-Prints each side's counts and the change. Exit status: 0; 1 if a side
-failed or the two runs' trace digests differ.
+Prints each side's counts and the change. With `--by-function N`, it
+also prints, per side, the N functions that executed the most
+instructions, each with its instructions and calls; a function is named
+by its file, first line and qualified name. That shows where a change
+moves work. Exit status: 0; 1 if a side failed or the two runs' trace
+digests differ.
 """
 
 from __future__ import annotations
@@ -58,17 +62,18 @@ def count(checkout: str, workload: str, seed: int) -> dict:
     if not os.path.realpath(avpipesim.__file__).startswith(src + os.sep):
         raise RuntimeError(f"imported {avpipesim.__file__}, not the checkout's")
     scenario, graph, groups, config, sim_seed = build(workload, seed)
-    opcodes = calls = 0
-
-    def on_event(frame, event, arg):
-        nonlocal opcodes
-        if event == "opcode":
-            opcodes += 1
-        return on_event
+    work = {}       # code object -> [instructions, calls]
 
     def on_call(frame, event, arg):
-        nonlocal calls
-        calls += 1
+        counts = work.get(frame.f_code)
+        if counts is None:
+            counts = work[frame.f_code] = [0, 0]
+        counts[1] += 1
+
+        def on_event(frame, event, arg):
+            if event == "opcode":
+                counts[0] += 1
+            return on_event
         frame.f_trace_lines = False
         frame.f_trace_opcodes = True
         return on_event
@@ -79,7 +84,21 @@ def count(checkout: str, workload: str, seed: int) -> dict:
     finally:
         sys.settrace(None)
     digest = hashlib.sha256("".join(trace.ndjson_lines()).encode()).hexdigest()
-    return {"instructions": opcodes, "calls": calls, "trace_sha256": digest}
+    root = os.path.realpath(checkout)
+    functions = sorted(([code_name(code, root), *counts] for code, counts in work.items()),
+                       key=lambda f: (-f[1], f[0]))
+    return {"instructions": sum(f[1] for f in functions),
+            "calls": sum(f[2] for f in functions), "trace_sha256": digest,
+            "functions": functions}
+
+
+def code_name(code, checkout: str) -> str:
+    """file:line(qualified name) of a code object; a file in checkout is
+    named by its path there."""
+    path = os.path.realpath(code.co_filename)
+    if path.startswith(checkout + os.sep):
+        path = os.path.relpath(path, checkout)
+    return f"{path}:{code.co_firstlineno}({getattr(code, 'co_qualname', code.co_name)})"
 
 
 def side(checkout: str, workload: str, seed: int) -> dict:
@@ -99,6 +118,8 @@ def main(argv=None) -> int:
     p.add_argument("change", nargs="?")
     p.add_argument("--workload", choices=WORKLOADS, default="dag_stress")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--by-function", type=int, default=0, metavar="N",
+                   help="also print each side's N functions with the most instructions")
     p.add_argument("--child", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.child:
@@ -115,6 +136,8 @@ def main(argv=None) -> int:
             return 1
         print(f"{args.workload} seed {args.seed} {name}: {r['instructions']:,} instructions, "
               f"{r['calls']:,} calls, trace sha256 {r['trace_sha256'][:16]}", flush=True)
+        for fn, instructions, calls in r["functions"][:args.by_function]:
+            print(f"  {instructions:>12,} instructions {calls:>9,} calls  {fn}")
     base, change = results["base"], results["change"]
     print(f"{args.workload} seed {args.seed} change: "
           + ", ".join(f"{change[k] - base[k]:+,} {k} ({change[k] / base[k] - 1:+.2%})"
