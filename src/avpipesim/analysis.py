@@ -86,9 +86,9 @@ def compare_runs(baseline: RunTrace, treatment: RunTrace) -> dict:
     t_safety = safety_report(treatment)
     per_node: dict[str, dict[str, int]] = {}
     for name, trace in (("baseline", baseline), ("treatment", treatment)):
-        for sp in trace.spans:
-            d = per_node.setdefault(sp.node, {"baseline": 0, "treatment": 0})
-            d[name] += sp.end_us - sp.start_us
+        for key, _, start, end, _ in trace.spans.rows():   # key[0] is the node
+            d = per_node.setdefault(key[0], {"baseline": 0, "treatment": 0})
+            d[name] += end - start
     return {
         "frames_compared": len(common),
         "mean_delta_us": round(sum(deltas) / len(deltas)) if deltas else 0,

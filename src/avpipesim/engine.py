@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import partial
+from itertools import starmap
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from typing import Iterator, Optional
@@ -77,6 +79,67 @@ class Span:
     residual: bool = False
 
 
+class SpanLog(Sequence):
+    """A run's spans, read as a sequence of Span records and stored in
+    one flat list, five slots a span: its key (node, worker, path, guest,
+    residual), then frame_seq, start_us, end_us and ready_us. Equal keys
+    of str and bool values are one tuple, so a run holds a key per node,
+    worker and kind of pass, not an object per span."""
+    __slots__ = ("slots", "_keys")
+
+    def __init__(self, spans=()):
+        self.slots, self._keys = [], {}
+        for span in spans:
+            self.append(span)
+
+    def add(self, key: tuple, seq, start, end, ready):
+        """Append a span whose key holds only str and bool values."""
+        self.slots += (self._keys.setdefault(key, key), seq, start, end, ready)
+
+    def append(self, span: Span):
+        key = (span.node, span.worker, span.path, span.guest, span.residual)
+        times = (span.frame_seq, span.start_us, span.end_us, span.ready_us)
+        if tuple(map(type, key)) == _KEY_TYPES:
+            self.add(key, *times)
+        else:   # kept as it is: an equal key of other types (1 for True) is written otherwise
+            self.slots += (key, *times)
+
+    def rows(self):
+        """(key, frame_seq, start_us, end_us, ready_us) per span, in order."""
+        slot = iter(self.slots)
+        return zip(slot, slot, slot, slot, slot)
+
+    def __len__(self):
+        return len(self.slots) // 5
+
+    def __iter__(self):
+        return starmap(_span, self.rows())
+
+    def __getitem__(self, i):
+        at = range(0, len(self.slots), 5)[i]     # refuses what a list index refuses
+        if isinstance(at, range):
+            return [_span(*self.slots[j:j + 5]) for j in at]
+        return _span(*self.slots[at:at + 5])
+
+    def __eq__(self, other):
+        if isinstance(other, SpanLog):
+            return self.slots == other.slots
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self):
+        return f"SpanLog({list(self)!r})"
+
+
+_KEY_TYPES = (str, str, str, bool, bool)
+
+
+def _span(key: tuple, seq, start, end, ready) -> Span:
+    node, worker, path, guest, residual = key
+    return Span(node, seq, start, end, worker, ready, path, guest, residual)
+
+
 @dataclass
 class FrameRecord:
     seq: int                # newest sensor frame feeding this output
@@ -123,7 +186,7 @@ class RunTrace:
     scenario_digest: str
     seed: int
     duration_us: int
-    spans: list[Span] = field(default_factory=list)
+    spans: SpanLog = field(default_factory=SpanLog)
     frames: list[FrameRecord] = field(default_factory=list)
     reactions: list[ReactionRecord] = field(default_factory=list)
     safety_samples: list[SafetySample] = field(default_factory=list)
@@ -149,8 +212,7 @@ class RunTrace:
         """The trace as NDJSON (format 2), one newline-terminated line at a
         time; raises ValueError on a non-finite float."""
         encode = _ENCODER.encode
-        for s in self.spans:
-            yield _span_line(s)
+        yield from starmap(_span_line, self.spans.rows())
         for f in self.frames:
             yield encode({"type": "frame", **vars(f)}) + "\n"
         for r in self.reactions:
@@ -171,7 +233,7 @@ class RunTrace:
         lines, such as an open file. Raises TraceError."""
         if isinstance(lines, str):
             lines = lines.splitlines()
-        records = {kind: [] for kind in _RECORD_TYPES}
+        records = {kind: SpanLog() if kind == "span" else [] for kind in _RECORD_TYPES}
         lineno = 0
         for lineno, line in enumerate(lines, start=1):
             if not line.strip():
@@ -221,14 +283,14 @@ _SUMMARY_FIELDS = tuple(f.name for f in fields(RunTrace) if f.name not in _TRACE
 _ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
 
-def _span_line(s: Span) -> str:
-    """One span record, formatted as _ENCODER would format it."""
-    node, seq, start, end, worker = s.node, s.frame_seq, s.start_us, s.end_us, s.worker
-    ready, path, guest, residual = s.ready_us, s.path, s.guest, s.residual
+def _span_line(key: tuple, seq, start, end, ready) -> str:
+    """One span record, from its SpanLog row, formatted as _ENCODER would
+    format it."""
+    node, worker, path, guest, residual = key
     if not (type(node) is str and type(worker) is str and type(path) is str
             and type(seq) is int and type(start) is int and type(end) is int
             and type(ready) is int and type(guest) is bool and type(residual) is bool):
-        return _ENCODER.encode({"type": "span", **vars(s)}) + "\n"
+        return _ENCODER.encode({"type": "span", **vars(_span(key, seq, start, end, ready))}) + "\n"
     return (f'{{"end_us": {end!r}, "frame_seq": {seq!r}, '
             f'"guest": {"true" if guest else "false"}, '
             f'"node": {encode_basestring_ascii(node)}, '
@@ -467,39 +529,42 @@ class Simulation:
 
         end = grp.ends[widx] = now + duration
         grp.busy_us += duration
-        guest = node.home is not grp
+        guest, residual_pass = node.home is not grp, residual_objects is not None
         if single:
             lineage = {}
             for origin, (cap_ts, module) in inputs[0].lineage.items():
                 lineage[origin] = (cap_ts, module + duration)
         else:
             lineage = _advance_lineage(inputs, duration)
-        span = Span(node.name, max(lineage, default=-1), now, end, grp.worker_names[widx],
-                    ready_us, path, guest, residual_objects is not None)
-        self.trace.spans.append(span)
+        seq = max(lineage, default=-1)
+        # a span ends by the last int64 instant; one that ends later is past every horizon
+        self.trace.spans.add((node.name, grp.worker_names[widx], path, guest, residual_pass),
+                             seq, now, end if end <= MAX_TIME_US else MAX_TIME_US, ready_us)
         if not guest and end - ready_us > grp.budget_us:
             self.trace.budget_violations += 1
 
         # a finish past the horizon would never fire; left out, it leaves the
         # queue empty when run() ends, so nothing in it holds the run
         if end <= self._horizon:
-            self.queue.schedule(end, partial(self._finish_task, node, inputs, grp, widx, span,
-                                             objects, counts, residual, lineage))
+            self.queue.schedule(end, partial(self._finish_task, node, inputs, grp, widx, seq,
+                                             path, residual_pass, objects, counts, residual,
+                                             lineage))
 
-    def _finish_task(self, node: _Node, inputs: list, grp: _GroupState, widx: int, span: Span,
-                     objects, counts: dict, residual, lineage: dict):
+    def _finish_task(self, node: _Node, inputs: list, grp: _GroupState, widx: int, seq: int,
+                     path: str, residual_pass: bool, objects, counts: dict, residual,
+                     lineage: dict):
         now = self.queue.clock
         grp.ends[widx] = None
         # a non-fusion node's output objects are its objects, so it passes their counts on
         out = self._fuse(node, objects) if node.fusion else objects
         msg = FrameMessage(now, out, kind_counts(out) if node.fusion else counts,
-                           span.path == "fastpath" or span.residual, lineage)
+                           path == "fastpath" or residual_pass, lineage)
 
-        deliver = not span.residual or mit.residual_needs_downstream(objects)
+        deliver = not residual_pass or mit.residual_needs_downstream(objects)
         if node.control:
             self._decide(msg, now)
         if node.terminal:
-            self._record_terminal(msg, span)
+            self._record_terminal(msg, node.name, seq, path)
         if deliver:
             self._emit(node, msg)
 
@@ -563,8 +628,12 @@ class Simulation:
                 continue
             if cost is None:
                 cost = self._predict_next(node)
-            ready = host.ready
-            pending = list(map(self._predict_next, map(_FIRST, ready))) if ready else []
+            pending = []
+            if host.ready:      # a node queued several times is priced once: its heads are fixed
+                queued = list(map(_FIRST, host.ready))
+                nodes = dict.fromkeys(queued)
+                price = dict(zip(nodes, map(self._predict_next, nodes)))
+                pending = list(map(price.__getitem__, queued))
             if mit.steal_admission(cost, [0 if end is None else end - now for end in ends],
                                    pending, host.budget_us, self._mit.steal_safety_factor):
                 self.trace.steals_admitted += 1
@@ -581,8 +650,8 @@ class Simulation:
         if urgent:
             self.apply_control("brake", self.config.brake_level_mps2, now)
 
-    def _record_terminal(self, msg: FrameMessage, span: Span):
-        origin = span.frame_seq
+    def _record_terminal(self, msg: FrameMessage, node: str, origin: int, path: str):
+        """origin is the task's span's frame_seq, its newest origin."""
         if origin < 0:
             return
         cap_ts, module = msg.lineage[origin]
@@ -592,8 +661,8 @@ class Simulation:
         has_critical = any(abs(o.s_m - ego.s_m) <= radius for o in msg.objects)
         self.trace.frames.append(FrameRecord(
             seq=origin, sensor_ts=cap_ts, done_ts=msg.created_ts, e2e_us=e2e,
-            module_us=module, bubble_us=e2e - module, terminal=span.node,
-            path=span.path, has_critical=has_critical, partial=msg.partial))
+            module_us=module, bubble_us=e2e - module, terminal=node,
+            path=path, has_critical=has_critical, partial=msg.partial))
         self._frame_lineage.append((msg.lineage, tuple(map(_AGENT_ID, msg.objects))))
 
     def _measure_reaction(self, t0: int, agent_id: str, label: str) -> ReactionRecord:

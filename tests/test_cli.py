@@ -12,14 +12,16 @@ import pytest
 
 import avpipesim
 from avpipesim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, _sweep_workers, main
+from avpipesim.engine import RunTrace
 from avpipesim.pipeline import (Channel, ChannelPolicy, ExecutionPattern, FusionSpec,
                                 LatencyModel, NodeRole, NodeSpec, NoiseKind,
                                 NoiseSpec, PipelineGraph, save_pipeline)
-from avpipesim.scenario import (AgentKind, AgentState, Scenario,
+from avpipesim.scenario import (MAX_TIME_US, AgentKind, AgentState, Scenario,
                                 TrajectorySpec, save_scenario)
 from avpipesim.simkernel import ms, sec
 
 from conftest import chain_pipeline
+from fixtures import av_groups, av_pipeline
 
 
 @pytest.fixture
@@ -771,6 +773,26 @@ def test_paired_traces_compare_to_the_paired_report(workdir):
                  "--out", str(workdir / "compare.json")]) == EXIT_OK
     assert ((workdir / "compare.json").read_bytes()
             == (out / "compare.json").read_bytes())
+
+
+def test_a_task_ending_past_every_horizon_writes_a_trace_compare_reads(workdir):
+    """Its span ends at the last int64 instant; it once ended at
+    now + offset, past the bound that compare checks."""
+    graph = av_pipeline()
+    nodes = {**graph.nodes, "control": dataclasses.replace(
+        graph.nodes["control"], latency=LatencyModel(offset_us=MAX_TIME_US))}
+    save_pipeline(PipelineGraph(nodes=nodes, channels=graph.channels), workdir / "pipeline.json")
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg["groups"] = [{"name": g.name, "workers": g.worker_count,
+                      "pinned_nodes": list(g.pinned_nodes)} for g in av_groups(workers=2)]
+    (workdir / "config.json").write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(workdir / "config.json")]) == EXIT_OK
+    trace = workdir / "out" / "trace.ndjson"
+    ends = {s.end_us for s in RunTrace.from_ndjson(trace.read_text()).spans
+            if s.node == "control"}
+    assert ends == {MAX_TIME_US}
+    assert main(["compare", str(trace), str(trace),
+                 "--out", str(workdir / "compare.json")]) == EXIT_OK
 
 
 NO_SCIPY = """

@@ -11,7 +11,7 @@ import pytest
 import numpy as np
 
 from avpipesim.engine import (ClosestApproach, EngineConfig, ProcessorGroup, RunTrace,
-                              SafetySample, Span, run_simulation)
+                              SafetySample, Span, SpanLog, run_simulation)
 from avpipesim.mitigation import MitigationConfig, PathChoice
 from avpipesim.pipeline import LatencyModel, NodeRole
 from avpipesim.scenario import (AgentKind, AgentState, RoadSpec, Scenario,
@@ -129,11 +129,14 @@ def test_odd_names_equal_reference_encoding(odd_names_trace):
 
 def test_span_of_non_standard_types_takes_encoder_fallback():
     trace = RunTrace(scenario_digest="x", seed=0, duration_us=1)
-    trace.spans = [Span("n", 1, 0, 5, "g/0", 0),
-                   Span("n", True, 0, 5, "g/0", 0, path=PathChoice.FASTPATH),
-                   Span("n", 2, 0, 5, "g/0", 0, guest=1, residual=0)]
+    trace.spans = SpanLog([Span("n", 1, 0, 5, "g/0", 0),
+                           Span("n", True, 0, 5, "g/0", 0, path=PathChoice.FASTPATH),
+                           Span("n", 2, 0, 5, "g/0", 0, guest=1, residual=0),
+                           Span("n", 3, 0, 5, "g/0", 0, guest=0, residual=False)])
+    # equal to the first span's key, (.., False, False), but written with a 0
+    assert '"guest": 0' in reference_ndjson(trace)
     assert_same_lines("".join(trace.ndjson_lines()), reference_ndjson(trace))
-    trace.spans = [Span("n", np.int64(3), 0, 5, "g/0", 0)]
+    trace.spans = SpanLog([Span("n", np.int64(3), 0, 5, "g/0", 0)])
     with pytest.raises(TypeError):
         reference_ndjson(trace)
     with pytest.raises(TypeError):

@@ -10,15 +10,16 @@ checkout, alternating which side goes first. Each side's pass imports
 the `src/` of its own checkout; the two `perfbench/` trees must be
 byte-identical, so both sides are measured by the same harness.
 
-Prints, per workload and seed, one line for `wall_s` and one for
-`sim_s`: each side's median with its quartiles and interquartile range,
-and in how many pairs the change was faster (ties count for neither).
+Prints, per workload and seed, one line each for `wall_s`, `sim_s` and
+`rss_mb` (the pass's peak RSS): each side's median with its quartiles
+and interquartile range, and in how many pairs the change was faster,
+or lower (ties count for neither).
 `wall_s` is the pass's timed work (for `mixed100_cli` and `dag_stress`,
 `avpipesim run` with its trace and report writing); `sim_s` is the
 pass's `run_simulation` host time summed over its runs, the divisor of
 perfbench's `sim_speed`, so a `sim_speed` claim is sized on `sim_s`.
-`--out` writes every run (each with both), the `wall_s` summaries, the
-two commits and the machine to a JSON file.
+`--out` writes every run (each with all three and `setup_s`), the
+`wall_s` summaries, the two commits and the machine to a JSON file.
 
 Exit status: 0; 1 if a pass failed or the two sides' trace or
 report.json digests differ on any pass; 2 if the perfbench trees differ.
@@ -115,20 +116,25 @@ def compared(runs: list, metric: str) -> dict:
             **{side: summary(v) for side, v in sides.items() if v}}
 
 
+# each printed metric, with its unit and the word for a lower value
+METRICS = {"wall_s": ("s", "faster"), "sim_s": ("s", "faster"), "rss_mb": ("MB", "lower")}
+
+
 def report(workload: str, seed: int, runs: list) -> dict:
-    """Print one workload and seed's wall_s and sim_s; return its wall_s
-    summary, with its runs."""
-    summaries = {metric: compared(runs, metric) for metric in ("wall_s", "sim_s")}
+    """Print one workload and seed's wall_s, sim_s and rss_mb; return its
+    wall_s summary, with its runs."""
+    summaries = {metric: compared(runs, metric) for metric in METRICS}
     for metric, c in summaries.items():
+        unit, lower = METRICS[metric]
         line = f"{workload} seed {seed} {metric}:"
         for side in ("base", "change"):
             if side in c:
                 s = c[side]
-                line += (f"  {side} median {s['median']:.3f} s"
+                line += (f"  {side} median {s['median']:.3f} {unit}"
                          f" (q1 {s['q1']:.3f}, q3 {s['q3']:.3f}, IQR {s['iqr']:.3f})")
         if "base" in c and "change" in c:
             line += (f"  change {c['change']['median'] / c['base']['median'] - 1:+.1%},"
-                     f" faster in {c['change_faster']}/{c['pairs']} pairs")
+                     f" {lower} in {c['change_faster']}/{c['pairs']} pairs")
         print(line, flush=True)
     return {"workload": workload, "seed": seed, **summaries["wall_s"], "runs": runs}
 
