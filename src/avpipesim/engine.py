@@ -19,7 +19,7 @@ from operator import attrgetter, itemgetter
 from typing import Iterator, Optional
 
 from . import mitigation as mit
-from .jsonio import InputError, check_min, loads, read_record
+from .jsonio import InputError, check_min, check_value, loads, read_record
 from .mitigation import MitigationConfig, PathChoice
 from .pipeline import (Channel, ExecutionPattern, FrameMessage, NodeRole, NodeSpec,
                        NoiseKind, ObjectTrack, PipelineGraph, downstream_estimate,
@@ -253,8 +253,11 @@ class RunTrace:
                     raise TraceError(lineno, f"unsupported trace format {fmt!r}")
             try:    # the engine writes int64 instants; a line read back may hold any integer
                 rec = read_record(_RECORD_TYPES[kind], obj, kind, _TRACE_SCHEMA)
-                check_min(rec, -MAX_TIME_US, *_TRACE_INTS[kind], high=MAX_TIME_US,
-                          error=lambda msg: InputError(f"{kind}: {msg}"))
+                named = lambda msg: InputError(f"{kind}: {msg}")
+                check_min(rec, -MAX_TIME_US, *_TRACE_INTS[kind], high=MAX_TIME_US, error=named)
+                for i, (start, _) in enumerate(rec.ego_segments if kind == "summary" else ()):
+                    check_value(f"ego_segments[{i}][0]", start, -MAX_TIME_US, error=named,
+                                high=MAX_TIME_US)
             except InputError as e:
                 raise TraceError(lineno, str(e)) from None
             records[kind].append(rec)
@@ -426,7 +429,7 @@ class Simulation:
         t_eff = decided_us + self.config.actuation_delay_us
         if self.ego_segments and t_eff <= self.ego_segments[-1][0]:
             t_eff = self.ego_segments[-1][0] + 1
-        if decision == "brake":
+        if decision == "brake" and t_eff <= MAX_TIME_US:    # a later one is past every horizon
             self._ego.append(t_eff, min(level, self._ego.states[-1][2]))
             self._ego_now = (-1, None)      # exact for any caller, whatever instant it kept
 
@@ -624,18 +627,12 @@ class Simulation:
         now, cost = self.queue.clock, None
         for host in node.steal_hosts:
             ends = host.ends
-            if None not in ends:
+            if None not in ends or host.ready:      # a guest takes idle capacity only
                 continue
             if cost is None:
                 cost = self._predict_next(node)
-            pending = []
-            if host.ready:      # a node queued several times is priced once: its heads are fixed
-                queued = list(map(_FIRST, host.ready))
-                nodes = dict.fromkeys(queued)
-                price = dict(zip(nodes, map(self._predict_next, nodes)))
-                pending = list(map(price.__getitem__, queued))
             if mit.steal_admission(cost, [0 if end is None else end - now for end in ends],
-                                   pending, host.budget_us, self._mit.steal_safety_factor):
+                                   host.budget_us, self._mit.steal_safety_factor):
                 self.trace.steals_admitted += 1
                 self._start_task(task, host, ends.index(None), cost)
                 return True

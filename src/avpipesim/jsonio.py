@@ -238,12 +238,16 @@ def check_min(rec, low, *names, error=InputError, strict=False, high=None):
     below low (with strict, at or below it), above high if given, or NaN;
     records call it in __post_init__."""
     for name in names:
-        value = getattr(rec, name)
-        if not (value > low if strict else value >= low):
-            raise error(f"{name}: expected {'>' if strict else '>='} {low}, got {shown(value)}")
-        if high is not None and not value <= high:
-            top = f"{high:g}" if type(high) is float else high     # 1e+12; an int in full
-            raise error(f"{name}: expected <= {top}, got {shown(value)}")
+        check_value(name, getattr(rec, name), low, error, strict, high)
+
+
+def check_value(name: str, value, low, error=InputError, strict=False, high=None):
+    """check_min for one value, which name names."""
+    if not (value > low if strict else value >= low):
+        raise error(f"{name}: expected {'>' if strict else '>='} {low}, got {shown(value)}")
+    if high is not None and not value <= high:
+        top = f"{high:g}" if type(high) is float else high     # 1e+12; an int in full
+        raise error(f"{name}: expected <= {top}, got {shown(value)}")
 
 
 def load_json(path, convert, error):

@@ -93,25 +93,19 @@ def proactive_credit(precompute_cost_us: int, arrival_us: int, trigger_us: int,
     return min(precompute_cost_us, trigger_us - arrival_us)
 
 
-def steal_admission(guest_cost_us: int, host_worker_loads_us: list[int],
-                    host_pending_costs_us: list[int], budget_us: int,
+def steal_admission(guest_cost_us: int, host_worker_loads_us: list[int], budget_us: int,
                     safety_factor: float = 1.25) -> bool:
     """Admit a guest task into a host group only if no host work can miss
     the group budget.
 
     guest_cost_us: the guest task's predicted cost;
-    host_worker_loads_us: remaining busy time per host worker;
-    host_pending_costs_us: predicted costs of host tasks not yet started.
-    Pending work and the guest are list-scheduled onto the workers; admit
-    iff every completion, including the guest on the least-loaded worker,
-    stays within the budget.
+    host_worker_loads_us: remaining busy time per host worker.
+    The engine asks only a host with a free worker and no queued work, so
+    the guest, inflated by safety_factor, goes to the least-loaded worker;
+    admit iff every worker then ends within the budget.
     """
-    loads = sorted(host_worker_loads_us)
-    if not loads:
+    if not host_worker_loads_us:
         return False
-    for cost in host_pending_costs_us:
-        loads[0] += cost
-        loads.sort()
-    guest = round(guest_cost_us * safety_factor)
-    loads[0] += guest
+    loads = sorted(host_worker_loads_us)
+    loads[0] += round(guest_cost_us * safety_factor)
     return max(loads) <= budget_us

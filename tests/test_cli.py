@@ -734,9 +734,12 @@ def test_compare_rejects_mismatched_scenarios(workdir, tmp_path, capsys):
     ("\n", ":1: trace has no summary record"),
     (('"format": 2', '"format": 3'), "unsupported trace format 3"),
     (('"seed": 3', '"seed": "x"'), "summary.seed: expected an integer, got 'x'"),
+    (('"ego_segments": [[', f'"ego_segments": [[{10**30}, -6.0], ['),
+     "summary: ego_segments[0][0]: expected <= 9223372036854775807, got "
+     "100000000000...(31 digits)"),
 ], ids=["truncated", "unknown-type", "not-an-object", "nan", "inf", "minus-infinity",
         "int-huge", "int-too-long", "span-int-huge", "frame-int-huge", "missing-fields",
-        "wrong-type", "no-summary", "format-3", "summary-seed-str"])
+        "wrong-type", "no-summary", "format-3", "summary-seed-str", "ego-segment-huge"])
 def test_compare_bad_trace_exits_1_with_line(workdir, capsys, text, expect):
     good = workdir / "out" / "trace.ndjson"
     assert main(["run", "--config", str(workdir / "config.json")]) == EXIT_OK

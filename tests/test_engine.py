@@ -9,10 +9,11 @@ from avpipesim.engine import (EngineConfig, EngineError, ProcessorGroup,
 from avpipesim.mitigation import MitigationConfig
 from avpipesim.pipeline import (Channel, ChannelPolicy, ExecutionPattern, FrameMessage,
                                 LatencyModel, NodeRole, NodeSpec, PipelineGraph)
-from avpipesim.scenario import (AgentKind, AgentState, CompiledTrajectory, Scenario,
-                                TrajectorySpec)
+from avpipesim.scenario import (MAX_TIME_US, AgentKind, AgentState, CompiledTrajectory,
+                                Scenario, TrajectorySpec)
 from avpipesim.simkernel import ms, sec
 
+import fixtures
 from conftest import ZERO_SENSOR, chain_pipeline, one_group
 
 
@@ -225,6 +226,27 @@ class TestControlApplication:
         assert {a for _, a in trace.ego_segments} == {-8.0}
         assert sim.ego_state(sec(3)).s_m == pytest.approx(25.0)
 
+    def test_a_brake_past_the_last_int64_instant_is_left_out(self):
+        """A brake starts at its decision plus the actuation delay. With a
+        delay of 2**63 - 1 each one would start past the last int64
+        instant, so past every horizon: none is recorded, and the trace
+        reads back. This run once recorded 20, the first at
+        9223372036854856007, and the trace read back without error. A
+        brake that the one-microsecond step after the last segment would
+        carry past that instant is left out too."""
+        cfg = EngineConfig(actuation_delay_us=MAX_TIME_US, response_margin_us=10**12)
+        trace = run_simulation(fixtures.safety_mix_scenario(), fixtures.av_pipeline(),
+                               fixtures.av_groups(), cfg, seed=0)
+        assert trace.frames and trace.ego_segments == []
+        assert RunTrace.from_ndjson(trace.to_ndjson()).ego_segments == []
+
+        g = chain_pipeline({"proc": (ms(10), NodeRole.CONTROL)})
+        sim = Simulation(simple_scenario(), g, one_group(g), EngineConfig(actuation_delay_us=0),
+                         seed=1)
+        sim.apply_control("brake", -6.0, MAX_TIME_US)
+        sim.apply_control("brake", -6.0, MAX_TIME_US)
+        assert sim.ego_segments == [(MAX_TIME_US, -6.0)]
+
     def test_later_decision_overrides(self):
         sim = self.make_sim(simple_scenario())
         sim.apply_control("brake", -2.0, sec(1))
@@ -291,13 +313,15 @@ class TestDerivedStates:
 
 
 class TestStealing:
-    def test_steal_counts_the_hosts_queued_work(self):
+    def test_a_host_with_queued_work_takes_no_guest(self):
         """Every 100 ms, host's one worker runs `a` (10 ms) while its own
         `tick` (15 ms) waits in its queue. When `a` ends, `c` cannot run
-        at home, where `busy` holds the only worker for 50 ms, so it asks
-        host, whose worker was just freed. The guest alone (12 ms × 1.25)
-        fits host's 25 ms budget, but after the queued tick it would not:
-        the steal must be rejected, or tick ends at 37 ms, past its budget."""
+        at home, where `busy` holds the only worker for 50 ms, so it looks
+        at host, whose worker was just freed. The guest alone (12 ms ×
+        1.25) fits host's 25 ms budget, but the worker is not idle
+        capacity: tick is queued for it. So host is not asked at all,
+        neither admitting nor rejecting, tick starts next and ends at
+        25 ms, within its budget, and c waits at home for busy to end."""
         def node(name, pattern, inputs, outputs, cost_ms, **kw):
             return NodeSpec(name, pattern, inputs, outputs, LatencyModel(offset_us=ms(cost_ms)),
                             **kw)
@@ -319,8 +343,10 @@ class TestStealing:
                       agents=(), duration_us=sec(1))
         trace = run_simulation(sc, g, groups, cfg, seed=1)
         assert trace.budget_violations == 0
-        assert (trace.steals_admitted, trace.steals_rejected) == (0, 10)
+        assert (trace.steals_admitted, trace.steals_rejected) == (0, 0)
         assert {s.end_us - s.ready_us for s in trace.spans if s.node == "tick"} == {ms(25)}
+        assert {(s.worker, s.start_us % ms(100)) for s in trace.spans if s.node == "c"} == {
+            ("home/0", ms(50))}
 
     def test_a_stolen_fastpath_pass_leaves_its_residual_pass_at_home(self):
         """At 0 `busy` holds home's one worker for 5 ms, so `plan` is
