@@ -23,7 +23,7 @@ from .jsonio import InputError, check_min, check_value, loads, read_record
 from .mitigation import MitigationConfig, PathChoice
 from .pipeline import (Channel, ExecutionPattern, FrameMessage, NodeRole, NodeSpec,
                        NoiseKind, ObjectTrack, PipelineGraph, downstream_estimate,
-                       fusion_update, kind_counts, predict_latency, sample_latency)
+                       fusion_update, kind_counts, latency_plan, sample_latency)
 from .safety import RssParams
 from .scenario import (MAX_MAGNITUDE, MAX_TIME_US, AgentState, CompiledTrajectory, Scenario,
                        TrajectorySpec)
@@ -212,7 +212,20 @@ class RunTrace:
         """The trace as NDJSON (format 2), one newline-terminated line at a
         time; raises ValueError on a non-finite float."""
         encode = _ENCODER.encode
-        yield from starmap(_span_line, self.spans.rows())
+        # per key, by identity: an equal key of other types, such as
+        # (..., 0, False) for (..., False, False), is written otherwise
+        templates = {}
+        for key, seq, start, end, ready in self.spans.rows():
+            parts = templates.get(id(key))    # the rows hold every key, so an id is one key
+            if parts is None:
+                parts = templates[id(key)] = _span_template(*key)
+            if parts and type(seq) is int and type(start) is int and type(end) is int \
+                    and type(ready) is int:
+                after_seq, after_ready, after_start = parts
+                yield (f'{{"end_us": {end}, "frame_seq": {seq}{after_seq}{ready}{after_ready}'
+                       f'{start}{after_start}')
+            else:
+                yield encode({"type": "span", **vars(_span(key, seq, start, end, ready))}) + "\n"
         for f in self.frames:
             yield encode({"type": "frame", **vars(f)}) + "\n"
         for r in self.reactions:
@@ -286,20 +299,17 @@ _SUMMARY_FIELDS = tuple(f.name for f in fields(RunTrace) if f.name not in _TRACE
 _ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
 
-def _span_line(key: tuple, seq, start, end, ready) -> str:
-    """One span record, from its SpanLog row, formatted as _ENCODER would
-    format it."""
-    node, worker, path, guest, residual = key
+def _span_template(node, worker, path, guest, residual) -> tuple:
+    """The text of a span record of this key, formatted as _ENCODER would
+    format it, that follows its frame_seq, ready_us and start_us values;
+    () if a field of the key is of another type."""
     if not (type(node) is str and type(worker) is str and type(path) is str
-            and type(seq) is int and type(start) is int and type(end) is int
-            and type(ready) is int and type(guest) is bool and type(residual) is bool):
-        return _ENCODER.encode({"type": "span", **vars(_span(key, seq, start, end, ready))}) + "\n"
-    return (f'{{"end_us": {end!r}, "frame_seq": {seq!r}, '
-            f'"guest": {"true" if guest else "false"}, '
-            f'"node": {encode_basestring_ascii(node)}, '
-            f'"path": {encode_basestring_ascii(path)}, "ready_us": {ready!r}, '
-            f'"residual": {"true" if residual else "false"}, "start_us": {start!r}, '
-            f'"type": "span", "worker": {encode_basestring_ascii(worker)}}}\n')
+            and type(guest) is bool and type(residual) is bool):
+        return ()
+    node, worker, path = map(encode_basestring_ascii, (node, worker, path))
+    return (f', "guest": {"true" if guest else "false"}, "node": {node}, "path": {path}, '
+            f'"ready_us": ', f', "residual": {"true" if residual else "false"}, "start_us": ',
+            f', "type": "span", "worker": {worker}}}\n')
 
 
 class _Node:
@@ -309,7 +319,7 @@ class _Node:
     groups the node's work may be stolen into, in trial order."""
     __slots__ = ("spec", "name", "inputs", "outputs", "home", "steal_hosts", "stream",
                  "interrupt", "fastpath", "fast_lookahead", "proactive", "terminal", "control",
-                 "fusion", "zero_latency", "arrival", "history", "tracks")
+                 "fusion", "zero_latency", "price", "fast_price", "arrival", "history", "tracks")
 
     def __init__(self, spec: NodeSpec, home: "_GroupState", steal_hosts: tuple,
                  stream, cfg: MitigationConfig, terminal: bool):
@@ -326,6 +336,10 @@ class _Node:
         self.zero_latency = (m.offset_us == 0 and not m.per_kind_cost_us
                              and m.noise.kind == NoiseKind.NONE and m.contention is None
                              and m.lookahead_cost_us_per_m == 0.0)
+        # the price of a pass of each path, but for its counts
+        self.price = latency_plan(m, spec.lookahead_m)
+        self.fast_price = (None if spec.fast_latency is None
+                           else latency_plan(spec.fast_latency, self.fast_lookahead))
         self.arrival: Optional[int] = None      # the proactive precompute's start
         # a fusion node's a-of-n history and the newest track of each id it saw
         self.history, self.tracks = {}, {}
@@ -411,6 +425,7 @@ class Simulation:
             worker_count_by_group={g.name: g.worker_count for g in groups})
         self.ego_segments = self._ego.segments
         self._ego_now = (-1, None)      # the last (instant, ego state) read
+        self._shot = (-1, None, (), (), {})     # the last capture: t, ego, objects, ids, counts
 
     # -- ego kinematics ----------------------------------------------------
 
@@ -473,10 +488,15 @@ class Simulation:
     # -- sensing -----------------------------------------------------------
 
     def _capture(self, node: _Node, t: int):
-        objects = self._world.capture(t, self.ego_state(t), self._mit.deadline_cap_us)
+        ego, shot = self.ego_state(t), self._shot
+        if shot[0] != t or shot[1] is not ego:      # else another sensor saw this instant
+            objects = self._world.capture(t, ego, self._mit.deadline_cap_us)
+            shot = self._shot = (t, ego, objects, tuple(map(_AGENT_ID, objects)),
+                                 kind_counts(objects))
+        _, _, objects, ids, counts = shot
         seq = len(self._capture_index)
-        self._capture_index.append((t, tuple(map(_AGENT_ID, objects))))
-        msg = FrameMessage(t, objects, kind_counts(objects), lineage={seq: (t, 0)})
+        self._capture_index.append((t, ids))
+        msg = FrameMessage(t, objects, counts, lineage={seq: (t, 0)})
         if node.zero_latency:
             self._emit(node, msg)
         else:
@@ -490,8 +510,9 @@ class Simulation:
         while ready and None in ends:
             self._start_task(ready.popleft(), grp, ends.index(None))
 
-    def _start_task(self, task: _Task, grp: _GroupState, widx: int, price=None):
-        """price is a stolen task's _predict_next, read by its admission."""
+    def _start_task(self, task: _Task, grp: _GroupState, widx: int, priced=None):
+        """priced is a stolen task's (price, objects, counts) from
+        _predict_next, read by its admission."""
         now = self.queue.clock
         node, ready_us, inputs, residual_objects = task
         if inputs is None:
@@ -499,29 +520,34 @@ class Simulation:
             if not inputs and node.inputs:
                 return    # data was superseded (latest-only) or drained
 
-        spec = node.spec
+        spec, price = node.spec, None
         single = len(inputs) == 1
-        if residual_objects is not None:
+        if priced is not None:      # of the heads just taken
+            price, objects, counts = priced
+        elif residual_objects is not None:
             objects, counts = residual_objects, kind_counts(residual_objects)
         elif single:        # most tasks: one input is its own union, with its counts
             objects, counts = inputs[0].objects, inputs[0].counts
         else:
-            objects = _merge_objects(inputs)
-            counts = kind_counts(objects)
-        path, residual = "normal", ()
-        model, lookahead = spec.latency, spec.lookahead_m
+            objects, counts = _union(inputs)
+        path, residual, plan = "normal", (), node.price
         if node.fastpath and residual_objects is None:
             cfg = self._mit
             est = downstream_estimate(self._graph, node.name, counts)
             deadline = mit.message_deadline(objects, now, cfg.deadline_cap_us)
             if mit.choose_path(spec, counts, deadline, now, est) == PathChoice.FASTPATH:
-                path, model, lookahead = "fastpath", spec.fast_latency, node.fast_lookahead
+                path, plan, price = "fastpath", node.fast_price, None
                 objects, residual = mit.partial_update(objects, self.ego_state(now),
                                                        cfg.criticality_radius_m)
                 counts = kind_counts(objects)
-        if price is None or path != "normal":
-            price = predict_latency(model, counts, lookahead)
-        duration = sample_latency(model, price, len(objects), node.stream)
+        model, fixed, costs, term, draws = plan
+        if price is None:       # predict_latency, as _predict_next sums it
+            price = fixed
+            for kind, n in counts.items():
+                price += costs.get(kind, 0) * n
+            price += term
+        duration = (sample_latency(model, price, len(objects), node.stream) if draws
+                    else max(model.offset_floor_us, round(price)))
 
         if node.proactive and residual_objects is None:
             if node.arrival is not None:
@@ -613,28 +639,33 @@ class Simulation:
                 else:
                     self._start_task(task, grp, ends.index(None))
 
-    def _predict_next(self, node: _Node) -> int:
-        """Predicted cost of node's next normal run, from the message its
-        next take() pops from each input: the head, which on a latest-only
-        channel is the only message."""
+    def _predict_next(self, node: _Node) -> tuple:
+        """(predicted cost, objects, counts) of node's next normal run, from
+        the message its next take() pops from each input: the head, which
+        on a latest-only channel is the only message."""
         # [channel.queued[0] for channel in node.inputs if channel.queued],
         # without a comprehension's Python-level call
         heads = list(map(_FIRST, filter(None, map(_QUEUED, node.inputs))))
-        counts = heads[0].counts if len(heads) == 1 else kind_counts(_merge_objects(heads))
-        return predict_latency(node.spec.latency, counts, node.spec.lookahead_m)
+        objects, counts = (heads[0].objects, heads[0].counts) if len(heads) == 1 else _union(heads)
+        _, price, costs, term, _ = node.price     # predict_latency, summed inline
+        for kind, n in counts.items():
+            price += costs.get(kind, 0) * n
+        return price + term, objects, counts
 
     def _try_steal(self, node: _Node, task: _Task) -> bool:
-        now, cost = self.queue.clock, None
+        now, priced = self.queue.clock, None
         for host in node.steal_hosts:
             ends = host.ends
             if None not in ends or host.ready:      # a guest takes idle capacity only
                 continue
-            if cost is None:
-                cost = self._predict_next(node)
-            if mit.steal_admission(cost, [0 if end is None else end - now for end in ends],
-                                   host.budget_us, self._mit.steal_safety_factor):
+            if priced is None:
+                priced = self._predict_next(node)
+            loads = []      # per worker, its busy time left; a loop makes no Python-level call
+            for end in ends:
+                loads.append(0 if end is None else end - now)
+            if mit.steal_admission(priced[0], loads, host.budget_us, self._mit.steal_safety_factor):
                 self.trace.steals_admitted += 1
-                self._start_task(task, host, ends.index(None), cost)
+                self._start_task(task, host, ends.index(None), priced)
                 return True
             self.trace.steals_rejected += 1
         return False
@@ -699,6 +730,15 @@ def _merge_objects(msgs) -> tuple[ObjectTrack, ...]:
     """Union of input objects, newest message wins per agent id."""
     # a stable sort by age, so on equal created_ts the later input wins
     return tuple({o.agent_id: o for m in sorted(msgs, key=_BY_AGE) for o in m.objects}.values())
+
+
+def _union(msgs) -> tuple:
+    """(objects, counts) of the merge of several messages, or of none. Two
+    that carry one objects tuple are their own union, with its counts."""
+    if len(msgs) == 2 and msgs[1].objects is msgs[0].objects:
+        return msgs[0].objects, msgs[0].counts
+    objects = _merge_objects(msgs)
+    return objects, kind_counts(objects)
 
 
 def _advance_lineage(msgs, duration: int) -> dict:

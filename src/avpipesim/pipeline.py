@@ -101,6 +101,26 @@ def predict_latency(m: LatencyModel, counts: dict[AgentKind, int],
     return total
 
 
+class LatencyPlan(NamedTuple):
+    """predict_latency compiled for one model and horizon, for a caller
+    that prices many counts: offset_us, plus per_kind_cost_us.get(kind, 0)
+    times each count in the counts' order, plus lookahead_us, is its sum,
+    term by term (without a horizon lookahead_us is 0, an int, which
+    changes no value). sample_latency of that sum draws only where draws
+    is set; otherwise it is max(model.offset_floor_us, round(sum))."""
+    model: LatencyModel
+    offset_us: int
+    per_kind_cost_us: dict[AgentKind, int]
+    lookahead_us: int
+    draws: bool
+
+
+def latency_plan(m: LatencyModel, lookahead_m: Optional[float] = None) -> LatencyPlan:
+    term = 0 if lookahead_m is None else round(m.lookahead_cost_us_per_m * lookahead_m)
+    return LatencyPlan(m, m.offset_us, m.per_kind_cost_us, term,
+                       m.noise.kind != _NOISE_NONE or m.contention is not None)
+
+
 def sample_latency(m: LatencyModel, base: int, payload_size: int, stream: RandomStream) -> int:
     """One stochastic latency draw: base, the model's predict_latency, plus
     noise and contention."""

@@ -348,6 +348,34 @@ class TestStealing:
         assert {(s.worker, s.start_us % ms(100)) for s in trace.spans if s.node == "c"} == {
             ("home/0", ms(50))}
 
+    @pytest.mark.parametrize("budget_ms, stolen", [(22, False), (25, True)])
+    def test_an_idle_host_refuses_a_guest_by_the_safety_factor(self, budget_ms, stolen):
+        """Every 100 ms `busy` holds home's one worker for 50 ms when the
+        sensor's frame triggers `c` (20 ms). host's one worker is idle and
+        nothing waits for it, so c is priced there: 20 ms fits a 22 ms
+        budget, but 1.25 × 20 = 25 ms does not, so every steal is refused
+        and c runs at home once busy ends. A 25 ms budget admits it."""
+        timing, interrupt = ExecutionPattern.TIMING, ExecutionPattern.INTERRUPT
+        nodes = {
+            "busy": NodeSpec("busy", timing, (), ("u",), LatencyModel(offset_us=ms(50)),
+                             period_us=ms(100)),
+            "sensor": NodeSpec("sensor", timing, (), ("s",), ZERO_SENSOR,
+                               role=NodeRole.SENSOR, period_us=ms(100)),
+            "c": NodeSpec("c", interrupt, ("s",), ("cmd",), LatencyModel(offset_us=ms(20))),
+        }
+        g = PipelineGraph(nodes=nodes, channels={
+            c: Channel(c, ChannelPolicy.FIFO, 4) for c in ("s", "u", "cmd")})
+        groups = [ProcessorGroup("home", 1, ("busy", "c")),
+                  ProcessorGroup("host", 1, ("sensor",), budget_us=ms(budget_ms))]
+        cfg = EngineConfig(mitigation=MitigationConfig(stealing=True))
+        sc = Scenario(ego_initial=AgentState(s_m=0.0, l_m=0.0, v_mps=10.0, a_mps2=0.0),
+                      agents=(), duration_us=sec(1))
+        trace = run_simulation(sc, g, groups, cfg, seed=1)
+        steals = (11, 0) if stolen else (0, 11)     # frames at 0, 100, ..., 1000 ms
+        assert (trace.steals_admitted, trace.steals_rejected) == steals
+        runs = {(s.worker, s.guest, s.start_us % ms(100)) for s in trace.spans if s.node == "c"}
+        assert runs == ({("host/0", True, 0)} if stolen else {("home/0", False, ms(50))})
+
     def test_a_stolen_fastpath_pass_leaves_its_residual_pass_at_home(self):
         """At 0 `busy` holds home's one worker for 5 ms, so `plan` is
         stolen into host and takes the fastpath there (10 ms, as in

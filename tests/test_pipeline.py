@@ -2,14 +2,15 @@ import math
 import pickle
 
 import pytest
+from hypothesis import given, strategies as st
 
 from avpipesim import pipeline
 from avpipesim.pipeline import (Channel, ChannelPolicy, ContentionSpec, ExecutionPattern,
                                 FusionSpec, LatencyModel, NodeRole, NodeSpec,
                                 NoiseKind, NoiseSpec, ObjectTrack, PipelineError,
                                 PipelineGraph, downstream_estimate, fusion_update,
-                                kind_counts, pipeline_from_json, pipeline_to_json,
-                                predict_latency, sample_latency)
+                                kind_counts, latency_plan, pipeline_from_json,
+                                pipeline_to_json, predict_latency, sample_latency)
 from avpipesim.scenario import AgentKind
 from avpipesim.simkernel import RandomStream, ms
 
@@ -129,6 +130,29 @@ class TestPredictLatency:
             cur = predict_latency(m, {V: n, P: n, C: n}, lookahead_m=10.0 * n)
             assert cur >= prev
             prev = cur
+
+
+class TestLatencyPlan:
+    @given(st.dictionaries(st.sampled_from([V, P, C]), st.floats(0, 1e6) | st.integers(0, 10**6)),
+           st.floats(0, 1e6) | st.integers(0, 10**6), st.floats(0, 1e3),
+           st.none() | st.floats(0, 1e3),
+           st.dictionaries(st.sampled_from([V, P, C]), st.integers(0, 50)))
+    def test_its_sum_is_predict_latency(self, costs, offset, per_m, lookahead_m, counts):
+        """Summed as its docstring says, floats included, in the counts' order."""
+        m = LatencyModel(per_kind_cost_us=costs, offset_us=offset,
+                         lookahead_cost_us_per_m=per_m)
+        plan = latency_plan(m, lookahead_m)
+        price = plan.offset_us
+        for kind, n in counts.items():
+            price += plan.per_kind_cost_us.get(kind, 0) * n
+        price += plan.lookahead_us
+        assert price == predict_latency(m, counts, lookahead_m)
+        assert type(price) is type(predict_latency(m, counts, lookahead_m))
+
+    def test_only_noise_or_contention_draws(self):
+        assert not latency_plan(LatencyModel(offset_us=5)).draws
+        assert latency_plan(LatencyModel(noise=NoiseSpec(NoiseKind.UNIFORM, jitter_us=2))).draws
+        assert latency_plan(LatencyModel(contention=ContentionSpec(1, 1, 1.0))).draws
 
 
 class TestKindCounts:

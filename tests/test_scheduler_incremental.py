@@ -1,23 +1,32 @@
 """The scheduler's hot path against a from-scratch reference.
 
 Simulation reads the kind counts each message's producer gave it,
+prices every task from its node's compiled plan, takes two
+inputs that carry one objects tuple as their own union, shares one
+capture among the sensors that capture at one instant of one ego state,
 prices a steal only on a host with a free worker and no queued work,
-draws an admitted guest's latency from the price admission read, starts
-a triggered task at once when its home group has a free worker and
-nothing older waits, and after a task ends dispatches only the groups
-that can have gained work. UncachedSimulation below counts and merges
-every node's heads with a reference, prices every guest again as any
-task, triggers a task from scratch (a steal if no home worker is free,
-else queue it and dispatch) and dispatches every group after each task.
-Both must write the same trace, byte for byte, on random layered DAGs
-with every mitigation on and tight budgets; over its examples the
-property test must see a steal admitted and a steal rejected. Most
-drawn DAGs share channels between sibling consumers, where a sibling's
-take changes the head the other is priced by. The reference merge sorts
-by id and the engine's does not, so the equal traces also show that no
-trace reads an object order. The run under test checks that every
-message it emits holds distinct ids and carries its objects' kind
-counts, and that every guest it admits finds its host's queue empty.
+hands an admitted guest the price, objects and counts admission read,
+starts a triggered task at once when its home group has a free worker
+and nothing older waits, and after a task ends dispatches only the
+groups that can have gained work. UncachedSimulation below prices every
+task through predict_latency and sample_latency, merges every
+multi-input start and every steal's heads with a reference, captures
+once per sensor, prices every guest again as any task, triggers a task
+from scratch (a steal if no home worker is free, else queue it and
+dispatch) and dispatches every group after each task. Both must write
+the same trace, byte for byte, on random layered DAGs with every
+mitigation on and tight budgets, once with int costs and once with
+float ones; over each set of examples the property test must see a
+steal admitted and a steal rejected. Most drawn DAGs share
+channels between sibling consumers, where a sibling's take changes the
+head the other is priced by. The reference merge sorts by id and the
+engine's does not, so the equal traces also show that no trace reads an
+object order; float costs are drawn in quarters, whose sums are exact
+in any order, since a merge's order is the order its counts are summed
+in. The run under test checks that every message it emits holds
+distinct ids and carries its objects' kind counts in their order, that
+every guest it admits finds its host's queue empty, and that every
+capture holds what the world shows at its instant.
 """
 
 from collections import Counter, defaultdict
@@ -31,7 +40,7 @@ from avpipesim.mitigation import MitigationConfig, steal_admission
 from avpipesim.pipeline import (Channel, ChannelPolicy, ExecutionPattern, FrameMessage,
                                 FusionSpec, LatencyModel, NodeRole, NodeSpec, NoiseKind,
                                 NoiseSpec, ObjectTrack, PipelineGraph, kind_counts,
-                                predict_latency)
+                                predict_latency, sample_latency)
 from avpipesim.scenario import AgentKind, AgentState, Scenario, TrajectorySpec
 from avpipesim.simkernel import ms, sec
 
@@ -51,9 +60,69 @@ def reference_merge(msgs):
     return tuple(o for _, o in sorted(best.values(), key=lambda p: p[1].agent_id))
 
 
+def reference_union(msgs):
+    objects = reference_merge(msgs)
+    return objects, kind_counts(objects)
+
+
+class Deferred:
+    """A reference plan's offset, which defers the price to the public
+    rule: the engine's sum adds each (kind, count) to it, PER_KIND's
+    markers giving the pairs, and reference_sample prices the counts it
+    gathered through predict_latency and sample_latency."""
+
+    def __init__(self, lookahead_m, counts=()):
+        self.lookahead_m, self.counts = lookahead_m, dict(counts)
+
+    def __add__(self, term):    # a (kind, count) pair, or the plan's lookahead term, 0
+        if term == 0:
+            return self
+        return Deferred(self.lookahead_m, [*self.counts.items(), term])
+
+
+class KindMarker:
+    def __init__(self, kind):
+        self.kind = kind
+
+    def __mul__(self, count):
+        return self.kind, count
+
+
+PER_KIND = {kind: KindMarker(kind) for kind in AgentKind}
+
+
+def deferred_plan(plan, lookahead_m):
+    return plan._replace(offset_us=Deferred(lookahead_m), per_kind_cost_us=PER_KIND,
+                         lookahead_us=0, draws=True)
+
+
+def reference_sample(m, base, payload_size, stream):
+    return sample_latency(m, predict_latency(m, base.counts, base.lookahead_m), payload_size,
+                          stream)
+
+
 class UncachedSimulation(Simulation):
-    """Predictions counted from a reference merge, no price handed to a
-    stolen task, and its own trigger and end-of-task dispatch."""
+    """Every task priced by the public rule, predictions and merges from a
+    reference, one capture per sensor, no price handed to a stolen task,
+    and its own trigger and end-of-task dispatch."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        for node in self._nodes.values():
+            node.price = deferred_plan(node.price, node.spec.lookahead_m)
+            if node.fast_price is not None:
+                node.fast_price = deferred_plan(node.fast_price, node.fast_lookahead)
+
+    def _capture(self, node, t):
+        objects = self._world.capture(t, self.ego_state(t), self.config.mitigation.deadline_cap_us)
+        seq = len(self._capture_index)
+        self._capture_index.append((t, tuple(o.agent_id for o in objects)))
+        msg = FrameMessage(t, objects, kind_counts(objects), lineage={seq: (t, 0)})
+        if node.zero_latency:
+            self._emit(node, msg)
+        else:
+            node.home.ready.append((node, t, [msg], None))
+            self._dispatch(node.home)
 
     def _predict_next(self, node):
         spec = node.spec
@@ -100,40 +169,51 @@ class UncachedSimulation(Simulation):
             self._dispatch(grp)
 
     def run(self):
-        with mock.patch.object(engine, "_merge_objects", reference_merge):
+        with mock.patch.object(engine, "_union", reference_union), \
+                mock.patch.object(engine, "sample_latency", reference_sample):
             return super().run()
 
 
 class CheckedSimulation(Simulation):
     """The run under test, asserting that every emitted message holds
     distinct agents, which the merge's one-input shortcut relies on, and
-    that the kind counts it carries are its objects' counts. It also
-    asserts that every admitted guest starts on a host with no queued
-    work."""
+    that the kind counts it carries are its objects' counts, in the order
+    kind_counts gives them. It also asserts that every admitted guest
+    starts on a host with no queued work, and that every capture, shared
+    or not, equals one taken afresh."""
 
     emitted = 0
 
     def _emit(self, node, msg):
         ids = [o.agent_id for o in msg.objects]
         assert len(set(ids)) == len(ids), (node.name, ids)
-        assert msg.counts == kind_counts(msg.objects), (node.name, msg.counts)
+        assert list(msg.counts.items()) == list(kind_counts(msg.objects).items()), (
+            node.name, msg.counts)
         self.emitted += 1
         super()._emit(node, msg)
 
-    def _start_task(self, task, grp, widx, price=None):
-        assert price is None or not grp.ready, (task[0].name, grp.spec.name)
-        super()._start_task(task, grp, widx, price)
+    def _start_task(self, task, grp, widx, priced=None):
+        assert priced is None or not grp.ready, (task[0].name, grp.spec.name)
+        super()._start_task(task, grp, widx, priced)
+
+    def _capture(self, node, t):
+        fresh = self._world.capture(t, self.ego_state(t), self.config.mitigation.deadline_cap_us)
+        super()._capture(node, t)
+        assert self._shot[2] == fresh, (node.name, t)
 
 
 @st.composite
-def layered_runs(draw):
+def layered_runs(draw, float_costs=False):
     """A random layered DAG with diamonds, its groups, and a run config.
     In three DAGs of four, a node takes from each channel that also feeds
     its left sibling in the layer, so a take by one changes the heads the
     other is priced by. Layers of 2 or 3 nodes, 3 or 4 deep, make that
     price likely to be read, as a guest priced for a steal, and
     per-object costs up to 3 ms make an emptied channel move the price
-    enough to change the steal."""
+    enough to change the steal. With float_costs, which no pipeline file
+    holds, a per-object cost or an offset is an int or a float. A layer
+    node may carry a lookahead term, and two sensors often share a
+    period, so their captures share one instant."""
     specs, inputs, outputs, channels = {}, defaultdict(list), defaultdict(list), {}
 
     def edge(src, dst):
@@ -143,16 +223,23 @@ def layered_runs(draw):
         outputs[src].append(cid)
         inputs[dst].append(cid)
 
-    def costs():
-        return LatencyModel(per_kind_cost_us={V: draw(st.integers(0, 3000)),
-                                              P: draw(st.integers(0, 3000))},
-                            offset_us=draw(st.integers(500, 4000)))
+    # an int cost or offset, or a float one in quarters
+    cost, offset = st.integers(0, 3000), st.integers(500, 4000)
+    if float_costs:
+        cost |= st.integers(0, 12000).map(lambda q: q / 4)
+        offset |= st.integers(2000, 16000).map(lambda q: q / 4)
 
-    prev = []
+    def costs(lookahead_cost=0.0):
+        return LatencyModel(per_kind_cost_us={V: draw(cost), P: draw(cost)},
+                            offset_us=draw(offset), lookahead_cost_us_per_m=lookahead_cost)
+
+    prev, periods = [], [ms(30), ms(50), ms(100)]
+    period = draw(st.sampled_from(periods))
     for i in range(draw(st.integers(1, 2))):
         sensor, percep = f"sensor{i}", f"percep{i}"
+        # two sensors of one period capture at the same instants
         specs[sensor] = dict(pattern=ExecutionPattern.TIMING, role=NodeRole.SENSOR,
-                             period_us=draw(st.sampled_from([ms(30), ms(50), ms(100)])),
+                             period_us=draw(st.sampled_from([period, *periods])),
                              latency=LatencyModel(offset_us=draw(st.sampled_from([0, 800]))))
         specs[percep] = dict(pattern=ExecutionPattern.INTERRUPT, role=NodeRole.PERCEPTION,
                              latency=LatencyModel(
@@ -164,7 +251,10 @@ def layered_runs(draw):
     for layer in range(draw(st.integers(3, 4))):
         cur = [f"L{layer}_{j}" for j in range(draw(st.integers(2, 3)))]
         for j, node in enumerate(cur):
-            specs[node] = dict(pattern=ExecutionPattern.INTERRUPT, latency=costs())
+            # a lookahead term, rounded on its own, in the price of an interrupt node
+            lookahead = draw(st.sampled_from([None, 37.5]))
+            specs[node] = dict(pattern=ExecutionPattern.INTERRUPT, lookahead_m=lookahead,
+                               latency=costs(draw(st.sampled_from([0.0, 50.3]))))
             # diamonds: each node joins two neighbours of the layer above
             for src in dict.fromkeys((prev[j % len(prev)], prev[(j + 1) % len(prev)])):
                 sibling = f"{src}>{cur[j - 1]}"
@@ -265,15 +355,16 @@ def compare_with_reference(run, steals: Counter):
 
 
 def test_memoized_scheduler_matches_uncached_reference():
-    steals = Counter()      # summed over the examples
+    for float_costs in (False, True):
+        steals = Counter()      # summed over the examples
 
-    @settings(max_examples=25, deadline=None)
-    @given(layered_runs())
-    def check(run):
-        compare_with_reference(run, steals)
+        @settings(max_examples=25, deadline=None)
+        @given(layered_runs(float_costs=float_costs))
+        def check(run):
+            compare_with_reference(run, steals)
 
-    check()
-    assert steals["admitted"] and steals["rejected"], steals
+        check()
+        assert steals["admitted"] and steals["rejected"], (float_costs, steals)
 
 
 def message(ids, created_ts):
@@ -317,8 +408,56 @@ def test_prediction_prices_the_head_that_take_pops():
         channel.offer(tail)
         first = head if policy == ChannelPolicy.FIFO else tail
         spec = graph.nodes["proc"]
-        assert sim._predict_next(node) == predict_latency(
+        price, objects, counts = sim._predict_next(node)
+        assert price == predict_latency(
             spec.latency, kind_counts(first.objects), None) == ms(1) + len(first.objects) * ms(2)
+        assert (objects, counts) == (first.objects, first.counts)
         assert channel.take() is first
         left = channel.queued[0].objects if channel.queued else ()
-        assert sim._predict_next(node) == ms(1) + len(left) * ms(2)
+        assert sim._predict_next(node)[0] == ms(1) + len(left) * ms(2)
+
+
+
+def test_a_float_price_sums_in_predict_latency_order():
+    """Offset 2.61 µs, 0.89 µs per vehicle and a 2 µs lookahead term:
+    in predict_latency's order, (2.61 + 0.89) + 2, the price of one
+    vehicle is 5.5 µs and its pass 6 µs; the term added first would give
+    5.499999999999999 and 5."""
+    graph = chain_pipeline({"plan": (2.61, NodeRole.PLANNING)}, per_vehicle_us=0.89,
+                           lookahead_m=2.0, fast_lookahead_cost=1.0)
+    scenario = Scenario(ego_initial=AgentState(s_m=0.0, l_m=0.0, v_mps=10.0, a_mps2=0.0),
+                        agents=(), duration_us=sec(1))
+    sim = Simulation(scenario, graph, one_group(graph), EngineConfig(), seed=0)
+    node = sim._nodes["plan"]
+    node.inputs[0].offer(message("a", 0))   # one vehicle
+    assert sim._predict_next(node)[0] == predict_latency(
+        graph.nodes["plan"].latency, {V: 1}, 2.0) == 5.5
+    sim._start_task((node, 0, None, None), node.home, 0)
+    span, = sim.trace.spans
+    assert span.end_us - span.start_us == 6
+
+
+def test_a_capture_is_shared_only_while_the_ego_state_holds():
+    """cam and lidar capture at one instant of one ego state: the second
+    capture is the first one's objects, ids and counts. A brake that a
+    caller dates before that instant changes the ego there, so the next
+    capture at the same instant is taken afresh, and its lead's deadline
+    moves; CheckedSimulation also checks each capture against a fresh one."""
+    def sensor(name, out):
+        return NodeSpec(name, ExecutionPattern.TIMING, (), (out,), LatencyModel(),
+                        role=NodeRole.SENSOR, period_us=ms(50))
+    graph = PipelineGraph(nodes={"cam": sensor("cam", "c"), "lidar": sensor("lidar", "l")},
+                          channels={c: Channel(c, ChannelPolicy.FIFO) for c in ("c", "l")})
+    lead = TrajectorySpec(initial=AgentState(s_m=20.0, l_m=0.0, v_mps=0.0, a_mps2=0.0))
+    scenario = Scenario(ego_initial=AgentState(s_m=0.0, l_m=0.0, v_mps=10.0, a_mps2=0.0),
+                        agents=(("lead", V, lead),), duration_us=sec(1))
+    sim = CheckedSimulation(scenario, graph, one_group(graph), EngineConfig(), seed=0)
+    cam, lidar = sim._nodes["cam"], sim._nodes["lidar"]
+    sim._capture(cam, ms(50))
+    sim._capture(lidar, ms(50))
+    sim.apply_control("brake", -6.0, 0)     # takes effect at 20 ms
+    sim._capture(cam, ms(50))
+    (first, again), (shared,) = (channel.queued for (channel, _), in (cam.outputs, lidar.outputs))
+    assert shared.objects is first.objects and shared.counts is first.counts
+    assert sim._capture_index[0][1] is sim._capture_index[1][1] == ("lead",)
+    assert again.objects[0].deadline_us > first.objects[0].deadline_us

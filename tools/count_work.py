@@ -1,6 +1,7 @@
 """Bytecode instructions and Python-level calls of one run, in two checkouts.
 
     python3 tools/count_work.py BASE CHANGE [--workload W] [--seed N] [--by-function N]
+                                [--by-line N]
 
 BASE and CHANGE are two checkouts of this repository, such as a clone
 of the parent commit and the working tree. For each, a fresh process
@@ -22,8 +23,11 @@ Prints each side's counts and the change. With `--by-function N`, it
 also prints, per side, the N functions that executed the most
 instructions, each with its instructions and calls; a function is named
 by its file, first line and qualified name. That shows where a change
-moves work. Exit status: 0; 1 if a side failed or the two runs' trace
-digests differ.
+moves work. With `--by-line N`, it prints, per side, the N source lines
+that executed the most instructions, each as `file:line` with its
+instructions, their share of the side's total and the line's source
+text; counting lines makes the traced run slower still. Exit status:
+0; 1 if a side failed or the two runs' trace digests differ.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import linecache
 import os
 import subprocess
 import sys
@@ -52,8 +57,9 @@ def build(workload: str, seed: int):
     return scenario, graph, groups, config, sim_seed
 
 
-def count(checkout: str, workload: str, seed: int) -> dict:
-    """Run workload once from checkout, traced; its counts and trace digest."""
+def count(checkout: str, workload: str, seed: int, by_line: int = 0) -> dict:
+    """Run workload once from checkout, traced; its counts and trace digest,
+    and with by_line, its by_line lines that executed the most instructions."""
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "perfbench")]
     import avpipesim
     from avpipesim.engine import run_simulation
@@ -63,6 +69,7 @@ def count(checkout: str, workload: str, seed: int) -> dict:
         raise RuntimeError(f"imported {avpipesim.__file__}, not the checkout's")
     scenario, graph, groups, config, sim_seed = build(workload, seed)
     work = {}       # code object -> [instructions, calls]
+    lines = {}      # code object -> {line number: instructions}, with by_line
 
     def on_call(frame, event, arg):
         counts = work.get(frame.f_code)
@@ -70,9 +77,14 @@ def count(checkout: str, workload: str, seed: int) -> dict:
             counts = work[frame.f_code] = [0, 0]
         counts[1] += 1
 
+        per_line = lines.setdefault(frame.f_code, {}) if by_line else None
+
         def on_event(frame, event, arg):
             if event == "opcode":
                 counts[0] += 1
+                if per_line is not None:
+                    line = frame.f_lineno
+                    per_line[line] = per_line.get(line, 0) + 1
             return on_event
         frame.f_trace_lines = False
         frame.f_trace_opcodes = True
@@ -87,25 +99,37 @@ def count(checkout: str, workload: str, seed: int) -> dict:
     root = os.path.realpath(checkout)
     functions = sorted(([code_name(code, root), *counts] for code, counts in work.items()),
                        key=lambda f: (-f[1], f[0]))
+    top = sorted(((n, code, line) for code, per_line in lines.items()
+                  for line, n in per_line.items()),
+                 key=lambda r: (-r[0], code_name(r[1], root), r[2]))[:by_line]
     return {"instructions": sum(f[1] for f in functions),
             "calls": sum(f[2] for f in functions), "trace_sha256": digest,
-            "functions": functions}
+            "functions": functions,
+            "lines": [[f"{file_name(code, root)}:{line}", n,
+                       linecache.getline(code.co_filename, line).strip()]
+                      for n, code, line in top]}
 
 
-def code_name(code, checkout: str) -> str:
-    """file:line(qualified name) of a code object; a file in checkout is
-    named by its path there."""
+def file_name(code, checkout: str) -> str:
+    """A code object's file; one in checkout is named by its path there."""
     path = os.path.realpath(code.co_filename)
     if path.startswith(checkout + os.sep):
         path = os.path.relpath(path, checkout)
-    return f"{path}:{code.co_firstlineno}({getattr(code, 'co_qualname', code.co_name)})"
+    return path
 
 
-def side(checkout: str, workload: str, seed: int) -> dict:
+def code_name(code, checkout: str) -> str:
+    """file:line(qualified name) of a code object."""
+    return (f"{file_name(code, checkout)}:{code.co_firstlineno}"
+            f"({getattr(code, 'co_qualname', code.co_name)})")
+
+
+def side(checkout: str, workload: str, seed: int, by_line: int) -> dict:
     """count() in a fresh process; {"error": ...} if it fails."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", checkout,
-                           "--workload", workload, "--seed", str(seed)],
+                           "--workload", workload, "--seed", str(seed),
+                           "--by-line", str(by_line)],
                           cwd=checkout, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         return {"error": f"exit code {proc.returncode}: {proc.stderr[-2000:]}"}
@@ -120,17 +144,21 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--by-function", type=int, default=0, metavar="N",
                    help="also print each side's N functions with the most instructions")
+    p.add_argument("--by-line", type=int, default=0, metavar="N",
+                   help="also print each side's N source lines with the most instructions")
     p.add_argument("--child", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.child:
-        print(json.dumps(count(os.path.abspath(args.child), args.workload, args.seed)))
+        print(json.dumps(count(os.path.abspath(args.child), args.workload, args.seed,
+                               args.by_line)))
         return 0
     if args.base is None or args.change is None:
         p.error("BASE and CHANGE are required")
 
     results = {}
     for name, checkout in (("base", args.base), ("change", args.change)):
-        r = results[name] = side(os.path.abspath(checkout), args.workload, args.seed)
+        r = results[name] = side(os.path.abspath(checkout), args.workload, args.seed,
+                                 args.by_line)
         if "error" in r:
             print(f"{name}: failed\n{r['error']}", file=sys.stderr)
             return 1
@@ -138,6 +166,9 @@ def main(argv=None) -> int:
               f"{r['calls']:,} calls, trace sha256 {r['trace_sha256'][:16]}", flush=True)
         for fn, instructions, calls in r["functions"][:args.by_function]:
             print(f"  {instructions:>12,} instructions {calls:>9,} calls  {fn}")
+        for where, instructions, text in r["lines"]:
+            print(f"  {instructions:>12,} instructions "
+                  f"{instructions / r['instructions']:>6.1%}  {where}  {text}")
     base, change = results["base"], results["change"]
     print(f"{args.workload} seed {args.seed} change: "
           + ", ".join(f"{change[k] - base[k]:+,} {k} ({change[k] / base[k] - 1:+.2%})"
