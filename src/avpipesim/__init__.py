@@ -7,6 +7,23 @@ partial updates, proactive precomputation, and budget-checked work
 stealing.
 """
 
+
+def _import_numpy() -> None:
+    """Import numpy with a one-thread OpenBLAS pool unless the caller sized
+    it: OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it, and
+    nothing here calls BLAS. os.environ is left as it was found."""
+    import os
+    caller_set = "OPENBLAS_NUM_THREADS" in os.environ
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    try:
+        import numpy  # noqa: F401
+    finally:
+        if not caller_set:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+_import_numpy()
+
 from .analysis import (LatencyStats, SafetyReport, compare_runs, compute_stats,
                        export_cdf, safety_report)
 from .engine import (EngineConfig, ProcessorGroup, ReactionRecord, RunTrace,

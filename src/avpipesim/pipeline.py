@@ -309,6 +309,7 @@ class PipelineGraph:
         WHITE, GRAY, BLACK = 0, 1, 2
         color = {n: WHITE for n in self.nodes}
         stack: list[str] = []
+        order: list[str] = []       # every node after all of its successors
 
         def visit(n: str):
             color[n] = GRAY
@@ -321,10 +322,17 @@ class PipelineGraph:
                     visit(m)
             stack.pop()
             color[n] = BLACK
+            order.append(n)
 
         for n in sorted(self.nodes):
             if color[n] == WHITE:
                 visit(n)
+        # per node, every node below it, successors first
+        below: dict[str, set[str]] = {}
+        for n in order:
+            below[n] = set(successors[n]).union(*(below[m] for m in successors[n]))
+        object.__setattr__(self, "_downstream",
+                           {n: tuple(m for m in order if m in below[n]) for n in order})
 
     def consumers_of(self, channel_id: str) -> tuple[str, ...]:
         return self._consumers[channel_id]
@@ -337,22 +345,16 @@ def downstream_estimate(g: PipelineGraph, node: str,
                         counts: dict[AgentKind, int]) -> int:
     """Predicted remaining latency along the longest path after node.
 
-    Each downstream node is priced and expanded once, so the cost is
+    Each downstream node is priced once, successors first, so the cost is
     linear in nodes plus edges, not in the number of paths.
     """
     through: dict[str, int] = {}    # node -> its cost plus its longest tail
-
-    def tail(n: str) -> int:
-        best = 0
-        for succ in g.successors(n):
-            if succ not in through:
-                spec = g.nodes[succ]
-                through[succ] = (predict_latency(spec.latency, counts, spec.lookahead_m)
-                                 + tail(succ))
-            best = max(best, through[succ])
-        return best
-
-    return tail(node)
+    successors = g._successors
+    for n in g._downstream[node]:
+        spec = g.nodes[n]
+        through[n] = (predict_latency(spec.latency, counts, spec.lookahead_m)
+                      + max([through[m] for m in successors[n]], default=0))
+    return max([through[m] for m in successors[node]], default=0)
 
 
 # ---------------------------------------------------------------------------

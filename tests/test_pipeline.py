@@ -108,6 +108,42 @@ class TestDownstreamEstimate:
         assert len(calls) <= len(g.nodes)
         assert downstream_estimate(g, "n11_0", {}) == 0
 
+    @given(st.data())
+    def test_the_longest_of_every_path(self, data):
+        """On a small random DAG, the estimate below each node is the
+        largest predict_latency sum over every path that leaves it."""
+        size = data.draw(st.integers(1, 7))
+        edges = [(i, j) for i in range(size) for j in range(i + 1, size)
+                 if data.draw(st.booleans())]
+        cost = st.integers(0, 10**6) | st.floats(0, 1e6)
+        nodes = [node(f"n{j}", [f"c{i}" for i, k in edges if k == j], (f"c{j}",),
+                      latency=LatencyModel(
+                          per_kind_cost_us=data.draw(st.dictionaries(st.sampled_from([V, P]),
+                                                                     cost)),
+                          offset_us=data.draw(cost),
+                          lookahead_cost_us_per_m=data.draw(st.floats(0, 1e3))),
+                      lookahead_m=data.draw(st.none() | st.floats(0, 1e3)))
+                 for j in range(size)]
+        g = graph(nodes, [f"c{j}" for j in range(size)])
+        counts = data.draw(st.dictionaries(st.sampled_from([V, P, C]), st.integers(0, 20)))
+
+        def paths(j):
+            """The predict_latency sum of every path that starts at node j."""
+            spec = nodes[j]
+            price = predict_latency(spec.latency, counts, spec.lookahead_m)
+            below = [price + rest for i, k in edges if i == j for rest in paths(k)]
+            return below or [price]
+
+        for j in range(size):
+            tails = [rest for i, k in edges if i == j for rest in paths(k)]
+            assert downstream_estimate(g, f"n{j}", counts) == max(tails, default=0)
+
+    def test_a_negative_count_is_refused_below_a_node(self):
+        g = self.ladder(layers=2, width=1)
+        with pytest.raises(PipelineError, match="negative count"):
+            downstream_estimate(g, "n0_0", {V: -1})
+        assert downstream_estimate(g, "n1_0", {V: -1}) == 0
+
 
 class TestPredictLatency:
     def test_linear_formula(self):

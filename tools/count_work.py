@@ -26,7 +26,8 @@ by its file, first line and qualified name. That shows where a change
 moves work. With `--by-line N`, it prints, per side, the N source lines
 that executed the most instructions, each as `file:line` with its
 instructions, their share of the side's total and the line's source
-text; counting lines makes the traced run slower still. Exit status:
+text (an instruction with no source line counts under line `?`, with
+no text); counting lines makes the traced run slower still. Exit status:
 0; 1 if a side failed or the two runs' trace digests differ.
 """
 
@@ -99,14 +100,15 @@ def count(checkout: str, workload: str, seed: int, by_line: int = 0) -> dict:
     root = os.path.realpath(checkout)
     functions = sorted(([code_name(code, root), *counts] for code, counts in work.items()),
                        key=lambda f: (-f[1], f[0]))
+    # an instruction with no source line (f_lineno None) counts under line "?"
     top = sorted(((n, code, line) for code, per_line in lines.items()
                   for line, n in per_line.items()),
-                 key=lambda r: (-r[0], code_name(r[1], root), r[2]))[:by_line]
+                 key=lambda r: (-r[0], code_name(r[1], root), r[2] or 0))[:by_line]
     return {"instructions": sum(f[1] for f in functions),
             "calls": sum(f[2] for f in functions), "trace_sha256": digest,
             "functions": functions,
-            "lines": [[f"{file_name(code, root)}:{line}", n,
-                       linecache.getline(code.co_filename, line).strip()]
+            "lines": [[f"{file_name(code, root)}:{'?' if line is None else line}", n,
+                       "" if line is None else linecache.getline(code.co_filename, line).strip()]
                       for n, code, line in top]}
 
 

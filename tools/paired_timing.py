@@ -10,16 +10,18 @@ checkout, alternating which side goes first. Each side's pass imports
 the `src/` of its own checkout; the two `perfbench/` trees must be
 byte-identical, so both sides are measured by the same harness.
 
-Prints, per workload and seed, one line each for `wall_s`, `sim_s` and
-`rss_mb` (the pass's peak RSS): each side's median with its quartiles
-and interquartile range, and in how many pairs the change was faster,
-or lower (ties count for neither).
+Prints, per workload and seed, one line each for `wall_s`, `sim_s`,
+`setup_s` and `rss_mb` (the pass's peak RSS): each side's median with
+its quartiles and interquartile range, and in how many pairs the change
+was faster, or lower (ties count for neither).
 `wall_s` is the pass's timed work (for `mixed100_cli` and `dag_stress`,
 `avpipesim run` with its trace and report writing); `sim_s` is the
 pass's `run_simulation` host time summed over its runs, the divisor of
-perfbench's `sim_speed`, so a `sim_speed` claim is sized on `sim_s`.
-`--out` writes every run (each with all three and `setup_s`), the
-`wall_s` summaries, the two commits and the machine to a JSON file.
+perfbench's `sim_speed`, so a `sim_speed` claim is sized on `sim_s`;
+`setup_s` is the pass's start-up before its timed work (importing
+avpipesim and building the inputs).
+`--out` writes every run (each with all four), the `wall_s` summaries,
+the two commits and the machine to a JSON file.
 
 Exit status: 0; 1 if a pass failed or the two sides' trace or
 report.json digests differ on any pass; 2 if the perfbench trees differ.
@@ -117,11 +119,12 @@ def compared(runs: list, metric: str) -> dict:
 
 
 # each printed metric, with its unit and the word for a lower value
-METRICS = {"wall_s": ("s", "faster"), "sim_s": ("s", "faster"), "rss_mb": ("MB", "lower")}
+METRICS = {"wall_s": ("s", "faster"), "sim_s": ("s", "faster"), "setup_s": ("s", "lower"),
+           "rss_mb": ("MB", "lower")}
 
 
 def report(workload: str, seed: int, runs: list) -> dict:
-    """Print one workload and seed's wall_s, sim_s and rss_mb; return its
+    """Print one workload and seed's line for each of METRICS; return its
     wall_s summary, with its runs."""
     summaries = {metric: compared(runs, metric) for metric in METRICS}
     for metric, c in summaries.items():
