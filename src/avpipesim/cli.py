@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from . import analysis
 from .config import ConfigError, RunConfig, load_config
 from .engine import RunTrace, TraceError, run_simulation
-from .jsonio import InputError, as_scalar, dumps, save_json
+from .jsonio import InputError, as_scalar, dumps, read_int, save_json
 from .mitigation import MitigationConfig
 from .pipeline import load_pipeline
 from .scenario import RoadSpec, Scenario, generate_traffic, load_scenario
@@ -86,11 +86,8 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 
 
 def _is_stochastic(graph) -> bool:
-    for n in graph.nodes.values():
-        for m in (n.latency, n.fast_latency):
-            if m is not None and m.noise.kind.value != "none":
-                return True
-    return False
+    return any(m is not None and m.noise.kind.value != "none"
+               for n in graph.nodes.values() for m in (n.latency, n.fast_latency))
 
 
 def _load_run(args):
@@ -187,7 +184,8 @@ def _sweep_points(cfg: RunConfig, scenario: Scenario, axis: str,
         raise ConfigError(">= 2 values required")
     points = []
     try:
-        for v in map(float, values):
+        for v in values:    # an integer literal is read exactly on an integer axis
+            v = read_int(v) if axis != "density" and v.removeprefix("-").isdecimal() else float(v)
             if axis == "density":
                 points.append((v, cfg, _with_density(scenario, v, cfg.seed or 0)))
             elif axis == "seed":

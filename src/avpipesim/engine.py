@@ -21,8 +21,8 @@ from typing import Iterator, Optional
 from . import mitigation as mit
 from .jsonio import InputError, check_min, check_value, loads, read_record
 from .mitigation import MitigationConfig, PathChoice
-from .pipeline import (Channel, ExecutionPattern, FrameMessage, NodeRole, NodeSpec,
-                       NoiseKind, ObjectTrack, PipelineGraph, downstream_estimate,
+from .pipeline import (Channel, ExecutionPattern, FrameMessage, LatencyPlan, NodeRole,
+                       NodeSpec, ObjectTrack, PipelineGraph, downstream_estimate,
                        fusion_update, kind_counts, latency_plan, sample_latency)
 from .safety import RssParams
 from .scenario import (MAX_MAGNITUDE, MAX_TIME_US, AgentState, CompiledTrajectory, Scenario,
@@ -318,28 +318,21 @@ class _Node:
     Channel and the plans of the consumers it feeds. steal_hosts are the
     groups the node's work may be stolen into, in trial order."""
     __slots__ = ("spec", "name", "inputs", "outputs", "home", "steal_hosts", "stream",
-                 "interrupt", "fastpath", "fast_lookahead", "proactive", "terminal", "control",
-                 "fusion", "zero_latency", "price", "fast_price", "arrival", "history", "tracks")
+                 "interrupt", "fastpath", "proactive", "terminal", "control",
+                 "fusion", "latency", "fast_latency", "arrival", "history", "tracks")
 
-    def __init__(self, spec: NodeSpec, home: "_GroupState", steal_hosts: tuple,
-                 stream, cfg: MitigationConfig, terminal: bool):
-        self.spec, self.name, self.stream = spec, spec.name, stream
+    def __init__(self, spec: NodeSpec, latency: LatencyPlan, home: "_GroupState",
+                 steal_hosts: tuple, stream, cfg: MitigationConfig, terminal: bool):
+        self.spec, self.name, self.stream, self.latency = spec, spec.name, stream, latency
         self.home, self.steal_hosts = home, steal_hosts
         self.interrupt = spec.pattern == ExecutionPattern.INTERRUPT
         self.fastpath = cfg.fastpath and spec.supports_fastpath
-        self.fast_lookahead = cfg.fast_lookahead_m if spec.lookahead_m is not None else None
         self.proactive = cfg.proactive and spec.proactive_cost_us > 0
         self.terminal = terminal
         self.control = spec.role == NodeRole.CONTROL
         self.fusion = spec.role == NodeRole.FUSION and spec.fusion is not None
-        m = spec.latency
-        self.zero_latency = (m.offset_us == 0 and not m.per_kind_cost_us
-                             and m.noise.kind == NoiseKind.NONE and m.contention is None
-                             and m.lookahead_cost_us_per_m == 0.0)
-        # the price of a pass of each path, but for its counts
-        self.price = latency_plan(m, spec.lookahead_m)
-        self.fast_price = (None if spec.fast_latency is None
-                           else latency_plan(spec.fast_latency, self.fast_lookahead))
+        self.fast_latency = (None if spec.fast_latency is None else latency_plan(
+            spec.fast_latency, None if spec.lookahead_m is None else cfg.fast_lookahead_m))
         self.arrival: Optional[int] = None      # the proactive precompute's start
         # a fusion node's a-of-n history and the newest track of each id it saw
         self.history, self.tracks = {}, {}
@@ -396,7 +389,7 @@ class Simulation:
                      or {n for n in graph.nodes if not graph.successors(n)})
         # each stream is seeded by (seed, crc32(its name)), so making them
         # all up front leaves every draw as it was
-        self._nodes = {n: _Node(spec, self.groups[pinned[n]],
+        self._nodes = {n: _Node(spec, graph.plan(n), self.groups[pinned[n]],
                                 tuple(grp for name, grp in hosts if name != pinned[n]),
                                 self.streams.stream(f"latency/{n}"), config.mitigation,
                                 n in terminals)
@@ -497,7 +490,7 @@ class Simulation:
         seq = len(self._capture_index)
         self._capture_index.append((t, ids))
         msg = FrameMessage(t, objects, counts, lineage={seq: (t, 0)})
-        if node.zero_latency:
+        if node.latency.free:
             self._emit(node, msg)
         else:
             node.home.ready.append((node, t, [msg], None))
@@ -511,8 +504,7 @@ class Simulation:
             self._start_task(ready.popleft(), grp, ends.index(None))
 
     def _start_task(self, task: _Task, grp: _GroupState, widx: int, priced=None):
-        """priced is a stolen task's (price, objects, counts) from
-        _predict_next, read by its admission."""
+        """priced: a stolen task's (price, objects, counts) from _predict_next."""
         now = self.queue.clock
         node, ready_us, inputs, residual_objects = task
         if inputs is None:
@@ -520,34 +512,31 @@ class Simulation:
             if not inputs and node.inputs:
                 return    # data was superseded (latest-only) or drained
 
-        spec, price = node.spec, None
+        spec, plan = node.spec, node.latency
         single = len(inputs) == 1
         if priced is not None:      # of the heads just taken
             price, objects, counts = priced
-        elif residual_objects is not None:
-            objects, counts = residual_objects, kind_counts(residual_objects)
-        elif single:        # most tasks: one input is its own union, with its counts
-            objects, counts = inputs[0].objects, inputs[0].counts
         else:
-            objects, counts = _union(inputs)
-        path, residual, plan = "normal", (), node.price
+            if residual_objects is not None:
+                objects, counts = residual_objects, kind_counts(residual_objects)
+            elif single:        # most tasks: one input is its own union, with its counts
+                objects, counts = inputs[0].objects, inputs[0].counts
+            else:
+                objects, counts = _union(inputs)
+            price = plan.price(counts)
+        path, residual = "normal", ()
         if node.fastpath and residual_objects is None:
             cfg = self._mit
             est = downstream_estimate(self._graph, node.name, counts)
             deadline = mit.message_deadline(objects, now, cfg.deadline_cap_us)
-            if mit.choose_path(spec, counts, deadline, now, est) == PathChoice.FASTPATH:
-                path, plan, price = "fastpath", node.fast_price, None
+            if mit.choose_path(spec, price, deadline, now, est) == PathChoice.FASTPATH:
+                path, plan = "fastpath", node.fast_latency
                 objects, residual = mit.partial_update(objects, self.ego_state(now),
                                                        cfg.criticality_radius_m)
                 counts = kind_counts(objects)
-        model, fixed, costs, term, draws = plan
-        if price is None:       # predict_latency, as _predict_next sums it
-            price = fixed
-            for kind, n in counts.items():
-                price += costs.get(kind, 0) * n
-            price += term
-        duration = (sample_latency(model, price, len(objects), node.stream) if draws
-                    else max(model.offset_floor_us, round(price)))
+                price = plan.price(counts)
+        duration = (sample_latency(plan.model, price, len(objects), node.stream) if plan.draws
+                    else max(plan.model.offset_floor_us, round(price)))
 
         if node.proactive and residual_objects is None:
             if node.arrival is not None:
@@ -640,17 +629,13 @@ class Simulation:
                     self._start_task(task, grp, ends.index(None))
 
     def _predict_next(self, node: _Node) -> tuple:
-        """(predicted cost, objects, counts) of node's next normal run, from
-        the message its next take() pops from each input: the head, which
-        on a latest-only channel is the only message."""
+        """(price, objects, counts) of node's next normal run, from the head
+        of each input, the message take() pops (on a latest-only channel, the only one)."""
         # [channel.queued[0] for channel in node.inputs if channel.queued],
         # without a comprehension's Python-level call
         heads = list(map(_FIRST, filter(None, map(_QUEUED, node.inputs))))
         objects, counts = (heads[0].objects, heads[0].counts) if len(heads) == 1 else _union(heads)
-        _, price, costs, term, _ = node.price     # predict_latency, summed inline
-        for kind, n in counts.items():
-            price += costs.get(kind, 0) * n
-        return price + term, objects, counts
+        return node.latency.price(counts), objects, counts
 
     def _try_steal(self, node: _Node, task: _Task) -> bool:
         now, priced = self.queue.clock, None

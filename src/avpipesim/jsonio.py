@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import re
 import sys
 import typing
 from enum import Enum
@@ -30,14 +29,28 @@ class InputError(ValueError):
 
 
 def loads(text: str):
-    """json.loads; an integer too long to read is named without Python's advice."""
+    """json.loads; a text with an integer too long for int() is parsed again."""
     try:
         return json.loads(text)
-    except ValueError as e:     # "Exceeds the limit (4300 digits) ...: value has N digits; ..."
-        digits = re.search(r"value has (\d+) digits", str(e))
-        if digits is None:
+    except ValueError as e:     # "Exceeds the limit (4300 digits) for integer string conversion..."
+        if "integer string conversion" not in str(e):
             raise
-        raise ValueError(f"an integer of {digits[1]} digits is too long") from None
+        return json.loads(text, parse_int=read_int)
+
+
+class TooLong(typing.NamedTuple):     # an integer literal of more digits than int() reads
+    digits: int
+
+    def __repr__(self):     # as a message shows it
+        return f"an integer too long to read ({self.digits} digits)"
+
+
+def read_int(literal: str):
+    """int(literal), or a TooLong where it has more digits than int() reads."""
+    try:
+        return int(literal)
+    except ValueError:
+        return TooLong(len(literal.lstrip("-")))
 
 
 def shown(value) -> str:

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .jsonio import check_min
-from .pipeline import NodeSpec, ObjectTrack, predict_latency
+from .pipeline import NodeSpec, ObjectTrack
 from .safety import DEFAULT_DEADLINE_CAP_US
-from .scenario import AgentKind, AgentState
+from .scenario import AgentState
 
 
 @dataclass(frozen=True)
@@ -43,23 +43,17 @@ class PathChoice(str, Enum):
 def message_deadline(objects, now_us: int,
                      deadline_cap_us: int = DEFAULT_DEADLINE_CAP_US) -> int:
     """Earliest deadline among the frame's objects; cap when empty."""
-    if not objects:
-        return now_us + deadline_cap_us
-    return min(o.deadline_us for o in objects)
+    return min((o.deadline_us for o in objects), default=now_us + deadline_cap_us)
 
 
-def choose_path(node: NodeSpec, counts: dict[AgentKind, int], deadline_us: int,
-                now_us: int, downstream_us: int) -> PathChoice:
-    """Fastpath iff the normal-path prediction for objects of these kind
-    counts does not fit the budget left before deadline_us (their
-    message_deadline) after the estimated downstream cost."""
+def choose_path(node: NodeSpec, normal_cost_us: int, deadline_us: int, now_us: int,
+                downstream_us: int) -> PathChoice:
+    """Fastpath iff normal_cost_us, the normal path's price of a message, does
+    not fit the budget left before deadline_us after the downstream estimate."""
     if not node.supports_fastpath:
         raise ValueError(f"node {node.name} is not fastpath-enabled")
-    remaining = deadline_us - now_us - downstream_us
-    if remaining <= 0:
-        return PathChoice.FASTPATH
-    normal_cost = predict_latency(node.latency, counts, node.lookahead_m)
-    return PathChoice.FASTPATH if normal_cost > remaining else PathChoice.NORMAL
+    left = deadline_us - now_us - downstream_us
+    return PathChoice.FASTPATH if left <= 0 or normal_cost_us > left else PathChoice.NORMAL
 
 
 def partial_update(objects: tuple[ObjectTrack, ...], ego: AgentState,

@@ -88,42 +88,45 @@ class LatencyModel:
                                     f"expected in [0, {MAX_TIME_US}], got {shown(cost)}")
 
 
-def predict_latency(m: LatencyModel, counts: dict[AgentKind, int],
-                    lookahead_m: Optional[float] = None) -> int:
-    """Deterministic linear latency estimate, no noise."""
-    total = m.offset_us
+def _check_counts(counts: dict[AgentKind, int]):
     for kind, n in counts.items():
         if n < 0:
             raise PipelineError(f"negative count for {kind}")
-        total += m.per_kind_cost_us.get(kind, 0) * n
-    if lookahead_m is not None:
-        total += round(m.lookahead_cost_us_per_m * lookahead_m)
-    return total
+
+
+def predict_latency(m: LatencyModel, counts: dict[AgentKind, int],
+                    lookahead_m: Optional[float] = None) -> int:
+    """Deterministic linear latency estimate, no noise."""
+    _check_counts(counts)
+    return latency_plan(m, lookahead_m).price(counts)
 
 
 class LatencyPlan(NamedTuple):
-    """predict_latency compiled for one model and horizon, for a caller
-    that prices many counts: offset_us, plus per_kind_cost_us.get(kind, 0)
-    times each count in the counts' order, plus lookahead_us, is its sum,
-    term by term (without a horizon lookahead_us is 0, an int, which
-    changes no value). sample_latency of that sum draws only where draws
-    is set; otherwise it is max(model.offset_floor_us, round(sum))."""
+    """A model's costs compiled for one horizon, and the only reader of
+    them. free: the model costs nothing (offset 0, no other term)."""
     model: LatencyModel
-    offset_us: int
-    per_kind_cost_us: dict[AgentKind, int]
-    lookahead_us: int
-    draws: bool
+    lookahead_us: int       # the rounded lookahead term; 0, an int, without a horizon
+    draws: bool             # noise or contention: sample_latency draws around a price
+    free: bool
+
+    def price(self, counts: dict[AgentKind, int]) -> int:
+        """The offset, each kind's cost times its count in counts' order, then the lookahead."""
+        total, costs = self.model.offset_us, self.model.per_kind_cost_us
+        for kind, n in counts.items():
+            total += costs.get(kind, 0) * n
+        return total + self.lookahead_us
 
 
 def latency_plan(m: LatencyModel, lookahead_m: Optional[float] = None) -> LatencyPlan:
     term = 0 if lookahead_m is None else round(m.lookahead_cost_us_per_m * lookahead_m)
-    return LatencyPlan(m, m.offset_us, m.per_kind_cost_us, term,
-                       m.noise.kind != _NOISE_NONE or m.contention is not None)
+    draws = m.noise.kind != _NOISE_NONE or m.contention is not None
+    free = (not draws and m.offset_us == 0 and not m.per_kind_cost_us
+            and m.lookahead_cost_us_per_m == 0.0)
+    return LatencyPlan(m, term, draws, free)
 
 
 def sample_latency(m: LatencyModel, base: int, payload_size: int, stream: RandomStream) -> int:
-    """One stochastic latency draw: base, the model's predict_latency, plus
-    noise and contention."""
+    """One latency draw around base, the model's price: noise, then contention."""
     if m.noise.kind == _NOISE_NONE and m.contention is None:
         return max(m.offset_floor_us, round(base))      # an int stays exact
     value = float(base)
@@ -333,12 +336,17 @@ class PipelineGraph:
             below[n] = set(successors[n]).union(*(below[m] for m in successors[n]))
         object.__setattr__(self, "_downstream",
                            {n: tuple(m for m in order if m in below[n]) for n in order})
+        object.__setattr__(self, "_plans", {n: latency_plan(spec.latency, spec.lookahead_m)
+                                            for n, spec in self.nodes.items()})
 
     def consumers_of(self, channel_id: str) -> tuple[str, ...]:
         return self._consumers[channel_id]
 
     def successors(self, node: str) -> tuple[str, ...]:
         return self._successors[node]
+
+    def plan(self, node: str) -> LatencyPlan:
+        return self._plans[node]    # its latency model, compiled for its lookahead_m
 
 
 def downstream_estimate(g: PipelineGraph, node: str,
@@ -348,12 +356,13 @@ def downstream_estimate(g: PipelineGraph, node: str,
     Each downstream node is priced once, successors first, so the cost is
     linear in nodes plus edges, not in the number of paths.
     """
+    below = g._downstream[node]
+    if below:
+        _check_counts(counts)
     through: dict[str, int] = {}    # node -> its cost plus its longest tail
-    successors = g._successors
-    for n in g._downstream[node]:
-        spec = g.nodes[n]
-        through[n] = (predict_latency(spec.latency, counts, spec.lookahead_m)
-                      + max([through[m] for m in successors[n]], default=0))
+    plans, successors = g._plans, g._successors
+    for n in below:
+        through[n] = plans[n].price(counts) + max([through[m] for m in successors[n]], default=0)
     return max([through[m] for m in successors[node]], default=0)
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import avpipesim
+from avpipesim import cli
 from avpipesim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, _sweep_workers, main
 from avpipesim.engine import RunTrace
 from avpipesim.pipeline import (Channel, ChannelPolicy, ExecutionPattern, FusionSpec,
@@ -117,6 +118,8 @@ def _dump(obj) -> str:
 
 # 10**400 as a message shows it: a run of more than 24 digits is cut short
 HUGE = "100000000000...(401 digits)"
+# an integer of more digits than Python reads by default (4,300)
+TOO_LONG = "an integer too long to read (5001 digits)"
 
 # files that loaded, and then ended run in a traceback or ran wrong
 BOUND_CASES = [
@@ -566,8 +569,9 @@ def test_sweep_needs_two_values(workdir, capsys):
     ("seed", "1e30,2", "expected an integer, got 1e+30"),
     ("deadline_cap", "125000,1e30", "expected an integer, got 1e+30"),
     ("deadline_cap", "125000,-7", "deadline_cap_us: expected >= 0, got -7"),
+    ("seed", "1" * 5001 + ",2", f"expected an integer, got {TOO_LONG}"),
 ], ids=["density-nan", "density-inf", "density-negative", "seed-fraction", "seed-huge",
-        "cap-huge", "cap-negative"])
+        "cap-huge", "cap-negative", "seed-too-long"])
 def test_sweep_bad_values_exit_1(workdir, capsys, axis, values, expect):
     rc = main(["sweep", "--config", str(workdir / "config.json"),
                "--axis", axis, f"--values={values}"])
@@ -575,6 +579,26 @@ def test_sweep_bad_values_exit_1(workdir, capsys, axis, values, expect):
     assert rc == EXIT_VALIDATION
     assert err == f"error: --values: {expect}\n"
     assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("axis", ["seed", "deadline_cap"])
+def test_sweep_reads_an_integer_value_exactly(workdir, monkeypatch, axis):
+    """2**53 + 1 and 2**53 + 3 run as typed: read through a float, the first
+    once ran as 2**53 and the second was refused as 9007199254740996.0."""
+    ran = []
+
+    def execute(cfg, scenario, graph):
+        ran.append(cfg.seed if axis == "seed" else cfg.engine.mitigation.deadline_cap_us)
+        return execute_run(cfg, scenario, graph)
+
+    execute_run = cli._execute
+    monkeypatch.setattr(cli, "_execute", execute)
+    rc = main(["sweep", "--config", str(workdir / "config.json"), "--axis", axis,
+               "--values", "9007199254740993, 9007199254740995,2.0"])
+    assert rc == EXIT_OK
+    assert ran == [2**53 + 1, 2**53 + 3, 2]
+    rows = (workdir / "out" / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["9007199254740993", "9007199254740995", "2.0"]
 
 
 @pytest.mark.parametrize("threads, expect", [
@@ -717,7 +741,7 @@ def test_compare_rejects_mismatched_scenarios(workdir, tmp_path, capsys):
     (f'{{"type": "closest", "agent_id": "a", "t_us": 0, "lon_gap_m": {10**400}}}\n',
      f":1: closest.lon_gap_m: expected a number, got {HUGE}"),
     (f'{{"type": "closest", "agent_id": "a", "t_us": {"1" * 5001}, "lon_gap_m": 1}}\n',
-     ":1: malformed JSON: an integer of 5001 digits is too long"),
+     f":1: closest.t_us: expected an integer, got {TOO_LONG}"),
     ('{"type": "span", "node": "n", "frame_seq": 0, "start_us": 0, "worker": "w", "ready_us": 0, '
      f'"end_us": {10**400}, "path": "normal", "guest": false, "residual": false}}\n',
      f":1: span: end_us: expected <= 9223372036854775807, got {HUGE}"),
@@ -759,13 +783,22 @@ def test_compare_bad_trace_exits_1_with_line(workdir, capsys, text, expect):
 
 
 def test_run_refuses_an_integer_too_long_to_read(workdir, capsys):
-    """One of more digits than Python reads by default (4,300) is malformed
-    JSON, named without Python's advice to raise the limit."""
-    path = workdir / "config.json"
-    path.write_text(path.read_text().replace('"seed": 3', '"seed": ' + "1" * 5001))
-    assert main(["run", "--config", str(path)]) == EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert err == f"error: {path}: malformed JSON: an integer of 5001 digits is too long\n"
+    """One of more digits than Python reads by default (4,300) is refused
+    by the field that holds it, in each input file, as any bound is; it
+    was once malformed JSON, which named the file but not the field."""
+    long = "1" * 5001
+    for name, field, expect in (
+            ("config.json", '"seed": 3', "config.seed"),
+            ("scenario.json", '"duration_us": 5000000', "scenario.duration_us"),
+            ("pipeline.json", '"period_us": 100000', "nodes[2].period_us")):
+        path = workdir / name
+        good = path.read_text()
+        assert field in good
+        path.write_text(good.replace(field, f"{field.split(':')[0]}: {long}"))
+        assert main(["run", "--config", str(workdir / "config.json")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == f"error: {expect}: expected an integer, got {TOO_LONG}\n"
+        path.write_text(good)
 
 
 def test_paired_traces_compare_to_the_paired_report(workdir):

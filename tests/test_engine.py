@@ -35,6 +35,23 @@ class TestBasicExecution:
         assert ([(s.frame_seq, s.ready_us) for s in trace.spans]
                 == [(k, ms(100) * k) for k in range(11)])
 
+    def test_a_free_sensor_skips_offset_floor_us(self):
+        """A sensor whose model has offset 0 and nothing else passes each
+        capture on at once, whatever its floor; offset 1 makes it a pass
+        of its own, which the floor of 5000 µs then lengthens."""
+        g = chain_pipeline({"proc": (ms(10), NodeRole.CONTROL)})
+        for offset, sensor_us in ((0, 0), (1, 5000)):
+            sensor = LatencyModel(offset_us=offset, offset_floor_us=5000)
+            nodes = {**g.nodes, "sensor": NodeSpec(
+                "sensor", ExecutionPattern.TIMING, (), ("ch_sensor",), sensor,
+                role=NodeRole.SENSOR, period_us=ms(100))}
+            graph = PipelineGraph(nodes=nodes, channels=g.channels)
+            trace = run_simulation(simple_scenario(sec(1)), graph, one_group(graph),
+                                   EngineConfig(), seed=1)
+            sensed = [s.end_us - s.start_us for s in trace.spans if s.node == "sensor"]
+            assert sensed == ([sensor_us] * 11 if offset else [])
+            assert {f.e2e_us for f in trace.frames} == {sensor_us + ms(10)}
+
     def test_single_interrupt_node_output_time(self):
         g = chain_pipeline({"proc": (ms(30), NodeRole.CONTROL)})
         trace = run_simulation(simple_scenario(sec(1)), g, one_group(g),

@@ -13,10 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from avpipesim.config import ConfigError, load_config
 from avpipesim.engine import EngineConfig, ProcessorGroup, run_simulation
+from avpipesim import jsonio
 from avpipesim.jsonio import InputError, shown
 from avpipesim.mitigation import MitigationConfig
 from avpipesim.pipeline import (Channel, ChannelPolicy, ContentionSpec, LatencyModel, NodeRole,
-                                NoiseKind, NoiseSpec, load_pipeline, save_pipeline)
+                                NoiseKind, NoiseSpec, PipelineError, load_pipeline,
+                                save_pipeline)
 from avpipesim.safety import RssParams
 from avpipesim.scenario import (AgentKind, AgentState, Scenario, ScenarioError, TrajectorySpec,
                                 load_scenario, save_scenario)
@@ -266,3 +268,33 @@ def test_a_run_reaches_the_largest_instant():
     trace = run_simulation(scenario, graph, one_group(graph),
                            EngineConfig(tick_us=2**62), seed=0)
     assert [(c.agent_id, c.t_us) for c in trace.closest] == [("a", 0), ("b", 0)]
+
+
+def test_only_a_text_with_an_integer_too_long_to_read_is_parsed_again(monkeypatch, tmp_path):
+    """A text int() reads whole is parsed once, by the C scanner; one with a
+    5,001-digit integer again, that integer read as a TooLong, which every
+    field refuses by name, a scalar, a format or an enum alike."""
+    def refused(literal):
+        raise AssertionError(f"{literal} parsed through the hook")
+
+    monkeypatch.setattr(jsonio, "read_int", refused)
+    assert jsonio.loads('{"a": [1, -2, 3.5]}') == {"a": [1, -2, 3.5]}
+    monkeypatch.undo()
+    too_long = jsonio.TooLong(5001)
+    assert jsonio.loads('[1, -%s]' % ("9" * 5001)) == [1, too_long]
+    for tp, what in ((int, "an integer"), (float, "a number"), (str, "a string"),
+                     (bool, "true or false")):
+        with pytest.raises(ValueError) as e:
+            jsonio.as_scalar(tp, too_long)
+        assert str(e.value) == f"expected {what}, got an integer too long to read (5001 digits)"
+    with pytest.raises(ValueError, match="Expecting"):     # still malformed after it
+        jsonio.loads('[%s, ]' % ("9" * 5001))
+    path = tmp_path / "pipeline.json"
+    for text, expect in (
+            ('{"format": %s}', "format: expected 1, got an integer too long to read (5001 digits)"),
+            ('{"format": 1, "nodes": [{"name": "s", "pattern": %s}]}', "nodes[0]: an integer "
+             "too long to read (5001 digits) is not a valid ExecutionPattern")):
+        path.write_text(text % ("1" * 5001))
+        with pytest.raises(PipelineError) as e:
+            load_pipeline(path)
+        assert str(e.value) == expect

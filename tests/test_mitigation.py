@@ -4,7 +4,7 @@ from avpipesim.mitigation import (MitigationConfig, PathChoice, choose_path,
                                   message_deadline, partial_update, proactive_credit,
                                   residual_needs_downstream, steal_admission)
 from avpipesim.pipeline import (ExecutionPattern, LatencyModel, NodeRole, NodeSpec,
-                                ObjectTrack, kind_counts, predict_latency)
+                                ObjectTrack, predict_latency)
 from avpipesim.scenario import AgentKind, AgentState
 from avpipesim.simkernel import ms
 
@@ -14,13 +14,6 @@ V = AgentKind.VEHICLE
 def track(aid, s_m, deadline_us, capped=False):
     return ObjectTrack(agent_id=aid, kind=V, s_m=s_m,
                        deadline_us=deadline_us, deadline_capped=capped)
-
-
-def make_msg(objects, sensor_ts=0, deadline=None):
-    """choose_path's (counts, deadline_us) for a message of objects
-    captured at sensor_ts."""
-    return (kind_counts(objects),
-            deadline if deadline is not None else message_deadline(objects, sensor_ts))
 
 
 class TestMessageDeadline:
@@ -36,36 +29,43 @@ class TestMessageDeadline:
 
 
 class TestChoosePath:
-    def make_node(self, normal_offset_us):
+    """choose_path decides by the normal path's price it is handed: the
+    node's own models are not read."""
+
+    def make_node(self):
         return NodeSpec(name="plan", pattern=ExecutionPattern.INTERRUPT,
                         inputs=("i",), outputs=("o",),
-                        latency=LatencyModel(offset_us=normal_offset_us),
-                        fast_latency=LatencyModel(offset_us=normal_offset_us // 4),
+                        latency=LatencyModel(offset_us=ms(60)),
+                        fast_latency=LatencyModel(offset_us=ms(15)),
                         role=NodeRole.PLANNING)
 
     def test_fastpath_when_normal_does_not_fit(self):
         # deadline 125 ms after capture, now 40 ms in, downstream 40 ms:
         # remaining 45 ms < normal 60 ms
-        node = self.make_node(ms(60))
-        msg = make_msg([track("a", 5, ms(125))], sensor_ts=0, deadline=ms(125))
-        assert choose_path(node, *msg, ms(40), ms(40)) == PathChoice.FASTPATH
+        assert choose_path(self.make_node(), ms(60), ms(125), ms(40), ms(40)) == PathChoice.FASTPATH
 
     def test_normal_when_it_fits(self):
-        node = self.make_node(ms(30))
-        msg = make_msg([track("a", 5, ms(125))], sensor_ts=0, deadline=ms(125))
-        assert choose_path(node, *msg, ms(40), ms(40)) == PathChoice.NORMAL
+        assert choose_path(self.make_node(), ms(30), ms(125), ms(40), ms(40)) == PathChoice.NORMAL
+
+    def test_normal_when_the_cost_is_exactly_the_budget_left(self):
+        assert choose_path(self.make_node(), ms(45), ms(125), ms(40), ms(40)) == PathChoice.NORMAL
+        assert choose_path(self.make_node(), ms(45) + 1, ms(125), ms(40), ms(40)) \
+            == PathChoice.FASTPATH
 
     def test_saturating_when_budget_exhausted(self):
-        node = self.make_node(ms(1))
-        msg = make_msg([track("a", 5, ms(125))], sensor_ts=0, deadline=ms(125))
-        assert choose_path(node, *msg, ms(200), 0) == PathChoice.FASTPATH
+        assert choose_path(self.make_node(), ms(1), ms(125), ms(200), 0) == PathChoice.FASTPATH
+
+    def test_fastpath_when_no_budget_is_left_whatever_the_cost(self):
+        # remaining exactly 0 and below it: even a free pass takes the fastpath
+        for now in (ms(85), ms(86)):
+            assert choose_path(self.make_node(), 0, ms(125), now, ms(40)) == PathChoice.FASTPATH
 
     def test_rejects_non_fastpath_node(self):
         node = NodeSpec(name="perc", pattern=ExecutionPattern.INTERRUPT,
                         inputs=("i",), outputs=("o",),
                         latency=LatencyModel(offset_us=100), role=NodeRole.PERCEPTION)
         with pytest.raises(ValueError):
-            choose_path(node, *make_msg([]), 0, 0)
+            choose_path(node, 100, 0, 0, 0)
 
 
 class TestPartialUpdate:

@@ -2,7 +2,7 @@ import math
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from avpipesim import pipeline
 from avpipesim.pipeline import (Channel, ChannelPolicy, ContentionSpec, ExecutionPattern,
@@ -95,17 +95,23 @@ class TestDownstreamEstimate:
         return graph(nodes, [f"c{k}_{j}" for k in range(layers) for j in range(width)])
 
     def test_each_node_priced_once(self, monkeypatch):
+        """From the plans the graph compiled when it was built: no model
+        is compiled again, and each of the 22 nodes below n0_0 is priced
+        once."""
         g = self.ladder()
-        calls = []
+        priced = []
+        price = pipeline.LatencyPlan.price
 
-        def counted(m, counts, lookahead_m=None):
-            calls.append(m)
-            return predict_latency(m, counts, lookahead_m)
+        def counted(plan, counts):
+            priced.append(plan)
+            return price(plan, counts)
 
-        monkeypatch.setattr(pipeline, "predict_latency", counted)
+        monkeypatch.setattr(pipeline.LatencyPlan, "price", counted)
+        monkeypatch.setattr(pipeline, "latency_plan", None)
         # 11 layers below n0_0, each costing at most 1001
         assert downstream_estimate(g, "n0_0", {}) == 11 * 1001
-        assert len(calls) <= len(g.nodes)
+        below = [g.plan(n) for n in g.nodes if n not in ("n0_0", "n0_1")]
+        assert len(priced) == 22 and {id(p) for p in priced} == {id(p) for p in below}
         assert downstream_estimate(g, "n11_0", {}) == 0
 
     @given(st.data())
@@ -173,22 +179,46 @@ class TestLatencyPlan:
            st.floats(0, 1e6) | st.integers(0, 10**6), st.floats(0, 1e3),
            st.none() | st.floats(0, 1e3),
            st.dictionaries(st.sampled_from([V, P, C]), st.integers(0, 50)))
-    def test_its_sum_is_predict_latency(self, costs, offset, per_m, lookahead_m, counts):
-        """Summed as its docstring says, floats included, in the counts' order."""
+    @example({V: 0.89}, 2.61, 1.0, 2.0, {V: 1})
+    def test_its_sum_is_the_sum_written_here(self, costs, offset, per_m, lookahead_m, counts):
+        """The offset, then each kind's cost times its count in the counts'
+        order, then the rounded lookahead term, floats included; and
+        predict_latency is that price. In the example, (2.61 + 0.89) + 2 is
+        5.5, where the term added first would give 5.499999999999999."""
         m = LatencyModel(per_kind_cost_us=costs, offset_us=offset,
                          lookahead_cost_us_per_m=per_m)
-        plan = latency_plan(m, lookahead_m)
-        price = plan.offset_us
+        expected = offset
         for kind, n in counts.items():
-            price += plan.per_kind_cost_us.get(kind, 0) * n
-        price += plan.lookahead_us
-        assert price == predict_latency(m, counts, lookahead_m)
-        assert type(price) is type(predict_latency(m, counts, lookahead_m))
+            expected += costs.get(kind, 0) * n
+        if lookahead_m is not None:
+            expected += round(per_m * lookahead_m)
+        price = latency_plan(m, lookahead_m).price(counts)
+        assert price == expected and type(price) is type(expected)
+        assert predict_latency(m, counts, lookahead_m) == expected
 
     def test_only_noise_or_contention_draws(self):
         assert not latency_plan(LatencyModel(offset_us=5)).draws
         assert latency_plan(LatencyModel(noise=NoiseSpec(NoiseKind.UNIFORM, jitter_us=2))).draws
         assert latency_plan(LatencyModel(contention=ContentionSpec(1, 1, 1.0))).draws
+
+    def test_only_a_model_of_offset_0_and_nothing_else_is_free(self):
+        """Whatever its offset_floor_us: a free sensor passes its capture
+        on at once."""
+        assert latency_plan(LatencyModel(offset_floor_us=5000)).free
+        assert latency_plan(LatencyModel(), lookahead_m=50.0).free
+        for costly in (LatencyModel(offset_us=1), LatencyModel(per_kind_cost_us={V: 0}),
+                       LatencyModel(lookahead_cost_us_per_m=0.5),
+                       LatencyModel(noise=NoiseSpec(NoiseKind.LOGNORMAL, sigma=0.0)),
+                       LatencyModel(contention=ContentionSpec(0, 0))):
+            assert not latency_plan(costly).free, costly
+
+    def test_the_graph_compiles_each_node_plan_once(self):
+        g = graph([node("s", (), ("a",)), node("p", ("a",), ("b",), lookahead_m=4.0,
+                                              latency=LatencyModel(lookahead_cost_us_per_m=2.5))],
+                  ["a", "b"])
+        assert g.plan("p") is g.plan("p")
+        assert g.plan("p") == latency_plan(g.nodes["p"].latency, 4.0)
+        assert g.plan("p").price({}) == 10
 
 
 class TestKindCounts:

@@ -40,7 +40,7 @@ from avpipesim.mitigation import MitigationConfig, steal_admission
 from avpipesim.pipeline import (Channel, ChannelPolicy, ExecutionPattern, FrameMessage,
                                 FusionSpec, LatencyModel, NodeRole, NodeSpec, NoiseKind,
                                 NoiseSpec, ObjectTrack, PipelineGraph, kind_counts,
-                                predict_latency, sample_latency)
+                                predict_latency)
 from avpipesim.scenario import AgentKind, AgentState, Scenario, TrajectorySpec
 from avpipesim.simkernel import ms, sec
 
@@ -65,40 +65,17 @@ def reference_union(msgs):
     return objects, kind_counts(objects)
 
 
-class Deferred:
-    """A reference plan's offset, which defers the price to the public
-    rule: the engine's sum adds each (kind, count) to it, PER_KIND's
-    markers giving the pairs, and reference_sample prices the counts it
-    gathered through predict_latency and sample_latency."""
+class PublicRulePlan:
+    """A node's plan that prices through predict_latency and draws every
+    pass through sample_latency, which floors a noiseless model's price
+    itself."""
+    draws = True
 
-    def __init__(self, lookahead_m, counts=()):
-        self.lookahead_m, self.counts = lookahead_m, dict(counts)
+    def __init__(self, plan, lookahead_m):
+        self.model, self.free, self.lookahead_m = plan.model, plan.free, lookahead_m
 
-    def __add__(self, term):    # a (kind, count) pair, or the plan's lookahead term, 0
-        if term == 0:
-            return self
-        return Deferred(self.lookahead_m, [*self.counts.items(), term])
-
-
-class KindMarker:
-    def __init__(self, kind):
-        self.kind = kind
-
-    def __mul__(self, count):
-        return self.kind, count
-
-
-PER_KIND = {kind: KindMarker(kind) for kind in AgentKind}
-
-
-def deferred_plan(plan, lookahead_m):
-    return plan._replace(offset_us=Deferred(lookahead_m), per_kind_cost_us=PER_KIND,
-                         lookahead_us=0, draws=True)
-
-
-def reference_sample(m, base, payload_size, stream):
-    return sample_latency(m, predict_latency(m, base.counts, base.lookahead_m), payload_size,
-                          stream)
+    def price(self, counts):
+        return predict_latency(self.model, counts, self.lookahead_m)
 
 
 class UncachedSimulation(Simulation):
@@ -109,16 +86,18 @@ class UncachedSimulation(Simulation):
     def __init__(self, *args):
         super().__init__(*args)
         for node in self._nodes.values():
-            node.price = deferred_plan(node.price, node.spec.lookahead_m)
-            if node.fast_price is not None:
-                node.fast_price = deferred_plan(node.fast_price, node.fast_lookahead)
+            node.latency = PublicRulePlan(node.latency, node.spec.lookahead_m)
+            if node.fast_latency is not None:
+                fast_lookahead = (None if node.spec.lookahead_m is None
+                                  else self.config.mitigation.fast_lookahead_m)
+                node.fast_latency = PublicRulePlan(node.fast_latency, fast_lookahead)
 
     def _capture(self, node, t):
         objects = self._world.capture(t, self.ego_state(t), self.config.mitigation.deadline_cap_us)
         seq = len(self._capture_index)
         self._capture_index.append((t, tuple(o.agent_id for o in objects)))
         msg = FrameMessage(t, objects, kind_counts(objects), lineage={seq: (t, 0)})
-        if node.zero_latency:
+        if node.latency.free:
             self._emit(node, msg)
         else:
             node.home.ready.append((node, t, [msg], None))
@@ -169,8 +148,7 @@ class UncachedSimulation(Simulation):
             self._dispatch(grp)
 
     def run(self):
-        with mock.patch.object(engine, "_union", reference_union), \
-                mock.patch.object(engine, "sample_latency", reference_sample):
+        with mock.patch.object(engine, "_union", reference_union):
             return super().run()
 
 
