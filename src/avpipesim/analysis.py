@@ -12,8 +12,8 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .engine import RunTrace
 from .safety import SafetyLevel
+from .trace import RunTrace
 
 
 class AnalysisError(ValueError):

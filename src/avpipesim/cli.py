@@ -17,11 +17,12 @@ from contextlib import contextmanager
 
 from . import analysis
 from .config import ConfigError, RunConfig, load_config
-from .engine import RunTrace, TraceError, run_simulation
+from .engine import run_simulation
 from .jsonio import InputError, as_scalar, dumps, read_int, save_json
 from .mitigation import MitigationConfig
 from .pipeline import load_pipeline
 from .scenario import RoadSpec, Scenario, generate_traffic, load_scenario
+from .trace import RunTrace, TraceError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1

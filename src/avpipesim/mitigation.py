@@ -14,7 +14,7 @@ from enum import Enum
 from .jsonio import check_min
 from .pipeline import NodeSpec, ObjectTrack
 from .safety import DEFAULT_DEADLINE_CAP_US
-from .scenario import AgentState
+from .scenario import MAX_MAGNITUDE, AgentState
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,9 @@ class MitigationConfig:
 
     def __post_init__(self):
         check_min(self, 0, "criticality_radius_m", strict=True)
-        check_min(self, 1, "steal_safety_factor")
-        check_min(self, 0, "fast_lookahead_m", "deadline_cap_us")
+        check_min(self, 1, "steal_safety_factor", high=MAX_MAGNITUDE)
+        check_min(self, 0, "fast_lookahead_m", high=MAX_MAGNITUDE)
+        check_min(self, 0, "deadline_cap_us")
 
 
 class PathChoice(str, Enum):

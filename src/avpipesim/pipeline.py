@@ -88,19 +88,6 @@ class LatencyModel:
                                     f"expected in [0, {MAX_TIME_US}], got {shown(cost)}")
 
 
-def _check_counts(counts: dict[AgentKind, int]):
-    for kind, n in counts.items():
-        if n < 0:
-            raise PipelineError(f"negative count for {kind}")
-
-
-def predict_latency(m: LatencyModel, counts: dict[AgentKind, int],
-                    lookahead_m: Optional[float] = None) -> int:
-    """Deterministic linear latency estimate, no noise."""
-    _check_counts(counts)
-    return latency_plan(m, lookahead_m).price(counts)
-
-
 class LatencyPlan(NamedTuple):
     """A model's costs compiled for one horizon, and the only reader of
     them. free: the model costs nothing (offset 0, no other term)."""
@@ -358,7 +345,9 @@ def downstream_estimate(g: PipelineGraph, node: str,
     """
     below = g._downstream[node]
     if below:
-        _check_counts(counts)
+        for kind, n in counts.items():
+            if n < 0:
+                raise PipelineError(f"negative count for {kind}")
     through: dict[str, int] = {}    # node -> its cost plus its longest tail
     plans, successors = g._plans, g._successors
     for n in below:

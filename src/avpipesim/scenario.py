@@ -13,7 +13,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -160,40 +159,9 @@ def _integrate(traj: TrajectorySpec, t_us: int) -> tuple[float, float, float, fl
     return s, v, a, max(v_peak, v)
 
 
-def agent_state_at(traj: TrajectorySpec, t_us: int) -> AgentState:
-    """State at time t by closed-form piecewise integration."""
-    if t_us < 0:
-        raise ValueError(f"t must be >= 0, got {t_us}")
-    s, v, a, _ = _integrate(traj, t_us)
-    return AgentState(s_m=s, l_m=traj.initial.l_m, v_mps=v,
-                      a_mps2=a if not (v == 0.0 and a < 0) else 0.0,
-                      lane_index=traj.initial.lane_index)
-
-
-def visible_agents(scenario: Scenario, t_us: int, sensor_range_m: float,
-                   ego_state: Optional[AgentState] = None):
-    """Agents detectable at time t: visible_from reached and within range.
-
-    Range is longitudinal distance from the ego in the lane frame. Without
-    ego_state, the ego follows its initial state with no control applied.
-    """
-    if t_us > scenario.duration_us:
-        raise ValueError(f"t {t_us} beyond scenario duration {scenario.duration_us}")
-    ego = (ego_state if ego_state is not None
-           else agent_state_at(TrajectorySpec(initial=scenario.ego_initial), t_us))
-    out = []
-    for aid, kind, traj in scenario.agents:
-        if traj.visible_from_us > t_us:
-            continue
-        st = agent_state_at(traj, t_us)
-        if abs(st.s_m - ego.s_m) <= sensor_range_m:
-            out.append((aid, kind, st))
-    return out
-
-
 # ---------------------------------------------------------------------------
-# compiled trajectories: the engine's path (with world.World); agent_state_at
-# and visible_agents above are the scalar references it must equal exactly
+# compiled trajectories: the engine's path (with world.World); it equals the
+# scalar references agent_state_at and visible_agents of tests/reference.py exactly
 
 class CompiledTrajectory:
     """A trajectory integrated once: (s, v, a) at every segment start.
@@ -238,7 +206,6 @@ DEFAULT_KIND_MIX = ((AgentKind.VEHICLE, 0.7), (AgentKind.PEDESTRIAN, 0.2),
 @dataclass(frozen=True)
 class RoadSpec:
     length_m: float = 400.0
-    lanes: int = 3
     speed_mps: float = 10.0
 
 

@@ -6,7 +6,6 @@ The ego is passed in per call: braking it is the engine's control decision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 
@@ -16,27 +15,11 @@ from .pipeline import ObjectTrack
 from .safety import RssParams, SafetyLevel, check_safety, object_deadline
 from .scenario import AgentState, CompiledTrajectory, Scenario, _state
 from .simkernel import US_PER_S
+from .trace import ClosestApproach, SafetySample
 
 _new_track = partial(tuple.__new__, ObjectTrack)     # an ObjectTrack from one field tuple, in C
 # instants per numpy pass; 128 buys ~2% speed for ~5% more peak RSS (README)
 WORLD_BLOCK = 32
-
-
-@dataclass
-class SafetySample:
-    t_us: int
-    agent_id: str
-    level: str
-    lon_gap_m: float
-    lat_gap_m: float
-
-
-@dataclass
-class ClosestApproach:
-    """An agent's smallest longitudinal gap >= 0 and when it first occurred."""
-    agent_id: str
-    t_us: int
-    lon_gap_m: float
 
 
 class World:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from avpipesim.analysis import AnalysisError, compare_runs, compute_stats, export_cdf
-from avpipesim.engine import FrameRecord, RunTrace, Span
+from avpipesim.trace import FrameRecord, RunTrace, Span
 
 
 class TestComputeStats:

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from avpipesim.engine import FrameRecord, ReactionRecord, Span
 from avpipesim.simkernel import EventQueue
+from avpipesim.trace import FrameRecord, ReactionRecord, Span
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 

@@ -13,13 +13,13 @@ import pytest
 import avpipesim
 from avpipesim import cli
 from avpipesim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, _sweep_workers, main
-from avpipesim.engine import RunTrace
 from avpipesim.pipeline import (Channel, ChannelPolicy, ExecutionPattern, FusionSpec,
                                 LatencyModel, NodeRole, NodeSpec, NoiseKind,
                                 NoiseSpec, PipelineGraph, save_pipeline)
 from avpipesim.scenario import (MAX_TIME_US, AgentKind, AgentState, Scenario,
                                 TrajectorySpec, save_scenario)
 from avpipesim.simkernel import ms, sec
+from avpipesim.trace import RunTrace
 
 from conftest import chain_pipeline
 from fixtures import av_groups, av_pipeline
@@ -294,6 +294,11 @@ def test_validate_bad_input_exits_1_with_message(workdir, capsys, name, mutate, 
      "mitigation: criticality_radius_m: expected > 0, got 0.0"),
     ("config.json", _set(("mitigation",), {"safety_factor": 0.5}),
      "mitigation: steal_safety_factor: expected >= 1, got 0.5"),
+    # once an OverflowError traceback, from pricing a fastpath or a steal
+    ("config.json", _set(("mitigation",), {"fast_lookahead_m": 1e308}),
+     "mitigation: fast_lookahead_m: expected <= 1e+12, got 1e+308"),
+    ("config.json", _set(("mitigation",), {"safety_factor": 1e308}),
+     "mitigation: steal_safety_factor: expected <= 1e+12, got 1e+308"),
     ("config.json", _set(("rss",), {"a_max_accel_mps2": -2.0}),
      "rss: a_max_accel: expected > 0, got -2.0"),
     ("config.json", _set(("rss",), {"a_min_brake_mps2": 9.0}),
@@ -324,6 +329,7 @@ def test_validate_bad_input_exits_1_with_message(workdir, capsys, name, mutate, 
         "scenario-format-bool", "pipeline-format-bool", "budget-negative",
         "range-negative", "margin-negative", "lookahead-negative", "cap-negative",
         "pin-unknown", "pin-missing", "brake-huge", "radius-zero", "safety-factor-low",
+        "lookahead-huge", "safety-factor-huge",
         "rss-accel-negative", "rss-brakes-crossed", "group-name-twice", "hazard-negative",
         "range-inf", "range-int-huge", "rss-response-huge", "actuation-huge", *BOUND_IDS])
 def test_run_bad_input_exits_1_with_message(workdir, capsys, name, mutate, expect):

@@ -4,7 +4,7 @@ from avpipesim.mitigation import (MitigationConfig, PathChoice, choose_path,
                                   message_deadline, partial_update, proactive_credit,
                                   residual_needs_downstream, steal_admission)
 from avpipesim.pipeline import (ExecutionPattern, LatencyModel, NodeRole, NodeSpec,
-                                ObjectTrack, predict_latency)
+                                ObjectTrack, latency_plan)
 from avpipesim.scenario import AgentKind, AgentState
 from avpipesim.simkernel import ms
 
@@ -105,18 +105,17 @@ class TestPartialUpdate:
 class TestFastpathPlanningLatency:
     def test_lookahead_saving(self):
         m = LatencyModel(offset_us=ms(10), lookahead_cost_us_per_m=100.0)
-        full = predict_latency(m, {}, 100.0)
-        short = predict_latency(m, {}, 40.0)
+        full = latency_plan(m, 100.0).price({})
+        short = latency_plan(m, 40.0).price({})
         assert full - short == 6000    # 60 m at 0.1 ms/m
 
     def test_zero_cost_no_saving(self):
         m = LatencyModel(offset_us=ms(10), lookahead_cost_us_per_m=0.0)
-        assert (predict_latency(m, {}, 100.0)
-                == predict_latency(m, {}, 40.0))
+        assert latency_plan(m, 100.0).price({}) == latency_plan(m, 40.0).price({})
 
     def test_monotone_over_lookahead_grid(self):
         m = LatencyModel(offset_us=ms(10), lookahead_cost_us_per_m=50.0)
-        vals = [predict_latency(m, {}, d) for d in (20, 40, 60, 80, 100)]
+        vals = [latency_plan(m, d).price({}) for d in (20, 40, 60, 80, 100)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
 

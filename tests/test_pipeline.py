@@ -10,7 +10,7 @@ from avpipesim.pipeline import (Channel, ChannelPolicy, ContentionSpec, Executio
                                 NoiseKind, NoiseSpec, ObjectTrack, PipelineError,
                                 PipelineGraph, downstream_estimate, fusion_update,
                                 kind_counts, latency_plan, pipeline_from_json,
-                                pipeline_to_json, predict_latency, sample_latency)
+                                pipeline_to_json, sample_latency)
 from avpipesim.scenario import AgentKind
 from avpipesim.simkernel import RandomStream, ms
 
@@ -117,7 +117,7 @@ class TestDownstreamEstimate:
     @given(st.data())
     def test_the_longest_of_every_path(self, data):
         """On a small random DAG, the estimate below each node is the
-        largest predict_latency sum over every path that leaves it."""
+        largest sum of the nodes' prices over every path that leaves it."""
         size = data.draw(st.integers(1, 7))
         edges = [(i, j) for i in range(size) for j in range(i + 1, size)
                  if data.draw(st.booleans())]
@@ -134,9 +134,9 @@ class TestDownstreamEstimate:
         counts = data.draw(st.dictionaries(st.sampled_from([V, P, C]), st.integers(0, 20)))
 
         def paths(j):
-            """The predict_latency sum of every path that starts at node j."""
+            """The price sum of every path that starts at node j."""
             spec = nodes[j]
-            price = predict_latency(spec.latency, counts, spec.lookahead_m)
+            price = latency_plan(spec.latency, spec.lookahead_m).price(counts)
             below = [price + rest for i, k in edges if i == j for rest in paths(k)]
             return below or [price]
 
@@ -152,24 +152,26 @@ class TestDownstreamEstimate:
 
 
 class TestPredictLatency:
+    """A model's price: its compiled plan's price of the counts."""
+
     def test_linear_formula(self):
         m = LatencyModel(per_kind_cost_us={V: 2000, P: 3000}, offset_us=5000)
-        assert predict_latency(m, {V: 3, P: 2}) == 17_000
+        assert latency_plan(m).price({V: 3, P: 2}) == 17_000
 
     def test_zero_counts_is_offset(self):
         m = LatencyModel(per_kind_cost_us={V: 2000}, offset_us=5000)
-        assert predict_latency(m, {}) == 5000
+        assert latency_plan(m).price({}) == 5000
 
     def test_lookahead_term(self):
         m = LatencyModel(offset_us=5000, lookahead_cost_us_per_m=100.0)
-        assert predict_latency(m, {}, lookahead_m=100.0) == 15_000
+        assert latency_plan(m, lookahead_m=100.0).price({}) == 15_000
 
     def test_monotone_in_counts_and_lookahead(self):
         m = LatencyModel(per_kind_cost_us={V: 500, P: 900, C: 700},
                          offset_us=2000, lookahead_cost_us_per_m=10.0)
         prev = 0
         for n in range(6):
-            cur = predict_latency(m, {V: n, P: n, C: n}, lookahead_m=10.0 * n)
+            cur = latency_plan(m, lookahead_m=10.0 * n).price({V: n, P: n, C: n})
             assert cur >= prev
             prev = cur
 
@@ -182,9 +184,9 @@ class TestLatencyPlan:
     @example({V: 0.89}, 2.61, 1.0, 2.0, {V: 1})
     def test_its_sum_is_the_sum_written_here(self, costs, offset, per_m, lookahead_m, counts):
         """The offset, then each kind's cost times its count in the counts'
-        order, then the rounded lookahead term, floats included; and
-        predict_latency is that price. In the example, (2.61 + 0.89) + 2 is
-        5.5, where the term added first would give 5.499999999999999."""
+        order, then the rounded lookahead term, floats included. In the
+        example, (2.61 + 0.89) + 2 is 5.5, where the term added first would
+        give 5.499999999999999."""
         m = LatencyModel(per_kind_cost_us=costs, offset_us=offset,
                          lookahead_cost_us_per_m=per_m)
         expected = offset
@@ -194,7 +196,6 @@ class TestLatencyPlan:
             expected += round(per_m * lookahead_m)
         price = latency_plan(m, lookahead_m).price(counts)
         assert price == expected and type(price) is type(expected)
-        assert predict_latency(m, counts, lookahead_m) == expected
 
     def test_only_noise_or_contention_draws(self):
         assert not latency_plan(LatencyModel(offset_us=5)).draws
@@ -238,7 +239,7 @@ class TestSampleLatency:
     def test_no_noise_equals_prediction(self):
         m = LatencyModel(per_kind_cost_us={V: 2000}, offset_us=5000)
         s = RandomStream(1, "n")
-        base = predict_latency(m, {V: 4})
+        base = latency_plan(m).price({V: 4})
         assert sample_latency(m, base, 4, s) == base
 
     def test_contention_arithmetic(self):

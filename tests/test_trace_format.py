@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from avpipesim.analysis import safety_report
-from avpipesim.engine import (ClosestApproach, EngineConfig, RunTrace, SafetySample,
-                              Simulation, TraceError, run_simulation)
+from avpipesim.engine import EngineConfig, Simulation, run_simulation
 from avpipesim.pipeline import NodeRole
 from avpipesim.scenario import AgentKind, AgentState, Scenario, TrajectorySpec
 from avpipesim.simkernel import ms, sec
+from avpipesim.trace import ClosestApproach, RunTrace, SafetySample, TraceError
 from avpipesim.world import World, _round6
 
 from conftest import assert_same_lines, chain_pipeline, check_safety_many, one_group

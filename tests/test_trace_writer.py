@@ -10,13 +10,13 @@ import pytest
 
 import numpy as np
 
-from avpipesim.engine import (ClosestApproach, EngineConfig, ProcessorGroup, RunTrace,
-                              SafetySample, Span, SpanLog, run_simulation)
+from avpipesim.engine import EngineConfig, ProcessorGroup, run_simulation
 from avpipesim.mitigation import MitigationConfig, PathChoice
 from avpipesim.pipeline import LatencyModel, NodeRole
 from avpipesim.scenario import (AgentKind, AgentState, RoadSpec, Scenario,
                                 TrajectorySpec, generate_traffic)
 from avpipesim.simkernel import ms, sec
+from avpipesim.trace import ClosestApproach, RunTrace, SafetySample, Span, SpanLog
 
 from conftest import assert_same_lines, chain_pipeline
 from fixtures import av_pipeline

@@ -1,7 +1,7 @@
 """The engine's compiled world model against the scalar references.
 
-agent_state_at, visible_agents, check_safety and object_deadline define
-the world model; the engine evaluates compiled trajectories in numpy
+agent_state_at and visible_agents (tests/reference.py), check_safety and
+object_deadline define the world model; the engine evaluates compiled trajectories in numpy
 instead, a block of instants per pass. Every comparison here is exact
 (float.hex), not approximate: the trace must stay byte-identical.
 """
@@ -18,11 +18,12 @@ from avpipesim.engine import EngineConfig, Simulation
 from avpipesim.pipeline import NodeRole
 from avpipesim.safety import RssParams, check_safety, object_deadline
 from avpipesim.scenario import (AgentKind, AgentState, CompiledTrajectory, Scenario,
-                                TrajectorySpec, agent_state_at, visible_agents)
+                                TrajectorySpec)
 from avpipesim.simkernel import US_PER_S, ms, sec
 from avpipesim.world import WORLD_BLOCK, World, _round6, agent_arrays_at
 
 from conftest import chain_pipeline, check_safety_many, one_group
+from reference import agent_state_at, visible_agents
 
 HORIZON_US = sec(6)
 
