@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Optional
 
 from . import mitigation as mit
@@ -65,12 +65,16 @@ class EngineConfig:
 
 class _Node:
     """A node's run plan and run state, built once per run. inputs holds
-    the run's Channel per input; outputs holds, per output, the run's
-    Channel and the plans of the consumers it feeds. steal_hosts are the
-    groups the node's work may be stolen into, in trial order."""
+    the queue of the run's Channel per input; outputs holds, per output,
+    that queue and the plans of the consumers it feeds. steal_hosts are
+    the groups the node's work may be stolen into, in trial order.
+    last_counts and last_price: the counts dict the normal pass was last
+    priced for, by identity (a carried counts dict is never mutated), and
+    that price."""
     __slots__ = ("spec", "name", "inputs", "outputs", "home", "steal_hosts", "stream",
                  "interrupt", "fastpath", "proactive", "terminal", "control",
-                 "fusion", "latency", "fast_latency", "arrival", "history", "tracks")
+                 "fusion", "latency", "fast_latency", "arrival", "history", "tracks",
+                 "last_counts", "last_price")
 
     def __init__(self, spec: NodeSpec, latency: LatencyPlan, home: "_GroupState",
                  steal_hosts: tuple, stream, cfg: MitigationConfig, terminal: bool):
@@ -87,6 +91,7 @@ class _Node:
         self.arrival: Optional[int] = None      # the proactive precompute's start
         # a fusion node's a-of-n history and the newest track of each id it saw
         self.history, self.tracks = {}, {}
+        self.last_counts, self.last_price = None, 0
 
 
 # a task: (its node's plan, ready_us, its pre-bound input messages or None
@@ -146,7 +151,7 @@ class Simulation:
                                 n in terminals)
                        for n, spec in graph.nodes.items()}
         # the run's own queue per channel, with the plans of its consumers
-        ports = {cid: (Channel(cid, ch.policy, ch.capacity),
+        ports = {cid: (Channel(cid, ch.policy, ch.capacity).queued,
                        tuple(self._nodes[m] for m in graph.consumers_of(cid)))
                  for cid, ch in graph.channels.items()}
         for node in self._nodes.values():
@@ -240,7 +245,7 @@ class Simulation:
         _, _, objects, ids, counts = shot
         seq = len(self._capture_index)
         self._capture_index.append((t, ids))
-        msg = FrameMessage(t, objects, counts, lineage={seq: (t, 0)})
+        msg = _MESSAGE((t, objects, counts, False, {seq: (t, 0)}))
         if node.latency.free:
             self._emit(node, msg)
         else:
@@ -259,7 +264,10 @@ class Simulation:
         now = self.queue.clock
         node, ready_us, inputs, residual_objects = task
         if inputs is None:
-            inputs = list(map(_TAKE, filter(_QUEUED, node.inputs)))   # the non-empty ones
+            inputs = []
+            for queued in node.inputs:      # the non-empty ones
+                if queued:
+                    inputs.append(queued.popleft())
             if not inputs and node.inputs:
                 return    # data was superseded (latest-only) or drained
 
@@ -274,7 +282,9 @@ class Simulation:
                 objects, counts = inputs[0].objects, inputs[0].counts
             else:
                 objects, counts = _union(inputs)
-            price = plan.price(counts)
+            if counts is not node.last_counts:
+                node.last_counts, node.last_price = counts, plan.price(counts)
+            price = node.last_price
         path, residual = "normal", ()
         if node.fastpath and residual_objects is None:
             cfg = self._mit
@@ -286,8 +296,11 @@ class Simulation:
                                                        cfg.criticality_radius_m)
                 counts = kind_counts(objects)
                 price = plan.price(counts)
-        duration = (sample_latency(plan.model, price, len(objects), node.stream) if plan.draws
-                    else max(plan.model.offset_floor_us, round(price)))
+        # a conditional, not max(), which packs its two arguments into a tuple
+        if plan.draws:
+            duration = sample_latency(plan.model, price, len(objects), node.stream)
+        elif (duration := round(price)) < plan.model.offset_floor_us:
+            duration = plan.model.offset_floor_us
 
         if node.proactive and residual_objects is None:
             if node.arrival is not None:
@@ -305,7 +318,7 @@ class Simulation:
                 lineage[origin] = (cap_ts, module + duration)
         else:
             lineage = _advance_lineage(inputs, duration)
-        seq = max(lineage, default=-1)
+        seq = max(lineage) if lineage else -1     # max's keyword would cost a dict per call
         # a span ends by the last int64 instant; one that ends later is past every horizon
         self.trace.spans.add((node.name, grp.worker_names[widx], path, guest, residual_pass),
                              seq, now, end if end <= MAX_TIME_US else MAX_TIME_US, ready_us)
@@ -326,8 +339,8 @@ class Simulation:
         grp.ends[widx] = None
         # a non-fusion node's output objects are its objects, so it passes their counts on
         out = self._fuse(node, objects) if node.fusion else objects
-        msg = FrameMessage(now, out, kind_counts(out) if node.fusion else counts,
-                           path == "fastpath" or residual_pass, lineage)
+        msg = _MESSAGE((now, out, kind_counts(out) if node.fusion else counts,
+                        path == "fastpath" or residual_pass, lineage))
 
         deliver = not residual_pass or mit.residual_needs_downstream(objects)
         if node.control:
@@ -343,7 +356,7 @@ class Simulation:
             node.home.ready.append((node, now, inputs, residual))
             for g in self.groups.values():
                 self._dispatch(g)
-        elif grp.ready:
+        elif grp.ready and None in grp.ends:
             self._dispatch(grp)
 
     def _fuse(self, node: _Node, objects):
@@ -356,13 +369,13 @@ class Simulation:
         return tuple(map(tracks.__getitem__, sorted(published)))
 
     def _emit(self, node: _Node, msg: FrameMessage):
-        """Offer msg on node's outputs and trigger each interrupt consumer.
+        """Queue msg on node's outputs and trigger each interrupt consumer.
         A triggered task starts at once on a free home worker, after any
         older ready task; with no free home worker it may be stolen, or
         waits in the home queue for a task to finish."""
         now = self.queue.clock
-        for channel, consumers in node.outputs:
-            channel.offer(msg)
+        for queued, consumers in node.outputs:
+            queued.append(msg)      # the Channel's rule: its deque's bound
             for consumer in consumers:
                 if consumer.proactive and consumer.arrival is None:
                     consumer.arrival = now
@@ -381,12 +394,15 @@ class Simulation:
 
     def _predict_next(self, node: _Node) -> tuple:
         """(price, objects, counts) of node's next normal run, from the head
-        of each input, the message take() pops (on a latest-only channel, the only one)."""
-        # [channel.queued[0] for channel in node.inputs if channel.queued],
-        # without a comprehension's Python-level call
-        heads = list(map(_FIRST, filter(None, map(_QUEUED, node.inputs))))
+        of each input, the message a start pops (on a latest-only channel, the only one)."""
+        heads = []
+        for queued in node.inputs:      # no comprehension call, no map or filter object
+            if queued:
+                heads.append(queued[0])
         objects, counts = (heads[0].objects, heads[0].counts) if len(heads) == 1 else _union(heads)
-        return node.latency.price(counts), objects, counts
+        if counts is not node.last_counts:
+            node.last_counts, node.last_price = counts, node.latency.price(counts)
+        return node.last_price, objects, counts
 
     def _try_steal(self, node: _Node, task: _Task) -> bool:
         now, priced = self.queue.clock, None
@@ -459,7 +475,7 @@ class Simulation:
 
 
 _BY_AGE, _AGENT_ID = attrgetter("created_ts"), attrgetter("agent_id")
-_QUEUED, _FIRST, _TAKE = attrgetter("queued"), itemgetter(0), Channel.take
+_MESSAGE = partial(tuple.__new__, FrameMessage)     # a FrameMessage from one field tuple, in C
 
 
 def _merge_objects(msgs) -> tuple[ObjectTrack, ...]:

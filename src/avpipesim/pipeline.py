@@ -8,8 +8,12 @@ contention add-on driven by payload size, and an affine lookahead term.
 
 from __future__ import annotations
 
+from collections import _count_elements, deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
+from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 from .jsonio import InputError, Key, check_min, from_json, load_json, save_json, shown, to_json
@@ -178,27 +182,24 @@ _LATEST_ONLY = ChannelPolicy.LATEST_ONLY
 
 @dataclass
 class Channel:
+    """A channel's one queue rule, in its bounded deque: a latest-only
+    channel holds its newest message, a FIFO one its newest capacity
+    messages, oldest first; an offer past the bound drops the oldest."""
     id: str
     policy: ChannelPolicy
     capacity: int = 8
-    queued: list = field(default_factory=list)
+    queued: deque = field(init=False)
 
     def __post_init__(self):
         check_min(self, 1, "capacity", error=PipelineError)
+        self.queued = deque(maxlen=1 if self.policy == _LATEST_ONLY else self.capacity)
 
     def offer(self, msg) -> None:
-        if self.policy == _LATEST_ONLY:
-            self.queued = [msg]
-        else:
-            self.queued.append(msg)
-            if len(self.queued) > self.capacity:
-                self.queued.pop(0)   # oldest data is least relevant
+        self.queued.append(msg)
 
     def take(self):
         """Pop per policy: FIFO head, or the single latest message."""
-        if not self.queued:
-            return None
-        return self.queued.pop(0)
+        return self.queued.popleft() if self.queued else None
 
     def peek_latest(self):
         return self.queued[-1] if self.queued else None
@@ -243,26 +244,31 @@ class ObjectTrack(NamedTuple):
     deadline_capped: bool = True   # True when the budget was unbounded and the cap applied
 
 
-@dataclass(slots=True, eq=False)
-class FrameMessage:
+class FrameMessage(NamedTuple):
     """A module's output. Its objects are distinct agents, in an order that
     carries no meaning: a capture emits one track per scenario agent, a merge
     and fusion key their output by agent id, a partial update splits a set.
-    A message equals only itself."""
+    A message equals only itself. A tuple, so the engine builds one in C."""
     created_ts: int
     objects: tuple[ObjectTrack, ...]
-    counts: dict[AgentKind, int]    # kind_counts(objects), given by the producer
+    # kind_counts(objects), given by the producer; never mutated once
+    # carried, so a node may reuse the price of the same dict
+    counts: dict[AgentKind, int]
     partial: bool = False
     # the message's only provenance: origin sensor frame seq ->
     # (capture_ts, accumulated module time); drives reaction attribution
-    lineage: dict[int, tuple[int, int]] = field(default_factory=dict)
+    lineage: Mapping[int, tuple[int, int]] = MappingProxyType({})
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
+
+_KIND = attrgetter("kind")
 
 
 def kind_counts(objects) -> dict[AgentKind, int]:
-    """Number of objects per kind, the input of the latency models."""
+    """Number of objects per kind, the input of the latency models, counted in C."""
     out: dict[AgentKind, int] = {}
-    for o in objects:
-        out[o.kind] = out.get(o.kind, 0) + 1
+    _count_elements(out, map(_KIND, objects))
     return out
 
 

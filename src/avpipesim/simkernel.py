@@ -45,12 +45,10 @@ class EventQueue:
         self.clock = 0
 
     def schedule(self, fire_at: int, action: Callable[[], None]) -> tuple:
-        if fire_at < 0:
-            raise SchedulingError(f"negative fire time {fire_at}")
-        if fire_at < self.clock:
+        if fire_at < self.clock:    # the clock is never negative, so a negative time is caught here
             raise SchedulingError(
-                f"cannot schedule at {fire_at} us: clock is already {self.clock} us"
-            )
+                f"negative fire time {fire_at}" if fire_at < 0
+                else f"cannot schedule at {fire_at} us: clock is already {self.clock} us")
         entry = (fire_at, self._seq, action)
         self._seq += 1
         heapq.heappush(self._heap, entry)

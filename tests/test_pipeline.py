@@ -292,6 +292,24 @@ class TestChannel:
         assert len(ch.queued) == 3
         assert [ch.take() for _ in range(3)] == [2, 3, 4]
 
+    @given(st.sampled_from(ChannelPolicy), st.integers(1, 5),
+           st.lists(st.booleans(), max_size=40))
+    def test_the_queue_matches_the_rule_under_any_interleaving(self, policy, capacity, ops):
+        """Offers (True) and takes (False) in any order: the queue always
+        holds what the rule says, kept here in a plain list. A latest-only
+        channel holds its newest message; a FIFO channel its newest
+        capacity messages, oldest first. A take pops the head, or None."""
+        ch, model = Channel("c", policy, capacity), []
+        keep = 1 if policy == ChannelPolicy.LATEST_ONLY else capacity
+        for k, offer in enumerate(ops):
+            if offer:
+                ch.offer(k)
+                model = [*model, k][-keep:]
+            else:
+                assert ch.take() == (model.pop(0) if model else None)
+            assert list(ch.queued) == model
+            assert ch.peek_latest() == (model[-1] if model else None)
+
 
 class TestFusion:
     def run_frames(self, f, frames):

@@ -114,9 +114,13 @@ class UncachedSimulation(Simulation):
             node.home.ready.append((node, t, [msg], None))
             self._dispatch(node.home)
 
+    def _start_task(self, task, grp, widx, priced=None):
+        task[0].last_counts = None      # every task priced afresh, never from the memo
+        super()._start_task(task, grp, widx, priced)
+
     def _predict_next(self, node):
         spec = node.spec
-        preview = [channel.queued[0] for channel in node.inputs if channel.queued]
+        preview = [queued[0] for queued in node.inputs if queued]
         counts = kind_counts(reference_merge(preview))
         return rule_price(spec.latency, counts, spec.lookahead_m)
 
@@ -141,8 +145,8 @@ class UncachedSimulation(Simulation):
 
     def _emit(self, node, msg):
         now = self.queue.clock
-        for channel, consumers in node.outputs:
-            channel.offer(msg)
+        for queued, consumers in node.outputs:
+            queued.append(msg)
             for consumer in consumers:
                 if consumer.proactive and consumer.arrival is None:
                     consumer.arrival = now
@@ -391,18 +395,18 @@ def test_prediction_prices_the_head_that_take_pops():
                             agents=(), duration_us=sec(1))
         sim = Simulation(scenario, graph, one_group(graph), EngineConfig(), seed=0)
         node = sim._nodes["proc"]
-        channel, = node.inputs
+        queued, = node.inputs
         head, tail = message("a", 0), message("bcd", 1)
-        channel.offer(head)
-        channel.offer(tail)
+        queued.append(head)
+        queued.append(tail)
         first = head if policy == ChannelPolicy.FIFO else tail
         spec = graph.nodes["proc"]
         price, objects, counts = sim._predict_next(node)
         assert price == rule_price(
             spec.latency, kind_counts(first.objects), None) == ms(1) + len(first.objects) * ms(2)
         assert (objects, counts) == (first.objects, first.counts)
-        assert channel.take() is first
-        left = channel.queued[0].objects if channel.queued else ()
+        assert queued.popleft() is first
+        left = queued[0].objects if queued else ()
         assert sim._predict_next(node)[0] == ms(1) + len(left) * ms(2)
 
 
@@ -418,7 +422,7 @@ def test_a_float_price_sums_in_predict_latency_order():
                         agents=(), duration_us=sec(1))
     sim = Simulation(scenario, graph, one_group(graph), EngineConfig(), seed=0)
     node = sim._nodes["plan"]
-    node.inputs[0].offer(message("a", 0))   # one vehicle
+    node.inputs[0].append(message("a", 0))   # one vehicle
     assert sim._predict_next(node)[0] == rule_price(
         graph.nodes["plan"].latency, {V: 1}, 2.0) == 5.5
     sim._start_task((node, 0, None, None), node.home, 0)
@@ -446,7 +450,7 @@ def test_a_capture_is_shared_only_while_the_ego_state_holds():
     sim._capture(lidar, ms(50))
     sim.apply_control("brake", -6.0, 0)     # takes effect at 20 ms
     sim._capture(cam, ms(50))
-    (first, again), (shared,) = (channel.queued for (channel, _), in (cam.outputs, lidar.outputs))
+    (first, again), (shared,) = (queued for (queued, _), in (cam.outputs, lidar.outputs))
     assert shared.objects is first.objects and shared.counts is first.counts
     assert sim._capture_index[0][1] is sim._capture_index[1][1] == ("lead",)
     assert again.objects[0].deadline_us > first.objects[0].deadline_us

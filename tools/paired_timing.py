@@ -13,7 +13,10 @@ byte-identical, so both sides are measured by the same harness.
 Prints, per workload and seed, one line each for `wall_s`, `sim_s`,
 `setup_s` and `rss_mb` (the pass's peak RSS): each side's median with
 its quartiles and interquartile range, and in how many pairs the change
-was faster, or lower (ties count for neither).
+was faster, or lower (ties count for neither). After each metric's
+line comes its verdict by the gain rule: the change won at least nine
+tenths of the pairs, ties counting for neither, and the base median
+minus the change median exceeds the base's interquartile range.
 `wall_s` is the pass's timed work (for `mixed100_cli` and `dag_stress`,
 `avpipesim run` with its trace and report writing); `sim_s` is the
 pass's `run_simulation` host time summed over its runs, the divisor of
@@ -21,7 +24,7 @@ perfbench's `sim_speed`, so a `sim_speed` claim is sized on `sim_s`;
 `setup_s` is the pass's start-up before its timed work (importing
 avpipesim and building the inputs).
 `--out` writes every run (each with all four), the `wall_s` summaries,
-the two commits and the machine to a JSON file.
+each metric's verdict, the two commits and the machine to a JSON file.
 
 Exit status: 0; 1 if a pass failed or the two sides' trace or
 report.json digests differ on any pass; 2 if the perfbench trees differ.
@@ -118,15 +121,27 @@ def compared(runs: list, metric: str) -> dict:
             **{side: summary(v) for side, v in sides.items() if v}}
 
 
+def verdict(c: dict) -> dict:
+    """The gain rule on one metric's comparison from compared(): the change
+    won at least 9/10 of the complete pairs, and the base median minus the
+    change median exceeds the base's IQR. Every metric here is better lower."""
+    gap = c["base"]["median"] - c["change"]["median"]
+    won = c["pairs"] > 0 and 10 * c["change_faster"] >= 9 * c["pairs"]
+    beyond = gap > c["base"]["iqr"]
+    return {"pairs_won": won, "gap": gap, "gap_beyond_iqr": beyond, "met": won and beyond}
+
+
 # each printed metric, with its unit and the word for a lower value
 METRICS = {"wall_s": ("s", "faster"), "sim_s": ("s", "faster"), "setup_s": ("s", "lower"),
            "rss_mb": ("MB", "lower")}
 
 
 def report(workload: str, seed: int, runs: list) -> dict:
-    """Print one workload and seed's line for each of METRICS; return its
-    wall_s summary, with its runs."""
+    """Print one workload and seed's lines for each of METRICS, its
+    summaries and its verdict; return its wall_s summary, with its runs and
+    every metric's verdict."""
     summaries = {metric: compared(runs, metric) for metric in METRICS}
+    verdicts = {}
     for metric, c in summaries.items():
         unit, lower = METRICS[metric]
         line = f"{workload} seed {seed} {metric}:"
@@ -136,10 +151,17 @@ def report(workload: str, seed: int, runs: list) -> dict:
                 line += (f"  {side} median {s['median']:.3f} {unit}"
                          f" (q1 {s['q1']:.3f}, q3 {s['q3']:.3f}, IQR {s['iqr']:.3f})")
         if "base" in c and "change" in c:
+            v = verdicts[metric] = verdict(c)
             line += (f"  change {c['change']['median'] / c['base']['median'] - 1:+.1%},"
-                     f" {lower} in {c['change_faster']}/{c['pairs']} pairs")
+                     f" {lower} in {c['change_faster']}/{c['pairs']} pairs\n"
+                     f"{workload} seed {seed} {metric} gain rule:"
+                     f" {'met' if v['met'] else 'not met'} ("
+                     f"{'at least' if v['pairs_won'] else 'fewer than'} 9/10 pairs;"
+                     f" median gap {v['gap']:.3f} {unit}"
+                     f" {'>' if v['gap_beyond_iqr'] else '<='} base IQR {c['base']['iqr']:.3f})")
         print(line, flush=True)
-    return {"workload": workload, "seed": seed, **summaries["wall_s"], "runs": runs}
+    return {"workload": workload, "seed": seed, **summaries["wall_s"], "verdicts": verdicts,
+            "runs": runs}
 
 
 def main(argv=None) -> int:
