@@ -100,13 +100,18 @@ _Task = tuple
 
 
 class _GroupState:
+    """A group's workers and its ready-queue rule, which lives here alone:
+    push queues a task, pop takes the next to start, and queued is true
+    while work waits. The rule is FIFO, built from a deque's C methods, so
+    it adds no Python-level call per task."""
     def __init__(self, spec: ProcessorGroup):
         self.spec, self.budget_us = spec, spec.budget_us
         self.worker_names = tuple(f"{spec.name}/{i}" for i in range(spec.worker_count))
         # per worker, the end of its running task; None while it is free.
-        # Between events a group with a free worker has no ready task.
+        # Between events a group with a free worker has no queued task.
         self.ends: list[Optional[int]] = [None] * spec.worker_count
-        self.ready: deque[_Task] = deque()
+        self.queued: deque[_Task] = deque()
+        self.push, self.pop = self.queued.append, self.queued.popleft
         self.busy_us = 0       # summed durations of the tasks started
 
 
@@ -212,7 +217,7 @@ class Simulation:
                 end - self._horizon for end in g.ends if end is not None)
             # a task still queued never starts; kept, it and its plan's home
             # group would hold each other, and the run's channels, in a cycle
-            g.ready.clear()
+            g.queued.clear()
         for t0, agent_id, label in self.scenario.hazard_events:
             self.trace.reactions.append(self._measure_reaction(t0, agent_id, label))
         return self.trace
@@ -226,7 +231,7 @@ class Simulation:
         if node.spec.role == NodeRole.SENSOR:
             self._capture(node, t)
         else:
-            node.home.ready.append((node, t, None, None))
+            node.home.push((node, t, None, None))
             self._dispatch(node.home)
         self._at(t + node.spec.period_us, self._on_tick, node)
 
@@ -249,15 +254,15 @@ class Simulation:
         if node.latency.free:
             self._emit(node, msg)
         else:
-            node.home.ready.append((node, t, [msg], None))
+            node.home.push((node, t, [msg], None))
             self._dispatch(node.home)
 
     # -- scheduling --------------------------------------------------------
 
     def _dispatch(self, grp: _GroupState):
-        ready, ends = grp.ready, grp.ends
-        while ready and None in ends:
-            self._start_task(ready.popleft(), grp, ends.index(None))
+        queued, ends = grp.queued, grp.ends
+        while queued and None in ends:
+            self._start_task(grp.pop(), grp, ends.index(None))
 
     def _start_task(self, task: _Task, grp: _GroupState, widx: int, priced=None):
         """priced: a stolen task's (price, objects, counts) from _predict_next."""
@@ -351,12 +356,12 @@ class Simulation:
             self._emit(node, msg)
 
         # only this group, and the home of a residual pass, can now hold
-        # ready work beside a free worker; groups dispatch in config order
+        # queued work beside a free worker; groups dispatch in config order
         if residual:
-            node.home.ready.append((node, now, inputs, residual))
+            node.home.push((node, now, inputs, residual))
             for g in self.groups.values():
                 self._dispatch(g)
-        elif grp.ready and None in grp.ends:
+        elif grp.queued and None in grp.ends:
             self._dispatch(grp)
 
     def _fuse(self, node: _Node, objects):
@@ -370,9 +375,9 @@ class Simulation:
 
     def _emit(self, node: _Node, msg: FrameMessage):
         """Queue msg on node's outputs and trigger each interrupt consumer.
-        A triggered task starts at once on a free home worker, after any
-        older ready task; with no free home worker it may be stolen, or
-        waits in the home queue for a task to finish."""
+        A triggered task may be stolen only when no home worker is free;
+        else, or if no host admits it, it is pushed on its home group and
+        the group dispatched, in the order of the group's queue rule."""
         now = self.queue.clock
         for queued, consumers in node.outputs:
             queued.append(msg)      # the Channel's rule: its deque's bound
@@ -381,16 +386,11 @@ class Simulation:
                     consumer.arrival = now
                 if not consumer.interrupt:
                     continue
-                grp = consumer.home
-                task, ends, ready = (consumer, now, None, None), grp.ends, grp.ready
-                if None not in ends:
-                    if not (self._mit.stealing and self._try_steal(consumer, task)):
-                        ready.append(task)
-                elif ready:         # _finish_task freed this worker before its dispatch
-                    ready.append(task)
+                grp, task = consumer.home, (consumer, now, None, None)
+                if (None in grp.ends or not self._mit.stealing
+                        or not self._try_steal(consumer, task)):
+                    grp.push(task)
                     self._dispatch(grp)
-                else:
-                    self._start_task(task, grp, ends.index(None))
 
     def _predict_next(self, node: _Node) -> tuple:
         """(price, objects, counts) of node's next normal run, from the head
@@ -408,7 +408,7 @@ class Simulation:
         now, priced = self.queue.clock, None
         for host in node.steal_hosts:
             ends = host.ends
-            if None not in ends or host.ready:      # a guest takes idle capacity only
+            if None not in ends or host.queued:     # a guest takes idle capacity only
                 continue
             if priced is None:
                 priced = self._predict_next(node)

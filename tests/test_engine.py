@@ -329,6 +329,35 @@ class TestDerivedStates:
             ("fastpath", False), ("normal", True)}
 
 
+class TestReadyQueue:
+    def test_a_triggered_task_runs_after_the_older_queued_task(self):
+        """One worker holds `a`, `tick` and `c`. Every 100 ms the free
+        sensor's capture triggers `a` (10 ms), which starts at once, and
+        `tick` (15 ms) is queued behind it. When `a` ends it triggers `c`
+        (12 ms) on the worker it just freed, but `tick` has waited longer,
+        so the group runs it first: spans start at 0, 10 and 25 ms."""
+        def node(name, pattern, inputs, outputs, cost_ms, **kw):
+            return NodeSpec(name, pattern, inputs, outputs, LatencyModel(offset_us=ms(cost_ms)),
+                            **kw)
+        timing, interrupt = ExecutionPattern.TIMING, ExecutionPattern.INTERRUPT
+        nodes = {
+            "sensor": NodeSpec("sensor", timing, (), ("s",), ZERO_SENSOR,
+                               role=NodeRole.SENSOR, period_us=ms(100)),
+            "a": node("a", interrupt, ("s",), ("x",), 10),
+            "tick": node("tick", timing, (), ("t",), 15, period_us=ms(100)),
+            "c": node("c", interrupt, ("x",), ("cmd",), 12, role=NodeRole.CONTROL),
+        }
+        g = PipelineGraph(nodes=nodes, channels={
+            c: Channel(c, ChannelPolicy.FIFO, 4) for c in ("s", "x", "t", "cmd")})
+        sc = Scenario(ego_initial=AgentState(s_m=0.0, l_m=0.0, v_mps=10.0, a_mps2=0.0),
+                      agents=(), duration_us=sec(1))
+        trace = run_simulation(sc, g, one_group(g, workers=1), EngineConfig(), seed=1)
+        starts = {}
+        for s in trace.spans:
+            starts.setdefault(s.node, set()).add(s.start_us % ms(100))
+        assert starts == {"a": {0}, "tick": {ms(10)}, "c": {ms(25)}}
+
+
 class TestStealing:
     def test_a_host_with_queued_work_takes_no_guest(self):
         """Every 100 ms, host's one worker runs `a` (10 ms) while its own

@@ -1,9 +1,12 @@
 """The gain rule that tools/paired_timing.py prints per metric, on
 synthetic runs: the change must win at least nine tenths of the pairs,
 ties counting for neither, and the medians must differ by more than the
-base's interquartile range."""
+base's interquartile range. Also, each pass gets its own empty bytecode
+cache."""
 
 import importlib.util
+import json
+import os
 from pathlib import Path
 
 import pytest
@@ -61,3 +64,26 @@ def test_report_prints_and_returns_each_verdict(capsys):
     assert "dag_stress seed 0 sim_s gain rule: met" in out
     assert "dag_stress seed 0 setup_s gain rule: not met" in out
     assert case["verdicts"]["wall_s"]["met"] and not case["verdicts"]["rss_mb"]["met"]
+
+
+def test_each_pass_gets_its_own_empty_bytecode_cache(monkeypatch, tmp_path):
+    seen = []
+
+    def fake_run(cmd, cwd, env, **kw):
+        workdir = cmd[cmd.index("--workdir") + 1]
+        pycache = env["PYTHONPYCACHEPREFIX"]
+        seen.append(pycache)
+        assert os.path.dirname(pycache) == workdir and os.listdir(pycache) == []
+        with open(os.path.join(pycache, "written.pyc"), "w") as fh:    # as a pass would
+            fh.write("")
+        with open(os.path.join(workdir, "result.json"), "w") as fh:
+            json.dump({"failed": False}, fh)
+        return paired_timing.subprocess.CompletedProcess(cmd, 0, "", "")
+
+    monkeypatch.setattr(paired_timing.subprocess, "run", fake_run)
+    for side in ("base", "change", "base"):
+        assert paired_timing.one_pass(side, "dag_stress", 0, str(tmp_path), None) == {
+            "failed": False}
+    assert len(set(seen)) == 3
+    assert not any(os.path.exists(d) for d in seen)
+    assert os.listdir(tmp_path) == []

@@ -6,21 +6,22 @@ inputs that carry one objects tuple as their own union, shares one
 capture among the sensors that capture at one instant of one ego state,
 prices a steal only on a host with a free worker and no queued work,
 hands an admitted guest the price, objects and counts admission read,
-starts a triggered task at once when its home group has a free worker
-and nothing older waits, and after a task ends dispatches only the
-groups that can have gained work. UncachedSimulation below prices every
-task by the pricing rule written out here (rule_price) and draws it
-through sample_latency, merges every
+tries a steal for a triggered task only when no home worker is free,
+else pushes it on its home group and dispatches the group, and after a
+task ends dispatches only the groups that can have gained work.
+UncachedSimulation below prices every task by the pricing rule written
+out here (rule_price) and draws it through sample_latency, merges every
 multi-input start and every steal's heads with a reference, captures
 once per sensor, prices every guest again as any task, triggers a task
-from scratch (a steal if no home worker is free, else queue it and
-dispatch) and dispatches every group after each task. Both must write
-the same trace, byte for byte, on random layered DAGs with every
-mitigation on and tight budgets, once with int costs and once with
-float ones; over each set of examples the property test must see a
-steal admitted and a steal rejected. Most drawn DAGs share
-channels between sibling consumers, where a sibling's take changes the
-head the other is priced by. The reference merge sorts by id and the
+by its own statement of the same rule (a steal if no home worker is
+free, else push it and dispatch), so a wrong trigger in the engine
+shows here and not only in pinned digests, and dispatches every group
+after each task. Both must write the same trace, byte for byte, on
+random layered DAGs with every mitigation on and tight budgets, once
+with int costs and once with float ones; over each set of examples the
+property test must see a steal admitted and a steal rejected. Most
+drawn DAGs share channels between sibling consumers, where a sibling's
+take changes the head the other is priced by. The reference merge sorts by id and the
 engine's does not, so the equal traces also show that no trace reads an
 object order; float costs are drawn in quarters, whose sums are exact
 in any order, since a merge's order is the order its counts are summed
@@ -111,7 +112,7 @@ class UncachedSimulation(Simulation):
         if node.latency.free:
             self._emit(node, msg)
         else:
-            node.home.ready.append((node, t, [msg], None))
+            node.home.push((node, t, [msg], None))
             self._dispatch(node.home)
 
     def _start_task(self, task, grp, widx, priced=None):
@@ -132,7 +133,7 @@ class UncachedSimulation(Simulation):
             if host is node.home:
                 continue
             widx = next((i for i, end in enumerate(host.ends) if end is None), None)
-            if widx is None or host.ready:
+            if widx is None or host.queued:
                 continue
             loads = [0 if end is None else end - now for end in host.ends]
             if steal_admission(cost, loads, host.spec.budget_us,
@@ -154,7 +155,7 @@ class UncachedSimulation(Simulation):
                     task, home = (consumer, now, None, None), consumer.home
                     if (None in home.ends or not self.config.mitigation.stealing
                             or not self._try_steal(consumer, task)):
-                        home.ready.append(task)
+                        home.push(task)
                         self._dispatch(home)
 
     def _finish_task(self, *args):
@@ -186,7 +187,7 @@ class CheckedSimulation(Simulation):
         super()._emit(node, msg)
 
     def _start_task(self, task, grp, widx, priced=None):
-        assert priced is None or not grp.ready, (task[0].name, grp.spec.name)
+        assert priced is None or not grp.queued, (task[0].name, grp.spec.name)
         super()._start_task(task, grp, widx, priced)
 
     def _capture(self, node, t):

@@ -8,7 +8,10 @@ of the parent commit and the working tree. For each workload and seed,
 P pairs of fresh `perfbench/one_pass.py` processes run, one from each
 checkout, alternating which side goes first. Each side's pass imports
 the `src/` of its own checkout; the two `perfbench/` trees must be
-byte-identical, so both sides are measured by the same harness.
+byte-identical, so both sides are measured by the same harness. Each
+pass gets a new empty bytecode cache (`PYTHONPYCACHEPREFIX`), so both
+sides compile their imports alike, whatever `__pycache__` either
+checkout holds.
 
 Prints, per workload and seed, one line each for `wall_s`, `sim_s`,
 `setup_s` and `rss_mb` (the pass's peak RSS): each side's median with
@@ -87,11 +90,14 @@ def machine() -> dict:
 def one_pass(checkout: str, workload: str, seed: int, scratch: str, expect) -> dict:
     """One fresh one_pass.py process of checkout; its result.json."""
     workdir = tempfile.mkdtemp(dir=scratch)
+    pycache = os.path.join(workdir, "pycache")      # removed with workdir
+    os.mkdir(pycache)
     cmd = [sys.executable, os.path.join(checkout, "perfbench", "one_pass.py"),
            "--workload", workload, "--seed", str(seed), "--workdir", workdir]
     if expect:
         cmd += ["--expect-trace", expect]
     env = {k: v for k, v in os.environ.items() if k != "COLA_SIM_THREADS"}
+    env["PYTHONPYCACHEPREFIX"] = pycache
     try:
         proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
         try:
